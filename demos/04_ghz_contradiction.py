@@ -5,8 +5,8 @@ At angle step phi = pi/2 the four perfect-correlation constraints
 (every row has angle sum 0, forcing the product ABCD = -1) are jointly
 satisfiable by deterministic response values. Appending the one extra
 constraint with angle sum pi (forcing +1) makes the system
-unsatisfiable, and exhaustive enumeration over all 256 assignments
-proves it. No distribution over hidden variables is involved at any
+unsatisfiable: elimination over GF(2) reduces the parity equations to
+0 = 1, which rules out all 256 assignments. No distribution over hidden variables is involved at any
 point; this is pure logic.
 """
 
@@ -32,7 +32,7 @@ for c in four:
 
 result = check_satisfiable(four)
 print(f"satisfiable: {result.satisfiable} "
-      f"(checked all {result.assignments_checked} assignments of 8 variables)")
+      f"({result.assignments_checked} assignments of 8 variables)")
 print("lowest-index witness:")
 for (party, angle), value in sorted(result.witness.items()):
     print(f"  {party}({angle:.4g}) = {value:+d}")
@@ -45,7 +45,7 @@ parts = " * ".join(f"{p}({a:.4g})" for p, a in extra.factors)
 print(f"\nappending the angle-sum-pi constraint: {parts} = {extra.target:+d}")
 result5 = check_satisfiable(five)
 print(f"satisfiable: {result5.satisfiable} "
-      f"(exhausted {result5.assignments_checked} assignments)")
+      f"(none of the {result5.assignments_checked} assignments works)")
 
 print("\nwhy: multiply constraints 2, 3 and 4. Squared factors drop out,")
 print("leaving A(pi)*B(0)*C(0)*D(0) = (-1)^3 = -1, but the fifth demands +1.")

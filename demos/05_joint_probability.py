@@ -3,11 +3,12 @@
 
 A single distribution over the 16 behavior classes reproduces given
 correlations and marginals if and only if every CHSH facet expression
-stays within 2. One route solves the linear feasibility problem exactly;
-the other evaluates eight facets. The dice-coin statistics make the
-classic counterexample: the two settings per station are mutually
-exclusive to measure, yet a joint distribution over all four outcomes
-exists anyway.
+stays within 2 (Fine's theorem). ``jp_feasible`` decides by the eight
+facets and solves for a witness; the independent route below solves the
+linear feasibility problem over the 16 class vertices exactly. The
+dice-coin statistics make the classic counterexample: the two settings
+per station are mutually exclusive to measure, yet a joint distribution
+over all four outcomes exists anyway.
 """
 
 import random
@@ -22,6 +23,8 @@ from bellcheck import (
     jp_from_lhv,
     statistics_of,
 )
+from bellcheck.jointprob import STATS_MATRIX
+from bellcheck.simplex import solve_equality_feasibility
 
 print("dice-coin: incompatible measurements, existing joint distribution")
 stats = statistics_of(jp_from_lhv(dice_coin_model()))
@@ -46,9 +49,8 @@ agree = feasible_count = 0
 trials = 2000
 for _ in range(trials):
     es = [Fraction(rng.randint(-64, 64), 64) for _ in range(4)]
-    s = BehaviorStatistics(CorrelationTable(*es))
-    lp = jp_feasible(s).feasible
-    facets_pass, _ = chsh_criterion(s.correlations)
+    lp, _ = solve_equality_feasibility(STATS_MATRIX, es + [0, 0, 0, 0, 1])
+    facets_pass, _ = chsh_criterion(CorrelationTable(*es))
     agree += lp == facets_pass
     feasible_count += lp
 print(f"  {trials} samples: {feasible_count} feasible, "

@@ -91,15 +91,30 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     }
     if merged["model"] is None:
         raise ValueError("no model given (use --model or a config file)")
+    for key in ("model", "output"):
+        if merged[key] is not None and not isinstance(merged[key], str):
+            raise ValueError(f"{key} must be a string, got {merged[key]!r}")
     angles = base.get("angles")
     if angles is not None:
+        if not (isinstance(angles, list) and len(angles) == 4 and all(map(_is_number, angles))):
+            raise ValueError(f"config angles must be a list of 4 numbers a1,a2,b1,b2, got {angles!r}")
         angles = AnglePair(*(float(v) for v in angles))
     if args.angles is not None:
         angles = _parse_angles(args.angles)
     merged["angles"] = angles
-    merged["n_per_series"] = int(merged["n_per_series"])
-    merged["seed"] = int(merged["seed"])
+    for key in ("n_per_series", "seed"):
+        value = merged[key]
+        if isinstance(value, str):
+            value = int(value)
+        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
+        merged[key] = int(value)
     return ExperimentConfig(**merged)
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _fmt(x: float) -> str:
@@ -360,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,9 +3,10 @@
 The quantum prediction for the four-particle parity experiment is
 <ABCD> = -cos(a + b - c - d), so certain angle combinations force the
 product ABCD with certainty. Deterministic one-party response values
-would then have to satisfy every forced product simultaneously;
-``check_satisfiable`` settles that question by brute force over all +-1
-assignments to the distinct (party, angle) response variables.
+would then have to satisfy every forced product simultaneously. Each
+constraint is a parity equation over GF(2) in the distinct (party,
+angle) response variables, so ``check_satisfiable`` settles the question
+by Gaussian elimination.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-import numpy as np
-
 from .core import validate_outcome
 from .errors import ResourceLimitError
 
 PARTIES = ("A", "B", "C", "D")
 
-#: Variable count above which exhaustive enumeration is refused.
+#: Variable count above which a system is refused, so the assignment
+#: space a verdict covers stays within 2**24.
 MAX_VARIABLES = 24
 
 _ANGLE_RESOLUTION = 1e-12
@@ -31,7 +31,7 @@ _TWO_PI = 2 * math.pi
 def canonical_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi) on a 1e-12 grid.
 
-    Variable identity in the enumeration is decided by this canonical
+    Variable identity in a constraint system is decided by this canonical
     form, so angles closer than the resolution name the same variable.
     """
     if not math.isfinite(theta):
@@ -69,12 +69,12 @@ class ProductConstraint:
 
 @dataclass(frozen=True)
 class SatResult:
-    """Outcome of exhaustive constraint checking.
+    """Outcome of constraint checking.
 
-    ``assignments_checked`` is 2**(number of distinct variables): the
-    checker always sweeps the full assignment space, so an unsatisfiable
-    verdict is a proof of exhaustion and a witness is the one with the
-    lowest assignment index.
+    ``assignments_checked`` is 2**(number of distinct variables), the size
+    of the assignment space the verdict covers: an unsatisfiable verdict
+    rules out every assignment, and a witness is the satisfying one with
+    the lowest assignment index.
     """
 
     satisfiable: bool
@@ -136,9 +136,13 @@ def _collect_variables(constraints: Iterable[ProductConstraint]):
 
 
 def check_satisfiable(constraints: list[ProductConstraint]) -> SatResult:
-    """Enumerate every +-1 assignment to the distinct (party, angle)
-    variables; bit v of the assignment index gives variable v's value
-    (0 -> -1, 1 -> +1), so index 0 is the all-minus assignment."""
+    """Decide the system by Gaussian elimination over GF(2).
+
+    Bit v of an assignment index gives variable v's value (0 -> -1,
+    1 -> +1). Factors that repeat an even number of times square away;
+    the rest form the constraint's mask, and the product meets the target
+    exactly when the bits under the mask have parity
+    (popcount(mask) + [target == -1]) mod 2."""
     ordered, index, canon = _collect_variables(constraints)
     n_vars = len(ordered)
     if n_vars > MAX_VARIABLES:
@@ -147,48 +151,34 @@ def check_satisfiable(constraints: list[ProductConstraint]) -> SatResult:
         )
     total = 1 << n_vars
 
-    # Per constraint: the set of variables appearing an odd number of
-    # times (even repeats contribute +1), and whether the product of the
-    # all-minus assignment already matches the target.
-    masks = []
+    # echelon rows keyed by their lowest set bit, the row's pivot
+    pivots: dict[int, tuple[int, int]] = {}
     for fs, target in canon:
-        odd: set[int] = set()
-        for v in fs:
-            odd.symmetric_difference_update({index[v]})
         mask = 0
-        for i in odd:
-            mask |= 1 << i
-        # product = (-1)^(number of odd-multiplicity vars assigned -1)
-        masks.append((mask, len(odd), target))
+        for v in fs:
+            mask ^= 1 << index[v]
+        parity = (mask.bit_count() + (target == -1)) & 1
+        while mask:
+            low = mask & -mask
+            if low not in pivots:
+                pivots[low] = (mask, parity)
+                break
+            pivot_mask, pivot_parity = pivots[low]
+            mask ^= pivot_mask
+            parity ^= pivot_parity
+        if not mask and parity:  # the row reduced to 0 = 1
+            return SatResult(satisfiable=False, witness=None, assignments_checked=total)
 
-    witness_index = -1
-    chunk = 1 << 20
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
-        idx = np.arange(start, stop, dtype=np.uint64)
-        ok = np.ones(stop - start, dtype=bool)
-        for mask, n_odd, target in masks:
-            ones = _popcount64(idx & np.uint64(mask))
-            minus_count = n_odd - ones  # odd-multiplicity vars set to -1
-            product = np.where(minus_count % 2 == 0, 1, -1)
-            ok &= product == target
-        if witness_index < 0 and ok.any():
-            witness_index = start + int(np.argmax(ok))
-    if witness_index < 0:
-        return SatResult(satisfiable=False, witness=None, assignments_checked=total)
-    witness = {
-        v: (1 if witness_index & (1 << i) else -1) for i, v in enumerate(ordered)
-    }
+    # Fix bits from the highest down: a pivot bit is forced by the higher
+    # bits of its row, every other bit stays 0. No smaller index satisfies
+    # the rows, since each 0 was free and each 1 was forced.
+    x = 0
+    for low in sorted(pivots, reverse=True):
+        mask, parity = pivots[low]
+        if ((mask & x).bit_count() ^ parity) & 1:
+            x |= low
+    witness = {v: (1 if x & (1 << i) else -1) for i, v in enumerate(ordered)}
     return SatResult(satisfiable=True, witness=witness, assignments_checked=total)
-
-
-def _popcount64(arr: np.ndarray) -> np.ndarray:
-    x = arr.copy()
-    count = np.zeros_like(x)
-    while x.any():
-        count += x & np.uint64(1)
-        x >>= np.uint64(1)
-    return count.astype(np.int64)
 
 
 def evaluate_constraint(

@@ -2,14 +2,12 @@
 
 A joint probability here is a single distribution over the behavior
 quadruples that reproduces all four pairwise correlations and all four
-marginals at once. ``jp_feasible`` decides existence by solving the
-linear feasibility problem over the 16 class vertices; ``chsh_criterion``
-evaluates the eight CHSH facet expressions instead. The two routes are
-independent implementations of the same boundary and the test suite
-checks that they agree.
-
-Rational inputs are decided in exact arithmetic (an integer phase-1
-simplex); float inputs fall back to an LP solve with a 1e-9 tolerance.
+marginals at once. By Fine's theorem (PRL 48, 291, 1982) one exists
+exactly when every pair table is valid (checked when the statistics are
+built) and no CHSH facet value exceeds 2, so ``jp_feasible`` and
+``chsh_criterion`` decide from the same eight facet values. A feasible
+input gets its witness from the exact simplex over the class vertices.
+Rational inputs stay exact; float inputs pass the facet test within 1e-9.
 """
 
 from __future__ import annotations
@@ -41,6 +39,17 @@ _MARGINAL_ROWS = [
 STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
 
 
+def _pair_cells(es, ms):
+    """Each pair table's four cells, times 4: 1 + A*m_a + B*m_b + A*B*E
+    for setting pair (i, k) and outcomes (A, B), in SETTING_PAIRS order.
+    ``ms`` is (m_a1, m_a2, m_b1, m_b2)."""
+    for (i, k), e in zip(SETTING_PAIRS, es):
+        m_a, m_b = ms[i - 1], ms[k + 1]
+        for alpha in (-1, 1):
+            for beta in (-1, 1):
+                yield (i, k), alpha, beta, 1 + alpha * m_a + beta * m_b + alpha * beta * e
+
+
 @dataclass(frozen=True)
 class BehaviorStatistics:
     """Four correlations plus the four single-party means.
@@ -65,37 +74,23 @@ class BehaviorStatistics:
             elif not -1.0 - 1e-12 <= float(v) <= 1.0 + 1e-12:
                 raise ValueError(f"{name} must lie in [-1, 1], got {v}")
         slack = 0 if self.is_exact else 1e-12
-        for i, k in SETTING_PAIRS:
-            e = self.correlations.value((i, k))
-            m_a = self.marginal_alice(i)
-            m_b = self.marginal_bob(k)
-            for alpha in (-1, 1):
-                for beta in (-1, 1):
-                    cell = 1 + alpha * m_a + beta * m_b + alpha * beta * e
-                    if cell < -slack:
-                        raise ValueError(
-                            f"pair ({i},{k}) admits no outcome table: cell "
-                            f"({alpha:+d},{beta:+d}) has weight {cell}/4 < 0"
-                        )
+        for (i, k), alpha, beta, cell in _pair_cells(
+            self.correlations.as_tuple(), self.marginals()
+        ):
+            if cell < -slack:
+                raise ValueError(
+                    f"pair ({i},{k}) admits no outcome table: cell "
+                    f"({alpha:+d},{beta:+d}) has weight {cell}/4 < 0"
+                )
 
     def marginals(self) -> tuple:
         return (self.m_a1, self.m_a2, self.m_b1, self.m_b2)
-
-    def marginal_alice(self, index: int):
-        return self.m_a1 if index == 1 else self.m_a2
-
-    def marginal_bob(self, index: int):
-        return self.m_b1 if index == 1 else self.m_b2
 
     @property
     def is_exact(self) -> bool:
         return self.correlations.is_exact and all(
             isinstance(v, Rational) for v in self.marginals()
         )
-
-    def vector(self) -> list:
-        """The nine stats in STATS_MATRIX row order (normalization last)."""
-        return list(self.correlations.as_tuple()) + list(self.marginals()) + [1]
 
 
 @dataclass(frozen=True)
@@ -158,71 +153,66 @@ def statistics_of(jp: JointProbability) -> BehaviorStatistics:
     return BehaviorStatistics(CorrelationTable(*es), *ms)
 
 
-def _facet_values(table: CorrelationTable):
-    """The eight facet expressions: negate one term, either overall sign."""
-    es = table.as_tuple()
-    for neg in range(4):
-        signs = tuple(-1 if j == neg else 1 for j in range(4))
-        value = sum(s * e for s, e in zip(signs, es))
-        yield signs, value
-        yield tuple(-s for s in signs), -value
+def _max_facet(es) -> tuple[tuple[int, int, int, int], Any]:
+    """The largest of the eight CHSH facet values of (e11, e12, e21, e22)
+    and the signs that reach it. Negating term j gives S - 2*e_j, where S
+    is the plain sum; the candidates run over j = 0..3, each with the +
+    sign before the - sign, and the first maximum wins."""
+    total = sum(es)
+    best = None
+    for j, e in enumerate(es):
+        value = total - 2 * e
+        signs = tuple(-1 if i == j else 1 for i in range(4))
+        for candidate in ((signs, value), (tuple(-s for s in signs), -value)):
+            if best is None or candidate[1] > best[1]:
+                best = candidate
+    return best
+
+
+def _facet_limit(table: CorrelationTable):
+    return 2 if table.is_exact else 2.0 + _FLOAT_TOL
 
 
 def chsh_criterion(table: CorrelationTable) -> tuple[bool, Any]:
     """Evaluate all eight CHSH facets; pass means none exceeds 2."""
-    best_value = None
-    for _, value in _facet_values(table):
-        if best_value is None or value > best_value:
-            best_value = value
-    limit = 2 if table.is_exact else 2.0 + _FLOAT_TOL
-    return best_value <= limit, best_value
+    _, value = _max_facet(table.as_tuple())
+    return value <= _facet_limit(table), value
 
 
-def _violated_facet(table: CorrelationTable) -> ViolatedFacet | None:
-    best = None
-    for signs, value in _facet_values(table):
-        if best is None or value > best[1]:
-            best = (signs, value)
-    limit = 2 if table.is_exact else 2.0 + _FLOAT_TOL
-    if best is not None and best[1] > limit:
-        return ViolatedFacet(signs=best[0], value=best[1])
-    return None
+def _exact_rhs(stats: BehaviorStatistics) -> list[Fraction | int]:
+    """The STATS_MATRIX right-hand side, exactly, for statistics that pass
+    the facet test. Exact ones are inside the local polytope already.
+    Float ones within tolerance can sit just outside it, so they are mixed
+    with the uniform distribution (all statistics 0) by the least t >= 0
+    that makes every cell (1 - t)*c + t nonnegative and the largest facet
+    value (1 - t)*F at most 2."""
+    if stats.is_exact:
+        return [Fraction(v) for v in stats.correlations.as_tuple() + stats.marginals()] + [1]
+    es = [Fraction(float(v)) for v in stats.correlations.as_tuple()]
+    ms = [Fraction(float(v)) for v in stats.marginals()]
+    _, top = _max_facet(es)
+    t = 1 - 2 / top if top > 2 else Fraction(0)
+    for *_, cell in _pair_cells(es, ms):
+        if cell < 0:
+            t = max(t, cell / (cell - 1))
+    return [(1 - t) * v for v in es + ms] + [1]
 
 
 def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
     """Decide whether any joint probability reproduces the statistics.
 
-    Sixteen nonnegative weights, nine equality constraints (eight stats
-    plus normalization). Exact inputs get the exact solver and an exact
-    witness; float inputs go through scipy's LP with a 1e-9 tolerance.
-    An infeasible verdict is accompanied by a violated CHSH facet when
-    one exists (with nonzero marginals the obstruction can instead be a
-    pairwise-table condition, in which case there is no facet to blame).
-    """
-    if stats.is_exact:
-        feasible, x = solve_equality_feasibility(
-            STATS_MATRIX, [Fraction(v) for v in stats.vector()]
-        )
-        if feasible:
-            weights = {b: w for b, w in zip(ALL_BEHAVIORS, x) if w != 0}
-            return FeasibilityResult(True, JointProbability(weights), None)
-        return FeasibilityResult(False, None, _violated_facet(stats.correlations))
-
-    from scipy.optimize import linprog
-
-    res = linprog(
-        c=np.zeros(16),
-        A_eq=np.array(STATS_MATRIX, dtype=float),
-        b_eq=np.array([float(v) for v in stats.vector()]),
-        bounds=[(0, None)] * 16,
-        method="highs",
-        options={"primal_feasibility_tolerance": _FLOAT_TOL},
-    )
-    if res.status == 0:
-        raw = np.clip(res.x, 0.0, None)
-        raw /= raw.sum()
-        weights = {b: float(w) for b, w in zip(ALL_BEHAVIORS, raw) if w > 0.0}
-        return FeasibilityResult(True, JointProbability(weights), None)
-    if res.status == 2:
-        return FeasibilityResult(False, None, _violated_facet(stats.correlations))
-    raise RuntimeError(f"LP solver failed with status {res.status}: {res.message}")
+    The verdict is the facet test of ``chsh_criterion``. An infeasible
+    verdict carries the largest facet value, which exceeds 2; a feasible
+    one carries a witness solving the nine equality constraints (eight
+    stats plus normalization), exact for exact inputs and within about
+    1e-9 for float inputs."""
+    signs, value = _max_facet(stats.correlations.as_tuple())
+    if value > _facet_limit(stats.correlations):
+        return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
+    feasible, x = solve_equality_feasibility(STATS_MATRIX, _exact_rhs(stats))
+    if not feasible:
+        raise RuntimeError("facet test passed but the simplex found no joint probability")
+    weights = {
+        b: w if stats.is_exact else float(w) for b, w in zip(ALL_BEHAVIORS, x) if w != 0
+    }
+    return FeasibilityResult(True, JointProbability(weights), None)

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -134,6 +138,50 @@ class TestRun:
                         "--angles", "0,1,2,3"]) == cli.EXIT_CONFIG
 
 
+class TestConfigValidation:
+    """Bad config values end in exit code 2, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"angles": [0, 1, 2]},
+            {"angles": [0, 1, 2, 3, 4]},
+            {"angles": "0,1,2,3"},
+            {"angles": [0, 1, "2", 3]},
+            {"angles": [0, 1, True, 3]},
+            {"angles": {"a1": 0}},
+            {"angles": [10**400, 0, 0, 0]},
+            {"n_per_series": 100.7},
+            {"n_per_series": True},
+            {"n_per_series": [100]},
+            {"n_per_series": None},
+            {"seed": True},
+            {"seed": 1.5},
+            {"seed": {"value": 1}},
+            {"model": ["quantum"]},
+            {"output": 5},
+        ],
+    )
+    def test_bad_value_is_config_error(self, tmp_path, capsys, overrides):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "quantum", "n_per_series": 100, **overrides}))
+        assert run_cli(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert "Traceback" not in err
+
+    def test_integral_values_accepted(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "model": "quantum", "n_per_series": 100.0, "seed": 7, "angles": [0, 1.5, 0.5, 2],
+        }))
+        assert run_cli(["run", "--config", str(config)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_per_series"] == 100
+        assert report["seed"] == 7
+        assert report["angles"] == [0.0, 1.5, 0.5, 2.0]
+
+
 class TestBound:
     def test_dice_coin(self, capsys):
         assert run_cli(["bound", "--model", "dice-coin"]) == 0
@@ -184,6 +232,18 @@ class TestFineCheck:
         assert run_cli(["fine-check", "--correlations", "3,0,0,0"]) == cli.EXIT_CONFIG
 
 
+GOLDEN_FINE_CHECK = json.loads(
+    (Path(__file__).parent / "data" / "fine_check_golden.json").read_text()
+)
+
+
+@pytest.mark.parametrize("case", GOLDEN_FINE_CHECK, ids=[c["case"] for c in GOLDEN_FINE_CHECK])
+def test_fine_check_golden_output(capsys, case):
+    # byte-identical to the output recorded before fine-check decided by facets
+    assert run_cli(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+
+
 class TestGhzCheck:
     def test_four_system(self, capsys):
         assert run_cli(["ghz-check"]) == 0
@@ -219,3 +279,28 @@ class TestZooCommand:
         out = capsys.readouterr().out
         for name in ("conspiracy", "cosine-sign", "dice-coin", "quantum"):
             assert name in out
+
+
+def test_runs_without_scipy():
+    # scipy is a test-only dependency: the float feasibility path, the
+    # fine-check command and the parity checker must not import it
+    src = Path(cli.__file__).resolve().parents[1]
+    code = """
+import contextlib, io, json, math, sys
+sys.modules["scipy"] = None
+import bellcheck as bc
+from bellcheck import cli
+result = bc.jp_feasible(bc.BehaviorStatistics(bc.CorrelationTable(0.5, 0.1, -0.2, -0.5), 0.1, 0.0, -0.1, 0.0))
+assert result.feasible and not result.witness.is_exact
+buf = io.StringIO()
+with contextlib.redirect_stdout(buf):
+    assert cli.main(["fine-check", "--correlations", "1,1,1,-1"]) == 0
+assert json.loads(buf.getvalue())["feasible"] is False
+assert not bc.check_satisfiable(bc.ghz_constraint_system(math.pi / 2, include_fifth=True)).satisfiable
+assert "scipy" not in [m.split(".")[0] for m, v in sys.modules.items() if v is not None]
+print("ok")
+"""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"

@@ -1,5 +1,7 @@
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,3 +162,59 @@ class TestValidation:
         assert canonical_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
         with pytest.raises(ValueError):
             canonical_angle(float("nan"))
+
+
+def brute_force(constraints):
+    """Reference: try every +-1 assignment, bit v of the index giving
+    variable v's value (0 -> -1, 1 -> +1), and keep the lowest index that
+    meets every product. Returns (satisfiable, witness, assignments)."""
+    variables = sorted({f for c in constraints for f in c.canonical_factors()})
+    size = 1 << len(variables)
+    index = np.arange(size)
+    values = {v: np.where((index >> i) & 1, 1, -1) for i, v in enumerate(variables)}
+    ok = np.ones(size, dtype=bool)
+    for c in constraints:
+        product = np.ones(size, dtype=np.int64)
+        for f in c.canonical_factors():
+            product = product * values[f]
+        ok &= product == c.target
+    if not ok.any():
+        return False, None, size
+    first = int(np.argmax(ok))
+    return True, {v: 1 if (first >> i) & 1 else -1 for i, v in enumerate(variables)}, size
+
+
+class TestAgainstBruteForce:
+    def _random_system(self, rng):
+        pool = [("ABCD"[i % 4], 0.25 * (i // 4)) for i in range(rng.randint(1, 12))]
+        rows = []
+        for _ in range(rng.randint(1, len(pool) + 3)):
+            factors = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
+            if rng.random() < 0.3:
+                factors += [rng.choice(factors)]  # a repeated factor
+            rows.append(ProductConstraint(tuple(factors), rng.choice((-1, 1))))
+        return rows
+
+    def test_random_systems(self):
+        rng = random.Random(1212)
+        verdicts = set()
+        for _ in range(1200):
+            constraints = self._random_system(rng)
+            result = check_satisfiable(constraints)
+            satisfiable, witness, size = brute_force(constraints)
+            assert result.satisfiable == satisfiable
+            assert result.witness == witness
+            assert result.assignments_checked == size
+            verdicts.add(satisfiable)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("phi", [math.pi / 2, 0.3, 1.1, 2.5, -0.7])
+    def test_ghz_check_systems(self, phi):
+        systems = [ghz_constraint_system(phi)]
+        if phi == math.pi / 2:
+            systems.append(ghz_constraint_system(phi, include_fifth=True))
+        for constraints in systems:
+            result = check_satisfiable(constraints)
+            assert (result.satisfiable, result.witness, result.assignments_checked) == brute_force(
+                constraints
+            )

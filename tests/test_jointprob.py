@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.core import ALL_BEHAVIORS, Behavior, CorrelationTable
+from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable
 from bellcheck.engine import exact_class_weights, theoretical_correlations
 from bellcheck.jointprob import (
     STATS_MATRIX,
@@ -189,6 +189,11 @@ class TestFineAEquivalence:
         assert not reverse_disagreements
 
 
+def _facet_value(signs, beh):
+    """One class's value on the facet with the given signs."""
+    return sum(s * beh.alice(i) * beh.bob(k) for s, (i, k) in zip(signs, SETTING_PAIRS))
+
+
 def _push_correlations_outward(stats, step):
     """Scale correlations away from zero, keeping per-pair tables valid."""
     es = [e + step * (1 if e >= 0 else -1) for e in stats.correlations.as_tuple()]
@@ -293,3 +298,104 @@ class TestSimplexSolver:
                 assert all(xi >= 0 for xi in x)
                 for row, target in zip(a, b):
                     assert sum(c * xi for c, xi in zip(row, x)) == target
+
+
+class TestFacetsVsSimplex:
+    """Fine's facet test against an independent route: the exact simplex
+    over the 16 class vertices, called directly."""
+
+    def test_rational_nonzero_marginals(self):
+        rng = random.Random(2002)
+        # half the mixtures use only the classes that reach +2 on one facet,
+        # so that pushing their correlations outward often crosses it
+        facet_signs = [
+            tuple(sign * (-1 if j == neg else 1) for j in range(4))
+            for neg in range(4) for sign in (1, -1)
+        ]
+        checked = infeasible = 0
+        while checked < 2000:
+            signs = rng.choice(facet_signs) if rng.random() < 0.5 else None
+            weights = [
+                rng.randint(0, 6)
+                if signs is None or _facet_value(signs, b) == 2
+                else 0
+                for b in ALL_BEHAVIORS
+            ]
+            total = sum(weights)
+            if not total:
+                continue
+            jp = JointProbability(
+                {b: Fraction(n, total) for b, n in zip(ALL_BEHAVIORS, weights) if n}
+            )
+            stats = statistics_of(jp)
+            if rng.random() < 0.6:
+                stats = _push_correlations_outward(stats, Fraction(rng.randint(1, 8), 8))
+                if stats is None:
+                    continue
+            if not any(stats.marginals()):
+                continue
+            checked += 1
+            rhs = list(stats.correlations.as_tuple()) + list(stats.marginals()) + [1]
+            simplex_feasible, _ = solve_equality_feasibility(
+                STATS_MATRIX, [Fraction(v) for v in rhs]
+            )
+            all_pass, max_value = chsh_criterion(stats.correlations)
+            assert simplex_feasible == all_pass, stats
+            if not simplex_feasible:
+                infeasible += 1
+                certificate = jp_feasible(stats).certificate
+                assert certificate.value > 2
+                assert certificate.value == max_value
+                es = stats.correlations.as_tuple()
+                assert certificate.value == sum(s * e for s, e in zip(certificate.signs, es))
+        # both verdicts are well represented
+        assert infeasible >= 100 and checked - infeasible >= 1000, infeasible
+
+    def test_float_boundary_mixtures_are_feasible(self):
+        # Mixtures of classes that all reach +2 on one facet sit exactly on
+        # that facet, and leaving classes out puts pair cells at exactly 0.
+        # Float rounding pushes some of them just outside: a facet value
+        # in (2, 2 + 1e-9] or a cell of about -1e-17. Within tolerance,
+        # they are feasible and get a witness for their own statistics.
+        rng = np.random.default_rng(17)
+        saturating = [b for b in ALL_BEHAVIORS if _facet_value((1, 1, 1, -1), b) == 2]
+        over_facet = under_cell = 0
+        for _ in range(3000):
+            k = int(rng.integers(2, 6))
+            chosen = rng.choice(len(saturating), size=k, replace=False)
+            weights = rng.dirichlet(np.ones(k))
+            jp = JointProbability(
+                {saturating[c]: float(w) for c, w in zip(chosen, weights)}
+            )
+            stats = statistics_of(jp)
+            es, ms = stats.correlations.as_tuple(), stats.marginals()
+            _, max_value = chsh_criterion(stats.correlations)
+            cells = [
+                1 + a * ms[i - 1] + b * ms[k + 1] + a * b * e
+                for (i, k), e in zip(SETTING_PAIRS, es)
+                for a in (-1, 1)
+                for b in (-1, 1)
+            ]
+            if not (max_value > 2 or min(cells) < 0):
+                continue
+            assert max_value <= 2 + 1e-9
+            over_facet += max_value > 2
+            under_cell += min(cells) < 0
+            result = jp_feasible(stats)
+            assert result.feasible
+            assert all(w >= 0 for w in result.witness.weights.values())
+            got = statistics_of(result.witness)
+            got_vec = list(got.correlations.as_tuple()) + list(got.marginals())
+            assert max(abs(g - v) for g, v in zip(got_vec, list(es) + list(ms))) <= 1e-9
+        assert over_facet >= 20 and under_cell >= 20, (over_facet, under_cell)
+
+
+def test_float32_statistics():
+    # numpy float32 values are taken at their exact binary values too
+    es = np.array([0.5, 0.25, 0.125, -0.5], dtype=np.float32)
+    ms = np.array([0.125, 0.0, -0.25, 0.0], dtype=np.float32)
+    result = jp_feasible(BehaviorStatistics(CorrelationTable(*es), *ms))
+    assert result.feasible
+    got = statistics_of(result.witness)
+    got_vec = list(got.correlations.as_tuple()) + list(got.marginals())
+    assert np.allclose(got_vec, list(es) + list(ms), rtol=0, atol=1e-12)
