@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +45,14 @@ EXIT_MODEL = 3
 EXIT_RESOURCE = 4
 
 _EXACT_MI_TOLERANCE = 1e-12
+
+#: Bounds on one fine-check number, checked before Fraction parses it:
+#: Fraction builds 10**|exponent| exactly, so '1e-400000000' alone would
+#: run for minutes. Numbers within them parse and decide in well under a
+#: second.
+_MAX_NUMBER_CHARS = 2000
+_MAX_EXPONENT = 2000
+_EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)\s*$")
 
 
 @dataclass
@@ -257,7 +266,16 @@ def _parse_fraction_list(text: str, count: int, what: str) -> list[Fraction]:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != count:
         raise ValueError(f"{what} expects {count} comma-separated values")
-    return [Fraction(p) for p in parts]
+    return [_parse_fraction(p, what) for p in parts]
+
+
+def _parse_fraction(text: str, what: str) -> Fraction:
+    if len(text) > _MAX_NUMBER_CHARS:
+        raise ValueError(f"{what}: a value is longer than {_MAX_NUMBER_CHARS} characters")
+    exponent = _EXPONENT.search(text)
+    if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
+        raise ValueError(f"{what}: exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
+    return Fraction(text)
 
 
 def cmd_fine_check(args: argparse.Namespace) -> int:

@@ -2,13 +2,15 @@
 
 Outcomes are plain ints in {-1, +1} so products and averages can be
 written directly. Hidden-variable tags are opaque hashable values; the
-engine never looks inside one, it only passes tags to the model's
-response functions and groups equal tags together.
+engine never looks inside one. It passes tags to the model's response
+functions, or, when the model declares a small domain of non-negative
+integer tags, uses them as indices into the model's class table.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,6 +18,8 @@ from numbers import Rational
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
+
+from .errors import ModelError
 
 #: The four setting pairs (alice index, bob index), in canonical order.
 SETTING_PAIRS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -185,8 +189,11 @@ class LhvModel:
 
     ``enumerate_lambda``, when given, returns the exact tag distribution
     for a setting pair as (tag, weight) pairs with rational weights;
-    this powers the analytic (exact arithmetic) code paths. The batch
-    response functions are optional vectorized twins of the scalar ones.
+    this powers the analytic (exact arithmetic) code paths, and a small
+    domain of non-negative integer tags also compiles to a class table
+    (see ``class_table``). The batch response functions are optional
+    vectorized twins of the scalar ones, used only by models without
+    such a table.
     """
 
     name: str
@@ -198,6 +205,11 @@ class LhvModel:
     respond_alice_batch: BatchResponseFn | None = None
     respond_bob_batch: BatchResponseFn | None = None
     description: str = ""
+
+    @functools.cached_property
+    def class_table(self) -> np.ndarray | None:
+        """``class_table(self)``, compiled on first use and kept."""
+        return class_table(self)
 
 
 def behavior_of(model: LhvModel, lam: Hashable) -> Behavior:
@@ -218,8 +230,81 @@ def _batch_responses(
     return np.fromiter((scalar(index, lam) for lam in lams), dtype=np.int64, count=len(lams))
 
 
+#: Tags at or above this never index a class table; a model declaring one
+#: keeps the per-trial batch path.
+MAX_TABLE_TAGS = 1 << 16
+
+#: Class-table entry of a tag the model does not declare (codes are 0..15).
+UNDECLARED = 16
+
+
+def _is_table_tag(tag) -> bool:
+    return isinstance(tag, (int, np.integer)) and not isinstance(tag, bool) and 0 <= tag < MAX_TABLE_TAGS
+
+
+def class_table(model: LhvModel) -> np.ndarray | None:
+    """The model compiled to a dense tag -> behavior code table, or None.
+
+    A model gets a table when ``enumerate_lambda`` declares, over all four
+    setting pairs, only non-negative integer tags below MAX_TABLE_TAGS.
+    Entry t is ``behavior_of(model, t).code`` for a declared tag t and
+    UNDECLARED otherwise; each declared tag is evaluated once through the
+    scalar responses, which therefore define the clicks of every trial.
+    A response that raises or returns a value other than -1/+1 raises
+    ModelError. ``model.class_table`` holds the compiled table.
+    """
+    if model.enumerate_lambda is None:
+        return None
+    try:
+        tags = {tag for pair in SETTING_PAIRS for tag, _ in model.enumerate_lambda(pair)}
+    except Exception as exc:
+        raise ModelError(f"model {model.name!r}: enumerate_lambda failed: {exc}") from exc
+    if not tags or not all(_is_table_tag(t) for t in tags):
+        return None
+    table = np.full(max(int(t) for t in tags) + 1, UNDECLARED, dtype=np.uint8)
+    for tag in sorted(tags):
+        try:
+            table[tag] = behavior_of(model, tag).code
+        except Exception as exc:
+            raise ModelError(
+                f"model {model.name!r}: class table: responses at tag {tag!r} failed: {exc}"
+            ) from exc
+    table.setflags(write=False)
+    return table
+
+
+def table_codes(model: LhvModel, lams, stage: str = "class analysis") -> np.ndarray:
+    """Behavior codes of ``lams`` looked up in ``model.class_table``.
+
+    Raises ModelError naming ``stage`` and the first tag outside the
+    declared domain.
+    """
+    table = model.class_table
+    lams = np.asarray(lams)
+    if lams.dtype.kind not in "iu":
+        raise ModelError(
+            f"model {model.name!r}: {stage}: tags of dtype {lams.dtype} are "
+            "outside the declared integer domain"
+        )
+    if lams.size == 0:
+        return np.zeros(0, dtype=np.uint8)
+    if lams.min() < 0 or lams.max() >= len(table):
+        outside = lams[(lams < 0) | (lams >= len(table))]
+    else:
+        codes = table[lams]
+        if codes.max() < UNDECLARED:
+            return codes
+        outside = lams[codes == UNDECLARED]
+    raise ModelError(
+        f"model {model.name!r}: {stage}: tag {outside[0].item()!r} is outside the declared domain"
+    )
+
+
 def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
-    """Vectorized behavior_of: map an array of tags to behavior codes."""
+    """Vectorized behavior_of: map an array of tags to behavior codes,
+    through the class table when the model has one."""
+    if model.class_table is not None:
+        return table_codes(model, lams)
     lams = np.asarray(lams)
     a1 = _batch_responses(model.respond_alice, model.respond_alice_batch, 1, lams)
     a2 = _batch_responses(model.respond_alice, model.respond_alice_batch, 2, lams)

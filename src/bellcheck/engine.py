@@ -36,6 +36,7 @@ from .core import (
     _batch_responses,
     behavior_codes,
     behavior_of,
+    table_codes,
 )
 from .errors import BoundViolationError, ModelError
 from .streams import iter_blocks, schedule_stream, trial_stream
@@ -176,12 +177,20 @@ TrialSampler = Callable[
 
 
 def _resolve_workers(n_workers: int | None) -> int:
-    if n_workers is None:
-        env = os.environ.get("BELLCHECK_THREADS", "")
-        n_workers = int(env) if env.strip() else 1
-    if n_workers < 1:
-        raise ValueError("worker count must be at least 1")
-    return n_workers
+    if n_workers is not None:
+        if n_workers < 1:
+            raise ValueError("worker count must be at least 1")
+        return n_workers
+    env = os.environ.get("BELLCHECK_THREADS", "").strip()
+    if not env:
+        return 1
+    try:
+        workers = int(env)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"BELLCHECK_THREADS must be an integer of at least 1, got {env!r}")
+    return workers
 
 
 def generate_trial_log(
@@ -220,7 +229,7 @@ def generate_trial_log(
     if workers == 1:
         results = dict(run_task(t) for t in tasks)
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
             results = dict(pool.map(run_task, tasks))
 
     series = {}
@@ -235,7 +244,15 @@ def generate_trial_log(
     return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
 
 
+def _code_outcomes(codes: np.ndarray, bit: int) -> np.ndarray:
+    """The -1/+1 outcomes held in one bit of each behavior code: bit 4 - i
+    for Alice's setting i, bit 2 - k for Bob's setting k (see Behavior.code)."""
+    return ((codes >> bit) & 1).astype(np.int8) * 2 - 1
+
+
 def _lhv_sampler(model: LhvModel) -> TrialSampler:
+    table = model.class_table  # compiled here, before any worker starts
+
     def sample(pair, rng, count):
         try:
             lams = np.asarray(model.sample_lambda(rng, count, pair))
@@ -243,6 +260,9 @@ def _lhv_sampler(model: LhvModel) -> TrialSampler:
             raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
         if len(lams) != count:
             raise ModelError(f"model {model.name!r}: sampler returned {len(lams)} tags for {count} trials")
+        if table is not None:
+            codes = table_codes(model, lams, "sample_lambda")
+            return _code_outcomes(codes, 4 - pair[0]), _code_outcomes(codes, 2 - pair[1]), lams
         try:
             alice = _batch_responses(model.respond_alice, model.respond_alice_batch, pair[0], lams)
             bob = _batch_responses(model.respond_bob, model.respond_bob_batch, pair[1], lams)
@@ -303,8 +323,9 @@ def chsh_report(log: TrialLog, delta: float = 0.01) -> ChshReport:
 
 
 def class_frequencies(log: TrialLog, model: LhvModel) -> ClassFrequencies:
-    """Map each logged tag through the model's responses and count the
-    resulting behavior classes, separately for each setting pair."""
+    """Map each logged tag to its behavior class (through the model's
+    class table when it has one) and count the classes, separately for
+    each setting pair."""
     per_pair = {}
     for pair in SETTING_PAIRS:
         s = log.series[pair]
@@ -326,12 +347,14 @@ def exact_class_weights(
     model: LhvModel, pair: tuple[int, int] = (1, 1)
 ) -> dict[Behavior, Fraction]:
     """Exact behavior-class weights for one setting pair, from the
-    model's declared tag distribution."""
+    model's declared tag distribution (classified through the model's
+    class table when it has one)."""
     if model.enumerate_lambda is None:
         raise ValueError(f"model {model.name!r} does not declare an exact tag distribution")
+    table = model.class_table
     weights: dict[Behavior, Fraction] = {}
     for tag, w in model.enumerate_lambda(pair):
-        beh = behavior_of(model, tag)
+        beh = behavior_of(model, tag) if table is None else ALL_BEHAVIORS[table[tag]]
         weights[beh] = weights.get(beh, Fraction(0)) + Fraction(w)
     total = sum(weights.values())
     if total != 1:

@@ -83,6 +83,7 @@ def cosine_sign_model(
             raise ValueError("model angles must be finite")
     if grid < 4:
         raise ValueError("grid must have at least 4 points")
+    weight = Fraction(1, grid)
 
     def direction(lam) -> float:
         return _TWO_PI * lam / grid
@@ -107,7 +108,7 @@ def cosine_sign_model(
         respond_bob=respond_bob,
         sample_lambda=lambda rng, n, pair: rng.integers(0, grid, size=n),
         declares_mi=True,
-        enumerate_lambda=lambda pair: [(t, Fraction(1, grid)) for t in range(grid)],
+        enumerate_lambda=lambda pair: [(t, weight) for t in range(grid)],
         respond_alice_batch=alice_batch,
         respond_bob_batch=bob_batch,
         description="sign(cos(angle - shared direction)) responses on a 720-point grid",

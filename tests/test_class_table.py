@@ -1,0 +1,219 @@
+"""Class tables: the compiled tag -> behavior code form of a finite LHV model.
+
+The differential tests compare three routes to a tag's behavior class:
+the class table, the scalar responses (``behavior_of``) and the batch
+response twins. The error tests pin that a misbehaving model on the table
+path ends in ModelError, and in exit code 3 from the command line.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bellcheck import cli
+from bellcheck.core import (
+    MAX_TABLE_TAGS,
+    SETTING_PAIRS,
+    UNDECLARED,
+    LhvModel,
+    behavior_codes,
+    behavior_of,
+    class_table,
+)
+from bellcheck.engine import class_frequencies, run_experiment
+from bellcheck.errors import ModelError
+from bellcheck.zoo import MODEL_FACTORIES, conspiracy_model, cosine_sign_model, dice_coin_model
+
+_TWO_PI = 2 * math.pi
+
+
+def declared_tags(model):
+    return sorted({tag for pair in SETTING_PAIRS for tag, _ in model.enumerate_lambda(pair)})
+
+
+def twin_codes(model, tags):
+    """Behavior codes of ``tags`` from the batch response twins alone."""
+    lams = np.asarray(tags)
+    a1, a2 = (model.respond_alice_batch(i, lams) for i in (1, 2))
+    b1, b2 = (model.respond_bob_batch(k, lams) for k in (1, 2))
+    return (a1 > 0) * 8 + (a2 > 0) * 4 + (b1 > 0) * 2 + (b2 > 0)
+
+
+def assert_routes_agree(model):
+    table = class_table(model)
+    tags = declared_tags(model)
+    scalar = [behavior_of(model, t).code for t in tags]
+    assert table[tags].tolist() == scalar
+    assert twin_codes(model, tags).tolist() == scalar
+    undeclared = np.setdiff1d(np.arange(len(table)), tags)
+    assert np.all(table[undeclared] == UNDECLARED)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+def test_zoo_table_matches_scalar_and_batch_routes(name):
+    assert_routes_agree(MODEL_FACTORIES[name]())
+
+
+def test_zoo_table_sizes():
+    assert len(class_table(dice_coin_model())) == 7
+    assert len(class_table(cosine_sign_model())) == 720
+    # conspiracy declares one code per pair; the others stay undeclared
+    table = class_table(conspiracy_model())
+    assert np.count_nonzero(table != UNDECLARED) == 4
+
+
+def _grid_angle(t, quarter):
+    # the direction of grid tag t shifted by a quarter turn, so that
+    # cos(angle - direction) lands near 0 at some tag
+    return _TWO_PI * t / 720 + quarter * math.pi / 2
+
+
+angle = st.one_of(
+    st.floats(min_value=-20.0, max_value=20.0, allow_nan=False),
+    st.builds(_grid_angle, st.integers(-1440, 1440), st.sampled_from([-1, 0, 1, 2])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(angle, angle, angle, angle)
+def test_cosine_sign_routes_agree_for_any_angles(a1, a2, b1, b2):
+    assert_routes_agree(cosine_sign_model(a1, a2, b1, b2))
+
+
+def test_grid_angles_hit_cos_near_zero():
+    # the grid strategy above does produce arguments whose cosine is ~0
+    model = cosine_sign_model(_grid_angle(5, 1), 0.0, 0.0, 0.0)
+    arguments = [_grid_angle(5, 1) - _TWO_PI * t / 720 for t in range(720)]
+    assert min(abs(math.cos(x)) for x in arguments) < 1e-15
+    assert_routes_agree(model)
+
+
+def test_table_is_kept_on_the_model_and_read_only():
+    model = cosine_sign_model()
+    table = model.class_table
+    assert model.class_table is table
+    assert np.array_equal(class_table(model), table)
+    with pytest.raises(ValueError):
+        table[0] = 0
+
+
+def test_scalar_responses_run_once_per_declared_tag():
+    calls = []
+
+    def respond(i, lam):
+        calls.append((i, lam))
+        return 1
+
+    model = _model(respond_alice=respond, tags=[0, 3, 4])
+    class_frequencies(run_experiment(model, 10, seed=1), model)
+    assert sorted(calls) == [(i, t) for i in (1, 2) for t in (0, 3, 4)]
+
+
+def test_table_path_ignores_batch_twins():
+    def twin(i, lams):
+        raise AssertionError("batch twin called on the table path")
+
+    model = _model(tags=[0, 1], respond_alice_batch=twin, respond_bob_batch=twin)
+    log = run_experiment(model, 100, seed=2)
+    assert np.all(log.series[(1, 1)].alice == 1)
+    freqs = class_frequencies(log, model)
+    assert all(len(f) == 1 for f in freqs.per_pair.values())
+
+
+@pytest.mark.parametrize(
+    "tags",
+    [
+        [0.5],
+        ["a", "b"],
+        [True, False],
+        [-1, 0],
+        [0, MAX_TABLE_TAGS],
+        [],
+    ],
+)
+def test_models_without_a_small_integer_domain_get_no_table(tags):
+    assert class_table(_model(tags=tags)) is None
+
+
+def test_model_without_declared_domain_gets_no_table():
+    model = _model(tags=[0])
+    model = LhvModel(model.name, model.respond_alice, model.respond_bob, model.sample_lambda, True)
+    assert class_table(model) is None
+    assert behavior_codes(model, np.zeros(3, dtype=np.int64)).tolist() == [15, 15, 15]
+
+
+def _model(
+    *,
+    tags=(0,),
+    respond_alice=lambda i, lam: 1,
+    respond_bob=lambda i, lam: 1,
+    sample=None,
+    name="probe",
+    **extra,
+):
+    tags = list(tags)
+    if sample is None:
+        sample = lambda rng, n, pair: np.zeros(n, dtype=np.int64)
+    extra.setdefault("enumerate_lambda", lambda pair: [(t, Fraction(1, len(tags))) for t in tags])
+    return LhvModel(
+        name=name,
+        respond_alice=respond_alice,
+        respond_bob=respond_bob,
+        sample_lambda=sample,
+        declares_mi=True,
+        **extra,
+    )
+
+
+def _raise_at_tag_one(i, lam):
+    if lam == 1:
+        raise KeyError("no such direction")
+    return 1
+
+
+def _unknown_pair(pair):
+    raise KeyError(pair)
+
+
+#: (case id, model kwargs, the stage the message must name)
+BAD_MODELS = [
+    ("tag above the domain", dict(tags=[0, 1], sample=lambda rng, n, pair: np.full(n, 5)), "sample_lambda"),
+    ("tag in a domain hole", dict(tags=[0, 2], sample=lambda rng, n, pair: np.ones(n, dtype=np.int64)), "sample_lambda"),
+    ("negative tag", dict(tags=[0, 1], sample=lambda rng, n, pair: np.full(n, -1)), "sample_lambda"),
+    ("float tags", dict(tags=[0, 1], sample=lambda rng, n, pair: np.zeros(n)), "sample_lambda"),
+    ("response raises", dict(tags=[0, 1], respond_alice=_raise_at_tag_one), "class table"),
+    ("response returns 0", dict(tags=[0, 1], respond_bob=lambda i, lam: 0 if i == 2 else 1), "class table"),
+    ("enumerate_lambda raises", dict(enumerate_lambda=_unknown_pair), "enumerate_lambda"),
+]
+
+
+@pytest.mark.parametrize("kwargs,stage", [c[1:] for c in BAD_MODELS], ids=[c[0] for c in BAD_MODELS])
+def test_bad_model_on_table_path_is_model_error(kwargs, stage):
+    model = _model(name="bad-probe", **kwargs)
+    with pytest.raises(ModelError) as info:
+        run_experiment(model, 50, seed=0)
+    assert "'bad-probe'" in str(info.value)
+    assert stage in str(info.value)
+
+
+@pytest.mark.parametrize("kwargs,stage", [c[1:] for c in BAD_MODELS], ids=[c[0] for c in BAD_MODELS])
+def test_bad_model_on_table_path_exits_3(kwargs, stage, monkeypatch, capsys):
+    monkeypatch.setitem(MODEL_FACTORIES, "bad-probe", lambda: _model(name="bad-probe", **kwargs))
+    assert cli.main(["run", "--model", "bad-probe", "--n", "50"]) == cli.EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and "'bad-probe'" in err and stage in err
+    assert "Traceback" not in err
+
+
+def test_undeclared_tag_in_a_log_is_model_error():
+    model = dice_coin_model()
+    with pytest.raises(ModelError, match="tag 7 is outside the declared domain"):
+        behavior_codes(model, np.array([1, 7, 2]))
+
+
+def test_empty_tag_array():
+    assert behavior_codes(dice_coin_model(), np.zeros(0, dtype=np.int64)).size == 0

@@ -232,6 +232,40 @@ class TestFineCheck:
         assert run_cli(["fine-check", "--correlations", "3,0,0,0"]) == cli.EXIT_CONFIG
 
 
+class TestBoundedNumbers:
+    """fine-check numbers are bounded before Fraction parses them."""
+
+    def test_huge_exponent_exits_2_quickly(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellcheck.cli", "fine-check", "--correlations", "1e-400000000,0,0,0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "--correlations" in proc.stderr and "exponent" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("text", ["1e2001", "1E-2_001", "0." + "1" * 2000, "1/" + "3" * 2000])
+    def test_out_of_bound_values_are_config_errors(self, text, capsys):
+        assert run_cli(["fine-check", "--correlations", "0,0,0,0", "--marginals", f"{text},0,0,0"]) == cli.EXIT_CONFIG
+        assert "--marginals" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["1e-2000", "25e-2", "0." + "3" * 1990, "1/" + "3" * 1990])
+    def test_values_within_bounds_still_parse(self, text, capsys):
+        assert run_cli(["fine-check", "--correlations", f"{text},0,0,0"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+
+class TestThreadsVariable:
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+    def test_bad_value_exits_2(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("BELLCHECK_THREADS", value)
+        assert run_cli(["run", "--model", "dice-coin", "--n", "10"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "BELLCHECK_THREADS" in err and "Traceback" not in err
+
+
 GOLDEN_FINE_CHECK = json.loads(
     (Path(__file__).parent / "data" / "fine_check_golden.json").read_text()
 )

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel, TrialRecord
+from bellcheck import engine
 from bellcheck.engine import (
     ChshReport,
     Series,
@@ -133,6 +134,57 @@ class TestRunExperiment:
     def test_rejects_nonpositive_n(self):
         with pytest.raises(ValueError):
             run_experiment(dice_coin_model(), 0, seed=1)
+
+
+class TestResolveWorkers:
+    """BELLCHECK_THREADS: unset or blank means 1 worker; anything other
+    than an integer >= 1 is a ValueError naming the variable."""
+
+    def test_unset_and_blank(self, monkeypatch):
+        monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
+        assert engine._resolve_workers(None) == 1
+        monkeypatch.setenv("BELLCHECK_THREADS", "  ")
+        assert engine._resolve_workers(None) == 1
+
+    def test_integer_values(self, monkeypatch):
+        monkeypatch.setenv("BELLCHECK_THREADS", " 3 ")
+        assert engine._resolve_workers(None) == 3
+        monkeypatch.setenv("BELLCHECK_THREADS", str(10**6))  # resolved only; no pool starts
+        assert engine._resolve_workers(None) == 10**6
+
+    @pytest.mark.parametrize("value", ["0", "-2", "abc", "2.5", "1e3", "3 workers"])
+    def test_bad_values_name_the_variable(self, monkeypatch, value):
+        monkeypatch.setenv("BELLCHECK_THREADS", value)
+        with pytest.raises(ValueError, match="BELLCHECK_THREADS"):
+            engine._resolve_workers(None)
+
+    def test_explicit_count_wins_over_env(self, monkeypatch):
+        monkeypatch.setenv("BELLCHECK_THREADS", "abc")
+        assert engine._resolve_workers(2) == 2
+        with pytest.raises(ValueError):
+            engine._resolve_workers(0)
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            # runs tasks inline, so that no thread starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        log = run_experiment(dice_coin_model(), 100, seed=4, n_workers=64)  # 4 tasks: 1 block per pair
+        assert sizes == [4]
+        assert log.equals(run_experiment(dice_coin_model(), 100, seed=4, n_workers=1))
 
 
 class TestEstimateCorrelation:
