@@ -14,9 +14,6 @@ from .core import (
     Behavior,
     CorrelationTable,
     LhvModel,
-    Party,
-    Setting,
-    TrialRecord,
     behavior_of,
 )
 from .engine import (
@@ -63,7 +60,6 @@ from .quantum import (
     quantum_chsh,
     quantum_correlation_table,
     run_quantum_experiment,
-    sample_quantum_trial,
     singlet_correlation,
 )
 from .zoo import (

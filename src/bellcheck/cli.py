@@ -21,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import ghz as ghz_mod
-from .core import SETTING_PAIRS, CorrelationTable
+from .core import DOMAIN_SLACK, SETTING_PAIRS, CorrelationTable
 from .engine import (
     chsh_report,
     chsh_statistic,
@@ -43,8 +43,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
 EXIT_RESOURCE = 4
-
-_EXACT_MI_TOLERANCE = 1e-12
 
 #: Bounds on one fine-check number, checked before Fraction parses it:
 #: Fraction builds 10**|exponent| exactly, so '1e-400000000' alone would
@@ -71,8 +69,6 @@ class ExperimentConfig:
                 f"unknown model {self.model!r}; available: "
                 f"{', '.join(available_models() + ['quantum'])}"
             )
-        if self.n_per_series < 1:
-            raise ValueError("n_per_series must be at least 1")
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
 
@@ -237,7 +233,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     series_s = chsh_statistic(table)
     weights = exact_class_weights(model, (1, 1))
     s_single, per_class = theoretical_chsh(weights)
-    mi = mi_diagnostic(exact_class_frequencies(model), _EXACT_MI_TOLERANCE)
+    mi = mi_diagnostic(exact_class_frequencies(model), DOMAIN_SLACK)
     out = {
         "model": args.model,
         "series_table": {

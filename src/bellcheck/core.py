@@ -9,9 +9,7 @@ integer tags, uses them as indices into the model's class table.
 
 from __future__ import annotations
 
-import enum
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -28,9 +26,22 @@ SETTING_PAIRS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
 PAIR_CODES: dict[tuple[int, int], int] = {p: i for i, p in enumerate(SETTING_PAIRS)}
 
 
-class Party(enum.Enum):
-    ALICE = "alice"
-    BOB = "bob"
+#: Tolerance policy: an exact (Rational) value gets no slack. A float gets
+#: DOMAIN_SLACK in a domain check (an entry of [-1, 1], a nonnegative pair
+#: cell, weights summing to 1), for the rounding of values computed from
+#: exact ones, and VERDICT_SLACK in a verdict against the CHSH bound 2, for
+#: the rounding of a sum of four such values.
+DOMAIN_SLACK = 1e-12
+VERDICT_SLACK = 1e-9
+
+
+def within(value, limit, slack) -> bool:
+    """Whether value <= limit: exactly when value is Rational, otherwise
+    as a float up to ``slack`` (DOMAIN_SLACK or VERDICT_SLACK). NaN is
+    never within a limit."""
+    if isinstance(value, Rational):
+        return value <= limit
+    return float(value) <= limit + slack
 
 
 def validate_outcome(value: int) -> int:
@@ -41,29 +52,8 @@ def validate_outcome(value: int) -> int:
 
 
 def _check_unit_interval(name: str, value) -> None:
-    if isinstance(value, Rational):
-        if not (-1 <= value <= 1):
-            raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-    else:
-        v = float(value)
-        if not math.isfinite(v) or not (-1.0 - 1e-12 <= v <= 1.0 + 1e-12):
-            raise ValueError(f"{name} must lie in [-1, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class Setting:
-    """One measurement setting: which party, which of their two knob
-    positions, and optionally the physical analyzer angle in radians."""
-
-    party: Party
-    index: int
-    angle: float | None = None
-
-    def __post_init__(self):
-        if self.index not in (1, 2):
-            raise ValueError(f"setting index must be 1 or 2, got {self.index}")
-        if self.angle is not None and not math.isfinite(self.angle):
-            raise ValueError("setting angle must be finite")
+    if not (within(value, 1, DOMAIN_SLACK) and within(-value, 1, DOMAIN_SLACK)):
+        raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -123,23 +113,6 @@ class Behavior:
 
 #: All 16 behaviors in code order (code 0 = all -1, code 15 = all +1).
 ALL_BEHAVIORS: tuple[Behavior, ...] = tuple(Behavior.from_code(c) for c in range(16))
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    """A single run: the setting pair, both clicks, and (for LHV runs)
-    the hidden-variable tag kept for diagnostics."""
-
-    setting_pair: tuple[int, int]
-    alice_click: int
-    bob_click: int
-    lam: Hashable | None = None
-
-    def __post_init__(self):
-        if tuple(self.setting_pair) not in PAIR_CODES:
-            raise ValueError(f"unknown setting pair {self.setting_pair!r}")
-        validate_outcome(self.alice_click)
-        validate_outcome(self.bob_click)
 
 
 @dataclass(frozen=True)
@@ -300,22 +273,53 @@ def table_codes(model: LhvModel, lams, stage: str = "class analysis") -> np.ndar
     )
 
 
+#: The bit of a behavior code that holds each party's response at each
+#: setting index (a1 most significant, see Behavior.code).
+_CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
+
+
+def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: str) -> np.ndarray:
+    """The outcomes of ``party`` ("alice" or "bob") at setting ``index``
+    for each tag in ``lams``, from the model's batch twin when it has one
+    and from its scalar response otherwise.
+
+    A response that raises or returns a value other than -1/+1 raises
+    ModelError naming the model and ``stage``.
+    """
+    where = f"model {model.name!r}: {stage}: respond_{party} at setting {index}"
+    try:
+        out = _batch_responses(
+            getattr(model, f"respond_{party}"), getattr(model, f"respond_{party}_batch"), index, lams
+        )
+        valid = np.all(np.abs(out) == 1)
+    except Exception as exc:
+        raise ModelError(f"{where} failed: {exc}") from exc
+    if not valid:
+        raise ModelError(f"{where} returned a value other than -1/+1")
+    return out
+
+
+def pair_outcomes(
+    model: LhvModel, pair: tuple[int, int], lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's and Bob's outcomes (int8) at setting pair ``pair`` for tags
+    just drawn by ``sample_lambda``: two bit reads of the tags' codes in
+    the class table when the model has one, the responses otherwise."""
+    sides = (("alice", pair[0]), ("bob", pair[1]))
+    if model.class_table is None:
+        return tuple(responses(model, *side, lams, "trial generation").astype(np.int8) for side in sides)
+    codes = table_codes(model, lams, "sample_lambda")
+    return tuple(((codes >> _CODE_BIT[side]) & 1).astype(np.int8) * 2 - 1 for side in sides)
+
+
 def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
     """Vectorized behavior_of: map an array of tags to behavior codes,
-    through the class table when the model has one."""
+    through the class table when the model has one. A misbehaving
+    response raises ModelError naming the class analysis stage."""
     if model.class_table is not None:
         return table_codes(model, lams)
     lams = np.asarray(lams)
-    a1 = _batch_responses(model.respond_alice, model.respond_alice_batch, 1, lams)
-    a2 = _batch_responses(model.respond_alice, model.respond_alice_batch, 2, lams)
-    b1 = _batch_responses(model.respond_bob, model.respond_bob_batch, 1, lams)
-    b2 = _batch_responses(model.respond_bob, model.respond_bob_batch, 2, lams)
-    for arr in (a1, a2, b1, b2):
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("model response returned a value other than -1/+1")
-    return (
-        ((a1 > 0).astype(np.uint8) << 3)
-        | ((a2 > 0).astype(np.uint8) << 2)
-        | ((b1 > 0).astype(np.uint8) << 1)
-        | (b2 > 0).astype(np.uint8)
-    )
+    codes = np.zeros(len(lams), dtype=np.uint8)
+    for (party, index), bit in _CODE_BIT.items():
+        codes |= (responses(model, party, index, lams, "class analysis") > 0).astype(np.uint8) << bit
+    return codes

@@ -20,29 +20,26 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Rational
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .core import (
     ALL_BEHAVIORS,
+    DOMAIN_SLACK,
     PAIR_CODES,
     SETTING_PAIRS,
+    VERDICT_SLACK,
     Behavior,
     CorrelationTable,
     LhvModel,
-    TrialRecord,
-    _batch_responses,
     behavior_codes,
     behavior_of,
-    table_codes,
+    pair_outcomes,
+    within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import iter_blocks, schedule_stream, trial_stream
-
-_FLOAT_SLACK = 1e-9
-_WEIGHT_SUM_TOL = 1e-12
+from .streams import iter_blocks, schedule_stream, trial_stream, validate_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +62,6 @@ class Series:
 
     def __len__(self) -> int:
         return len(self.alice)
-
-    def records(self) -> Iterator[TrialRecord]:
-        for i in range(len(self)):
-            lam = None if self.lambdas is None else self.lambdas[i]
-            yield TrialRecord(self.pair, int(self.alice[i]), int(self.bob[i]), lam)
 
     def equals(self, other: "Series") -> bool:
         if self.pair != other.pair or len(self) != len(other):
@@ -118,15 +110,7 @@ class ClassFrequencies:
         for pair, freqs in self.per_pair.items():
             if len(freqs) > 16:
                 raise ValueError(f"pair {pair} has more than 16 behavior classes")
-            total = sum(freqs.values())
-            if isinstance(total, Rational):
-                ok = total == 1
-            else:
-                ok = abs(float(total) - 1.0) <= _WEIGHT_SUM_TOL
-            if not ok:
-                raise ValueError(f"frequencies for pair {pair} sum to {total}, not 1")
-            if any(f < 0 for f in freqs.values()):
-                raise ValueError(f"negative frequency in pair {pair}")
+            validate_weights(freqs)
 
 
 @dataclass(frozen=True)
@@ -208,8 +192,13 @@ def generate_trial_log(
     dispatch order. ``interleave`` shuffles the dispatch order (a
     deterministic function of the seed) to exercise that property.
     """
-    if n_per_series < 1:
-        raise ValueError("n_per_series must be at least 1")
+    if (
+        isinstance(n_per_series, bool)
+        or not isinstance(n_per_series, (int, np.integer))
+        or n_per_series < 1
+    ):
+        raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
+    seed = validate_seed(seed)
     workers = _resolve_workers(n_workers)
 
     tasks = [
@@ -244,14 +233,8 @@ def generate_trial_log(
     return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
 
 
-def _code_outcomes(codes: np.ndarray, bit: int) -> np.ndarray:
-    """The -1/+1 outcomes held in one bit of each behavior code: bit 4 - i
-    for Alice's setting i, bit 2 - k for Bob's setting k (see Behavior.code)."""
-    return ((codes >> bit) & 1).astype(np.int8) * 2 - 1
-
-
 def _lhv_sampler(model: LhvModel) -> TrialSampler:
-    table = model.class_table  # compiled here, before any worker starts
+    model.class_table  # compiled here, before any worker starts
 
     def sample(pair, rng, count):
         try:
@@ -260,17 +243,7 @@ def _lhv_sampler(model: LhvModel) -> TrialSampler:
             raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
         if len(lams) != count:
             raise ModelError(f"model {model.name!r}: sampler returned {len(lams)} tags for {count} trials")
-        if table is not None:
-            codes = table_codes(model, lams, "sample_lambda")
-            return _code_outcomes(codes, 4 - pair[0]), _code_outcomes(codes, 2 - pair[1]), lams
-        try:
-            alice = _batch_responses(model.respond_alice, model.respond_alice_batch, pair[0], lams)
-            bob = _batch_responses(model.respond_bob, model.respond_bob_batch, pair[1], lams)
-        except Exception as exc:
-            raise ModelError(f"model {model.name!r}: response evaluation failed: {exc}") from exc
-        if not (np.all(np.abs(alice) == 1) and np.all(np.abs(bob) == 1)):
-            raise ModelError(f"model {model.name!r}: response returned a value other than -1/+1")
-        return alice.astype(np.int8), bob.astype(np.int8), lams
+        return (*pair_outcomes(model, pair, lams), lams)
 
     return sample
 
@@ -289,16 +262,11 @@ def run_experiment(
     )
 
 
-def estimate_correlation(series: Series | Iterable[TrialRecord]) -> float:
+def estimate_correlation(series: Series) -> float:
     """Empirical correlation (1/N) * sum of A_l * B_l over a series."""
-    if isinstance(series, Series):
-        if len(series) == 0:
-            raise ValueError("cannot estimate a correlation from an empty series")
-        return float(np.mean(series.alice.astype(np.float64) * series.bob))
-    records = list(series)
-    if not records:
+    if len(series) == 0:
         raise ValueError("cannot estimate a correlation from an empty series")
-    return sum(r.alice_click * r.bob_click for r in records) / len(records)
+    return float(np.mean(series.alice.astype(np.float64) * series.bob))
 
 
 def chsh_statistic(table: CorrelationTable):
@@ -316,7 +284,7 @@ def chsh_report(log: TrialLog, delta: float = 0.01) -> ChshReport:
     return ChshReport(
         table=table,
         s_star=s,
-        bound_satisfied=abs(s) <= 2.0 + _FLOAT_SLACK,
+        bound_satisfied=within(abs(s), 2, VERDICT_SLACK),
         n_per_series=log.n_per_series,
         hoeffding_epsilon=hoeffding_epsilon(log.n_per_series, delta),
     )
@@ -374,10 +342,7 @@ def validate_weights(weights: Mapping[Behavior, Any]) -> None:
     if any(w < 0 for w in weights.values()):
         raise ValueError("class weights must be nonnegative")
     total = sum(weights.values())
-    if isinstance(total, Rational):
-        if total != 1:
-            raise ValueError(f"class weights sum to {total}, not 1")
-    elif abs(float(total) - 1.0) > _WEIGHT_SUM_TOL:
+    if not within(abs(total - 1), 0, DOMAIN_SLACK):
         raise ValueError(f"class weights sum to {total}, not 1")
 
 
@@ -416,8 +381,7 @@ def theoretical_chsh(weights: Mapping[Behavior, Any]) -> tuple[Any, dict[Behavio
     validate_weights(weights)
     per_class = {beh: class_chsh_value(beh) for beh in weights}
     s = sum(w * per_class[beh] for beh, w in weights.items())
-    exact = isinstance(s, Rational)
-    if (exact and abs(s) > 2) or (not exact and abs(float(s)) > 2.0 + _FLOAT_SLACK):
+    if not within(abs(s), 2, VERDICT_SLACK):
         raise BoundViolationError(f"single-distribution CHSH value {s} exceeds 2")
     return s, per_class
 

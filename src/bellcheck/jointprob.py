@@ -7,7 +7,8 @@ exactly when every pair table is valid (checked when the statistics are
 built) and no CHSH facet value exceeds 2, so ``jp_feasible`` and
 ``chsh_criterion`` decide from the same eight facet values. A feasible
 input gets its witness from the exact simplex over the class vertices.
-Rational inputs stay exact; float inputs pass the facet test within 1e-9.
+Rational inputs stay exact; float inputs pass the facet test within
+``core.VERDICT_SLACK``.
 """
 
 from __future__ import annotations
@@ -19,11 +20,19 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
+from .core import (
+    ALL_BEHAVIORS,
+    DOMAIN_SLACK,
+    SETTING_PAIRS,
+    VERDICT_SLACK,
+    Behavior,
+    CorrelationTable,
+    LhvModel,
+    _check_unit_interval,
+    within,
+)
 from .engine import exact_class_weights, validate_weights
 from .simplex import solve_equality_feasibility
-
-_FLOAT_TOL = 1e-9
 
 # Statistics map: rows are the four correlations, the four marginals and
 # normalization; columns follow ALL_BEHAVIORS (code order).
@@ -68,16 +77,11 @@ class BehaviorStatistics:
 
     def __post_init__(self):
         for name, v in zip(("m_a1", "m_a2", "m_b1", "m_b2"), self.marginals()):
-            if isinstance(v, Rational):
-                if not -1 <= v <= 1:
-                    raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-            elif not -1.0 - 1e-12 <= float(v) <= 1.0 + 1e-12:
-                raise ValueError(f"{name} must lie in [-1, 1], got {v}")
-        slack = 0 if self.is_exact else 1e-12
+            _check_unit_interval(name, v)
         for (i, k), alpha, beta, cell in _pair_cells(
             self.correlations.as_tuple(), self.marginals()
         ):
-            if cell < -slack:
+            if not within(-cell, 0, DOMAIN_SLACK):
                 raise ValueError(
                     f"pair ({i},{k}) admits no outcome table: cell "
                     f"({alpha:+d},{beta:+d}) has weight {cell}/4 < 0"
@@ -169,14 +173,10 @@ def _max_facet(es) -> tuple[tuple[int, int, int, int], Any]:
     return best
 
 
-def _facet_limit(table: CorrelationTable):
-    return 2 if table.is_exact else 2.0 + _FLOAT_TOL
-
-
 def chsh_criterion(table: CorrelationTable) -> tuple[bool, Any]:
     """Evaluate all eight CHSH facets; pass means none exceeds 2."""
     _, value = _max_facet(table.as_tuple())
-    return value <= _facet_limit(table), value
+    return within(value, 2, VERDICT_SLACK), value
 
 
 def _exact_rhs(stats: BehaviorStatistics) -> list[Fraction | int]:
@@ -205,9 +205,9 @@ def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
     verdict carries the largest facet value, which exceeds 2; a feasible
     one carries a witness solving the nine equality constraints (eight
     stats plus normalization), exact for exact inputs and within about
-    1e-9 for float inputs."""
+    VERDICT_SLACK for float inputs."""
     signs, value = _max_facet(stats.correlations.as_tuple())
-    if value > _facet_limit(stats.correlations):
+    if not within(value, 2, VERDICT_SLACK):
         return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
     feasible, x = solve_equality_feasibility(STATS_MATRIX, _exact_rhs(stats))
     if not feasible:

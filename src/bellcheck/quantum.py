@@ -73,12 +73,6 @@ def sample_quantum_batch(
     return _CELL_A[cells], _CELL_B[cells]
 
 
-def sample_quantum_trial(a: float, b: float, rng: np.random.Generator) -> tuple[int, int]:
-    """One joint outcome from P(A,B) = (1 - A*B*cos(a-b)) / 4."""
-    alice, bob = sample_quantum_batch(a, b, rng, 1)
-    return int(alice[0]), int(bob[0])
-
-
 def quantum_correlation_table(angles: AnglePair) -> CorrelationTable:
     return CorrelationTable(
         *(singlet_correlation(angles.alice(i), angles.bob(k)) for i, k in SETTING_PAIRS)

@@ -22,7 +22,7 @@ _SCHEDULE_KEY = (0x5EED,)
 
 
 def validate_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)):
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in an unsigned 64-bit integer")

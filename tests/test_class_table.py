@@ -2,10 +2,12 @@
 
 The differential tests compare three routes to a tag's behavior class:
 the class table, the scalar responses (``behavior_of``) and the batch
-response twins. The error tests pin that a misbehaving model on the table
-path ends in ModelError, and in exit code 3 from the command line.
+response twins, per tag and over whole runs. The error tests pin that a
+misbehaving model ends in ModelError naming the stage, and in exit code 3
+from the command line.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,7 +26,7 @@ from bellcheck.core import (
     behavior_of,
     class_table,
 )
-from bellcheck.engine import class_frequencies, run_experiment
+from bellcheck.engine import chsh_report, class_frequencies, run_experiment
 from bellcheck.errors import ModelError
 from bellcheck.zoo import MODEL_FACTORIES, conspiracy_model, cosine_sign_model, dice_coin_model
 
@@ -217,3 +219,71 @@ def test_undeclared_tag_in_a_log_is_model_error():
 
 def test_empty_tag_array():
     assert behavior_codes(dice_coin_model(), np.zeros(0, dtype=np.int64)).size == 0
+
+
+def _pair_one_misbehaving(respond):
+    """A model with no declared domain whose tag is Alice's setting index,
+    and whose Alice answers ``respond(tag)`` at setting 2. Trial generation
+    asks setting 2 only about tags drawn for pairs (2, k), so only the
+    class analysis meets ``respond`` at tag 1."""
+    return LhvModel(
+        name="late-bad",
+        respond_alice=lambda i, lam: respond(lam) if i == 2 else 1,
+        respond_bob=lambda i, lam: 1,
+        sample_lambda=lambda rng, n, pair: np.full(n, pair[0], dtype=np.int64),
+        declares_mi=True,
+    )
+
+
+#: (case id, Alice's response at setting 2 as a function of the tag)
+LATE_MISBEHAVIOUR = [
+    ("returns 0", lambda lam: 0 if lam == 1 else 1),
+    ("raises ZeroDivisionError", lambda lam: 1 // (int(lam) - 1)),
+]
+
+
+@pytest.mark.parametrize("respond", [c[1] for c in LATE_MISBEHAVIOUR], ids=[c[0] for c in LATE_MISBEHAVIOUR])
+def test_response_failing_only_in_class_analysis_is_model_error(respond):
+    model = _pair_one_misbehaving(respond)
+    log = run_experiment(model, 50, seed=0)
+    with pytest.raises(ModelError) as info:
+        class_frequencies(log, model)
+    assert "'late-bad'" in str(info.value)
+    assert "class analysis" in str(info.value)
+
+
+@pytest.mark.parametrize("respond", [c[1] for c in LATE_MISBEHAVIOUR], ids=[c[0] for c in LATE_MISBEHAVIOUR])
+def test_response_failing_only_in_class_analysis_exits_3(respond, monkeypatch, capsys):
+    monkeypatch.setitem(MODEL_FACTORIES, "late-bad", lambda: _pair_one_misbehaving(respond))
+    assert cli.main(["run", "--model", "late-bad", "--n", "50"]) == cli.EXIT_MODEL
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and "'late-bad'" in err and "class analysis" in err
+
+
+def _without_table(model):
+    return dataclasses.replace(model, enumerate_lambda=None)
+
+
+def _without_table_or_twins(model):
+    return dataclasses.replace(
+        model, enumerate_lambda=None, respond_alice_batch=None, respond_bob_batch=None
+    )
+
+
+@pytest.mark.parametrize(
+    "strip,n",
+    [(_without_table, 20_000), (_without_table_or_twins, 300)],
+    ids=["batch twins", "scalar responses"],
+)
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+def test_runs_without_a_table_match_the_table_path(name, strip, n):
+    """The same (n, seed) gives the same report table and class
+    frequencies whether the clicks and classes come from the class table,
+    the batch twins or the scalar responses."""
+    model = MODEL_FACTORIES[name]()
+    stripped = strip(model)
+    assert model.class_table is not None and stripped.class_table is None
+    with_table = run_experiment(model, n, seed=11)
+    without = run_experiment(stripped, n, seed=11)
+    assert chsh_report(without) == chsh_report(with_table)
+    assert class_frequencies(without, stripped) == class_frequencies(with_table, model)

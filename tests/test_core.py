@@ -1,16 +1,18 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from bellcheck.core import (
     ALL_BEHAVIORS,
+    DOMAIN_SLACK,
+    VERDICT_SLACK,
     Behavior,
     CorrelationTable,
     LhvModel,
-    Party,
-    Setting,
-    TrialRecord,
     behavior_codes,
     behavior_of,
+    within,
 )
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 
@@ -93,31 +95,28 @@ class TestBehavior:
 
 
 class TestValidation:
-    def test_setting_index(self):
-        Setting(Party.ALICE, 1)
-        with pytest.raises(ValueError):
-            Setting(Party.ALICE, 3)
-
-    def test_setting_angle_finite(self):
-        with pytest.raises(ValueError):
-            Setting(Party.BOB, 1, angle=float("inf"))
-
     def test_correlation_table_range(self):
         CorrelationTable(1.0, -1.0, 0.0, 0.5)
         with pytest.raises(ValueError):
             CorrelationTable(1.5, 0.0, 0.0, 0.0)
 
+    def test_tolerance_policy(self):
+        # exact values get no slack, floats the slack of their check
+        assert within(Fraction(2), 2, VERDICT_SLACK)
+        assert not within(2 + Fraction(1, 10**15), 2, VERDICT_SLACK)
+        assert within(2 + 1e-10, 2, VERDICT_SLACK)
+        assert not within(2 + 1e-10, 2, DOMAIN_SLACK)
+        assert not within(float("nan"), 2, VERDICT_SLACK)
+        CorrelationTable(1 + 1e-13, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            CorrelationTable(1 + Fraction(1, 10**13), 0, 0, 0)
+        with pytest.raises(ValueError):
+            CorrelationTable(float("nan"), 0.0, 0.0, 0.0)
+
     def test_correlation_table_lookup(self):
         t = CorrelationTable(0.1, 0.2, 0.3, 0.4)
         assert t.value((1, 1)) == 0.1
         assert t.value((2, 1)) == 0.3
-
-    def test_trial_record_validation(self):
-        TrialRecord((1, 2), 1, -1, lam=5)
-        with pytest.raises(ValueError):
-            TrialRecord((0, 1), 1, 1)
-        with pytest.raises(ValueError):
-            TrialRecord((1, 1), 2, 1)
 
     def test_bad_model_response_detected(self):
         broken = LhvModel(

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel, TrialRecord
+from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
 from bellcheck import engine
 from bellcheck.engine import (
     ChshReport,
@@ -73,8 +73,6 @@ class TestRunExperiment:
         for pair in SETTING_PAIRS:
             s = log.series[pair]
             assert np.all(s.alice == 1) and np.all(s.bob == 1)
-            for rec in s.records():
-                assert (rec.alice_click, rec.bob_click) == (1, 1)
 
     def test_dice_tags_uniform(self):
         n = 600_000
@@ -135,6 +133,22 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(dice_coin_model(), 0, seed=1)
 
+    def test_rejects_bool_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            run_experiment(dice_coin_model(), 10, seed=True)
+
+    def test_fractional_n_is_not_blamed_on_the_model(self):
+        with pytest.raises(ValueError, match="n_per_series"):
+            run_experiment(dice_coin_model(), 2.5, seed=0)
+
+    @pytest.mark.parametrize("n", [True, 2.5, "10"])
+    def test_non_integer_n_rejected_before_sampling(self, n):
+        def sampler(pair, rng, count):
+            raise AssertionError("sampler called")
+
+        with pytest.raises(ValueError, match="n_per_series"):
+            engine.generate_trial_log(sampler, n, seed=0)
+
 
 class TestResolveWorkers:
     """BELLCHECK_THREADS: unset or blank means 1 worker; anything other
@@ -187,22 +201,20 @@ class TestResolveWorkers:
         assert log.equals(run_experiment(dice_coin_model(), 100, seed=4, n_workers=1))
 
 
+def clicks(values):
+    return np.array(values, dtype=np.int8)
+
+
 class TestEstimateCorrelation:
     def test_perfect_correlation(self):
-        recs = [TrialRecord((1, 1), 1, 1) for _ in range(8)]
-        assert estimate_correlation(recs) == 1.0
+        assert estimate_correlation(Series((1, 1), clicks([1] * 8), clicks([1] * 8))) == 1.0
 
     def test_dice_exact_sweep_pair_11(self):
-        model = dice_coin_model()
-        recs = [
-            TrialRecord((1, 1), model.respond_alice(1, lam), model.respond_bob(1, lam), lam)
-            for lam in range(1, 7)
-        ]
-        assert estimate_correlation(recs) == 1.0
+        assert estimate_correlation(exact_sweep_log(dice_coin_model(), range(1, 7)).series[(1, 1)]) == 1.0
 
     def test_cancellation(self):
-        recs = [TrialRecord((1, 1), 1, 1)] * 4 + [TrialRecord((1, 1), 1, -1)] * 4
-        assert estimate_correlation(recs) == 0.0
+        s = Series((1, 1), clicks([1] * 8), clicks([1] * 4 + [-1] * 4))
+        assert estimate_correlation(s) == 0.0
 
     def test_series_input(self):
         s = Series((1, 2), np.array([1, -1, 1], dtype=np.int8), np.array([1, -1, -1], dtype=np.int8))
@@ -210,7 +222,7 @@ class TestEstimateCorrelation:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            estimate_correlation([])
+            estimate_correlation(Series((1, 1), clicks([]), clicks([])))
 
 
 class TestChshStatistic:

@@ -13,7 +13,6 @@ from bellcheck.quantum import (
     quantum_correlation_table,
     run_quantum_experiment,
     sample_quantum_batch,
-    sample_quantum_trial,
     singlet_correlation,
 )
 from bellcheck.streams import trial_stream
@@ -83,11 +82,6 @@ class TestSampling:
         assert abs(np.mean(alice.astype(np.float64))) <= band
         assert abs(np.mean(bob.astype(np.float64))) <= band
 
-    def test_scalar_trial(self):
-        rng = trial_stream(3, 0, 0)
-        a, b = sample_quantum_trial(0.0, 0.0, rng)
-        assert a in (-1, 1) and b == -a
-
     def test_sampled_estimates_match_oracle(self):
         n = 100_000
         log = run_quantum_experiment(TSIRELSON_ANGLES, n, seed=17)
@@ -96,6 +90,10 @@ class TestSampling:
         for pair, exact in zip(((1, 1), (1, 2), (2, 1), (2, 2)), table.as_tuple()):
             est = estimate_correlation(log.series[pair])
             assert abs(est - exact) <= band
+
+    def test_fractional_n_rejected(self):
+        with pytest.raises(ValueError, match="n_per_series"):
+            run_quantum_experiment(TSIRELSON_ANGLES, 2.5, seed=0)
 
     def test_log_has_no_tags(self):
         log = run_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)

@@ -38,3 +38,5 @@ def test_seed_validation():
         validate_seed(2**64)
     with pytest.raises(ValueError):
         validate_seed(1.5)
+    with pytest.raises(ValueError):
+        validate_seed(True)
