@@ -20,11 +20,13 @@ from .engine import (
     ChshReport,
     ClassFrequencies,
     MiDiagnostic,
+    RunCounts,
     Series,
     TrialLog,
     chsh_report,
     chsh_statistic,
     class_frequencies,
+    count_experiment,
     empirical_table,
     estimate_correlation,
     exact_class_frequencies,
@@ -57,6 +59,7 @@ from .jointprob import (
 from .quantum import (
     TSIRELSON_ANGLES,
     AnglePair,
+    count_quantum_experiment,
     quantum_chsh,
     quantum_correlation_table,
     run_quantum_experiment,

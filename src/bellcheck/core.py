@@ -312,6 +312,15 @@ def pair_outcomes(
     return tuple(((codes >> _CODE_BIT[side]) & 1).astype(np.int8) * 2 - 1 for side in sides)
 
 
+def sampled_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
+    """Behavior codes of tags just drawn by ``sample_lambda``: looked up in
+    the class table, where a tag outside the declared domain is the
+    sampler's fault, or evaluated through all four responses."""
+    if model.class_table is None:
+        return behavior_codes(model, lams)
+    return table_codes(model, lams, "sample_lambda")
+
+
 def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
     """Vectorized behavior_of: map an array of tags to behavior codes,
     through the class table when the model has one. A misbehaving

@@ -1,10 +1,13 @@
 """Running CHSH experiments and analyzing them.
 
-Empirical side: ``run_experiment`` produces four independent series of
-trials (one per setting pair), ``estimate_correlation`` and
-``chsh_statistic`` reduce them to the S* number, and ``class_frequencies``
-plus ``mi_diagnostic`` inspect how the hidden-variable classes were
-distributed across the four series.
+Empirical side: ``count_experiment`` samples the four series (one per
+setting pair) block by block and keeps only integer counts: per pair, the
+trials in each of the 16 behavior classes, and from them the trials whose
+clicks agree. ``chsh_report`` reduces the agreements to the S* number, and
+``class_frequencies`` plus ``mi_diagnostic`` inspect how the classes were
+distributed across the four series. ``run_experiment`` draws the same
+blocks into a ``TrialLog`` of every click and tag, a diagnostic that both
+reports accept by first reducing it to the same counts.
 
 Analytic side: given exact class weights, ``theoretical_correlations``
 and ``theoretical_chsh`` evaluate the same quantities in exact arithmetic.
@@ -20,7 +23,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +39,7 @@ from .core import (
     behavior_codes,
     behavior_of,
     pair_outcomes,
+    sampled_codes,
     within,
 )
 from .errors import BoundViolationError, ModelError
@@ -100,6 +104,31 @@ class TrialLog:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class RunCounts:
+    """The integer counts a report is computed from, per setting pair.
+
+    ``agree[pair]`` counts the trials whose two clicks agree;
+    ``classes[pair]`` holds the count of each of the 16 behavior classes,
+    indexed by code, for runs with hidden-variable tags (None otherwise).
+    """
+
+    seed: int
+    n_per_series: int
+    agree: Mapping[tuple[int, int], int]
+    classes: Mapping[tuple[int, int], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if set(self.agree) != set(SETTING_PAIRS):
+            raise ValueError("run counts need exactly the four setting pairs")
+        for pair, agree in self.agree.items():
+            if not 0 <= agree <= self.n_per_series:
+                raise ValueError(f"pair {pair}: {agree} agreements in {self.n_per_series} trials")
+        for pair, counts in (self.classes or {}).items():
+            if counts.sum() != self.n_per_series:
+                raise ValueError(f"pair {pair}: class counts sum to {counts.sum()}, not {self.n_per_series}")
+
+
 @dataclass(frozen=True)
 class ClassFrequencies:
     """Relative frequency of each behavior class, per setting pair."""
@@ -152,12 +181,10 @@ def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> 
     return value_range * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
-# A trial sampler maps (pair, block stream, count) to click arrays plus an
-# optional tag array. LHV and quantum generation share this hook.
-TrialSampler = Callable[
-    [tuple[int, int], np.random.Generator, int],
-    tuple[np.ndarray, np.ndarray, np.ndarray | None],
-]
+# A block function maps (pair, block stream, trial count) to that block's
+# result: click arrays plus an optional tag array for a trial log, integer
+# counts for a report. LHV and quantum runs share this hook.
+BlockFn = Callable[[tuple[int, int], np.random.Generator, int], Any]
 
 
 def _resolve_workers(n_workers: int | None) -> int:
@@ -177,20 +204,22 @@ def _resolve_workers(n_workers: int | None) -> int:
     return workers
 
 
-def generate_trial_log(
-    sampler: TrialSampler,
+def _blocks(
+    block_fn: BlockFn,
     n_per_series: int,
     seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> TrialLog:
-    """Generate the four series block by block and assemble a TrialLog.
+    n_workers: int | None,
+    interleave: bool,
+) -> Iterator[tuple[tuple[tuple[int, int], int], Any]]:
+    """Check the run's arguments, then return an iterator of
+    ``((pair, block), block_fn(pair, stream, count))`` over every block of
+    the four series, in dispatch order.
 
-    Work is split into fixed blocks keyed by (seed, pair, block); the
-    assembled log is bitwise identical for any worker count and any
-    dispatch order. ``interleave`` shuffles the dispatch order (a
-    deterministic function of the seed) to exercise that property.
+    Work is split into fixed blocks keyed by (seed, pair, block), so each
+    block's result is the same for any worker count and any dispatch
+    order. ``interleave`` shuffles the dispatch order (a deterministic
+    function of the seed) to exercise that property. With one worker the
+    blocks run one at a time as the iterator is read.
     """
     if (
         isinstance(n_per_series, bool)
@@ -213,14 +242,38 @@ def generate_trial_log(
     def run_task(task):
         pair, block, count = task
         rng = trial_stream(seed, PAIR_CODES[pair], block)
-        return (pair, block), sampler(pair, rng, count)
+        return (pair, block), block_fn(pair, rng, count)
 
     if workers == 1:
-        results = dict(run_task(t) for t in tasks)
-    else:
-        with ThreadPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-            results = dict(pool.map(run_task, tasks))
+        return map(run_task, tasks)
+    return _pool_map(run_task, tasks, min(workers, len(tasks)))
 
+
+#: Tasks handed to the pool at a time, per worker. ``pool.map`` creates a
+#: future for every task it is given, so feeding it slices keeps the memory
+#: of a run flat in n.
+_TASKS_PER_WORKER = 64
+
+
+def _pool_map(fn, tasks, workers):
+    step = _TASKS_PER_WORKER * workers
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for start in range(0, len(tasks), step):
+            yield from pool.map(fn, tasks[start:start + step])
+
+
+def generate_trial_log(
+    sampler: BlockFn,
+    n_per_series: int,
+    seed: int,
+    *,
+    n_workers: int | None = None,
+    interleave: bool = False,
+) -> TrialLog:
+    """Generate the four series block by block and assemble a TrialLog;
+    ``sampler`` returns each block's (alice, bob, tags or None). The log is
+    bitwise identical for any worker count and any dispatch order."""
+    results = dict(_blocks(sampler, n_per_series, seed, n_workers, interleave))
     series = {}
     for pair in SETTING_PAIRS:
         chunks = [results[(pair, block)] for block, _, _ in iter_blocks(n_per_series)]
@@ -230,22 +283,36 @@ def generate_trial_log(
         if chunks[0][2] is not None:
             lams = np.concatenate([c[2] for c in chunks])
         series[pair] = Series(pair, alice, bob, lams)
-    return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
+    return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
 
 
-def _lhv_sampler(model: LhvModel) -> TrialSampler:
-    model.class_table  # compiled here, before any worker starts
+def count_blocks(
+    counter: BlockFn,
+    n_per_series: int,
+    seed: int,
+    *,
+    n_workers: int | None = None,
+    interleave: bool = False,
+) -> dict[tuple[int, int], Any]:
+    """Sum ``counter``'s per-block counts over each setting pair's blocks.
 
-    def sample(pair, rng, count):
-        try:
-            lams = np.asarray(model.sample_lambda(rng, count, pair))
-        except Exception as exc:
-            raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
-        if len(lams) != count:
-            raise ModelError(f"model {model.name!r}: sampler returned {len(lams)} tags for {count} trials")
-        return (*pair_outcomes(model, pair, lams), lams)
+    The counts are integers, so their sums do not depend on the order in
+    which blocks finish; only one block's trials are held per worker.
+    """
+    totals: dict[tuple[int, int], Any] = dict.fromkeys(SETTING_PAIRS, 0)
+    for (pair, _), counts in _blocks(counter, n_per_series, seed, n_workers, interleave):
+        totals[pair] = totals[pair] + counts
+    return totals
 
-    return sample
+
+def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
+    try:
+        lams = np.asarray(model.sample_lambda(rng, count, pair))
+    except Exception as exc:
+        raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
+    if len(lams) != count:
+        raise ModelError(f"model {model.name!r}: sampler returned {len(lams)} tags for {count} trials")
+    return lams
 
 
 def run_experiment(
@@ -257,16 +324,76 @@ def run_experiment(
     interleave: bool = False,
 ) -> TrialLog:
     """Run the four series of an LHV model and log every click and tag."""
-    return generate_trial_log(
-        _lhv_sampler(model), n_per_series, seed, n_workers=n_workers, interleave=interleave
-    )
+    model.class_table  # compiled here, before any worker starts
+
+    def sample(pair, rng, count):
+        lams = _draw_tags(model, pair, rng, count)
+        return (*pair_outcomes(model, pair, lams), lams)
+
+    return generate_trial_log(sample, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+
+
+#: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
+_AGREEING = {
+    (i, k): np.array([beh.alice(i) == beh.bob(k) for beh in ALL_BEHAVIORS])
+    for i, k in SETTING_PAIRS
+}
+
+
+def count_experiment(
+    model: LhvModel,
+    n_per_series: int,
+    seed: int,
+    *,
+    n_workers: int | None = None,
+    interleave: bool = False,
+) -> RunCounts:
+    """Run the four series of an LHV model and keep, per setting pair, the
+    count of each behavior class: the same blocks and tags as
+    ``run_experiment``, reduced block by block."""
+    model.class_table  # compiled here, before any worker starts
+
+    def count(pair, rng, n):
+        return np.bincount(sampled_codes(model, _draw_tags(model, pair, rng, n)), minlength=16)
+
+    classes = count_blocks(count, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}
+    return RunCounts(validate_seed(seed), n_per_series, agree, classes)
+
+
+def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
+    """Reduce a trial log to its report's counts: agreements from the
+    clicks and, given the model, class counts from the logged tags."""
+    agree = {pair: _agreements(s) for pair, s in log.series.items()}
+    classes = None
+    if model is not None:
+        classes = {}
+        for pair in SETTING_PAIRS:
+            s = log.series[pair]
+            if s.lambdas is None:
+                raise ValueError(
+                    f"series {pair} carries no hidden-variable tags; "
+                    "class analysis is undefined for quantum logs"
+                )
+            classes[pair] = np.bincount(behavior_codes(model, s.lambdas), minlength=16)
+    return RunCounts(log.seed, log.n_per_series, agree, classes)
+
+
+def _agreements(series: Series) -> int:
+    return int(np.count_nonzero(series.alice == series.bob))
+
+
+def _correlation(agree: int, n: int) -> float:
+    """(agreements - disagreements) / n, correctly rounded: the mean of the
+    n exact +-1 products."""
+    return (2 * agree - n) / n
 
 
 def estimate_correlation(series: Series) -> float:
     """Empirical correlation (1/N) * sum of A_l * B_l over a series."""
     if len(series) == 0:
         raise ValueError("cannot estimate a correlation from an empty series")
-    return float(np.mean(series.alice.astype(np.float64) * series.bob))
+    return _correlation(_agreements(series), len(series))
 
 
 def chsh_statistic(table: CorrelationTable):
@@ -274,41 +401,40 @@ def chsh_statistic(table: CorrelationTable):
     return table.e11 - table.e12 + table.e21 + table.e22
 
 
-def empirical_table(log: TrialLog) -> CorrelationTable:
-    return CorrelationTable(*(estimate_correlation(log.series[p]) for p in SETTING_PAIRS))
+def empirical_table(data: TrialLog | RunCounts) -> CorrelationTable:
+    counts = data if isinstance(data, RunCounts) else log_counts(data)
+    return CorrelationTable(
+        *(_correlation(counts.agree[p], counts.n_per_series) for p in SETTING_PAIRS)
+    )
 
 
-def chsh_report(log: TrialLog, delta: float = 0.01) -> ChshReport:
-    table = empirical_table(log)
+def chsh_report(data: TrialLog | RunCounts, delta: float = 0.01) -> ChshReport:
+    """Correlations, S* and the Hoeffding half-width of a run, from its
+    counts or from a trial log reduced to them."""
+    table = empirical_table(data)
     s = chsh_statistic(table)
     return ChshReport(
         table=table,
         s_star=s,
         bound_satisfied=within(abs(s), 2, VERDICT_SLACK),
-        n_per_series=log.n_per_series,
-        hoeffding_epsilon=hoeffding_epsilon(log.n_per_series, delta),
+        n_per_series=data.n_per_series,
+        hoeffding_epsilon=hoeffding_epsilon(data.n_per_series, delta),
     )
 
 
-def class_frequencies(log: TrialLog, model: LhvModel) -> ClassFrequencies:
-    """Map each logged tag to its behavior class (through the model's
-    class table when it has one) and count the classes, separately for
-    each setting pair."""
-    per_pair = {}
-    for pair in SETTING_PAIRS:
-        s = log.series[pair]
-        if s.lambdas is None:
-            raise ValueError(
-                f"series {pair} carries no hidden-variable tags; "
-                "class analysis is undefined for quantum logs"
-            )
-        codes = behavior_codes(model, s.lambdas)
-        counts = np.bincount(codes, minlength=16)
-        n = len(s)
-        per_pair[pair] = {
-            ALL_BEHAVIORS[c]: counts[c] / n for c in range(16) if counts[c] > 0
-        }
-    return ClassFrequencies(per_pair=per_pair)
+def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None) -> ClassFrequencies:
+    """Relative frequency of each behavior class, separately for each
+    setting pair: from the class counts of a run, or from a trial log
+    whose tags are first classified through ``model`` (its class table
+    when it has one)."""
+    counts = data if isinstance(data, RunCounts) else log_counts(data, model)
+    if counts.classes is None:
+        raise ValueError("class analysis needs class counts, which a quantum run does not have")
+    n = counts.n_per_series
+    return ClassFrequencies(per_pair={
+        pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair]) if k > 0}
+        for pair in SETTING_PAIRS
+    })
 
 
 def exact_class_weights(

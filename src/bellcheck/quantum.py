@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import TrialLog, chsh_statistic, generate_trial_log
+from .engine import RunCounts, TrialLog, chsh_statistic, count_blocks, generate_trial_log
+from .streams import validate_seed
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,15 @@ def singlet_correlation(a: float, b: float) -> float:
     return -math.cos(a - b)
 
 
-def _cell_boundaries(a: float, b: float) -> np.ndarray:
+def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     # joint cells in order (+1,+1), (+1,-1), (-1,+1), (-1,-1) with
-    # P(A,B) = (1 - A*B*cos(a-b)) / 4; cumulative boundaries for sampling
+    # P(A,B) = (1 - A*B*cos(a-b)) / 4; a uniform deviate u falls in cell
+    # (u >= b0) + (u >= b1) + (u >= b2) of the cumulative boundaries, so
+    # the clicks agree below b0 and from b2 on
     c = math.cos(a - b)
     p = np.array([(1 - c) / 4, (1 + c) / 4, (1 + c) / 4, (1 - c) / 4])
-    return np.cumsum(p)[:3]
+    b0, b1, b2 = np.cumsum(p)[:3]
+    return float(b0), float(b1), float(b2)
 
 
 _CELL_A = np.array([1, 1, -1, -1], dtype=np.int8)
@@ -69,8 +73,17 @@ def sample_quantum_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw n outcome pairs; one uniform deviate decides each trial's cell."""
     u = rng.random(n)
-    cells = np.searchsorted(_cell_boundaries(a, b), u, side="right")
+    b0, b1, b2 = _cell_boundaries(a, b)
+    cells = (u >= b0).view(np.uint8) + (u >= b1) + (u >= b2)
     return _CELL_A[cells], _CELL_B[cells]
+
+
+def _count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
+    """How many of the n trials ``sample_quantum_batch`` would draw from the
+    same stream have agreeing clicks (cells (+1,+1) and (-1,-1))."""
+    u = rng.random(n)
+    b0, _, b2 = _cell_boundaries(a, b)
+    return int(np.count_nonzero(u < b0)) + int(np.count_nonzero(u >= b2))
 
 
 def quantum_correlation_table(angles: AnglePair) -> CorrelationTable:
@@ -105,3 +118,21 @@ def run_quantum_experiment(
     return generate_trial_log(
         sampler, n_per_series, seed, n_workers=n_workers, interleave=interleave
     )
+
+
+def count_quantum_experiment(
+    angles: AnglePair,
+    n_per_series: int,
+    seed: int,
+    *,
+    n_workers: int | None = None,
+    interleave: bool = False,
+) -> RunCounts:
+    """The agreement counts of ``run_quantum_experiment``'s four series,
+    reduced block by block; they carry no class counts."""
+
+    def count(pair, rng, n):
+        return _count_agreements(angles.alice(pair[0]), angles.bob(pair[1]), rng, n)
+
+    agree = count_blocks(count, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    return RunCounts(validate_seed(seed), n_per_series, agree)
