@@ -71,20 +71,35 @@ class ExperimentConfig:
     interleave: bool = False
 
     def __post_init__(self):
+        for key in ("model", "output"):
+            value = getattr(self, key)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{key} must be a string, got {value!r}")
         if self.model != "quantum" and self.model not in MODEL_FACTORIES:
             raise ValueError(
                 f"unknown model {self.model!r}; available: "
                 f"{', '.join(available_models() + ['quantum'])}"
             )
+        self.n_per_series = _as_int("n_per_series", self.n_per_series)
+        self.seed = _as_int("seed", self.seed)
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
+        if not isinstance(self.interleave, bool):
+            raise ValueError(f"interleave must be true or false, got {self.interleave!r}")
+
+
+#: Config file keys; a flag given on the command line overrides its key.
+_CONFIG_KEYS = ("model", "n_per_series", "seed", "output", "format", "interleave")
 
 
 def _parse_angles(text: str) -> AnglePair:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError("--angles expects four comma-separated radians: a1,a2,b1,b2")
-    return AnglePair(*(float(p) for p in parts))
+    try:
+        return AnglePair(*(float(p) for p in parts))
+    except ValueError as exc:
+        raise ValueError(f"--angles: {exc}") from None
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -93,40 +108,38 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
-    merged = {
-        "model": args.model if args.model is not None else base.get("model"),
-        "n_per_series": args.n if args.n is not None else base.get("n_per_series", 100_000),
-        "seed": args.seed if args.seed is not None else base.get("seed", 0),
-        "output": args.out if args.out is not None else base.get("output"),
-        "format": args.format if args.format is not None else base.get("format", "json"),
-        "interleave": args.interleave or bool(base.get("interleave", False)),
-    }
-    if merged["model"] is None:
+    merged = {key: base[key] for key in _CONFIG_KEYS if key in base}
+    flags = (args.model, args.n, args.seed, args.out, args.format, args.interleave or None)
+    merged.update((key, flag) for key, flag in zip(_CONFIG_KEYS, flags) if flag is not None)
+    if merged.get("model") is None:
         raise ValueError("no model given (use --model or a config file)")
-    for key in ("model", "output"):
-        if merged[key] is not None and not isinstance(merged[key], str):
-            raise ValueError(f"{key} must be a string, got {merged[key]!r}")
     angles = base.get("angles")
     if angles is not None:
         if not (isinstance(angles, list) and len(angles) == 4 and all(map(_is_number, angles))):
             raise ValueError(f"config angles must be a list of 4 numbers a1,a2,b1,b2, got {angles!r}")
-        angles = AnglePair(*(float(v) for v in angles))
+        try:
+            angles = AnglePair(*(float(v) for v in angles))
+        except OverflowError:
+            raise ValueError("config angles: a value is too large for a float") from None
     if args.angles is not None:
         angles = _parse_angles(args.angles)
-    merged["angles"] = angles
-    for key in ("n_per_series", "seed"):
-        value = merged[key]
-        if isinstance(value, str):
-            value = int(value)
-        if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-            raise ValueError(f"{key} must be an integer, got {merged[key]!r}")
-        merged[key] = int(value)
-    return ExperimentConfig(**merged)
+    return ExperimentConfig(**merged, angles=angles)
 
 
 def _is_number(value) -> bool:
     """A JSON number: int or float, but not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_int(key: str, value) -> int:
+    """A config integer: an int, an integral float or a decimal string."""
+    try:
+        number = int(value) if isinstance(value, str) else value
+    except ValueError:
+        number = None
+    if not _is_number(number) or (isinstance(number, float) and not number.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _fmt(x: float) -> str:
@@ -278,7 +291,12 @@ def _parse_fraction(text: str, what: str) -> Fraction:
     exponent = _EXPONENT.search(text)
     if exponent and abs(int(exponent.group(1))) > _MAX_EXPONENT:
         raise ValueError(f"{what}: exponent of {text!r} exceeds {_MAX_EXPONENT} in magnitude")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{what}: {text!r} has a zero denominator") from None
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def cmd_fine_check(args: argparse.Namespace) -> int:

@@ -549,9 +549,7 @@ def exact_correlation_table(model: LhvModel) -> CorrelationTable:
     conspiring sampler the four entries come from four different
     distributions and no single-distribution bound applies.
     """
-    es = []
-    for pair in SETTING_PAIRS:
-        weights = exact_class_weights(model, pair)
-        i, k = pair
-        es.append(sum(w * (beh.alice(i) * beh.bob(k)) for beh, w in weights.items()))
-    return CorrelationTable(*es)
+    return CorrelationTable(*(
+        theoretical_correlations(exact_class_weights(model, pair)).value(pair)
+        for pair in SETTING_PAIRS
+    ))

@@ -31,7 +31,7 @@ from .core import (
     _check_unit_interval,
     within,
 )
-from .engine import exact_class_weights, validate_weights
+from .engine import exact_class_weights, theoretical_correlations, validate_weights
 from .simplex import solve_equality_feasibility
 
 # Statistics map: rows are the four correlations, the four marginals and
@@ -147,14 +147,13 @@ def jp_from_lhv(
 def statistics_of(jp: JointProbability) -> BehaviorStatistics:
     """Marginalize a joint probability down to correlations and means."""
     items = list(jp.weights.items())
-    es = [sum(w * (b.alice(i) * b.bob(k)) for b, w in items) for i, k in SETTING_PAIRS]
     ms = [
         sum(w * b.a1 for b, w in items),
         sum(w * b.a2 for b, w in items),
         sum(w * b.b1 for b, w in items),
         sum(w * b.b2 for b, w in items),
     ]
-    return BehaviorStatistics(CorrelationTable(*es), *ms)
+    return BehaviorStatistics(theoretical_correlations(jp.weights), *ms)
 
 
 def _max_facet(es) -> tuple[tuple[int, int, int, int], Any]:

@@ -1,8 +1,9 @@
 """Canonical hidden-variable models used by the tests, demos and CLI.
 
-All three models keep their tag domains finite so that exact class
-weights can be enumerated: the engine only ever needs class frequencies,
-so even the "continuous" angle model lives on a grid.
+All three models are defined by scalar responses on finite tag domains:
+exact class weights can be enumerated, and the class table built from
+the responses gives every trial's clicks and class. Even the
+"continuous" angle model lives on a grid.
 """
 
 from __future__ import annotations
@@ -37,16 +38,6 @@ def dice_coin_model() -> LhvModel:
             return 1
         return 1 if lam % 2 else -1
 
-    def alice_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        if index == 1:
-            return np.ones(len(lams), dtype=np.int8)
-        return np.where(lams % 2 == 1, -1, 1).astype(np.int8)
-
-    def bob_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        if index == 1:
-            return np.ones(len(lams), dtype=np.int8)
-        return np.where(lams % 2 == 1, 1, -1).astype(np.int8)
-
     return LhvModel(
         name="dice-coin",
         respond_alice=respond_alice,
@@ -54,8 +45,6 @@ def dice_coin_model() -> LhvModel:
         sample_lambda=lambda rng, n, pair: rng.integers(1, 7, size=n),
         declares_mi=True,
         enumerate_lambda=lambda pair: [(k, Fraction(1, 6)) for k in range(1, 7)],
-        respond_alice_batch=alice_batch,
-        respond_bob_batch=bob_batch,
         description="die at the source (lam in 1..6), A = a**lam, B = b**(lam+1); S = 0",
     )
 
@@ -94,14 +83,6 @@ def cosine_sign_model(
     def respond_bob(index: int, lam) -> int:
         return -1 if math.cos(bob_angles[index] - direction(lam)) >= 0 else 1
 
-    def alice_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        c = np.cos(alice_angles[index] - _TWO_PI * lams / grid)
-        return np.where(c >= 0, 1, -1).astype(np.int8)
-
-    def bob_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        c = np.cos(bob_angles[index] - _TWO_PI * lams / grid)
-        return np.where(c >= 0, -1, 1).astype(np.int8)
-
     return LhvModel(
         name="cosine-sign",
         respond_alice=respond_alice,
@@ -109,8 +90,6 @@ def cosine_sign_model(
         sample_lambda=lambda rng, n, pair: rng.integers(0, grid, size=n),
         declares_mi=True,
         enumerate_lambda=lambda pair: [(t, weight) for t in range(grid)],
-        respond_alice_batch=alice_batch,
-        respond_bob_batch=bob_batch,
         description="sign(cos(angle - shared direction)) responses on a 720-point grid",
     )
 
@@ -138,20 +117,10 @@ def conspiracy_model() -> LhvModel:
     """
 
     def respond_alice(index: int, lam) -> int:
-        bit = 3 if index == 1 else 2
-        return 1 if int(lam) & (1 << bit) else -1
+        return Behavior.from_code(int(lam)).alice(index)
 
     def respond_bob(index: int, lam) -> int:
-        bit = 1 if index == 1 else 0
-        return 1 if int(lam) & (1 << bit) else -1
-
-    def alice_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        bit = 3 if index == 1 else 2
-        return np.where(np.asarray(lams).astype(np.int64) & (1 << bit), 1, -1).astype(np.int8)
-
-    def bob_batch(index: int, lams: np.ndarray) -> np.ndarray:
-        bit = 1 if index == 1 else 0
-        return np.where(np.asarray(lams).astype(np.int64) & (1 << bit), 1, -1).astype(np.int8)
+        return Behavior.from_code(int(lam)).bob(index)
 
     def sample(rng, n, pair):
         return np.full(n, _CONSPIRACY_CODE[tuple(pair)], dtype=np.int64)
@@ -163,8 +132,6 @@ def conspiracy_model() -> LhvModel:
         sample_lambda=sample,
         declares_mi=False,
         enumerate_lambda=lambda pair: [(_CONSPIRACY_CODE[tuple(pair)], Fraction(1))],
-        respond_alice_batch=alice_batch,
-        respond_bob_batch=bob_batch,
         description="setting-dependent source: one point-mass class per pair, S* = 4",
     )
 

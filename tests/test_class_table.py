@@ -1,13 +1,14 @@
 """Class tables: the compiled tag -> behavior code form of a finite LHV model.
 
 The differential tests compare three routes to a tag's behavior class:
-the class table, the scalar responses (``behavior_of``) and the batch
-response twins, per tag and over whole runs. The error tests pin that a
-misbehaving model ends in ModelError naming the stage, and in exit code 3
-from the command line.
+the class table, the scalar responses (``behavior_of``) and the per-trial
+batch route of models without a table (batch twins where the model has
+them), per tag and over whole runs. No zoo model has batch twins, so the
+batch route runs on the test-only models of ``batch_models``. The error
+tests pin that a misbehaving model ends in ModelError naming the stage,
+and in exit code 3 from the command line.
 """
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from batch_models import lookup_twins, scalar_only, uniform_code_model, without_table
 from bellcheck import cli
 from bellcheck.core import (
     MAX_TABLE_TAGS,
@@ -37,20 +39,14 @@ def declared_tags(model):
     return sorted({tag for pair in SETTING_PAIRS for tag, _ in model.enumerate_lambda(pair)})
 
 
-def twin_codes(model, tags):
-    """Behavior codes of ``tags`` from the batch response twins alone."""
-    lams = np.asarray(tags)
-    a1, a2 = (model.respond_alice_batch(i, lams) for i in (1, 2))
-    b1, b2 = (model.respond_bob_batch(k, lams) for k in (1, 2))
-    return (a1 > 0) * 8 + (a2 > 0) * 4 + (b1 > 0) * 2 + (b2 > 0)
-
-
 def assert_routes_agree(model):
+    """The class table, ``behavior_of`` and the batch route of the model
+    without its table give every declared tag the same code."""
     table = class_table(model)
     tags = declared_tags(model)
     scalar = [behavior_of(model, t).code for t in tags]
     assert table[tags].tolist() == scalar
-    assert twin_codes(model, tags).tolist() == scalar
+    assert behavior_codes(without_table(model), np.asarray(tags)).tolist() == scalar
     undeclared = np.setdiff1d(np.arange(len(table)), tags)
     assert np.all(table[undeclared] == UNDECLARED)
 
@@ -58,6 +54,12 @@ def assert_routes_agree(model):
 @pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
 def test_zoo_table_matches_scalar_and_batch_routes(name):
     assert_routes_agree(MODEL_FACTORIES[name]())
+
+
+def test_uniform_code_table_matches_scalar_and_batch_routes():
+    model = uniform_code_model()
+    assert class_table(model).tolist() == list(range(16))
+    assert_routes_agree(model)
 
 
 def test_zoo_table_sizes():
@@ -260,27 +262,27 @@ def test_response_failing_only_in_class_analysis_exits_3(respond, monkeypatch, c
     assert err.startswith("model error: ") and "'late-bad'" in err and "class analysis" in err
 
 
-def _without_table(model):
-    return dataclasses.replace(model, enumerate_lambda=None)
-
-
-def _without_table_or_twins(model):
-    return dataclasses.replace(
-        model, enumerate_lambda=None, respond_alice_batch=None, respond_bob_batch=None
+#: (case id, model factory, the route without a table, n). Zoo models take
+#: the batch route on lookup twins; the uniform-code model on its own twins.
+TABLELESS_ROUTES = [
+    case
+    for name, factory in sorted(MODEL_FACTORIES.items())
+    for case in (
+        (f"{name}-batch twins", factory, lookup_twins, 20_000),
+        (f"{name}-scalar responses", factory, without_table, 300),
     )
+] + [
+    ("uniform-code-batch twins", uniform_code_model, without_table, 20_000),
+    ("uniform-code-scalar responses", uniform_code_model, scalar_only, 300),
+]
 
 
-@pytest.mark.parametrize(
-    "strip,n",
-    [(_without_table, 20_000), (_without_table_or_twins, 300)],
-    ids=["batch twins", "scalar responses"],
-)
-@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
-def test_runs_without_a_table_match_the_table_path(name, strip, n):
+@pytest.mark.parametrize("factory,strip,n", [c[1:] for c in TABLELESS_ROUTES], ids=[c[0] for c in TABLELESS_ROUTES])
+def test_runs_without_a_table_match_the_table_path(factory, strip, n):
     """The same (n, seed) gives the same report table and class
     frequencies whether the clicks and classes come from the class table,
     the batch twins or the scalar responses."""
-    model = MODEL_FACTORIES[name]()
+    model = factory()
     stripped = strip(model)
     assert model.class_table is not None and stripped.class_table is None
     with_table = run_experiment(model, n, seed=11)

@@ -181,6 +181,38 @@ class TestConfigValidation:
         assert report["seed"] == 7
         assert report["angles"] == [0.0, 1.5, 0.5, 2.0]
 
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            ({"n_per_series": "abc"}, "n_per_series"),
+            ({"seed": "x1"}, "seed"),
+            ({"interleave": "no"}, "interleave"),
+            ({"interleave": 1}, "interleave"),
+            ({"interleave": None}, "interleave"),
+            ({"angles": [10**400, 0, 0, 0]}, "angles"),
+        ],
+    )
+    def test_message_names_the_field(self, tmp_path, capsys, overrides, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "quantum", "n_per_series": 100, **overrides}))
+        assert run_cli(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and field in err
+
+    @pytest.mark.parametrize("angles", ["a,b,c,d", "0,0,0,inf"])
+    def test_bad_angles_flag_is_named(self, capsys, angles):
+        assert run_cli(["run", "--model", "quantum", "--n", "10", "--angles", angles]) == cli.EXIT_CONFIG
+        assert "--angles" in capsys.readouterr().err
+
+    def test_interleave_true_in_config_is_accepted(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"model": "quantum", "n_per_series": 10, "interleave": True}))
+        assert cli._load_config(cli.build_parser().parse_args(["run", "--config", str(config)])).interleave
+
+    def test_defaults_come_from_the_config_type(self):
+        config = cli._load_config(cli.build_parser().parse_args(["run", "--model", "quantum"]))
+        assert config == cli.ExperimentConfig(model="quantum")
+
 
 class TestBound:
     def test_dice_coin(self, capsys):
@@ -230,6 +262,29 @@ class TestFineCheck:
     def test_invalid_stats_rejected(self):
         assert run_cli(["fine-check", "--correlations", "1,1,1"]) == cli.EXIT_CONFIG
         assert run_cli(["fine-check", "--correlations", "3,0,0,0"]) == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--correlations", "1/0,0,0,0"], "--correlations"),
+            (["--correlations", "0,0,0,0", "--marginals", "0,0,0,1/0"], "--marginals"),
+            (["--correlations", "0,abc,0,0"], "--correlations"),
+        ],
+    )
+    def test_unparsable_value_names_the_flag(self, capsys, argv, flag):
+        assert run_cli(["fine-check", *argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and flag in err
+
+    def test_zero_denominator_exits_2_without_traceback(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellcheck.cli", "fine-check", "--correlations", "1/0,0,0,0"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "zero denominator" in proc.stderr and "Traceback" not in proc.stderr
 
 
 class TestBoundedNumbers:

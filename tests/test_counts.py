@@ -5,11 +5,10 @@ Both draw the same blocks from the same (seed, pair, block) streams; the
 count path reduces each block to integer counts at once, the log path keeps
 every click and tag and reduces the log afterwards. Their reports must be
 equal for every model route (class table, batch twins, scalar responses,
-singlet), at block-edge sizes, on any worker count and dispatch order. The
+singlet; the batch twins belong to the test-only models of ``batch_models``), at block-edge sizes, on any worker count and dispatch order. The
 memory test pins that the count path holds no trial log.
 """
 
-import dataclasses
 import math
 import os
 import subprocess
@@ -19,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from batch_models import lookup_twins, scalar_only, uniform_code_model, without_table
 from bellcheck.core import SETTING_PAIRS, Behavior
 from bellcheck.engine import (
     RunCounts,
@@ -45,23 +45,14 @@ from bellcheck.zoo import MODEL_FACTORIES
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def _batch_twins(name):
-    return dataclasses.replace(MODEL_FACTORIES[name](), enumerate_lambda=None)
-
-
-def _scalar_only():
-    return dataclasses.replace(
-        MODEL_FACTORIES["dice-coin"](),
-        enumerate_lambda=None, respond_alice_batch=None, respond_bob_batch=None,
-    )
-
-
 #: (id, model factory): every zoo model on its class table, each one again
-#: on its batch twins, and one on its scalar responses alone
+#: on lookup twins, the uniform-code model on its table and on its own
+#: twins (all 16 classes), and one zoo model on its scalar responses alone
 LHV_ROUTES = (
     [(name, MODEL_FACTORIES[name]) for name in sorted(MODEL_FACTORIES)]
-    + [(f"{name} twins", lambda name=name: _batch_twins(name)) for name in sorted(MODEL_FACTORIES)]
-    + [("dice-coin scalar", _scalar_only)]
+    + [(f"{name} twins", lambda name=name: lookup_twins(MODEL_FACTORIES[name]())) for name in sorted(MODEL_FACTORIES)]
+    + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_table(uniform_code_model()))]
+    + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
 )
 
 SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
