@@ -108,6 +108,9 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         base = json.loads(Path(args.config).read_text())
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
+        unknown = sorted(set(base) - {*_CONFIG_KEYS, "angles"})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     merged = {key: base[key] for key in _CONFIG_KEYS if key in base}
     flags = (args.model, args.n, args.seed, args.out, args.format, args.interleave or None)
     merged.update((key, flag) for key, flag in zip(_CONFIG_KEYS, flags) if flag is not None)
@@ -303,7 +306,7 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
     es = _parse_fraction_list(args.correlations, 4, "--correlations")
     ms = (
         _parse_fraction_list(args.marginals, 4, "--marginals")
-        if args.marginals
+        if args.marginals is not None
         else [Fraction(0)] * 4
     )
     stats = BehaviorStatistics(CorrelationTable(*es), *ms)

@@ -204,22 +204,23 @@ def _resolve_workers(n_workers: int | None) -> int:
     return workers
 
 
-def _blocks(
+def _series(
     block_fn: BlockFn,
+    reduce: Callable[[Iterator[Any]], Any],
     n_per_series: int,
     seed: int,
     n_workers: int | None,
     interleave: bool,
-) -> Iterator[tuple[tuple[tuple[int, int], int], Any]]:
-    """Check the run's arguments, then return an iterator of
-    ``((pair, block), block_fn(pair, stream, count))`` over every block of
-    the four series, in dispatch order.
+) -> dict[tuple[int, int], Any]:
+    """Check the run's arguments, then return, per setting pair,
+    ``reduce`` of the iterator of ``block_fn(pair, stream, count)`` over
+    that pair's blocks in order.
 
-    Work is split into fixed blocks keyed by (seed, pair, block), so each
-    block's result is the same for any worker count and any dispatch
-    order. ``interleave`` shuffles the dispatch order (a deterministic
-    function of the seed) to exercise that property. With one worker the
-    blocks run one at a time as the iterator is read.
+    Each task is one pair's whole series, so at most four workers run.
+    Every block draws from the stream keyed by (seed, pair, block), so the
+    results are the same for any worker count and any dispatch order.
+    ``interleave`` shuffles the order of the four series (a deterministic
+    function of the seed) to exercise that property.
     """
     if (
         isinstance(n_per_series, bool)
@@ -228,38 +229,29 @@ def _blocks(
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
     seed = validate_seed(seed)
-    workers = _resolve_workers(n_workers)
+    workers = min(_resolve_workers(n_workers), len(SETTING_PAIRS))
 
-    tasks = [
-        (pair, block, stop - start)
-        for pair in SETTING_PAIRS
-        for block, start, stop in iter_blocks(n_per_series)
-    ]
+    pairs = list(SETTING_PAIRS)
     if interleave:
-        order = schedule_stream(seed).permutation(len(tasks))
-        tasks = [tasks[i] for i in order]
+        pairs = [pairs[i] for i in schedule_stream(seed).permutation(len(pairs))]
 
-    def run_task(task):
-        pair, block, count = task
-        rng = trial_stream(seed, PAIR_CODES[pair], block)
-        return (pair, block), block_fn(pair, rng, count)
+    def run_series(pair):
+        return pair, reduce(
+            block_fn(pair, trial_stream(seed, PAIR_CODES[pair], block), stop - start)
+            for block, start, stop in iter_blocks(n_per_series)
+        )
 
     if workers == 1:
-        return map(run_task, tasks)
-    return _pool_map(run_task, tasks, min(workers, len(tasks)))
+        results = dict(map(run_series, pairs))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = dict(pool.map(run_series, pairs))
+    return {pair: results[pair] for pair in SETTING_PAIRS}
 
 
-#: Tasks handed to the pool at a time, per worker. ``pool.map`` creates a
-#: future for every task it is given, so feeding it slices keeps the memory
-#: of a run flat in n.
-_TASKS_PER_WORKER = 64
-
-
-def _pool_map(fn, tasks, workers):
-    step = _TASKS_PER_WORKER * workers
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for start in range(0, len(tasks), step):
-            yield from pool.map(fn, tasks[start:start + step])
+def _concat_blocks(blocks: Iterator[tuple]) -> tuple:
+    alice, bob, tags = zip(*blocks)
+    return np.concatenate(alice), np.concatenate(bob), None if tags[0] is None else np.concatenate(tags)
 
 
 def generate_trial_log(
@@ -270,19 +262,12 @@ def generate_trial_log(
     n_workers: int | None = None,
     interleave: bool = False,
 ) -> TrialLog:
-    """Generate the four series block by block and assemble a TrialLog;
-    ``sampler`` returns each block's (alice, bob, tags or None). The log is
-    bitwise identical for any worker count and any dispatch order."""
-    results = dict(_blocks(sampler, n_per_series, seed, n_workers, interleave))
-    series = {}
-    for pair in SETTING_PAIRS:
-        chunks = [results[(pair, block)] for block, _, _ in iter_blocks(n_per_series)]
-        alice = np.concatenate([c[0] for c in chunks])
-        bob = np.concatenate([c[1] for c in chunks])
-        lams = None
-        if chunks[0][2] is not None:
-            lams = np.concatenate([c[2] for c in chunks])
-        series[pair] = Series(pair, alice, bob, lams)
+    """Generate the four series and assemble a TrialLog; ``sampler``
+    returns each block's (alice, bob, tags or None), and each series
+    concatenates its blocks. The log is bitwise identical for any worker
+    count and any dispatch order."""
+    arrays = _series(sampler, _concat_blocks, n_per_series, seed, n_workers, interleave)
+    series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
     return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
 
 
@@ -294,15 +279,9 @@ def count_blocks(
     n_workers: int | None = None,
     interleave: bool = False,
 ) -> dict[tuple[int, int], Any]:
-    """Sum ``counter``'s per-block counts over each setting pair's blocks.
-
-    The counts are integers, so their sums do not depend on the order in
-    which blocks finish; only one block's trials are held per worker.
-    """
-    totals: dict[tuple[int, int], Any] = dict.fromkeys(SETTING_PAIRS, 0)
-    for (pair, _), counts in _blocks(counter, n_per_series, seed, n_workers, interleave):
-        totals[pair] = totals[pair] + counts
-    return totals
+    """Sum ``counter``'s per-block counts over each setting pair's blocks;
+    only one block's trials are held per worker."""
+    return _series(counter, sum, n_per_series, seed, n_workers, interleave)
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:

@@ -190,6 +190,7 @@ class TestConfigValidation:
             ({"interleave": 1}, "interleave"),
             ({"interleave": None}, "interleave"),
             ({"angles": [10**400, 0, 0, 0]}, "angles"),
+            ({"model": "dice-coin", "n": 10, "seeed": 5}, "seeed"),
         ],
     )
     def test_message_names_the_field(self, tmp_path, capsys, overrides, field):
@@ -269,6 +270,8 @@ class TestFineCheck:
             (["--correlations", "1/0,0,0,0"], "--correlations"),
             (["--correlations", "0,0,0,0", "--marginals", "0,0,0,1/0"], "--marginals"),
             (["--correlations", "0,abc,0,0"], "--correlations"),
+            (["--correlations", "0,0,0,0", "--marginals", ""], "--marginals"),
+            (["--correlations", "0,0,0,0", "--marginals", " "], "--marginals"),
         ],
     )
     def test_unparsable_value_names_the_flag(self, capsys, argv, flag):

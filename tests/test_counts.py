@@ -6,7 +6,8 @@ count path reduces each block to integer counts at once, the log path keeps
 every click and tag and reduces the log afterwards. Their reports must be
 equal for every model route (class table, batch twins, scalar responses,
 singlet; the batch twins belong to the test-only models of ``batch_models``), at block-edge sizes, on any worker count and dispatch order. The
-memory test pins that the count path holds no trial log.
+memory tests pin that the count path holds no trial log and that building
+a log costs little more than the log itself.
 """
 
 import math
@@ -180,3 +181,35 @@ def test_run_memory_is_flat_in_n(model, small, large):
     path holds one block per worker."""
     grow = [_peak_rss_kib("run", "--model", model, "--n", str(n), "--seed", "1") for n in (small, large)]
     assert grow[1] - grow[0] < 16 * 1024, f"peak RSS grew by {(grow[1] - grow[0]) / 1024:.1f} MB"
+
+
+_LOG_RSS = """
+import resource, sys
+from bellcheck.engine import run_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, run_quantum_experiment
+from bellcheck.zoo import get_model
+
+def log_of(n):
+    if sys.argv[1] == "quantum":
+        return run_quantum_experiment(TSIRELSON_ANGLES, n, seed=1)
+    return run_experiment(get_model(sys.argv[1]), n, seed=1)
+
+log_of(1 << 15)  # warm-up
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+log = log_of(int(sys.argv[2]))
+grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+arrays = [a for s in log.series.values() for a in (s.alice, s.bob, s.lambdas) if a is not None]
+print(grew * 1024, sum(a.nbytes for a in arrays))
+"""
+
+
+@pytest.mark.parametrize("model", ["cosine-sign", "quantum"])
+def test_log_memory_is_near_its_bytes(model):
+    """Each series concatenates its own blocks, so with one worker only
+    one series is held twice (as blocks and joined), not the whole log."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), BELLCHECK_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", _LOG_RSS, model, str(1 << 21)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    grew, nbytes = map(int, proc.stdout.split())
+    assert grew < 1.5 * nbytes, f"peak RSS grew by {grew / nbytes:.2f}x the log's {nbytes / 2**20:.1f} MB"

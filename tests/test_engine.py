@@ -28,6 +28,7 @@ from bellcheck.engine import (
     validate_weights,
 )
 from bellcheck.errors import ModelError
+from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 
 DICE_WEIGHTS = {
@@ -199,6 +200,29 @@ class TestResolveWorkers:
         log = run_experiment(dice_coin_model(), 100, seed=4, n_workers=64)  # 4 tasks: 1 block per pair
         assert sizes == [4]
         assert log.equals(run_experiment(dice_coin_model(), 100, seed=4, n_workers=1))
+
+    def test_pool_bounded_by_the_four_series(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            # runs tasks inline, so that no thread starts
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
+        n = 5 * BLOCK_SIZE  # 20 blocks, but one task per setting pair
+        log = run_experiment(dice_coin_model(), n, seed=4, n_workers=64)
+        assert sizes == [4]
+        assert log.equals(run_experiment(dice_coin_model(), n, seed=4, n_workers=1))
 
 
 def clicks(values):
