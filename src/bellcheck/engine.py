@@ -18,7 +18,9 @@ the whole reason a single weight distribution can never push |S| past 2.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from .core import (
     DOMAIN_SLACK,
     PAIR_CODES,
     SETTING_PAIRS,
+    UNDECLARED,
     VERDICT_SLACK,
     Behavior,
     CorrelationTable,
@@ -39,7 +42,7 @@ from .core import (
     behavior_codes,
     behavior_of,
     pair_outcomes,
-    sampled_codes,
+    table_codes,
     within,
 )
 from .errors import BoundViolationError, ModelError
@@ -279,9 +282,10 @@ def count_blocks(
     n_workers: int | None = None,
     interleave: bool = False,
 ) -> dict[tuple[int, int], Any]:
-    """Sum ``counter``'s per-block counts over each setting pair's blocks;
-    only one block's trials are held per worker."""
-    return _series(counter, sum, n_per_series, seed, n_workers, interleave)
+    """Sum ``counter``'s per-block counts over each setting pair's blocks,
+    in place; only one block's trials are held per worker."""
+    return _series(counter, functools.partial(functools.reduce, operator.iadd),
+                   n_per_series, seed, n_workers, interleave)
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -329,20 +333,35 @@ def count_experiment(
 ) -> RunCounts:
     """Run the four series of an LHV model and keep, per setting pair, the
     count of each behavior class: the same blocks and tags as
-    ``run_experiment``, reduced block by block."""
-    model.class_table  # compiled here, before any worker starts
+    ``run_experiment``, reduced block by block: to a histogram of its tags,
+    folded through the class table once per series, or for a model without
+    a table to the codes of its four responses per tag. A tag outside the
+    declared domain is the sampler's fault (``table_codes`` names it)."""
+    table = model.class_table  # compiled here, before any worker starts
+    holes = None if table is None else np.flatnonzero(table == UNDECLARED)
 
     def count(pair, rng, n):
-        return np.bincount(sampled_codes(model, _draw_tags(model, pair, rng, n)), minlength=16)
+        lams = _draw_tags(model, pair, rng, n)
+        if table is None:
+            return np.bincount(behavior_codes(model, lams), minlength=16)
+        if lams.dtype.kind in "iu" and lams.min() >= 0 and lams.max() < len(table):
+            hist = np.bincount(lams.astype(np.intp, copy=False), minlength=len(table))
+            if not hist[holes].any():
+                return hist
+        table_codes(model, lams, "sample_lambda")  # raises
 
     classes = count_blocks(count, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    if table is not None:
+        classes = {pair: np.array([hist[table == c].sum() for c in range(16)]) for pair, hist in classes.items()}
     agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}
     return RunCounts(validate_seed(seed), n_per_series, agree, classes)
 
 
 def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
     """Reduce a trial log to its report's counts: agreements from the
-    clicks and, given the model, class counts from the logged tags."""
+    clicks and, given the model, class counts from the logged tags. The
+    clicks are taken as the model's answers at the measured settings, as
+    they are in every log that ``run_experiment`` makes."""
     agree = {pair: _agreements(s) for pair, s in log.series.items()}
     classes = None
     if model is not None:
@@ -354,7 +373,8 @@ def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
                     f"series {pair} carries no hidden-variable tags; "
                     "class analysis is undefined for quantum logs"
                 )
-            classes[pair] = np.bincount(behavior_codes(model, s.lambdas), minlength=16)
+            known = {("alice", pair[0]): s.alice, ("bob", pair[1]): s.bob}
+            classes[pair] = np.bincount(behavior_codes(model, s.lambdas, known), minlength=16)
     return RunCounts(log.seed, log.n_per_series, agree, classes)
 
 

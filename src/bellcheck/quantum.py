@@ -64,6 +64,17 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     return float(b0), float(b1), float(b2)
 
 
+def _word_limits(a: float, b: float) -> tuple[int, int, int]:
+    # the boundaries as raw Philox words: Generator.random() is (raw >> 11) *
+    # 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11
+    return tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in _cell_boundaries(a, b))
+
+
+def _at_or_above(raw: np.ndarray, limit: int) -> np.ndarray:
+    # no 64-bit word reaches the limit 2**64 of the boundary 1
+    return raw >= np.uint64(limit) if limit < 1 << 64 else np.zeros(len(raw), dtype=bool)
+
+
 _CELL_A = np.array([1, 1, -1, -1], dtype=np.int8)
 _CELL_B = np.array([1, -1, 1, -1], dtype=np.int8)
 
@@ -71,19 +82,19 @@ _CELL_B = np.array([1, -1, 1, -1], dtype=np.int8)
 def sample_quantum_batch(
     a: float, b: float, rng: np.random.Generator, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n outcome pairs; one uniform deviate decides each trial's cell."""
-    u = rng.random(n)
-    b0, b1, b2 = _cell_boundaries(a, b)
-    cells = (u >= b0).view(np.uint8) + (u >= b1) + (u >= b2)
+    """Draw n outcome pairs; one raw Philox word decides each trial's cell."""
+    raw = rng.bit_generator.random_raw(n)
+    l0, l1, l2 = _word_limits(a, b)
+    cells = _at_or_above(raw, l0).view(np.uint8) + _at_or_above(raw, l1) + _at_or_above(raw, l2)
     return _CELL_A[cells], _CELL_B[cells]
 
 
 def _count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
     """How many of the n trials ``sample_quantum_batch`` would draw from the
     same stream have agreeing clicks (cells (+1,+1) and (-1,-1))."""
-    u = rng.random(n)
-    b0, _, b2 = _cell_boundaries(a, b)
-    return int(np.count_nonzero(u < b0)) + int(np.count_nonzero(u >= b2))
+    raw = rng.bit_generator.random_raw(n)
+    l0, _, l2 = _word_limits(a, b)
+    return n - int(np.count_nonzero(_at_or_above(raw, l0))) + int(np.count_nonzero(_at_or_above(raw, l2)))
 
 
 def quantum_correlation_table(angles: AnglePair) -> CorrelationTable:

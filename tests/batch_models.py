@@ -10,6 +10,9 @@ these helpers give the tests such models:
   bits with numpy, apart from ``Behavior``'s decoding.
 - ``lookup_twins``: a finite-domain model without its class table, on
   twins that index arrays of its scalar responses.
+
+``wide_table_model`` is the one table model here: it declares every tag
+below MAX_TABLE_TAGS, the largest class table a model can have.
 """
 
 import dataclasses
@@ -17,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
+from bellcheck.core import MAX_TABLE_TAGS, SETTING_PAIRS, Behavior, LhvModel
 
 
 def _bit_twin(bit_of_index):
@@ -66,4 +69,19 @@ def lookup_twins(model) -> LhvModel:
         without_table(model),
         respond_alice_batch=twin(model.respond_alice),
         respond_bob_batch=twin(model.respond_bob),
+    )
+
+
+def wide_table_model() -> LhvModel:
+    """Tags uniform over 0..MAX_TABLE_TAGS - 1; tag t behaves as the code
+    of its low four bits xor its high four."""
+    code = lambda lam: Behavior.from_code((int(lam) ^ (int(lam) >> 12)) & 15)
+    return LhvModel(
+        name="wide-table",
+        respond_alice=lambda index, lam: code(lam).alice(index),
+        respond_bob=lambda index, lam: code(lam).bob(index),
+        sample_lambda=lambda rng, n, pair: rng.integers(0, MAX_TABLE_TAGS, size=n),
+        declares_mi=True,
+        enumerate_lambda=lambda pair: [(t, Fraction(1, MAX_TABLE_TAGS)) for t in range(MAX_TABLE_TAGS)],
+        description="tag uniform over the largest class-table domain",
     )

@@ -6,9 +6,11 @@ batch route of models without a table (batch twins where the model has
 them), per tag and over whole runs. No zoo model has batch twins, so the
 batch route runs on the test-only models of ``batch_models``. The error
 tests pin that a misbehaving model ends in ModelError naming the stage,
-and in exit code 3 from the command line.
+and in exit code 3 from the command line, and that the count path's tag
+histograms reject a bad tag with the per-trial lookup's exact message.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batch_models import lookup_twins, scalar_only, uniform_code_model, without_table
+from batch_models import lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_table
 from bellcheck import cli
 from bellcheck.core import (
     MAX_TABLE_TAGS,
@@ -28,8 +30,9 @@ from bellcheck.core import (
     behavior_of,
     class_table,
 )
-from bellcheck.engine import chsh_report, class_frequencies, run_experiment
+from bellcheck.engine import chsh_report, class_frequencies, count_experiment, run_experiment
 from bellcheck.errors import ModelError
+from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import MODEL_FACTORIES, conspiracy_model, cosine_sign_model, dice_coin_model
 
 _TWO_PI = 2 * math.pi
@@ -213,6 +216,87 @@ def test_bad_model_on_table_path_exits_3(kwargs, stage, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def _first_tags(*values):
+    """A sampler whose every block starts with ``values`` and goes on with 0."""
+
+    def sample(rng, n, pair):
+        tags = np.zeros(n, dtype=np.int64)
+        tags[: len(values)] = values[:n]
+        return tags
+
+    return sample
+
+
+def _last_trial(value):
+    """A sampler whose one-trial blocks draw ``value``: the last trial of a
+    series of BLOCK_SIZE + 1."""
+    return lambda rng, n, pair: np.full(n, value if n == 1 else 0, dtype=np.int64)
+
+
+#: (case id, model kwargs) of bad tags aimed at the count path's checks
+#: before and after its tag histogram
+BAD_TAGS = [
+    ("tag one past the domain", dict(tags=[0, 2], sample=_first_tags(0, 3))),
+    ("tag above the domain before a hole", dict(tags=[0, 2], sample=_first_tags(0, 7, 1))),
+    ("hole before a tag above the domain", dict(tags=[0, 2], sample=_first_tags(1, 0, 7))),
+    ("hole at the last trial", dict(tags=[0, 2], sample=_last_trial(1))),
+    ("bool tags", dict(tags=[0, 1], sample=lambda rng, n, pair: np.zeros(n, dtype=bool))),
+    ("float32 tags", dict(tags=[0, 1], sample=lambda rng, n, pair: np.zeros(n, dtype=np.float32))),
+]
+
+_OUTSIDE = "model 'bad-probe': sample_lambda: tag {} is outside the declared domain"
+_NOT_INTEGER = "model 'bad-probe': sample_lambda: tags of dtype {} are outside the declared integer domain"
+
+#: the message of each case, as ``table_codes`` words it for the sampled tags
+MESSAGES = {
+    "tag above the domain": _OUTSIDE.format(5),
+    "tag in a domain hole": _OUTSIDE.format(1),
+    "negative tag": _OUTSIDE.format(-1),
+    "float tags": _NOT_INTEGER.format("float64"),
+    "response raises": "model 'bad-probe': class table: responses at tag 1 failed: 'no such direction'",
+    "response returns 0": "model 'bad-probe': class table: responses at tag 0 failed: outcome must be -1 or +1, got 0",
+    "enumerate_lambda raises": "model 'bad-probe': enumerate_lambda failed: (1, 1)",
+    "tag one past the domain": _OUTSIDE.format(3),
+    "tag above the domain before a hole": _OUTSIDE.format(7),
+    "hole before a tag above the domain": _OUTSIDE.format(7),
+    "hole at the last trial": _OUTSIDE.format(1),
+    "bool tags": _NOT_INTEGER.format("bool"),
+    "float32 tags": _NOT_INTEGER.format("float32"),
+}
+
+COUNT_PATH_CASES = [c[:2] for c in BAD_MODELS] + BAD_TAGS
+
+
+@pytest.mark.parametrize(
+    "kwargs,message", [(c[1], MESSAGES[c[0]]) for c in COUNT_PATH_CASES], ids=[c[0] for c in COUNT_PATH_CASES]
+)
+def test_count_path_gives_the_table_codes_message(kwargs, message, monkeypatch, capsys):
+    """``count_experiment`` and ``run`` (exit 3) word every bad tag as the
+    per-trial lookup does, at a size whose last block holds one trial."""
+    n = BLOCK_SIZE + 1
+    with pytest.raises(ModelError) as info:
+        count_experiment(_model(name="bad-probe", **kwargs), n, seed=0)
+    assert str(info.value) == message
+    monkeypatch.setitem(MODEL_FACTORIES, "bad-probe", lambda: _model(name="bad-probe", **kwargs))
+    assert cli.main(["run", "--model", "bad-probe", "--n", str(n)]) == cli.EXIT_MODEL
+    assert capsys.readouterr().err == f"model error: {message}\n"
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint32, np.uint64])
+def test_unsigned_tags_count_as_int64(dtype):
+    model = dice_coin_model()
+    draw = model.sample_lambda
+    cast = lambda dtype: dataclasses.replace(model, sample_lambda=lambda rng, n, pair: draw(rng, n, pair).astype(dtype))
+    expected = count_experiment(cast(np.int64), BLOCK_SIZE + 1, seed=3)
+    counts = count_experiment(cast(dtype), BLOCK_SIZE + 1, seed=3)
+    assert counts.agree == expected.agree
+    assert all(np.array_equal(counts.classes[p], expected.classes[p]) for p in SETTING_PAIRS)
+
+
+def test_wide_table_model_has_the_largest_table():
+    assert len(class_table(wide_table_model())) == MAX_TABLE_TAGS
+
+
 def test_undeclared_tag_in_a_log_is_model_error():
     model = dice_coin_model()
     with pytest.raises(ModelError, match="tag 7 is outside the declared domain"):
@@ -260,6 +344,28 @@ def test_response_failing_only_in_class_analysis_exits_3(respond, monkeypatch, c
     assert cli.main(["run", "--model", "late-bad", "--n", "50"]) == cli.EXIT_MODEL
     err = capsys.readouterr().err
     assert err.startswith("model error: ") and "'late-bad'" in err and "class analysis" in err
+
+
+def test_class_analysis_of_a_log_asks_only_the_unmeasured_settings():
+    """Without a table, a log's clicks stand for the responses at each
+    series' own settings; the tag here names the series' pair."""
+    calls = []
+
+    def recorder(party):
+        def respond(i, lam):
+            calls.append((party, i, int(lam)))
+            return 1 if (i + int(lam)) % 3 else -1
+
+        return respond
+
+    model = LhvModel("probe", recorder("alice"), recorder("bob"),
+                     lambda rng, n, pair: np.full(n, 10 * pair[0] + pair[1]), True)
+    log = run_experiment(model, 5, seed=1)
+    calls.clear()
+    freqs = class_frequencies(log, model)
+    expected = [(p, 3 - s, 10 * i + k) for i, k in SETTING_PAIRS for p, s in (("alice", i), ("bob", k))]
+    assert sorted(calls) == sorted(expected * 5)
+    assert all(freqs.per_pair[(i, k)] == {behavior_of(model, 10 * i + k): 1.0} for i, k in SETTING_PAIRS)
 
 
 #: (case id, model factory, the route without a table, n). Zoo models take

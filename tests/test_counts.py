@@ -6,8 +6,10 @@ count path reduces each block to integer counts at once, the log path keeps
 every click and tag and reduces the log afterwards. Their reports must be
 equal for every model route (class table, batch twins, scalar responses,
 singlet; the batch twins belong to the test-only models of ``batch_models``), at block-edge sizes, on any worker count and dispatch order. The
-memory tests pin that the count path holds no trial log and that building
-a log costs little more than the log itself.
+singlet compares raw Philox words against integer limits; the threshold
+tests feed it words on both sides of every limit. The memory tests pin
+that the count path holds no trial log and that building a log costs
+little more than the log itself.
 """
 
 import math
@@ -19,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_models import lookup_twins, scalar_only, uniform_code_model, without_table
+from batch_models import lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_table
 from bellcheck.core import SETTING_PAIRS, Behavior
 from bellcheck.engine import (
     RunCounts,
@@ -40,7 +42,7 @@ from bellcheck.quantum import (
     run_quantum_experiment,
     sample_quantum_batch,
 )
-from bellcheck.streams import BLOCK_SIZE
+from bellcheck.streams import BLOCK_SIZE, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -48,12 +50,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 #: (id, model factory): every zoo model on its class table, each one again
 #: on lookup twins, the uniform-code model on its table and on its own
-#: twins (all 16 classes), and one zoo model on its scalar responses alone
+#: twins (all 16 classes), one zoo model on its scalar responses alone, and
+#: the largest class table a model can have (2^16 tags)
 LHV_ROUTES = (
     [(name, MODEL_FACTORIES[name]) for name in sorted(MODEL_FACTORIES)]
     + [(f"{name} twins", lambda name=name: lookup_twins(MODEL_FACTORIES[name]())) for name in sorted(MODEL_FACTORIES)]
     + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_table(uniform_code_model()))]
     + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
+    + [("uniform 2^16 tags", wide_table_model)]
 )
 
 SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
@@ -114,47 +118,63 @@ def test_run_counts_validation():
     assert freqs.per_pair[(1, 2)] == {Behavior(1, 1, 1, 1): 2 / 3, Behavior(-1, -1, -1, -1): 1 / 3}
 
 
-class FixedDeviates:
-    """A stand-in stream whose ``random(n)`` returns given deviates."""
+class FixedWords:
+    """A stand-in stream whose ``bit_generator.random_raw(n)`` returns given
+    raw 64-bit words."""
 
-    def __init__(self, u):
-        self.u = np.asarray(u, dtype=np.float64)
+    def __init__(self, raw):
+        self.raw = np.asarray(raw, dtype=np.uint64)
+        self.bit_generator = self
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
-
-
-def _deviates_at_boundaries(a, b):
-    bounds = _cell_boundaries(a, b)
-    near = [np.nextafter(x, d) for x in bounds for d in (-np.inf, np.inf)]
-    grid = np.linspace(0.0, 1.0, 257, endpoint=False)
-    return np.concatenate([[0.0, np.nextafter(1.0, 0.0)], bounds, near, grid])
+    def random_raw(self, n):
+        assert n == len(self.raw)
+        return self.raw.copy()
 
 
-#: angle differences at which cells are empty (cos = +-1) or a boundary
-#: sits on a round value (cos = 0)
+def _words_at_boundaries(a, b):
+    """Raw words whose top 53 bits are K - 1, K and K + 1 for each cell
+    boundary x (K = ceil(x * 2**53)), the first and last top and a grid,
+    each with low 11 bits 0, 2047 and random."""
+    tops = [math.ceil(x * 2**53) + d for x in _cell_boundaries(a, b) for d in (-1, 0, 1)]
+    tops += [0, 2**53 - 1] + [k << 45 for k in range(256)]
+    tops = np.array([t for t in tops if 0 <= t < 2**53], dtype=np.uint64)
+    noise = np.random.default_rng(len(tops)).integers(0, 1 << 11, size=len(tops), dtype=np.uint64)
+    return np.concatenate([tops << np.uint64(11) | low for low in (np.uint64(0), np.uint64(2047), noise)])
+
+
+def _deviates(raw):
+    """What Generator.random() on Philox makes of raw words."""
+    return (raw >> np.uint64(11)) * 2.0**-53
+
+
+#: angle differences at which cells are empty (cos = +-1, a boundary at 0
+#: or 1) or a boundary sits on a round value (cos = 0)
 BOUNDARY_ANGLES = [(0.0, 0.0), (0.4, 0.4), (0.0, math.pi), (math.pi, 0.0), (0.0, math.pi / 2),
                    (0.0, 2 * math.pi), (1.0, 1.0 + math.pi / 3), (TSIRELSON_ANGLES.a1, TSIRELSON_ANGLES.b1)]
 
 
 @pytest.mark.parametrize("a,b", BOUNDARY_ANGLES)
 def test_threshold_cells_equal_searchsorted(a, b):
-    u = _deviates_at_boundaries(a, b)
-    cells = np.searchsorted(np.array(_cell_boundaries(a, b)), u, side="right")
-    alice, bob = sample_quantum_batch(a, b, FixedDeviates(u), len(u))
+    raw = _words_at_boundaries(a, b)
+    cells = np.searchsorted(np.array(_cell_boundaries(a, b)), _deviates(raw), side="right")
+    alice, bob = sample_quantum_batch(a, b, FixedWords(raw), len(raw))
     assert np.array_equal(alice, _CELL_A[cells]) and np.array_equal(bob, _CELL_B[cells])
     assert alice.dtype == bob.dtype == np.int8
-    assert _count_agreements(a, b, FixedDeviates(u), len(u)) == np.count_nonzero(alice == bob)
+    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == np.count_nonzero(alice == bob)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, math.pi)])
 def test_empty_cells_are_never_drawn(a, b):
-    u = _deviates_at_boundaries(a, b)
-    u = u[(u >= 0) & (u < 1)]  # the range of Generator.random
-    alice, bob = sample_quantum_batch(a, b, FixedDeviates(u), len(u))
+    raw = _words_at_boundaries(a, b)
+    alice, bob = sample_quantum_batch(a, b, FixedWords(raw), len(raw))
     # cos = 1: the clicks always disagree; cos = -1: they always agree
     assert np.all(alice != bob) if a == b else np.all(alice == bob)
+
+
+@pytest.mark.parametrize("key", [(0, 0, 0), (29, 3, 7), (2**64 - 1, 1, 1000)])
+def test_philox_deviates_are_raw_words_shifted(key):
+    """The singlet compares raw words against limits because this holds."""
+    assert np.array_equal(trial_stream(*key).random(5000), _deviates(trial_stream(*key).bit_generator.random_raw(5000)))
 
 
 _PEAK_RSS = """
