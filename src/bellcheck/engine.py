@@ -46,7 +46,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import iter_blocks, schedule_stream, trial_stream, validate_seed
+from .streams import _MAX_BLOCKS, BLOCK_SIZE, iter_blocks, schedule_stream, series_streams, validate_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,8 +220,9 @@ def _series(
     that pair's blocks in order.
 
     Each task is one pair's whole series, so at most four workers run.
-    Every block draws from the stream keyed by (seed, pair, block), so the
-    results are the same for any worker count and any dispatch order.
+    Every block draws from the stream keyed by (seed, pair, block)
+    (``series_streams`` re-keys one generator per task), so the results
+    are the same for any worker count and any dispatch order.
     ``interleave`` shuffles the order of the four series (a deterministic
     function of the seed) to exercise that property.
     """
@@ -231,6 +232,11 @@ def _series(
         or n_per_series < 1
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
+    if n_per_series > BLOCK_SIZE * _MAX_BLOCKS:
+        raise ValueError(
+            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} "
+            f"(2**32 blocks of {BLOCK_SIZE} trials), got {n_per_series}"
+        )
     seed = validate_seed(seed)
     workers = min(_resolve_workers(n_workers), len(SETTING_PAIRS))
 
@@ -238,10 +244,12 @@ def _series(
     if interleave:
         pairs = [pairs[i] for i in schedule_stream(seed).permutation(len(pairs))]
 
+    n_blocks = -(-n_per_series // BLOCK_SIZE)
+
     def run_series(pair):
+        streams = series_streams(seed, PAIR_CODES[pair], n_blocks)
         return pair, reduce(
-            block_fn(pair, trial_stream(seed, PAIR_CODES[pair], block), stop - start)
-            for block, start, stop in iter_blocks(n_per_series)
+            block_fn(pair, rng, stop - start) for rng, (_, start, stop) in zip(streams, iter_blocks(n_per_series))
         )
 
     if workers == 1:

@@ -101,6 +101,8 @@ def ghz_constraint_system(phi: float, include_fifth: bool = False) -> list[Produ
     """
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
+    if not math.isfinite(2 * phi):
+        raise ValueError(f"phi = {phi!r} is too large: the constraint angle 2*phi overflows a float")
     residue = canonical_angle(phi) % math.pi
     if min(residue, abs(residue - math.pi)) < _ANGLE_RESOLUTION * 2:
         raise ValueError("phi must not be 0 modulo pi; the variables collapse")

@@ -8,6 +8,7 @@ depends on the choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -64,9 +65,11 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     return float(b0), float(b1), float(b2)
 
 
+@functools.lru_cache(maxsize=16)
 def _word_limits(a: float, b: float) -> tuple[int, int, int]:
     # the boundaries as raw Philox words: Generator.random() is (raw >> 11) *
-    # 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11
+    # 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11; cached, as
+    # every block of a series asks for the same pair of angles
     return tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in _cell_boundaries(a, b))
 
 

@@ -133,6 +133,16 @@ class TestRun:
         monkeypatch.setitem(MODEL_FACTORIES, "broken", broken)
         assert run_cli(["run", "--model", "broken", "--n", "10"]) == cli.EXIT_MODEL
 
+    def test_n_past_one_word_block_indices_exits_2_at_once(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bellcheck.cli", "run", "--model", "quantum", "--n", "70368744177665"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == cli.EXIT_CONFIG
+        assert "n_per_series" in proc.stderr and "Traceback" not in proc.stderr
+
     def test_angles_rejected_for_plain_models(self):
         assert run_cli(["run", "--model", "dice-coin", "--n", "10",
                         "--angles", "0,1,2,3"]) == cli.EXIT_CONFIG
@@ -353,6 +363,12 @@ class TestGhzCheck:
 
     def test_degenerate_phi(self):
         assert run_cli(["ghz-check", "--phi", "0"]) == cli.EXIT_CONFIG
+
+    def test_phi_whose_double_overflows_is_named(self, capsys):
+        # 1e308 is finite, but the constraint angle 2*phi is not
+        assert run_cli(["ghz-check", "--phi", "1e308"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "phi = 1e+308" in err and "2*phi" in err and "factor angle" not in err
 
     def test_resource_guard_exit_code(self, monkeypatch):
         from bellcheck import cli as cli_mod

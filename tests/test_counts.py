@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from batch_models import lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_table
-from bellcheck.core import SETTING_PAIRS, Behavior
+from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
     chsh_report,
@@ -31,6 +31,7 @@ from bellcheck.engine import (
     log_counts,
     run_experiment,
 )
+from bellcheck import quantum
 from bellcheck.quantum import (
     _CELL_A,
     _CELL_B,
@@ -103,6 +104,22 @@ def test_quantum_counts_have_no_classes():
     counts = count_quantum_experiment(TSIRELSON_ANGLES, 100, seed=0)
     with pytest.raises(ValueError, match="class"):
         class_frequencies(counts)
+
+
+def test_n_past_one_word_block_indices_is_rejected(monkeypatch):
+    # at BLOCK_SIZE * 2**32 + 1 trials the last block index needs two
+    # uint32 words; the samplers fail loudly if the run starts anyway
+    def no_sampling(*args):
+        raise AssertionError("sampled")
+
+    model = LhvModel(name="never-sampled", respond_alice=lambda i, lam: 1, respond_bob=lambda i, lam: 1,
+                     sample_lambda=no_sampling, declares_mi=True)
+    monkeypatch.setattr(quantum, "_count_agreements", no_sampling)
+    too_many = BLOCK_SIZE * 2**32 + 1
+    with pytest.raises(ValueError, match="n_per_series"):
+        count_experiment(model, too_many, seed=0)
+    with pytest.raises(ValueError, match="n_per_series"):
+        count_quantum_experiment(TSIRELSON_ANGLES, too_many, seed=0)
 
 
 def test_run_counts_validation():

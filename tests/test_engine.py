@@ -150,6 +150,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="n_per_series"):
             engine.generate_trial_log(sampler, n, seed=0)
 
+    def test_n_past_one_word_block_indices_rejected_before_sampling(self):
+        # block indices are mixed into the stream key as one uint32 word
+        def sampler(pair, rng, count):
+            raise AssertionError("sampler called")
+
+        with pytest.raises(ValueError, match="n_per_series"):
+            engine.generate_trial_log(sampler, BLOCK_SIZE * 2**32 + 1, seed=0)
+        with pytest.raises(AssertionError, match="sampler called"):  # the largest n starts sampling
+            engine.generate_trial_log(sampler, BLOCK_SIZE * 2**32, seed=0)
+
 
 class TestResolveWorkers:
     """BELLCHECK_THREADS: unset or blank means 1 worker; anything other

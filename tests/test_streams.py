@@ -1,7 +1,24 @@
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream, validate_seed
+from bellcheck import streams
+from bellcheck.streams import BLOCK_SIZE, iter_blocks, series_streams, trial_stream, validate_seed
+
+#: Edge seeds (one and two uint32 words, both ends) plus random ones.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(2024).integers(0, 2**64, size=6, dtype=np.uint64)
+]
+
+
+def seed_sequence_key(seed, pair_code, block):
+    return np.random.SeedSequence(seed, spawn_key=(pair_code, block)).generate_state(2, np.uint64)
+
+
+def key_of(rng):
+    return rng.bit_generator.state["state"]["key"]
 
 
 def test_same_key_same_stream():
@@ -40,3 +57,73 @@ def test_seed_validation():
         validate_seed(1.5)
     with pytest.raises(ValueError):
         validate_seed(True)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_blocks", [1, 7, 16])
+def test_series_keys_match_seed_sequence(seed, n_blocks, monkeypatch):
+    # a chunk of 7 blocks: 16 blocks cross two chunk boundaries and end on
+    # a partial chunk
+    monkeypatch.setattr(streams, "_KEY_CHUNK", 7)
+    for pair_code in range(4):
+        keys = [key_of(rng).copy() for rng in series_streams(seed, pair_code, n_blocks)]
+        assert len(keys) == n_blocks
+        for block, key in enumerate(keys):
+            assert np.array_equal(key, seed_sequence_key(seed, pair_code, block)), (seed, pair_code, block)
+
+
+@pytest.mark.parametrize("seed", SEEDS[:6])
+def test_series_keys_across_a_full_chunk(seed):
+    n_blocks = streams._KEY_CHUNK + 37
+    checked = {0, 1, streams._KEY_CHUNK - 1, streams._KEY_CHUNK, streams._KEY_CHUNK + 1, n_blocks - 1}
+    for pair_code in range(4):
+        seen = 0
+        for block, rng in enumerate(series_streams(seed, pair_code, n_blocks)):
+            if block in checked:
+                assert np.array_equal(key_of(rng), seed_sequence_key(seed, pair_code, block))
+            seen += 1
+        assert seen == n_blocks
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_block_keys_up_to_the_last_one_word_index(seed):
+    blocks = np.array([0, 2**16, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    for pair_code in range(4):
+        pool = np.random.SeedSequence(seed, spawn_key=(pair_code,)).pool
+        want = [seed_sequence_key(seed, pair_code, int(b)) for b in blocks]
+        assert np.array_equal(streams._block_keys(pool, blocks), want)
+
+
+def test_rekeyed_generator_leaks_no_buffered_half_word():
+    seed, pair_code = 2**40 + 3, 2
+    for block, rng in enumerate(series_streams(seed, pair_code, 5)):
+        fresh = trial_stream(seed, pair_code, block)
+        assert np.array_equal(rng.integers(0, 1000, 5, dtype=np.uint32), fresh.integers(0, 1000, 5, dtype=np.uint32))
+        assert rng.bit_generator.state["has_uint32"] == 1  # half a word is buffered
+        assert np.array_equal(rng.random(4), fresh.random(4))
+        assert np.array_equal(rng.bit_generator.random_raw(3), fresh.bit_generator.random_raw(3))
+        assert np.array_equal(rng.integers(0, 7, 3, dtype=np.uint32), fresh.integers(0, 7, 3, dtype=np.uint32))
+
+
+def test_first_stream_of_a_huge_series_keys_one_chunk():
+    def first_stream_peak(n_blocks):
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            rng = next(series_streams(7, 1, n_blocks))
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(key_of(rng), seed_sequence_key(7, 1, 0))
+        return peak, elapsed
+
+    one_chunk, _ = first_stream_peak(streams._KEY_CHUNK)
+    peak, elapsed = first_stream_peak(2**32)
+    assert peak <= one_chunk + 4096
+    assert elapsed < 2.0
+
+
+def test_series_rejects_block_indices_beyond_one_word():
+    with pytest.raises(ValueError, match="2\\*\\*32 blocks"):
+        next(series_streams(0, 0, 2**32 + 1))
