@@ -16,7 +16,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -154,12 +154,7 @@ def _pair_key(pair) -> str:
 
 
 def _table_dict(table: CorrelationTable) -> dict:
-    return {
-        "e11": float(table.e11),
-        "e12": float(table.e12),
-        "e21": float(table.e21),
-        "e22": float(table.e22),
-    }
+    return {key: float(v) for key, v in asdict(table).items()}
 
 
 def _report_dict(config: ExperimentConfig, counts, model) -> dict:
@@ -205,8 +200,8 @@ def _render_csv(report_dict: dict) -> str:
     corr = report_dict["correlations"]
     n = report_dict["n_per_series"]
     eps = report_dict["hoeffding_epsilon"]
-    for (i, k), key in zip(SETTING_PAIRS, ("e11", "e12", "e21", "e22")):
-        writer.writerow([i, k, n, _fmt(corr[key]), _fmt(eps)])
+    for (i, k), e in zip(SETTING_PAIRS, corr.values()):
+        writer.writerow([i, k, n, _fmt(e), _fmt(eps)])
     writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2"])
     writer.writerow([_fmt(report_dict["s_star"]), 2, _fmt(2 * math.sqrt(2))])
     return buf.getvalue()
@@ -248,6 +243,10 @@ def _frac_str(x) -> str:
     return str(Fraction(x))
 
 
+def _exact_and_float(x) -> dict:
+    return {"exact": _frac_str(x), "float": float(x)}
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     if args.model == "quantum":
         raise ValueError("bound analyses hidden-variable models; use `run --model quantum`")
@@ -259,11 +258,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     mi = mi_diagnostic(exact_class_frequencies(model), DOMAIN_SLACK)
     out = {
         "model": args.model,
-        "series_table": {
-            key: {"exact": _frac_str(v), "float": float(v)}
-            for key, v in zip(("e11", "e12", "e21", "e22"), table.as_tuple())
-        },
-        "series_s": {"exact": _frac_str(series_s), "float": float(series_s)},
+        "series_table": {key: _exact_and_float(v) for key, v in asdict(table).items()},
+        "series_s": _exact_and_float(series_s),
         "single_distribution": {
             "classes": [
                 {
@@ -273,7 +269,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 }
                 for beh, w in sorted(weights.items(), key=lambda kv: kv[0].code)
             ],
-            "s": {"exact": _frac_str(s_single), "float": float(s_single)},
+            "s": _exact_and_float(s_single),
         },
         "mi_holds_exact": mi.holds,
     }
@@ -323,17 +319,13 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
             else None
         ),
         "violated_facet": (
-            {
-                "signs": list(result.certificate.signs),
-                "value": {"exact": _frac_str(result.certificate.value),
-                          "float": float(result.certificate.value)},
-            }
+            {"signs": list(result.certificate.signs), "value": _exact_and_float(result.certificate.value)}
             if result.certificate
             else None
         ),
         "chsh_criterion": {
             "all_pass": all_pass,
-            "max_facet_value": {"exact": _frac_str(max_facet), "float": float(max_facet)},
+            "max_facet_value": _exact_and_float(max_facet),
         },
     }
     _emit(_render_json(out), args.out)
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--format", choices=("json", "csv"), help="report format")
     run.add_argument("--config", help="JSON config file; flags override it")
     run.add_argument("--interleave", action="store_true",
-                     help="shuffle block dispatch order (results are unchanged)")
+                     help="shuffle the order of the four series (results are unchanged)")
     run.set_defaults(func=cmd_run)
 
     bound = sub.add_parser("bound", help="exact CHSH analysis of a zoo model")

@@ -10,7 +10,7 @@ integer tags, uses them as indices into the model's class table.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Callable, Hashable, Sequence
@@ -126,8 +126,8 @@ class CorrelationTable:
     e22: Any
 
     def __post_init__(self):
-        for name, v in zip(("e11", "e12", "e21", "e22"), self.as_tuple()):
-            _check_unit_interval(name, v)
+        for f in fields(self):
+            _check_unit_interval(f.name, getattr(self, f.name))
 
     def as_tuple(self) -> tuple:
         return (self.e11, self.e12, self.e21, self.e22)

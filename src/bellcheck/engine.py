@@ -29,6 +29,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
 
+from . import core
 from .core import (
     ALL_BEHAVIORS,
     DOMAIN_SLACK,
@@ -46,7 +47,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import _MAX_BLOCKS, BLOCK_SIZE, iter_blocks, schedule_stream, series_streams, validate_seed
+from .streams import BLOCK_SIZE, iter_blocks, schedule_stream, series_streams, validate_seed
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,9 +166,8 @@ class ChshReport:
     hoeffding_epsilon: float
 
     def __post_init__(self):
-        expected = self.table.e11 - self.table.e12 + self.table.e21 + self.table.e22
-        if self.s_star != expected:
-            raise ValueError("s_star does not equal e11 - e12 + e21 + e22 of its table")
+        if self.s_star != chsh_statistic(self.table):
+            raise ValueError("s_star does not equal the CHSH statistic of its table")
 
 
 def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> float:
@@ -232,11 +232,6 @@ def _series(
         or n_per_series < 1
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
-    if n_per_series > BLOCK_SIZE * _MAX_BLOCKS:
-        raise ValueError(
-            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} "
-            f"(2**32 blocks of {BLOCK_SIZE} trials), got {n_per_series}"
-        )
     seed = validate_seed(seed)
     workers = min(_resolve_workers(n_workers), len(SETTING_PAIRS))
 
@@ -351,7 +346,7 @@ def count_experiment(
     def count(pair, rng, n):
         lams = _draw_tags(model, pair, rng, n)
         if table is None:
-            return np.bincount(behavior_codes(model, lams), minlength=16)
+            return np.bincount(core.behavior_codes(model, lams), minlength=16)
         if lams.dtype.kind in "iu" and lams.min() >= 0 and lams.max() < len(table):
             hist = np.bincount(lams.astype(np.intp, copy=False), minlength=len(table))
             if not hist[holes].any():
@@ -489,16 +484,13 @@ def theoretical_correlations(weights: Mapping[Behavior, Any]) -> CorrelationTabl
     return CorrelationTable(*es)
 
 
+@functools.lru_cache(maxsize=16)
 def class_chsh_value(behavior: Behavior) -> int:
-    """C = A1*B1 - A1*B2 + A2*B1 + A2*B2 for one class; always -2 or +2,
-    since it factors as A1*(B1 - B2) + A2*(B1 + B2) and exactly one
-    parenthesis is nonzero."""
-    c = (
-        behavior.a1 * behavior.b1
-        - behavior.a1 * behavior.b2
-        + behavior.a2 * behavior.b1
-        + behavior.a2 * behavior.b2
-    )
+    """C = A1*B1 - A1*B2 + A2*B1 + A2*B2 for one class: the CHSH statistic
+    of its table of +-1 products. Always -2 or +2, since it factors as
+    A1*(B1 - B2) + A2*(B1 + B2) and exactly one parenthesis is nonzero.
+    Cached over the 16 classes, as theoretical_chsh asks once per weight."""
+    c = chsh_statistic(theoretical_correlations({behavior: 1}))
     if c not in (-2, 2):
         raise BoundViolationError(f"per-class CHSH value {c} outside {{-2, +2}}")
     return c

@@ -146,13 +146,7 @@ def jp_from_lhv(
 
 def statistics_of(jp: JointProbability) -> BehaviorStatistics:
     """Marginalize a joint probability down to correlations and means."""
-    items = list(jp.weights.items())
-    ms = [
-        sum(w * b.a1 for b, w in items),
-        sum(w * b.a2 for b, w in items),
-        sum(w * b.b1 for b, w in items),
-        sum(w * b.b2 for b, w in items),
-    ]
+    ms = [sum(w * row[b.code] for b, w in jp.weights.items()) for row in _MARGINAL_ROWS]
     return BehaviorStatistics(theoretical_correlations(jp.weights), *ms)
 
 

@@ -100,7 +100,10 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
     until the next one is taken.
     """
     if not 0 <= n_blocks <= _MAX_BLOCKS:
-        raise ValueError(f"a series has at most 2**32 blocks, got {n_blocks}")
+        raise ValueError(
+            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} (2**32 blocks of "
+            f"{BLOCK_SIZE} trials), got {n_blocks} blocks"
+        )
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code,))
     bit_gen = np.random.Philox(ss)
     rng = np.random.Generator(bit_gen)

@@ -16,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from bellcheck.engine import (
     log_counts,
     run_experiment,
 )
-from bellcheck import quantum
+from bellcheck import core, engine, quantum
 from bellcheck.quantum import (
     _CELL_A,
     _CELL_B,
@@ -104,6 +105,25 @@ def test_quantum_counts_have_no_classes():
     counts = count_quantum_experiment(TSIRELSON_ANGLES, 100, seed=0)
     with pytest.raises(ValueError, match="class"):
         class_frequencies(counts)
+
+
+def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypatch):
+    # a traced benchmark run wraps engine.behavior_codes in a recorder that
+    # must run on its own thread; the count path's workers call the core
+    # function, and log_counts calls the engine name on the caller's thread
+    threads = []
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return core.behavior_codes(*args)
+
+    monkeypatch.setattr(engine, "behavior_codes", recording)
+    model = without_table(MODEL_FACTORIES["dice-coin"]())
+    counts = count_experiment(model, 1000, seed=9, n_workers=3)
+    assert set(threads) <= {threading.get_ident()}
+    from_log = log_counts(run_experiment(model, 1000, seed=9), model)
+    assert all(np.array_equal(from_log.classes[p], counts.classes[p]) for p in SETTING_PAIRS)
+    assert threads and set(threads) == {threading.get_ident()}
 
 
 def test_n_past_one_word_block_indices_is_rejected(monkeypatch):

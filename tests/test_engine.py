@@ -189,7 +189,9 @@ class TestResolveWorkers:
         with pytest.raises(ValueError):
             engine._resolve_workers(0)
 
-    def test_pool_capped_at_task_count(self, monkeypatch):
+    @pytest.mark.parametrize("n", [100, 5 * BLOCK_SIZE], ids=["1 block", "5 blocks"])
+    def test_pool_bounded_by_the_four_series(self, monkeypatch, n):
+        # one task per setting pair, however many blocks a series has
         sizes = []
 
         class RecordingPool:
@@ -207,29 +209,6 @@ class TestResolveWorkers:
                 return map(fn, items)
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        log = run_experiment(dice_coin_model(), 100, seed=4, n_workers=64)  # 4 tasks: 1 block per pair
-        assert sizes == [4]
-        assert log.equals(run_experiment(dice_coin_model(), 100, seed=4, n_workers=1))
-
-    def test_pool_bounded_by_the_four_series(self, monkeypatch):
-        sizes = []
-
-        class RecordingPool:
-            # runs tasks inline, so that no thread starts
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        n = 5 * BLOCK_SIZE  # 20 blocks, but one task per setting pair
         log = run_experiment(dice_coin_model(), n, seed=4, n_workers=64)
         assert sizes == [4]
         assert log.equals(run_experiment(dice_coin_model(), n, seed=4, n_workers=1))

@@ -1,11 +1,14 @@
-"""`run` and `bound` output must stay byte-identical to the reference.
+"""`run`, `bound`, `ghz-check` and `zoo` output must stay byte-identical
+to the reference.
 
-Each case in data/run_golden.json holds an argv, an optional
+Each of the 43 cases in data/run_golden.json holds an argv, an optional
 BELLCHECK_THREADS value and the sha256 of what the command wrote to
-stdout. The LHV digests were recorded before the LHV models were compiled
-to class tables, so they pin the reports of the per-trial response path;
-the quantum digests were recorded before `run` reduced blocks to counts,
-so they pin the reports of the trial-log path.
+stdout: 39 of `run` and `bound`, 4 of `ghz-check` (with and without the
+fifth constraint, and at another phi) and `zoo`. The LHV digests were
+recorded before the LHV models were compiled to class tables, so they pin
+the reports of the per-trial response path; the quantum digests were
+recorded before `run` reduced blocks to counts, so they pin the reports of
+the trial-log path.
 """
 
 import hashlib
