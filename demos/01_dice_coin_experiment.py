@@ -3,19 +3,21 @@
 
 The source rolls a die, both stations evaluate fixed response functions
 of their own setting and the roll. Exact analysis says the correlations
-are (1, 0, 0, -1) and S = 0; here we sample the experiment, compare the
-estimates against the exact values at the 99% Hoeffding half-width, and
-look at which behavior classes actually showed up.
+are (1, 0, 0, -1) and S = 0; here we sample the experiment into per-pair
+class counts, compare the estimates against the exact values at the 99%
+Hoeffding half-width, and look at which behavior classes actually showed
+up.
 """
 
 from bellcheck import (
+    SETTING_PAIRS,
     chsh_report,
     chsh_statistic,
     class_frequencies,
+    count_experiment,
     dice_coin_model,
     exact_class_weights,
     mi_diagnostic,
-    run_experiment,
     theoretical_chsh,
     theoretical_correlations,
 )
@@ -36,16 +38,16 @@ print(f"exact correlations: {tuple(str(e) for e in exact_table.as_tuple())}")
 print(f"exact S = {s_exact}")
 
 print(f"\nsampling {N} trials per setting pair, seed {SEED} ...")
-log = run_experiment(model, N, seed=SEED)
-report = chsh_report(log)
+counts = count_experiment(model, N, seed=SEED)
+report = chsh_report(counts)
 print(f"{'pair':>6} {'estimate':>10} {'exact':>7} {'|diff|':>9}  within eps={report.hoeffding_epsilon:.4f}?")
-for pair, exact in zip(sorted(log.series), exact_table.as_tuple()):
+for pair, exact in zip(SETTING_PAIRS, exact_table.as_tuple()):
     est = report.table.value(pair)
     diff = abs(est - float(exact))
     print(f"{str(pair):>6} {est:>10.5f} {float(exact):>7.2f} {diff:>9.5f}  {diff <= report.hoeffding_epsilon}")
 print(f"S* = {report.s_star:+.5f}  (|S*| <= 2: {report.bound_satisfied})")
 
-freqs = class_frequencies(log, model)
+freqs = class_frequencies(counts)
 print("\nsampled class frequencies per pair (at most 16 classes can ever appear):")
 for pair in sorted(freqs.per_pair):
     row = ", ".join(

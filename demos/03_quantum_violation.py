@@ -14,11 +14,11 @@ from bellcheck import (
     chsh_report,
     chsh_statistic,
     cosine_sign_model,
+    count_experiment,
+    count_quantum_experiment,
     exact_correlation_table,
     quantum_chsh,
     quantum_correlation_table,
-    run_experiment,
-    run_quantum_experiment,
 )
 
 N = 500_000
@@ -31,8 +31,7 @@ print(f"singlet correlations: {tuple(round(e, 6) for e in table.as_tuple())}")
 print(f"exact S_qm = {quantum_chsh(TSIRELSON_ANGLES):+.12f}  (2*sqrt(2) = {2 * math.sqrt(2):.12f})")
 
 print(f"\nsampling the singlet, {N} trials per pair ...")
-qlog = run_quantum_experiment(TSIRELSON_ANGLES, N, seed=SEED)
-qrep = chsh_report(qlog)
+qrep = chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, N, seed=SEED))
 print(f"sampled S* = {qrep.s_star:+.5f} +- {4 * qrep.hoeffding_epsilon:.5f} "
       f"(worst case over four correlations)")
 print(f"|S*| > 2: {abs(qrep.s_star) > 2}")
@@ -43,8 +42,7 @@ lhv_table = exact_correlation_table(lhv)
 print(f"exact correlations: {tuple(round(float(e), 6) for e in lhv_table.as_tuple())}")
 print(f"exact S_lhv = {float(chsh_statistic(lhv_table)):+.6f}  (|S| <= 2 is forced)")
 
-llog = run_experiment(lhv, N, seed=SEED)
-lrep = chsh_report(llog)
+lrep = chsh_report(count_experiment(lhv, N, seed=SEED))
 print(f"sampled S* = {lrep.s_star:+.5f}")
 
 print("\nS_qm as the angle spread varies (b1 = spread, a2 = 2*spread, b2 = 3*spread):")

@@ -1,11 +1,12 @@
 """bellcheck: simulate and verify Bell/CHSH experiments.
 
-Local hidden-variable models run as actual trial sequences; the CHSH
-statistic is computed empirically and exactly; the |S| <= 2 bound is
-verified through the 16 equivalence classes of effective hidden
-variables; singlet sampling provides the violating side; parity
-constraint systems and joint-probability feasibility round out the
-toolbox.
+Local hidden-variable models and the singlet are sampled block by block
+into integer counts per setting pair, and every report is computed from
+those counts. The CHSH statistic is computed empirically and exactly;
+the |S| <= 2 bound is verified through the 16 equivalence classes of
+effective hidden variables; the singlet provides the violating side;
+parity constraint systems and joint-probability feasibility round out
+the toolbox.
 """
 
 from .core import (
@@ -21,20 +22,16 @@ from .engine import (
     ClassFrequencies,
     MiDiagnostic,
     RunCounts,
-    Series,
-    TrialLog,
     chsh_report,
     chsh_statistic,
     class_frequencies,
     count_experiment,
     empirical_table,
-    estimate_correlation,
     exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
     hoeffding_epsilon,
     mi_diagnostic,
-    run_experiment,
     theoretical_chsh,
     theoretical_correlations,
 )
@@ -62,7 +59,6 @@ from .quantum import (
     count_quantum_experiment,
     quantum_chsh,
     quantum_correlation_table,
-    run_quantum_experiment,
     singlet_correlation,
 )
 from .zoo import (

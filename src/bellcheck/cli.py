@@ -105,7 +105,10 @@ def _parse_angles(text: str) -> AnglePair:
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     base: dict = {}
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        try:
+            base = json.loads(Path(args.config).read_text())
+        except RecursionError:
+            raise ValueError(f"config file {args.config}: JSON nested too deeply") from None
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(base) - {*_CONFIG_KEYS, "angles"})

@@ -6,8 +6,8 @@ trials in each of the 16 behavior classes, and from them the trials whose
 clicks agree. ``chsh_report`` reduces the agreements to the S* number, and
 ``class_frequencies`` plus ``mi_diagnostic`` inspect how the classes were
 distributed across the four series. ``run_experiment`` draws the same
-blocks into a ``TrialLog`` of every click and tag, a diagnostic that both
-reports accept by first reducing it to the same counts.
+blocks into a ``TrialLog`` of every click and tag, which both reports
+accept by first reducing it to the same counts.
 
 Analytic side: given exact class weights, ``theoretical_correlations``
 and ``theoretical_chsh`` evaluate the same quantities in exact arithmetic.
@@ -50,6 +50,12 @@ from .errors import BoundViolationError, ModelError
 from .streams import BLOCK_SIZE, iter_blocks, schedule_stream, series_streams, validate_seed
 
 
+# No report a program makes reads the trial log (Series, TrialLog,
+# generate_trial_log, run_experiment, log_counts and the quantum twin). It
+# stays for the benchmark: perfbench/tracing.py wraps engine.run_experiment
+# and cli.run_*_experiment by name and replays each log, and the
+# lhv-continuous workload reads the log's arrays. ROADMAP item 2 moves the
+# benchmark onto the count path; the log can go after it.
 @dataclass(frozen=True, eq=False)
 class Series:
     """One setting pair's trials in columnar form."""
@@ -71,15 +77,6 @@ class Series:
     def __len__(self) -> int:
         return len(self.alice)
 
-    def equals(self, other: "Series") -> bool:
-        if self.pair != other.pair or len(self) != len(other):
-            return False
-        if not (np.array_equal(self.alice, other.alice) and np.array_equal(self.bob, other.bob)):
-            return False
-        if (self.lambdas is None) != (other.lambdas is None):
-            return False
-        return self.lambdas is None or np.array_equal(self.lambdas, other.lambdas)
-
 
 @dataclass(frozen=True, eq=False)
 class TrialLog:
@@ -95,17 +92,6 @@ class TrialLog:
         for pair, s in self.series.items():
             if len(s) != self.n_per_series:
                 raise ValueError(f"series {pair} has {len(s)} trials, expected {self.n_per_series}")
-
-    @property
-    def has_lambdas(self) -> bool:
-        return all(s.lambdas is not None for s in self.series.values())
-
-    def equals(self, other: "TrialLog") -> bool:
-        return (
-            self.seed == other.seed
-            and self.n_per_series == other.n_per_series
-            and all(self.series[p].equals(other.series[p]) for p in SETTING_PAIRS)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +126,7 @@ class ClassFrequencies:
     per_pair: Mapping[tuple[int, int], Mapping[Behavior, Any]]
 
     def __post_init__(self):
-        for pair, freqs in self.per_pair.items():
-            if len(freqs) > 16:
-                raise ValueError(f"pair {pair} has more than 16 behavior classes")
+        for freqs in self.per_pair.values():
             validate_weights(freqs)
 
 
@@ -391,13 +375,6 @@ def _correlation(agree: int, n: int) -> float:
     return (2 * agree - n) / n
 
 
-def estimate_correlation(series: Series) -> float:
-    """Empirical correlation (1/N) * sum of A_l * B_l over a series."""
-    if len(series) == 0:
-        raise ValueError("cannot estimate a correlation from an empty series")
-    return _correlation(_agreements(series), len(series))
-
-
 def chsh_statistic(table: CorrelationTable):
     """S = E11 - E12 + E21 + E22. Exact when the table is exact."""
     return table.e11 - table.e12 + table.e21 + table.e22
@@ -410,7 +387,7 @@ def empirical_table(data: TrialLog | RunCounts) -> CorrelationTable:
     )
 
 
-def chsh_report(data: TrialLog | RunCounts, delta: float = 0.01) -> ChshReport:
+def chsh_report(data: TrialLog | RunCounts) -> ChshReport:
     """Correlations, S* and the Hoeffding half-width of a run, from its
     counts or from a trial log reduced to them."""
     table = empirical_table(data)
@@ -420,7 +397,7 @@ def chsh_report(data: TrialLog | RunCounts, delta: float = 0.01) -> ChshReport:
         s_star=s,
         bound_satisfied=within(abs(s), 2, VERDICT_SLACK),
         n_per_series=data.n_per_series,
-        hoeffding_epsilon=hoeffding_epsilon(data.n_per_series, delta),
+        hoeffding_epsilon=hoeffding_epsilon(data.n_per_series),
     )
 
 

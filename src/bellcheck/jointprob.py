@@ -18,8 +18,6 @@ from fractions import Fraction
 from numbers import Rational
 from typing import Any, Mapping
 
-import numpy as np
-
 from .core import (
     ALL_BEHAVIORS,
     DOMAIN_SLACK,
@@ -105,16 +103,6 @@ class JointProbability:
 
     def __post_init__(self):
         validate_weights(self.weights)
-
-    def weight(self, beh: Behavior):
-        return self.weights.get(beh, 0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(self.weight(b)) for b in ALL_BEHAVIORS])
-
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(w, Rational) for w in self.weights.values())
 
 
 @dataclass(frozen=True)

@@ -49,8 +49,8 @@ TSIRELSON_ANGLES = AnglePair(0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4)
 
 def singlet_correlation(a: float, b: float) -> float:
     """E(a, b) = -cos(a - b)."""
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError("angles must be finite")
+    if not math.isfinite(a - b):
+        raise ValueError(f"angles {a!r} and {b!r} must be finite with a finite difference")
     return -math.cos(a - b)
 
 
@@ -59,7 +59,7 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     # P(A,B) = (1 - A*B*cos(a-b)) / 4; a uniform deviate u falls in cell
     # (u >= b0) + (u >= b1) + (u >= b2) of the cumulative boundaries, so
     # the clicks agree below b0 and from b2 on
-    c = math.cos(a - b)
+    c = -singlet_correlation(a, b)
     p = np.array([(1 - c) / 4, (1 + c) / 4, (1 + c) / 4, (1 - c) / 4])
     b0, b1, b2 = np.cumsum(p)[:3]
     return float(b0), float(b1), float(b2)

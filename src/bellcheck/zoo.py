@@ -17,6 +17,9 @@ from .core import Behavior, LhvModel
 
 _TWO_PI = 2 * math.pi
 
+#: Directions on cosine-sign's grid.
+_GRID = 720
+
 
 def dice_coin_model() -> LhvModel:
     """Die at the source, coins at the stations.
@@ -54,12 +57,11 @@ def cosine_sign_model(
     a2: float = math.pi / 2,
     b1: float = math.pi / 4,
     b2: float = 3 * math.pi / 4,
-    grid: int = 720,
 ) -> LhvModel:
     """Sign-of-cosine responses against a shared random direction.
 
-    The tag is a grid point t in {0..grid-1} standing for the direction
-    2*pi*t/grid; Alice answers the sign of cos(angle - direction) (ties
+    The tag is a grid point t in {0..719} standing for the direction
+    2*pi*t/720; Alice answers the sign of cos(angle - direction) (ties
     at zero count as +1), Bob the opposite sign at his angle. Perfectly
     anticorrelated at equal angles, and |S| stays within 2 like any
     single-distribution model. Settings must carry angles; they default
@@ -70,12 +72,10 @@ def cosine_sign_model(
     for v in (a1, a2, b1, b2):
         if not math.isfinite(v):
             raise ValueError("model angles must be finite")
-    if grid < 4:
-        raise ValueError("grid must have at least 4 points")
-    weight = Fraction(1, grid)
+    weight = Fraction(1, _GRID)
 
     def direction(lam) -> float:
-        return _TWO_PI * lam / grid
+        return _TWO_PI * lam / _GRID
 
     def respond_alice(index: int, lam) -> int:
         return 1 if math.cos(alice_angles[index] - direction(lam)) >= 0 else -1
@@ -87,9 +87,9 @@ def cosine_sign_model(
         name="cosine-sign",
         respond_alice=respond_alice,
         respond_bob=respond_bob,
-        sample_lambda=lambda rng, n, pair: rng.integers(0, grid, size=n),
+        sample_lambda=lambda rng, n, pair: rng.integers(0, _GRID, size=n),
         declares_mi=True,
-        enumerate_lambda=lambda pair: [(t, weight) for t in range(grid)],
+        enumerate_lambda=lambda pair: [(t, weight) for t in range(_GRID)],
         description="sign(cos(angle - shared direction)) responses on a 720-point grid",
     )
 

@@ -13,6 +13,8 @@ these helpers give the tests such models:
 
 ``wide_table_model`` is the one table model here: it declares every tag
 below MAX_TABLE_TAGS, the largest class table a model can have.
+``LHV_ROUTES`` puts them next to the zoo models, one entry per route a
+count can take.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from fractions import Fraction
 import numpy as np
 
 from bellcheck.core import MAX_TABLE_TAGS, SETTING_PAIRS, Behavior, LhvModel
+from bellcheck.zoo import MODEL_FACTORIES
 
 
 def _bit_twin(bit_of_index):
@@ -85,3 +88,16 @@ def wide_table_model() -> LhvModel:
         enumerate_lambda=lambda pair: [(t, Fraction(1, MAX_TABLE_TAGS)) for t in range(MAX_TABLE_TAGS)],
         description="tag uniform over the largest class-table domain",
     )
+
+
+#: (id, model factory): every zoo model on its class table, each one again
+#: on lookup twins, the uniform-code model on its table and on its own
+#: twins (all 16 classes), one zoo model on its scalar responses alone, and
+#: the largest class table a model can have (2^16 tags)
+LHV_ROUTES = (
+    [(name, MODEL_FACTORIES[name]) for name in sorted(MODEL_FACTORIES)]
+    + [(f"{name} twins", lambda name=name: lookup_twins(MODEL_FACTORIES[name]())) for name in sorted(MODEL_FACTORIES)]
+    + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_table(uniform_code_model()))]
+    + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
+    + [("uniform 2^16 tags", wide_table_model)]
+)

@@ -16,12 +16,12 @@ from bellcheck.engine import (
     chsh_report,
     chsh_statistic,
     class_frequencies,
+    count_experiment,
     exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
     hoeffding_epsilon,
     mi_diagnostic,
-    run_experiment,
     theoretical_chsh,
     theoretical_correlations,
 )
@@ -33,7 +33,7 @@ from bellcheck.jointprob import (
     jp_from_lhv,
     statistics_of,
 )
-from bellcheck.quantum import TSIRELSON_ANGLES, quantum_chsh, run_quantum_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 
 
@@ -86,8 +86,7 @@ def test_criterion_2_dice_coin_reproduction():
         eps = hoeffding_epsilon(n, delta=0.01)
         exceed = {pair: 0 for pair in SETTING_PAIRS}
         for seed in range(100):
-            log = run_experiment(model, n, seed=seed)
-            rep = chsh_report(log)
+            rep = chsh_report(count_experiment(model, n, seed=seed))
             for pair, exact in zip(SETTING_PAIRS, table.as_tuple()):
                 if abs(rep.table.value(pair) - exact) > eps:
                     exceed[pair] += 1
@@ -99,8 +98,7 @@ def test_criterion_3_quantum_violation():
         s_exact = quantum_chsh(TSIRELSON_ANGLES)
         assert abs(s_exact + 2 * math.sqrt(2)) <= 1e-12
 
-        log = run_quantum_experiment(TSIRELSON_ANGLES, 1_000_000, seed=2024)
-        rep = chsh_report(log)
+        rep = chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, 1_000_000, seed=2024))
         assert 2.80 <= abs(rep.s_star) <= 2.86
 
 
@@ -150,8 +148,7 @@ def test_criterion_7_class_cap():
         n = 250_000  # four series -> one million sampled trials per model
         for factory in (dice_coin_model, cosine_sign_model, conspiracy_model):
             model = factory()
-            log = run_experiment(model, n, seed=77)
-            freqs = class_frequencies(log, model)
+            freqs = class_frequencies(count_experiment(model, n, seed=77))
             assert all(len(inner) <= 16 for inner in freqs.per_pair.values())
             if model.name == "dice-coin":
                 band = math.sqrt(math.log(2 / 0.01) / (2 * n))  # frequency range 1
@@ -173,13 +170,13 @@ def test_criterion_8_mi_diagnostic_discriminates():
 
         n = 100_000
         model = conspiracy_model()
-        log = run_experiment(model, n, seed=88)
-        rep = chsh_report(log)
+        counts = count_experiment(model, n, seed=88)
+        rep = chsh_report(counts)
         assert abs(rep.s_star - 4.0) <= 4 * rep.hoeffding_epsilon
         assert chsh_statistic(exact_correlation_table(model)) == 4
 
         sampled_tolerance = 3 * hoeffding_epsilon(n, value_range=1.0)
-        assert not mi_diagnostic(class_frequencies(log, model), sampled_tolerance).holds
+        assert not mi_diagnostic(class_frequencies(counts), sampled_tolerance).holds
 
 
 def test_criterion_9_reports_reproducible_across_workers(tmp_path, monkeypatch):

@@ -35,13 +35,13 @@ class TestRun:
             assert abs(sum(freqs.values()) - 1.0) < 1e-9
 
     def test_json_fields_match_in_process_report(self, tmp_path):
-        from bellcheck.engine import chsh_report, run_experiment
+        from bellcheck.engine import chsh_report, count_experiment
         from bellcheck.zoo import get_model
 
         out = tmp_path / "report.json"
         run_cli(["run", "--model", "dice-coin", "--n", "8000", "--seed", "31", "--out", str(out)])
         parsed = json.loads(out.read_text())
-        rep = chsh_report(run_experiment(get_model("dice-coin"), 8000, seed=31))
+        rep = chsh_report(count_experiment(get_model("dice-coin"), 8000, seed=31))
         assert parsed["correlations"]["e11"] == rep.table.e11
         assert parsed["correlations"]["e12"] == rep.table.e12
         assert parsed["correlations"]["e21"] == rep.table.e21
@@ -214,6 +214,33 @@ class TestConfigValidation:
     def test_bad_angles_flag_is_named(self, capsys, angles):
         assert run_cli(["run", "--model", "quantum", "--n", "10", "--angles", angles]) == cli.EXIT_CONFIG
         assert "--angles" in capsys.readouterr().err
+
+    def test_deeply_nested_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 200_000 + "]" * 200_000)
+        assert run_cli(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and str(config) in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_angle_difference_overflow_names_the_angles(self, tmp_path, capsys, via):
+        # every angle is finite, but a1 - b2 overflows to inf
+        angles = [1e308, 0, 0, -1e308]
+        argv = ["run", "--model", "quantum", "--n", "10"]
+        if via == "flag":
+            argv += ["--angles", ",".join(map(str, angles))]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"angles": angles}))
+            argv += ["--config", str(config)]
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "1e+308 and -1e+308" in err
+
+    def test_cosine_sign_takes_angles_whose_difference_overflows(self, capsys):
+        # its responses subtract each angle from a grid direction, never
+        # one angle from another
+        assert run_cli(["run", "--model", "cosine-sign", "--n", "10", "--angles", "1e308,0,0,-1e308"]) == 0
 
     def test_interleave_true_in_config_is_accepted(self, tmp_path):
         config = tmp_path / "config.json"
@@ -399,7 +426,7 @@ sys.modules["scipy"] = None
 import bellcheck as bc
 from bellcheck import cli
 result = bc.jp_feasible(bc.BehaviorStatistics(bc.CorrelationTable(0.5, 0.1, -0.2, -0.5), 0.1, 0.0, -0.1, 0.0))
-assert result.feasible and not result.witness.is_exact
+assert result.feasible and all(isinstance(w, float) for w in result.witness.weights.values())
 buf = io.StringIO()
 with contextlib.redirect_stdout(buf):
     assert cli.main(["fine-check", "--correlations", "1,1,1,-1"]) == 0

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_models import lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_table
+from batch_models import LHV_ROUTES, without_table
 from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
@@ -49,18 +49,6 @@ from bellcheck.zoo import MODEL_FACTORIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-
-#: (id, model factory): every zoo model on its class table, each one again
-#: on lookup twins, the uniform-code model on its table and on its own
-#: twins (all 16 classes), one zoo model on its scalar responses alone, and
-#: the largest class table a model can have (2^16 tags)
-LHV_ROUTES = (
-    [(name, MODEL_FACTORIES[name]) for name in sorted(MODEL_FACTORIES)]
-    + [(f"{name} twins", lambda name=name: lookup_twins(MODEL_FACTORIES[name]())) for name in sorted(MODEL_FACTORIES)]
-    + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_table(uniform_code_model()))]
-    + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
-    + [("uniform 2^16 tags", wide_table_model)]
-)
 
 SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
 

@@ -10,13 +10,14 @@ from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTa
 from bellcheck import engine
 from bellcheck.engine import (
     ChshReport,
+    RunCounts,
     Series,
     TrialLog,
     chsh_report,
     chsh_statistic,
     class_frequencies,
+    count_experiment,
     empirical_table,
-    estimate_correlation,
     exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
@@ -30,6 +31,7 @@ from bellcheck.engine import (
 from bellcheck.errors import ModelError
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
+from trial_reference import assert_same_counts
 
 DICE_WEIGHTS = {
     Behavior(1, -1, 1, 1): Fraction(1, 2),
@@ -84,26 +86,26 @@ class TestRunExperiment:
             assert np.all(np.abs(counts / n - 1 / 6) <= band)
 
     def test_seeded_determinism(self):
-        a = run_experiment(dice_coin_model(), 40_000, seed=9)
-        b = run_experiment(dice_coin_model(), 40_000, seed=9)
-        assert a.equals(b)
+        a = count_experiment(dice_coin_model(), 40_000, seed=9)
+        b = count_experiment(dice_coin_model(), 40_000, seed=9)
+        assert_same_counts(a, b)
 
     def test_worker_count_invariance(self):
-        a = run_experiment(dice_coin_model(), 50_000, seed=3, n_workers=1)
-        b = run_experiment(dice_coin_model(), 50_000, seed=3, n_workers=4)
-        assert a.equals(b)
+        a = count_experiment(dice_coin_model(), 50_000, seed=3, n_workers=1)
+        b = count_experiment(dice_coin_model(), 50_000, seed=3, n_workers=4)
+        assert_same_counts(a, b)
 
     def test_interleave_invariance(self):
-        a = run_experiment(dice_coin_model(), 50_000, seed=3)
-        b = run_experiment(dice_coin_model(), 50_000, seed=3, interleave=True)
-        assert a.equals(b)
+        a = count_experiment(dice_coin_model(), 50_000, seed=3)
+        b = count_experiment(dice_coin_model(), 50_000, seed=3, interleave=True)
+        assert_same_counts(a, b)
 
     def test_env_var_worker_cap(self, monkeypatch):
         monkeypatch.setenv("BELLCHECK_THREADS", "3")
-        a = run_experiment(dice_coin_model(), 20_000, seed=5)
+        a = count_experiment(dice_coin_model(), 20_000, seed=5)
         monkeypatch.delenv("BELLCHECK_THREADS")
-        b = run_experiment(dice_coin_model(), 20_000, seed=5)
-        assert a.equals(b)
+        b = count_experiment(dice_coin_model(), 20_000, seed=5)
+        assert_same_counts(a, b)
 
     def test_sampler_failure_becomes_model_error(self):
         def broken_sampler(rng, n, pair):
@@ -209,33 +211,36 @@ class TestResolveWorkers:
                 return map(fn, items)
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        log = run_experiment(dice_coin_model(), n, seed=4, n_workers=64)
+        counts = count_experiment(dice_coin_model(), n, seed=4, n_workers=64)
         assert sizes == [4]
-        assert log.equals(run_experiment(dice_coin_model(), n, seed=4, n_workers=1))
+        assert_same_counts(counts, count_experiment(dice_coin_model(), n, seed=4, n_workers=1))
 
 
-def clicks(values):
-    return np.array(values, dtype=np.int8)
+def agreeing(n, **agree):
+    """Run counts of n trials per pair: agree["e12"] agreements at pair
+    (1, 2) and so on, n at every pair not named."""
+    return RunCounts(0, n, {p: agree.get(f"e{p[0]}{p[1]}", n) for p in SETTING_PAIRS})
 
 
 class TestEstimateCorrelation:
+    """A series' correlation estimate (agreements - disagreements) / n, as
+    ``empirical_table`` reads it off a run's counts."""
+
     def test_perfect_correlation(self):
-        assert estimate_correlation(Series((1, 1), clicks([1] * 8), clicks([1] * 8))) == 1.0
+        assert empirical_table(agreeing(8)).e11 == 1.0
 
     def test_dice_exact_sweep_pair_11(self):
-        assert estimate_correlation(exact_sweep_log(dice_coin_model(), range(1, 7)).series[(1, 1)]) == 1.0
+        assert empirical_table(exact_sweep_log(dice_coin_model(), range(1, 7))).e11 == 1.0
 
     def test_cancellation(self):
-        s = Series((1, 1), clicks([1] * 8), clicks([1] * 4 + [-1] * 4))
-        assert estimate_correlation(s) == 0.0
+        assert empirical_table(agreeing(8, e11=4)).e11 == 0.0
 
     def test_series_input(self):
-        s = Series((1, 2), np.array([1, -1, 1], dtype=np.int8), np.array([1, -1, -1], dtype=np.int8))
-        assert estimate_correlation(s) == pytest.approx(1 / 3)
+        assert empirical_table(agreeing(3, e12=2)).e12 == pytest.approx(1 / 3)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_correlation(Series((1, 1), clicks([]), clicks([])))
+        with pytest.raises(ValueError, match="n_per_series"):
+            count_experiment(dice_coin_model(), 0, seed=0)
 
 
 class TestChshStatistic:

@@ -125,7 +125,7 @@ class TestJpFeasible:
     def test_float_path(self):
         result = jp_feasible(BehaviorStatistics(CorrelationTable(0.5, 0.0, 0.0, -0.5)))
         assert result.feasible
-        arr = result.witness.as_array()
+        arr = np.array([float(result.witness.weights.get(b, 0)) for b in ALL_BEHAVIORS])
         stats_vec = np.array(STATS_MATRIX, dtype=float) @ arr
         expected = [0.5, 0.0, 0.0, -0.5, 0, 0, 0, 0, 1]
         assert np.allclose(stats_vec, expected, atol=1e-9)

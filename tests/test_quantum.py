@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.engine import estimate_correlation, hoeffding_epsilon
+from bellcheck.engine import empirical_table, hoeffding_epsilon
 from bellcheck.quantum import (
     TSIRELSON_ANGLES,
     AnglePair,
+    count_quantum_experiment,
     quantum_chsh,
     quantum_correlation_table,
     run_quantum_experiment,
@@ -16,6 +17,7 @@ from bellcheck.quantum import (
     singlet_correlation,
 )
 from bellcheck.streams import trial_stream
+from trial_reference import assert_same_counts
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -33,6 +35,11 @@ class TestSingletCorrelation:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             singlet_correlation(float("nan"), 0.0)
+
+    def test_rejects_a_difference_that_overflows(self):
+        # both angles are finite, but a - b is inf
+        with pytest.raises(ValueError, match=r"1e\+308 and -1e\+308"):
+            singlet_correlation(1e308, -1e308)
 
 
 class TestQuantumChsh:
@@ -84,11 +91,10 @@ class TestSampling:
 
     def test_sampled_estimates_match_oracle(self):
         n = 100_000
-        log = run_quantum_experiment(TSIRELSON_ANGLES, n, seed=17)
+        estimates = empirical_table(count_quantum_experiment(TSIRELSON_ANGLES, n, seed=17))
         table = quantum_correlation_table(TSIRELSON_ANGLES)
         band = hoeffding_epsilon(n)
-        for pair, exact in zip(((1, 1), (1, 2), (2, 1), (2, 2)), table.as_tuple()):
-            est = estimate_correlation(log.series[pair])
+        for est, exact in zip(estimates.as_tuple(), table.as_tuple()):
             assert abs(est - exact) <= band
 
     def test_fractional_n_rejected(self):
@@ -97,9 +103,9 @@ class TestSampling:
 
     def test_log_has_no_tags(self):
         log = run_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)
-        assert not log.has_lambdas
+        assert all(s.lambdas is None for s in log.series.values())
 
     def test_reproducible(self):
-        a = run_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
-        b = run_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5, n_workers=4)
-        assert a.equals(b)
+        a = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
+        b = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5, n_workers=4)
+        assert_same_counts(a, b)

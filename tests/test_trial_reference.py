@@ -1,0 +1,41 @@
+"""The count path against the per-trial reference of ``trial_reference``.
+
+The two routes share the streams' definition and the models, and nothing
+else: the count path reduces blocks through class tables, batch codes and
+raw-word limits, the reference decides one trial at a time. Their counts
+must be equal for every model route and both singlet angle sets, for a
+one-trial series and for one that spills one trial into a second block.
+"""
+
+import functools
+
+import pytest
+
+from batch_models import LHV_ROUTES
+from bellcheck.engine import count_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
+from bellcheck.streams import BLOCK_SIZE
+from trial_reference import assert_same_counts, lhv_reference_counts, singlet_reference_counts
+
+SIZES = [1, BLOCK_SIZE + 1]
+SEED = 41
+
+
+@functools.cache
+def _model(factory):
+    """One model per route, so that each class table compiles once."""
+    return factory()
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
+def test_lhv_counts_equal_the_reference(factory, n):
+    model = _model(factory)
+    assert_same_counts(count_experiment(model, n, SEED), lhv_reference_counts(model, n, SEED))
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
+def test_singlet_counts_equal_the_reference(angles, n):
+    assert_same_counts(count_quantum_experiment(angles, n, SEED), singlet_reference_counts(angles, n, SEED))
+

@@ -56,10 +56,6 @@ class TestCosineSign:
         s, _ = theoretical_chsh(exact_class_weights(model))
         assert abs(s) <= 2
 
-    def test_grid_guard(self):
-        with pytest.raises(ValueError):
-            cosine_sign_model(grid=2)
-
 
 class TestConspiracy:
     def test_empirical_table(self):
