@@ -68,7 +68,6 @@ class ExperimentConfig:
     angles: AnglePair | None = None
     output: str | None = None
     format: str = "json"
-    interleave: bool = False
 
     def __post_init__(self):
         for key in ("model", "output"):
@@ -84,12 +83,10 @@ class ExperimentConfig:
         self.seed = _as_int("seed", self.seed)
         if self.format not in ("json", "csv"):
             raise ValueError(f"format must be json or csv, got {self.format!r}")
-        if not isinstance(self.interleave, bool):
-            raise ValueError(f"interleave must be true or false, got {self.interleave!r}")
 
 
 #: Config file keys; a flag given on the command line overrides its key.
-_CONFIG_KEYS = ("model", "n_per_series", "seed", "output", "format", "interleave")
+_CONFIG_KEYS = ("model", "n_per_series", "seed", "output", "format")
 
 
 def _parse_angles(text: str) -> AnglePair:
@@ -109,13 +106,15 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             base = json.loads(Path(args.config).read_text())
         except RecursionError:
             raise ValueError(f"config file {args.config}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"config file {args.config}: {exc}") from None
         if not isinstance(base, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(base) - {*_CONFIG_KEYS, "angles"})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     merged = {key: base[key] for key in _CONFIG_KEYS if key in base}
-    flags = (args.model, args.n, args.seed, args.out, args.format, args.interleave or None)
+    flags = (args.model, args.n, args.seed, args.out, args.format)
     merged.update((key, flag) for key, flag in zip(_CONFIG_KEYS, flags) if flag is not None)
     if merged.get("model") is None:
         raise ValueError("no model given (use --model or a config file)")
@@ -222,15 +221,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if config.model == "quantum":
         angles = config.angles or TSIRELSON_ANGLES
         config.angles = angles
-        counts = count_quantum_experiment(
-            angles, config.n_per_series, config.seed, interleave=config.interleave
-        )
+        counts = count_quantum_experiment(angles, config.n_per_series, config.seed)
         model = None
     else:
         model = get_model(config.model, config.angles)
-        counts = count_experiment(
-            model, config.n_per_series, config.seed, interleave=config.interleave
-        )
+        counts = count_experiment(model, config.n_per_series, config.seed)
     report = _report_dict(config, counts, model)
     text = _render_json(report) if config.format == "json" else _render_csv(report)
     _emit(text, config.output)
@@ -376,8 +371,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", help="report file (default: stdout)")
     run.add_argument("--format", choices=("json", "csv"), help="report format")
     run.add_argument("--config", help="JSON config file; flags override it")
-    run.add_argument("--interleave", action="store_true",
-                     help="shuffle the order of the four series (results are unchanged)")
     run.set_defaults(func=cmd_run)
 
     bound = sub.add_parser("bound", help="exact CHSH analysis of a zoo model")
@@ -412,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ValueError, KeyError, OSError, OverflowError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

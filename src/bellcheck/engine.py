@@ -47,7 +47,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import BLOCK_SIZE, iter_blocks, schedule_stream, series_streams, validate_seed
+from .streams import BLOCK_SIZE, iter_blocks, series_streams, validate_seed
 
 
 # No report a program makes reads the trial log (Series, TrialLog,
@@ -174,11 +174,7 @@ def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> 
 BlockFn = Callable[[tuple[int, int], np.random.Generator, int], Any]
 
 
-def _resolve_workers(n_workers: int | None) -> int:
-    if n_workers is not None:
-        if n_workers < 1:
-            raise ValueError("worker count must be at least 1")
-        return n_workers
+def _resolve_workers() -> int:
     env = os.environ.get("BELLCHECK_THREADS", "").strip()
     if not env:
         return 1
@@ -196,19 +192,15 @@ def _series(
     reduce: Callable[[Iterator[Any]], Any],
     n_per_series: int,
     seed: int,
-    n_workers: int | None,
-    interleave: bool,
 ) -> dict[tuple[int, int], Any]:
-    """Check the run's arguments, then return, per setting pair,
-    ``reduce`` of the iterator of ``block_fn(pair, stream, count)`` over
-    that pair's blocks in order.
+    """Check the run's arguments, then return, per setting pair in
+    ``SETTING_PAIRS`` order, ``reduce`` of the iterator of
+    ``block_fn(pair, stream, count)`` over that pair's blocks in order.
 
-    Each task is one pair's whole series, so at most four workers run.
-    Every block draws from the stream keyed by (seed, pair, block)
-    (``series_streams`` re-keys one generator per task), so the results
-    are the same for any worker count and any dispatch order.
-    ``interleave`` shuffles the order of the four series (a deterministic
-    function of the seed) to exercise that property.
+    Each task is one pair's whole series, so at most four workers run
+    (``BELLCHECK_THREADS`` caps them). Every block draws from the stream
+    keyed by (seed, pair, block) (``series_streams`` re-keys one generator
+    per task), so the results are the same for any worker count.
     """
     if (
         isinstance(n_per_series, bool)
@@ -217,12 +209,7 @@ def _series(
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
     seed = validate_seed(seed)
-    workers = min(_resolve_workers(n_workers), len(SETTING_PAIRS))
-
-    pairs = list(SETTING_PAIRS)
-    if interleave:
-        pairs = [pairs[i] for i in schedule_stream(seed).permutation(len(pairs))]
-
+    workers = min(_resolve_workers(), len(SETTING_PAIRS))
     n_blocks = -(-n_per_series // BLOCK_SIZE)
 
     def run_series(pair):
@@ -232,11 +219,9 @@ def _series(
         )
 
     if workers == 1:
-        results = dict(map(run_series, pairs))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(run_series, pairs))
-    return {pair: results[pair] for pair in SETTING_PAIRS}
+        return dict(map(run_series, SETTING_PAIRS))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return dict(pool.map(run_series, SETTING_PAIRS))
 
 
 def _concat_blocks(blocks: Iterator[tuple]) -> tuple:
@@ -244,35 +229,20 @@ def _concat_blocks(blocks: Iterator[tuple]) -> tuple:
     return np.concatenate(alice), np.concatenate(bob), None if tags[0] is None else np.concatenate(tags)
 
 
-def generate_trial_log(
-    sampler: BlockFn,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> TrialLog:
+def generate_trial_log(sampler: BlockFn, n_per_series: int, seed: int) -> TrialLog:
     """Generate the four series and assemble a TrialLog; ``sampler``
     returns each block's (alice, bob, tags or None), and each series
     concatenates its blocks. The log is bitwise identical for any worker
-    count and any dispatch order."""
-    arrays = _series(sampler, _concat_blocks, n_per_series, seed, n_workers, interleave)
+    count."""
+    arrays = _series(sampler, _concat_blocks, n_per_series, seed)
     series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
     return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
 
 
-def count_blocks(
-    counter: BlockFn,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> dict[tuple[int, int], Any]:
+def count_blocks(counter: BlockFn, n_per_series: int, seed: int) -> dict[tuple[int, int], Any]:
     """Sum ``counter``'s per-block counts over each setting pair's blocks,
     in place; only one block's trials are held per worker."""
-    return _series(counter, functools.partial(functools.reduce, operator.iadd),
-                   n_per_series, seed, n_workers, interleave)
+    return _series(counter, functools.partial(functools.reduce, operator.iadd), n_per_series, seed)
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -285,14 +255,7 @@ def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator,
     return lams
 
 
-def run_experiment(
-    model: LhvModel,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> TrialLog:
+def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
     """Run the four series of an LHV model and log every click and tag."""
     model.class_table  # compiled here, before any worker starts
 
@@ -300,7 +263,7 @@ def run_experiment(
         lams = _draw_tags(model, pair, rng, count)
         return (*pair_outcomes(model, pair, lams), lams)
 
-    return generate_trial_log(sample, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    return generate_trial_log(sample, n_per_series, seed)
 
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
@@ -310,14 +273,7 @@ _AGREEING = {
 }
 
 
-def count_experiment(
-    model: LhvModel,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> RunCounts:
+def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts:
     """Run the four series of an LHV model and keep, per setting pair, the
     count of each behavior class: the same blocks and tags as
     ``run_experiment``, reduced block by block: to a histogram of its tags,
@@ -337,7 +293,7 @@ def count_experiment(
                 return hist
         table_codes(model, lams, "sample_lambda")  # raises
 
-    classes = count_blocks(count, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    classes = count_blocks(count, n_per_series, seed)
     if table is not None:
         classes = {pair: np.array([hist[table == c].sum() for c in range(16)]) for pair, hist in classes.items()}
     agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}

@@ -82,7 +82,7 @@ class BehaviorStatistics:
             if not within(-cell, 0, DOMAIN_SLACK):
                 raise ValueError(
                     f"pair ({i},{k}) admits no outcome table: cell "
-                    f"({alpha:+d},{beta:+d}) has weight {cell}/4 < 0"
+                    f"({alpha:+d},{beta:+d}) has weight {cell / 4} < 0"
                 )
 
     def marginals(self) -> tuple:

@@ -112,14 +112,7 @@ def quantum_chsh(angles: AnglePair) -> float:
     return chsh_statistic(quantum_correlation_table(angles))
 
 
-def run_quantum_experiment(
-    angles: AnglePair,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> TrialLog:
+def run_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> TrialLog:
     """Sample the four series from the singlet distribution.
 
     The log carries no hidden-variable tags, so class analysis rejects it.
@@ -129,24 +122,15 @@ def run_quantum_experiment(
         alice, bob = sample_quantum_batch(angles.alice(pair[0]), angles.bob(pair[1]), rng, count)
         return alice, bob, None
 
-    return generate_trial_log(
-        sampler, n_per_series, seed, n_workers=n_workers, interleave=interleave
-    )
+    return generate_trial_log(sampler, n_per_series, seed)
 
 
-def count_quantum_experiment(
-    angles: AnglePair,
-    n_per_series: int,
-    seed: int,
-    *,
-    n_workers: int | None = None,
-    interleave: bool = False,
-) -> RunCounts:
+def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> RunCounts:
     """The agreement counts of ``run_quantum_experiment``'s four series,
     reduced block by block; they carry no class counts."""
 
     def count(pair, rng, n):
         return _count_agreements(angles.alice(pair[0]), angles.bob(pair[1]), rng, n)
 
-    agree = count_blocks(count, n_per_series, seed, n_workers=n_workers, interleave=interleave)
+    agree = count_blocks(count, n_per_series, seed)
     return RunCounts(validate_seed(seed), n_per_series, agree)

@@ -23,10 +23,6 @@ import numpy as np
 #: Trials per block. Fixed: changing it changes the streams.
 BLOCK_SIZE = 1 << 14
 
-#: spawn_key namespace for the scheduler's shuffle stream; distinct from
-#: the (pair_code, block) data keys by tuple length.
-_SCHEDULE_KEY = (0x5EED,)
-
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx); its
 # output is part of numpy's stream-compatibility promise since 1.19.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -115,12 +111,6 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
             state["state"]["key"] = key
             bit_gen.state = state
             yield rng
-
-
-def schedule_stream(seed: int) -> np.random.Generator:
-    """Stream used only to shuffle task dispatch order (interleaved mode)."""
-    ss = np.random.SeedSequence(validate_seed(seed), spawn_key=_SCHEDULE_KEY)
-    return np.random.Generator(np.random.Philox(ss))
 
 
 def iter_blocks(n: int):

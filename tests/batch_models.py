@@ -14,10 +14,11 @@ these helpers give the tests such models:
 ``wide_table_model`` is the one table model here: it declares every tag
 below MAX_TABLE_TAGS, the largest class table a model can have.
 ``LHV_ROUTES`` puts them next to the zoo models, one entry per route a
-count can take.
+count can take, and ``route_model`` builds each route's model once.
 """
 
 import dataclasses
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -101,3 +102,10 @@ LHV_ROUTES = (
     + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
     + [("uniform 2^16 tags", wide_table_model)]
 )
+
+
+@functools.cache
+def route_model(factory) -> LhvModel:
+    """One model per ``LHV_ROUTES`` factory, so that each class table
+    compiles once per test session."""
+    return factory()

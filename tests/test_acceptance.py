@@ -196,8 +196,7 @@ def test_criterion_9_reports_reproducible_across_workers(tmp_path, monkeypatch):
                              "--seed", str(seed), "--out", str(single)]) == 0
             monkeypatch.setenv("BELLCHECK_THREADS", "4")
             assert cli.main(["run", "--model", model, "--n", str(n),
-                             "--seed", str(seed), "--out", str(multi),
-                             "--interleave"]) == 0
+                             "--seed", str(seed), "--out", str(multi)]) == 0
             if single.read_bytes() == multi.read_bytes():
                 identical += 1
             json.loads(single.read_text())  # reports stay parseable

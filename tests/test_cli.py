@@ -64,7 +64,7 @@ class TestRun:
         run_cli(["run", "--model", "cosine-sign", "--n", "40000", "--seed", "1", "--out", str(a)])
         monkeypatch.setenv("BELLCHECK_THREADS", "4")
         run_cli(["run", "--model", "cosine-sign", "--n", "40000", "--seed", "1",
-                 "--out", str(b), "--interleave"])
+                 "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_quantum_run(self, tmp_path):
@@ -112,10 +112,12 @@ class TestRun:
     def test_missing_model_is_config_error(self):
         assert run_cli(["run", "--n", "10"]) == cli.EXIT_CONFIG
 
-    def test_bad_config_file_is_config_error(self, tmp_path):
+    def test_bad_config_file_is_config_error(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{not json")
         assert run_cli(["run", "--config", str(config)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: config file {config}: ")
 
     def test_model_failure_exit_code(self, monkeypatch):
         from bellcheck.core import LhvModel
@@ -196,8 +198,8 @@ class TestConfigValidation:
         [
             ({"n_per_series": "abc"}, "n_per_series"),
             ({"seed": "x1"}, "seed"),
-            ({"interleave": "no"}, "interleave"),
-            ({"interleave": 1}, "interleave"),
+            ({"interleave": True}, "interleave"),
+            ({"interleave": False}, "interleave"),
             ({"interleave": None}, "interleave"),
             ({"angles": [10**400, 0, 0, 0]}, "angles"),
             ({"model": "dice-coin", "n": 10, "seeed": 5}, "seeed"),
@@ -242,10 +244,12 @@ class TestConfigValidation:
         # one angle from another
         assert run_cli(["run", "--model", "cosine-sign", "--n", "10", "--angles", "1e308,0,0,-1e308"]) == 0
 
-    def test_interleave_true_in_config_is_accepted(self, tmp_path):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"model": "quantum", "n_per_series": 10, "interleave": True}))
-        assert cli._load_config(cli.build_parser().parse_args(["run", "--config", str(config)])).interleave
+    def test_interleave_flag_is_rejected(self):
+        # the four series always run in SETTING_PAIRS order; there is no
+        # dispatch option, on the command line or in a config file
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["run", "--model", "quantum", "--n", "10", "--interleave"])
+        assert exc.value.code == cli.EXIT_CONFIG
 
     def test_defaults_come_from_the_config_type(self):
         config = cli._load_config(cli.build_parser().parse_args(["run", "--model", "quantum"]))

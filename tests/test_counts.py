@@ -5,7 +5,8 @@ Both draw the same blocks from the same (seed, pair, block) streams; the
 count path reduces each block to integer counts at once, the log path keeps
 every click and tag and reduces the log afterwards. Their reports must be
 equal for every model route (class table, batch twins, scalar responses,
-singlet; the batch twins belong to the test-only models of ``batch_models``), at block-edge sizes, on any worker count and dispatch order. The
+singlet; the batch twins belong to the test-only models of
+``batch_models``), at block-edge sizes, on one worker and on three. The
 singlet compares raw Philox words against integer limits; the threshold
 tests feed it words on both sides of every limit. The memory tests pin
 that the count path holds no trial log and that building a log costs
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_models import LHV_ROUTES, without_table
+from batch_models import LHV_ROUTES, route_model, without_table
 from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
@@ -52,19 +53,20 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
 
-#: (id, keyword arguments of the count path)
-DISPATCH = [("1 worker", {"n_workers": 1}), ("3 workers", {"n_workers": 3}),
-            ("interleaved", {"n_workers": 1, "interleave": True})]
+#: (id, BELLCHECK_THREADS of the count path)
+DISPATCH = [("1 worker", "1"), ("3 workers", "3")]
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
-def test_lhv_counts_match_the_trial_log(factory, n):
-    model = factory()
-    log = run_experiment(model, n, seed=23, n_workers=1)
+def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
+    model = route_model(factory)
+    monkeypatch.setenv("BELLCHECK_THREADS", "1")
+    log = run_experiment(model, n, seed=23)
     report, freqs = chsh_report(log), class_frequencies(log, model)
-    for label, kwargs in DISPATCH:
-        counts = count_experiment(model, n, seed=23, **kwargs)
+    for label, threads in DISPATCH:
+        monkeypatch.setenv("BELLCHECK_THREADS", threads)
+        counts = count_experiment(model, n, seed=23)
         assert chsh_report(counts) == report, label
         assert class_frequencies(counts) == freqs, label
         assert counts.seed == log.seed and counts.n_per_series == n
@@ -72,11 +74,13 @@ def test_lhv_counts_match_the_trial_log(factory, n):
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
-def test_quantum_counts_match_the_trial_log(angles, n):
-    log = run_quantum_experiment(angles, n, seed=29, n_workers=1)
+def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
+    monkeypatch.setenv("BELLCHECK_THREADS", "1")
+    log = run_quantum_experiment(angles, n, seed=29)
     report = chsh_report(log)
-    for label, kwargs in DISPATCH:
-        counts = count_quantum_experiment(angles, n, seed=29, **kwargs)
+    for label, threads in DISPATCH:
+        monkeypatch.setenv("BELLCHECK_THREADS", threads)
+        counts = count_quantum_experiment(angles, n, seed=29)
         assert chsh_report(counts) == report, label
         assert counts.agree == log_counts(log).agree, label
         assert counts.classes is None
@@ -84,7 +88,7 @@ def test_quantum_counts_match_the_trial_log(angles, n):
 
 def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
     for name, factory in LHV_ROUTES:
-        model = factory()
+        model = route_model(factory)
         log = run_experiment(model, 3000, seed=5)
         assert count_experiment(model, 3000, seed=5).agree == log_counts(log, model).agree, name
 
@@ -107,7 +111,8 @@ def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypat
 
     monkeypatch.setattr(engine, "behavior_codes", recording)
     model = without_table(MODEL_FACTORIES["dice-coin"]())
-    counts = count_experiment(model, 1000, seed=9, n_workers=3)
+    monkeypatch.setenv("BELLCHECK_THREADS", "3")
+    counts = count_experiment(model, 1000, seed=9)
     assert set(threads) <= {threading.get_ident()}
     from_log = log_counts(run_experiment(model, 1000, seed=9), model)
     assert all(np.array_equal(from_log.classes[p], counts.classes[p]) for p in SETTING_PAIRS)

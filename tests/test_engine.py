@@ -90,14 +90,11 @@ class TestRunExperiment:
         b = count_experiment(dice_coin_model(), 40_000, seed=9)
         assert_same_counts(a, b)
 
-    def test_worker_count_invariance(self):
-        a = count_experiment(dice_coin_model(), 50_000, seed=3, n_workers=1)
-        b = count_experiment(dice_coin_model(), 50_000, seed=3, n_workers=4)
-        assert_same_counts(a, b)
-
-    def test_interleave_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setenv("BELLCHECK_THREADS", "1")
         a = count_experiment(dice_coin_model(), 50_000, seed=3)
-        b = count_experiment(dice_coin_model(), 50_000, seed=3, interleave=True)
+        monkeypatch.setenv("BELLCHECK_THREADS", "4")
+        b = count_experiment(dice_coin_model(), 50_000, seed=3)
         assert_same_counts(a, b)
 
     def test_env_var_worker_cap(self, monkeypatch):
@@ -169,27 +166,21 @@ class TestResolveWorkers:
 
     def test_unset_and_blank(self, monkeypatch):
         monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
-        assert engine._resolve_workers(None) == 1
+        assert engine._resolve_workers() == 1
         monkeypatch.setenv("BELLCHECK_THREADS", "  ")
-        assert engine._resolve_workers(None) == 1
+        assert engine._resolve_workers() == 1
 
     def test_integer_values(self, monkeypatch):
         monkeypatch.setenv("BELLCHECK_THREADS", " 3 ")
-        assert engine._resolve_workers(None) == 3
+        assert engine._resolve_workers() == 3
         monkeypatch.setenv("BELLCHECK_THREADS", str(10**6))  # resolved only; no pool starts
-        assert engine._resolve_workers(None) == 10**6
+        assert engine._resolve_workers() == 10**6
 
     @pytest.mark.parametrize("value", ["0", "-2", "abc", "2.5", "1e3", "3 workers"])
     def test_bad_values_name_the_variable(self, monkeypatch, value):
         monkeypatch.setenv("BELLCHECK_THREADS", value)
         with pytest.raises(ValueError, match="BELLCHECK_THREADS"):
-            engine._resolve_workers(None)
-
-    def test_explicit_count_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("BELLCHECK_THREADS", "abc")
-        assert engine._resolve_workers(2) == 2
-        with pytest.raises(ValueError):
-            engine._resolve_workers(0)
+            engine._resolve_workers()
 
     @pytest.mark.parametrize("n", [100, 5 * BLOCK_SIZE], ids=["1 block", "5 blocks"])
     def test_pool_bounded_by_the_four_series(self, monkeypatch, n):
@@ -211,9 +202,11 @@ class TestResolveWorkers:
                 return map(fn, items)
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        counts = count_experiment(dice_coin_model(), n, seed=4, n_workers=64)
+        monkeypatch.setenv("BELLCHECK_THREADS", "64")
+        counts = count_experiment(dice_coin_model(), n, seed=4)
         assert sizes == [4]
-        assert_same_counts(counts, count_experiment(dice_coin_model(), n, seed=4, n_workers=1))
+        monkeypatch.setenv("BELLCHECK_THREADS", "1")
+        assert_same_counts(counts, count_experiment(dice_coin_model(), n, seed=4))
 
 
 def agreeing(n, **agree):

@@ -1,9 +1,9 @@
 """`run`, `bound`, `ghz-check` and `zoo` output must stay byte-identical
 to the reference.
 
-Each of the 43 cases in data/run_golden.json holds an argv, an optional
+Each of the 41 cases in data/run_golden.json holds an argv, an optional
 BELLCHECK_THREADS value and the sha256 of what the command wrote to
-stdout: 39 of `run` and `bound`, 4 of `ghz-check` (with and without the
+stdout: 37 of `run` and `bound`, 4 of `ghz-check` (with and without the
 fifth constraint, and at another phi) and `zoo`. The LHV digests were
 recorded before the LHV models were compiled to class tables, so they pin
 the reports of the per-trial response path; the quantum digests were
@@ -39,6 +39,5 @@ def test_golden_covers_every_zoo_model_and_format():
     assert models == {"dice-coin", "cosine-sign", "conspiracy", "quantum"}
     assert {argv[argv.index("--format") + 1] for argv in runs if "--format" in argv} == {"json", "csv"}
     assert any("--angles" in argv for argv in runs)
-    assert any("--interleave" in argv for argv in runs)
     assert any("threads" in c for c in GOLDEN)
     assert {c["argv"][2] for c in GOLDEN if c["argv"][0] == "bound"} == models - {"quantum"}

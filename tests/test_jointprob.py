@@ -223,8 +223,9 @@ class TestFineBSoundness:
 
 class TestBehaviorStatisticsValidation:
     def test_rejects_invalid_pair_table(self):
-        # E = -1 with both marginals +1 leaves the (+,+) cell negative
-        with pytest.raises(ValueError):
+        # E = -1 with both marginals +1 leaves the (-,-) cell negative
+        message = r"^pair \(1,1\) admits no outcome table: cell \(-1,-1\) has weight -1/2 < 0$"
+        with pytest.raises(ValueError, match=message):
             BehaviorStatistics(
                 CorrelationTable(Fraction(-1), Fraction(0), Fraction(0), Fraction(0)),
                 Fraction(1), Fraction(0), Fraction(1), Fraction(0),

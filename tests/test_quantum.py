@@ -105,7 +105,9 @@ class TestSampling:
         log = run_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)
         assert all(s.lambdas is None for s in log.series.values())
 
-    def test_reproducible(self):
+    def test_reproducible(self, monkeypatch):
+        monkeypatch.setenv("BELLCHECK_THREADS", "1")
         a = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
-        b = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5, n_workers=4)
+        monkeypatch.setenv("BELLCHECK_THREADS", "4")
+        b = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
         assert_same_counts(a, b)

@@ -7,11 +7,9 @@ must be equal for every model route and both singlet angle sets, for a
 one-trial series and for one that spills one trial into a second block.
 """
 
-import functools
-
 import pytest
 
-from batch_models import LHV_ROUTES
+from batch_models import LHV_ROUTES, route_model
 from bellcheck.engine import count_experiment
 from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 from bellcheck.streams import BLOCK_SIZE
@@ -21,16 +19,10 @@ SIZES = [1, BLOCK_SIZE + 1]
 SEED = 41
 
 
-@functools.cache
-def _model(factory):
-    """One model per route, so that each class table compiles once."""
-    return factory()
-
-
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
 def test_lhv_counts_equal_the_reference(factory, n):
-    model = _model(factory)
+    model = route_model(factory)
     assert_same_counts(count_experiment(model, n, SEED), lhv_reference_counts(model, n, SEED))
 
 
