@@ -50,12 +50,11 @@ from .errors import BoundViolationError, ModelError
 from .streams import BLOCK_SIZE, iter_blocks, series_streams, validate_seed
 
 
-# No report a program makes reads the trial log (Series, TrialLog,
-# generate_trial_log, run_experiment, log_counts and the quantum twin). It
-# stays for the benchmark: perfbench/tracing.py wraps engine.run_experiment
-# and cli.run_*_experiment by name and replays each log, and the
-# lhv-continuous workload reads the log's arrays. ROADMAP item 2 moves the
-# benchmark onto the count path; the log can go after it.
+# No report a program makes reads the LHV trial log (Series, TrialLog,
+# run_experiment, log_counts). It stays for the benchmark:
+# perfbench/tracing.py wraps engine.run_experiment by name and replays each
+# log, and the lhv-continuous workload reads the log's arrays. ROADMAP
+# item 2 moves the benchmark onto the count path; the log can go after it.
 @dataclass(frozen=True, eq=False)
 class Series:
     """One setting pair's trials in columnar form."""
@@ -63,16 +62,13 @@ class Series:
     pair: tuple[int, int]
     alice: np.ndarray
     bob: np.ndarray
-    lambdas: np.ndarray | None = None
+    lambdas: np.ndarray
 
     def __post_init__(self):
-        if len(self.alice) != len(self.bob):
-            raise ValueError("alice/bob click arrays differ in length")
-        if self.lambdas is not None and len(self.lambdas) != len(self.alice):
-            raise ValueError("lambda array length does not match clicks")
+        if not len(self.alice) == len(self.bob) == len(self.lambdas):
+            raise ValueError("click and lambda arrays differ in length")
         for arr in (self.alice, self.bob, self.lambdas):
-            if arr is not None:
-                arr.setflags(write=False)
+            arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.alice)
@@ -169,8 +165,8 @@ def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> 
 
 
 # A block function maps (pair, block stream, trial count) to that block's
-# result: click arrays plus an optional tag array for a trial log, integer
-# counts for a report. LHV and quantum runs share this hook.
+# result: click and tag arrays for a trial log, integer counts for a
+# report. LHV and quantum runs share this hook.
 BlockFn = Callable[[tuple[int, int], np.random.Generator, int], Any]
 
 
@@ -224,21 +220,6 @@ def _series(
         return dict(pool.map(run_series, SETTING_PAIRS))
 
 
-def _concat_blocks(blocks: Iterator[tuple]) -> tuple:
-    alice, bob, tags = zip(*blocks)
-    return np.concatenate(alice), np.concatenate(bob), None if tags[0] is None else np.concatenate(tags)
-
-
-def generate_trial_log(sampler: BlockFn, n_per_series: int, seed: int) -> TrialLog:
-    """Generate the four series and assemble a TrialLog; ``sampler``
-    returns each block's (alice, bob, tags or None), and each series
-    concatenates its blocks. The log is bitwise identical for any worker
-    count."""
-    arrays = _series(sampler, _concat_blocks, n_per_series, seed)
-    series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
-    return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
-
-
 def count_blocks(counter: BlockFn, n_per_series: int, seed: int) -> dict[tuple[int, int], Any]:
     """Sum ``counter``'s per-block counts over each setting pair's blocks,
     in place; only one block's trials are held per worker."""
@@ -250,20 +231,24 @@ def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator,
         lams = np.asarray(model.sample_lambda(rng, count, pair))
     except Exception as exc:
         raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
-    if len(lams) != count:
-        raise ModelError(f"model {model.name!r}: sampler returned {len(lams)} tags for {count} trials")
+    if lams.shape != (count,):
+        raise ModelError(f"model {model.name!r}: sample_lambda returned tags of shape {lams.shape}, not {(count,)}")
     return lams
 
 
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
-    """Run the four series of an LHV model and log every click and tag."""
+    """Run the four series of an LHV model and log every click and tag;
+    each series concatenates its blocks, so the log is bitwise identical
+    for any worker count."""
     model.class_table  # compiled here, before any worker starts
 
     def sample(pair, rng, count):
         lams = _draw_tags(model, pair, rng, count)
         return (*pair_outcomes(model, pair, lams), lams)
 
-    return generate_trial_log(sample, n_per_series, seed)
+    arrays = _series(sample, lambda blocks: [np.concatenate(a) for a in zip(*blocks)], n_per_series, seed)
+    series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
+    return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
 
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
@@ -311,11 +296,6 @@ def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
         classes = {}
         for pair in SETTING_PAIRS:
             s = log.series[pair]
-            if s.lambdas is None:
-                raise ValueError(
-                    f"series {pair} carries no hidden-variable tags; "
-                    "class analysis is undefined for quantum logs"
-                )
             known = {("alice", pair[0]): s.alice, ("bob", pair[1]): s.bob}
             classes[pair] = np.bincount(behavior_codes(model, s.lambdas, known), minlength=16)
     return RunCounts(log.seed, log.n_per_series, agree, classes)

@@ -32,17 +32,17 @@ def canonical_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi) on a 1e-12 grid.
 
     Variable identity in a constraint system is decided by this canonical
-    form, so angles closer than the resolution name the same variable.
+    form: an angle names the grid point nearest to it modulo 2*pi, and
+    within half a step of the 0/2*pi seam, on either side, that point is 0.
     """
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
     r = math.fmod(theta, _TWO_PI)
     if r < 0:
         r += _TWO_PI
-    q = round(r / _ANGLE_RESOLUTION)
-    if q >= round(_TWO_PI / _ANGLE_RESOLUTION):
-        q = 0
-    return q * _ANGLE_RESOLUTION
+    if r > _TWO_PI - _ANGLE_RESOLUTION / 2:
+        return 0.0
+    return round(r / _ANGLE_RESOLUTION) * _ANGLE_RESOLUTION
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import RunCounts, TrialLog, chsh_statistic, count_blocks, generate_trial_log
+from .engine import RunCounts, chsh_statistic, count_blocks
 from .streams import validate_seed
 
 
@@ -78,23 +78,10 @@ def _at_or_above(raw: np.ndarray, limit: int) -> np.ndarray:
     return raw >= np.uint64(limit) if limit < 1 << 64 else np.zeros(len(raw), dtype=bool)
 
 
-_CELL_A = np.array([1, 1, -1, -1], dtype=np.int8)
-_CELL_B = np.array([1, -1, 1, -1], dtype=np.int8)
-
-
-def sample_quantum_batch(
-    a: float, b: float, rng: np.random.Generator, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw n outcome pairs; one raw Philox word decides each trial's cell."""
-    raw = rng.bit_generator.random_raw(n)
-    l0, l1, l2 = _word_limits(a, b)
-    cells = _at_or_above(raw, l0).view(np.uint8) + _at_or_above(raw, l1) + _at_or_above(raw, l2)
-    return _CELL_A[cells], _CELL_B[cells]
-
-
 def _count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
-    """How many of the n trials ``sample_quantum_batch`` would draw from the
-    same stream have agreeing clicks (cells (+1,+1) and (-1,-1))."""
+    """How many of n singlet trials drawn from ``rng`` have agreeing clicks
+    (cells (+1,+1) and (-1,-1)); one raw Philox word decides each trial's
+    cell."""
     raw = rng.bit_generator.random_raw(n)
     l0, _, l2 = _word_limits(a, b)
     return n - int(np.count_nonzero(_at_or_above(raw, l0))) + int(np.count_nonzero(_at_or_above(raw, l2)))
@@ -112,22 +99,9 @@ def quantum_chsh(angles: AnglePair) -> float:
     return chsh_statistic(quantum_correlation_table(angles))
 
 
-def run_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> TrialLog:
-    """Sample the four series from the singlet distribution.
-
-    The log carries no hidden-variable tags, so class analysis rejects it.
-    """
-
-    def sampler(pair, rng, count):
-        alice, bob = sample_quantum_batch(angles.alice(pair[0]), angles.bob(pair[1]), rng, count)
-        return alice, bob, None
-
-    return generate_trial_log(sampler, n_per_series, seed)
-
-
 def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> RunCounts:
-    """The agreement counts of ``run_quantum_experiment``'s four series,
-    reduced block by block; they carry no class counts."""
+    """Sample the four series from the singlet distribution, reduced block
+    by block to agreement counts; they carry no class counts."""
 
     def count(pair, rng, n):
         return _count_agreements(angles.alice(pair[0]), angles.bob(pair[1]), rng, n)

@@ -192,6 +192,8 @@ BAD_MODELS = [
     ("tag in a domain hole", dict(tags=[0, 2], sample=lambda rng, n, pair: np.ones(n, dtype=np.int64)), "sample_lambda"),
     ("negative tag", dict(tags=[0, 1], sample=lambda rng, n, pair: np.full(n, -1)), "sample_lambda"),
     ("float tags", dict(tags=[0, 1], sample=lambda rng, n, pair: np.zeros(n)), "sample_lambda"),
+    ("2-D tags", dict(tags=[0, 1], sample=lambda rng, n, pair: np.zeros((n, 2), dtype=np.int64)), "sample_lambda"),
+    ("scalar tag", dict(tags=[0, 1], sample=lambda rng, n, pair: 0), "sample_lambda"),
     ("response raises", dict(tags=[0, 1], respond_alice=_raise_at_tag_one), "class table"),
     ("response returns 0", dict(tags=[0, 1], respond_bob=lambda i, lam: 0 if i == 2 else 1), "class table"),
     ("enumerate_lambda raises", dict(enumerate_lambda=_unknown_pair), "enumerate_lambda"),
@@ -246,6 +248,7 @@ BAD_TAGS = [
 
 _OUTSIDE = "model 'bad-probe': sample_lambda: tag {} is outside the declared domain"
 _NOT_INTEGER = "model 'bad-probe': sample_lambda: tags of dtype {} are outside the declared integer domain"
+_SHAPE = "model 'bad-probe': sample_lambda returned tags of shape {}, not " + str((BLOCK_SIZE,))
 
 #: the message of each case, as ``table_codes`` words it for the sampled tags
 MESSAGES = {
@@ -253,6 +256,8 @@ MESSAGES = {
     "tag in a domain hole": _OUTSIDE.format(1),
     "negative tag": _OUTSIDE.format(-1),
     "float tags": _NOT_INTEGER.format("float64"),
+    "2-D tags": _SHAPE.format((BLOCK_SIZE, 2)),
+    "scalar tag": _SHAPE.format(()),
     "response raises": "model 'bad-probe': class table: responses at tag 1 failed: 'no such direction'",
     "response returns 0": "model 'bad-probe': class table: responses at tag 0 failed: outcome must be -1 or +1, got 0",
     "enumerate_lambda raises": "model 'bad-probe': enumerate_lambda failed: (1, 1)",

@@ -1,16 +1,16 @@
-"""The count path (`count_experiment`, `count_quantum_experiment`) against
-the trial-log path (`run_experiment`, `run_quantum_experiment`).
+"""The LHV count path (`count_experiment`) against the trial-log path
+(`run_experiment`), and the singlet's raw-word counts.
 
-Both draw the same blocks from the same (seed, pair, block) streams; the
-count path reduces each block to integer counts at once, the log path keeps
-every click and tag and reduces the log afterwards. Their reports must be
-equal for every model route (class table, batch twins, scalar responses,
-singlet; the batch twins belong to the test-only models of
+Both LHV paths draw the same blocks from the same (seed, pair, block)
+streams; the count path reduces each block to integer counts at once, the
+log path keeps every click and tag and reduces the log afterwards. Their
+reports must be equal for every model route (class table, batch twins,
+scalar responses; the batch twins belong to the test-only models of
 ``batch_models``), at block-edge sizes, on one worker and on three. The
-singlet compares raw Philox words against integer limits; the threshold
-tests feed it words on both sides of every limit. The memory tests pin
-that the count path holds no trial log and that building a log costs
-little more than the log itself.
+singlet has no trial log: it compares raw Philox words against integer
+limits, and the threshold tests feed it words on both sides of every
+limit. The memory tests pin that the count path holds no trial log and
+that building a log costs little more than the log itself.
 """
 
 import math
@@ -34,17 +34,7 @@ from bellcheck.engine import (
     run_experiment,
 )
 from bellcheck import core, engine, quantum
-from bellcheck.quantum import (
-    _CELL_A,
-    _CELL_B,
-    TSIRELSON_ANGLES,
-    AnglePair,
-    _cell_boundaries,
-    _count_agreements,
-    count_quantum_experiment,
-    run_quantum_experiment,
-    sample_quantum_batch,
-)
+from bellcheck.quantum import TSIRELSON_ANGLES, _cell_boundaries, _count_agreements, count_quantum_experiment
 from bellcheck.streams import BLOCK_SIZE, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 
@@ -70,20 +60,6 @@ def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
         assert chsh_report(counts) == report, label
         assert class_frequencies(counts) == freqs, label
         assert counts.seed == log.seed and counts.n_per_series == n
-
-
-@pytest.mark.parametrize("n", SIZES)
-@pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
-def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
-    monkeypatch.setenv("BELLCHECK_THREADS", "1")
-    log = run_quantum_experiment(angles, n, seed=29)
-    report = chsh_report(log)
-    for label, threads in DISPATCH:
-        monkeypatch.setenv("BELLCHECK_THREADS", threads)
-        counts = count_quantum_experiment(angles, n, seed=29)
-        assert chsh_report(counts) == report, label
-        assert counts.agree == log_counts(log).agree, label
-        assert counts.classes is None
 
 
 def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
@@ -187,18 +163,15 @@ BOUNDARY_ANGLES = [(0.0, 0.0), (0.4, 0.4), (0.0, math.pi), (math.pi, 0.0), (0.0,
 def test_threshold_cells_equal_searchsorted(a, b):
     raw = _words_at_boundaries(a, b)
     cells = np.searchsorted(np.array(_cell_boundaries(a, b)), _deviates(raw), side="right")
-    alice, bob = sample_quantum_batch(a, b, FixedWords(raw), len(raw))
-    assert np.array_equal(alice, _CELL_A[cells]) and np.array_equal(bob, _CELL_B[cells])
-    assert alice.dtype == bob.dtype == np.int8
-    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == np.count_nonzero(alice == bob)
+    # the clicks agree in cells 0, (+1,+1), and 3, (-1,-1)
+    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == np.count_nonzero((cells == 0) | (cells == 3))
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, math.pi)])
 def test_empty_cells_are_never_drawn(a, b):
     raw = _words_at_boundaries(a, b)
-    alice, bob = sample_quantum_batch(a, b, FixedWords(raw), len(raw))
     # cos = 1: the clicks always disagree; cos = -1: they always agree
-    assert np.all(alice != bob) if a == b else np.all(alice == bob)
+    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == (0 if a == b else len(raw))
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0), (29, 3, 7), (2**64 - 1, 1, 1000)])
@@ -236,24 +209,21 @@ def test_run_memory_is_flat_in_n(model, small, large):
 _LOG_RSS = """
 import resource, sys
 from bellcheck.engine import run_experiment
-from bellcheck.quantum import TSIRELSON_ANGLES, run_quantum_experiment
 from bellcheck.zoo import get_model
 
 def log_of(n):
-    if sys.argv[1] == "quantum":
-        return run_quantum_experiment(TSIRELSON_ANGLES, n, seed=1)
     return run_experiment(get_model(sys.argv[1]), n, seed=1)
 
 log_of(1 << 15)  # warm-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 log = log_of(int(sys.argv[2]))
 grew = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-arrays = [a for s in log.series.values() for a in (s.alice, s.bob, s.lambdas) if a is not None]
+arrays = [a for s in log.series.values() for a in (s.alice, s.bob, s.lambdas)]
 print(grew * 1024, sum(a.nbytes for a in arrays))
 """
 
 
-@pytest.mark.parametrize("model", ["cosine-sign", "quantum"])
+@pytest.mark.parametrize("model", ["cosine-sign"])
 def test_log_memory_is_near_its_bytes(model):
     """Each series concatenates its own blocks, so with one worker only
     one series is held twice (as blocks and joined), not the whole log."""

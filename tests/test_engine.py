@@ -147,7 +147,7 @@ class TestRunExperiment:
             raise AssertionError("sampler called")
 
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.generate_trial_log(sampler, n, seed=0)
+            engine.count_blocks(sampler, n, seed=0)
 
     def test_n_past_one_word_block_indices_rejected_before_sampling(self):
         # block indices are mixed into the stream key as one uint32 word
@@ -155,9 +155,9 @@ class TestRunExperiment:
             raise AssertionError("sampler called")
 
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.generate_trial_log(sampler, BLOCK_SIZE * 2**32 + 1, seed=0)
+            engine.count_blocks(sampler, BLOCK_SIZE * 2**32 + 1, seed=0)
         with pytest.raises(AssertionError, match="sampler called"):  # the largest n starts sampling
-            engine.generate_trial_log(sampler, BLOCK_SIZE * 2**32, seed=0)
+            engine.count_blocks(sampler, BLOCK_SIZE * 2**32, seed=0)
 
 
 class TestResolveWorkers:
@@ -270,13 +270,6 @@ class TestClassFrequencies:
         freqs = class_frequencies(log, model)
         supports = {pair: frozenset(freqs.per_pair[pair]) for pair in SETTING_PAIRS}
         assert len(set(supports.values())) == 4
-
-    def test_quantum_log_rejected(self):
-        from bellcheck.quantum import TSIRELSON_ANGLES, run_quantum_experiment
-
-        log = run_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)
-        with pytest.raises(ValueError):
-            class_frequencies(log, dice_coin_model())
 
     def test_never_more_than_16_classes(self):
         for model in (dice_coin_model(), cosine_sign_model(), conspiracy_model()):

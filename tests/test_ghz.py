@@ -143,6 +143,14 @@ class TestCheckSatisfiable:
         assert not result.satisfiable
         assert result.assignments_checked == 2
 
+    def test_a_turn_below_the_seam_names_the_zero_variable(self):
+        # 165 * 2pi reduces to just under 2pi, and must not name a second variable
+        a = ProductConstraint((("A", 0.0),), 1)
+        b = ProductConstraint((("A", 165 * 2 * math.pi),), -1)
+        result = check_satisfiable([a, b])
+        assert not result.satisfiable
+        assert result.assignments_checked == 2
+
 
 class TestValidation:
     def test_empty_factors_rejected(self):
@@ -159,6 +167,8 @@ class TestValidation:
 
     def test_canonical_angle(self):
         assert canonical_angle(2 * math.pi) == 0.0
+        assert canonical_angle(1e-13) == canonical_angle(-1e-13) == 0.0
+        assert all(canonical_angle(s * k * 2 * math.pi) == 0.0 for k in range(1, 1001) for s in (1, -1))
         assert canonical_angle(-math.pi / 2) == pytest.approx(3 * math.pi / 2)
         with pytest.raises(ValueError):
             canonical_angle(float("nan"))
