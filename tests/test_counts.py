@@ -7,8 +7,9 @@ log path keeps every click and tag and reduces the log afterwards. Their
 reports must be equal for every model route (class table, batch twins,
 scalar responses; the batch twins belong to the test-only models of
 ``batch_models``), at block-edge sizes, on one worker and on three. The
-singlet has no trial log: it compares raw Philox words against integer
-limits, and the threshold tests feed it words on both sides of every
+singlet has no trial log: its counts are checked against the per-trial
+reference of ``trial_reference`` on one worker and on three, and the
+threshold tests feed its raw-word limits words on both sides of every
 limit. The memory tests pin that the count path holds no trial log and
 that building a log costs little more than the log itself.
 """
@@ -34,9 +35,10 @@ from bellcheck.engine import (
     run_experiment,
 )
 from bellcheck import core, engine, quantum
-from bellcheck.quantum import TSIRELSON_ANGLES, _cell_boundaries, _count_agreements, count_quantum_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _count_agreements, count_quantum_experiment
 from bellcheck.streams import BLOCK_SIZE, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
+from trial_reference import assert_same_counts, singlet_reference_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -60,6 +62,16 @@ def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
         assert chsh_report(counts) == report, label
         assert class_frequencies(counts) == freqs, label
         assert counts.seed == log.seed and counts.n_per_series == n
+
+
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1])
+@pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
+def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
+    # the singlet's trial-by-trial counts come from the per-trial reference
+    want = singlet_reference_counts(angles, n, 29)
+    for _, threads in DISPATCH:
+        monkeypatch.setenv("BELLCHECK_THREADS", threads)
+        assert_same_counts(count_quantum_experiment(angles, n, seed=29), want)
 
 
 def test_lhv_agreements_read_off_the_classes_equal_the_clicks():

@@ -271,6 +271,14 @@ class TestClassFrequencies:
         supports = {pair: frozenset(freqs.per_pair[pair]) for pair in SETTING_PAIRS}
         assert len(set(supports.values())) == 4
 
+    def test_quantum_log_rejected(self):
+        # a model offered alongside singlet counts does not give them classes
+        from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment
+
+        counts = count_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)
+        with pytest.raises(ValueError, match="class"):
+            class_frequencies(counts, dice_coin_model())
+
     def test_never_more_than_16_classes(self):
         for model in (dice_coin_model(), cosine_sign_model(), conspiracy_model()):
             log = run_experiment(model, 5000, seed=11)
