@@ -19,6 +19,7 @@ from .core import (
 )
 from .engine import (
     ChshReport,
+    VIOLATION_DELTA,
     ClassFrequencies,
     MiDiagnostic,
     RunCounts,
@@ -34,6 +35,7 @@ from .engine import (
     mi_diagnostic,
     theoretical_chsh,
     theoretical_correlations,
+    violation_p_value,
 )
 from .errors import BoundViolationError, ModelError, ResourceLimitError
 from .ghz import (

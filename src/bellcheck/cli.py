@@ -172,6 +172,8 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
         "s_star": float(report.s_star),
         "bound_satisfied": report.bound_satisfied,
         "hoeffding_epsilon": report.hoeffding_epsilon,
+        "violation_p_value": report.violation_p_value,
+        "violation_significant": report.violation_significant,
     }
     if model is not None:
         freqs = class_frequencies(counts)
@@ -206,8 +208,11 @@ def _render_csv(report_dict: dict) -> str:
     eps = report_dict["hoeffding_epsilon"]
     for (i, k), e in zip(SETTING_PAIRS, corr.values()):
         writer.writerow([i, k, n, _fmt(e), _fmt(eps)])
-    writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2"])
-    writer.writerow([_fmt(report_dict["s_star"]), 2, _fmt(2 * math.sqrt(2))])
+    writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2", "violation_p_value", "violation_significant"])
+    writer.writerow([
+        _fmt(report_dict["s_star"]), 2, _fmt(2 * math.sqrt(2)),
+        _fmt(report_dict["violation_p_value"]), str(report_dict["violation_significant"]).lower(),
+    ])
     return buf.getvalue()
 
 

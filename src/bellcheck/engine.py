@@ -136,14 +136,17 @@ class MiDiagnostic:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """Summary of one experiment: the table, S*, and the per-correlation
-    99% Hoeffding half-width."""
+    """Summary of one experiment: the table, S*, the per-correlation
+    99% Hoeffding half-width, and the p-value of |S*| against the LHV
+    bound 2 with its verdict at ``VIOLATION_DELTA``."""
 
     table: CorrelationTable
     s_star: float
     bound_satisfied: bool
     n_per_series: int
     hoeffding_epsilon: float
+    violation_p_value: float
+    violation_significant: bool
 
     def __post_init__(self):
         if self.s_star != chsh_statistic(self.table):
@@ -162,6 +165,24 @@ def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> 
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0, 1)")
     return value_range * math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+
+#: Significance level of the violation test: a report calls a violation
+#: significant when its p-value is at most this.
+VIOLATION_DELTA = 0.01
+
+
+def violation_p_value(s_star: float, n: int) -> float:
+    """Upper bound on the chance that a local model with measurement
+    independence gives |S*| at least this far above 2.
+
+    Under those assumptions S* is a mean of 4n independent terms, each with
+    range 2/n, and |E[S*]| <= 2, so Hoeffding's inequality gives
+    P(|S*| - 2 >= t) <= exp(-n t^2 / 8) with t = max(0, |S*| - 2); at
+    t = 0 the bound is 1.
+    """
+    t = max(0.0, abs(s_star) - 2)
+    return math.exp(-n * t * t / 8)
 
 
 # A block function maps (pair, block stream, trial count) to that block's
@@ -324,16 +345,19 @@ def empirical_table(data: TrialLog | RunCounts) -> CorrelationTable:
 
 
 def chsh_report(data: TrialLog | RunCounts) -> ChshReport:
-    """Correlations, S* and the Hoeffding half-width of a run, from its
-    counts or from a trial log reduced to them."""
+    """Correlations, S*, the Hoeffding half-width and the violation test
+    of a run, from its counts or from a trial log reduced to them."""
     table = empirical_table(data)
     s = chsh_statistic(table)
+    p = violation_p_value(s, data.n_per_series)
     return ChshReport(
         table=table,
         s_star=s,
         bound_satisfied=within(abs(s), 2, VERDICT_SLACK),
         n_per_series=data.n_per_series,
         hoeffding_epsilon=hoeffding_epsilon(data.n_per_series),
+        violation_p_value=p,
+        violation_significant=p <= VIOLATION_DELTA,
     )
 
 

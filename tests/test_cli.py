@@ -49,6 +49,8 @@ class TestRun:
         assert parsed["s_star"] == rep.s_star
         assert parsed["hoeffding_epsilon"] == rep.hoeffding_epsilon
         assert parsed["bound_satisfied"] == rep.bound_satisfied
+        assert parsed["violation_p_value"] == rep.violation_p_value
+        assert parsed["violation_significant"] == rep.violation_significant
         assert parsed["n_per_series"] == rep.n_per_series
 
     def test_byte_identical_reruns(self, tmp_path):
@@ -76,6 +78,7 @@ class TestRun:
         assert report["angles"] == [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4]
         assert abs(report["s_star"] + 2 * math.sqrt(2)) < 4 * report["hoeffding_epsilon"]
         assert report["bound_satisfied"] is False
+        assert report["violation_significant"] is True
         assert "class_frequencies" not in report
 
     def test_csv_schema(self, tmp_path):
@@ -85,7 +88,7 @@ class TestRun:
         lines = out.read_text().splitlines()
         assert lines[0] == "pair_i,pair_k,n,e_hat,hoeffding_eps"
         assert len(lines) == 7
-        assert lines[5] == "s_star,bound_2,tsirelson_2sqrt2"
+        assert lines[5] == "s_star,bound_2,tsirelson_2sqrt2,violation_p_value,violation_significant"
         for line, pair in zip(lines[1:5], ((1, 1), (1, 2), (2, 1), (2, 2))):
             fields = line.split(",")
             assert (int(fields[0]), int(fields[1])) == pair
@@ -94,6 +97,7 @@ class TestRun:
         summary = lines[6].split(",")
         assert summary[1] == "2"
         assert float(summary[2]) == pytest.approx(2 * math.sqrt(2))
+        assert (float(summary[3]), summary[4]) == (1.0, "false")
 
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "config.json"

@@ -27,8 +27,10 @@ from bellcheck.engine import (
     theoretical_chsh,
     theoretical_correlations,
     validate_weights,
+    violation_p_value,
 )
 from bellcheck.errors import ModelError
+from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 from trial_reference import assert_same_counts
@@ -383,6 +385,8 @@ class TestReports:
                 bound_satisfied=True,
                 n_per_series=10,
                 hoeffding_epsilon=0.1,
+                violation_p_value=1.0,
+                violation_significant=False,
             )
 
     def test_hoeffding_formula(self):
@@ -399,6 +403,53 @@ class TestReports:
         for pair, value in zip(SETTING_PAIRS, table.as_tuple()):
             s = log.series[pair]
             assert value == pytest.approx(np.mean(s.alice * s.bob.astype(np.int64)))
+
+
+class TestViolationTest:
+    def test_p_value_formula(self):
+        assert violation_p_value(2.0, 10) == 1.0
+        assert violation_p_value(-1.5, 10) == 1.0
+        assert violation_p_value(-2.5, 100) == math.exp(-100 * 0.25 / 8)
+        assert violation_p_value(4.0, 1000) == math.exp(-1000 * 4 / 8)
+        rep = chsh_report(agreeing(100, e12=0))  # S* = 4
+        assert (rep.violation_p_value, rep.violation_significant) == (math.exp(-100 * 4 / 8), True)
+        rep = chsh_report(agreeing(100, e12=50))  # S* = 3
+        assert rep.violation_significant is (math.exp(-100 / 8) <= engine.VIOLATION_DELTA)
+
+    def test_singlet_at_tsirelson_is_significant_from_54_trials(self):
+        # 8 ln(1/delta) / (2 sqrt 2 - 2)^2 = 53.7
+        s = quantum_chsh(TSIRELSON_ANGLES)
+        assert [n for n in range(1, 2001) if violation_p_value(s, n) <= engine.VIOLATION_DELTA] == list(range(54, 2001))
+
+    def test_sampled_singlet_is_significant(self):
+        for seed in range(50):
+            assert chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, 1000, seed)).violation_significant
+
+    def test_cosine_sign_rarely_reports_a_significant_violation(self):
+        # exact S = -2, so the point estimate passes 2 for about half the
+        # seeds; the test must call at most a delta share of them significant
+        model = cosine_sign_model()
+        reports = [chsh_report(count_experiment(model, 1000, seed)) for seed in range(2000)]
+        assert sum(not r.bound_satisfied for r in reports) > 500
+        assert sum(r.violation_significant for r in reports) <= engine.VIOLATION_DELTA * len(reports)
+
+    @pytest.mark.parametrize("factory", [dice_coin_model, cosine_sign_model])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 54, 100, 333, 1000, 2000])
+    def test_exact_tail_is_below_the_hoeffding_bound(self, factory, n):
+        """P(|S*| - 2 >= t) over the four binomial agreement counts, each
+        at the model's exact agreement probability, against exp(-n t^2 / 8)."""
+        from scipy.stats import binom
+
+        table = exact_correlation_table(factory())
+        k = np.arange(n + 1)
+        # Y = a11 + (n - a12) + a21 + a22 and S* = 2 Y / n - 4
+        pmf = np.ones(1)
+        for pair, sign in zip(SETTING_PAIRS, (1, -1, 1, 1)):
+            counts = binom.pmf(k, n, float((1 + table.value(pair)) / 2))
+            pmf = np.convolve(pmf, counts if sign > 0 else counts[::-1])
+        excess = np.abs(2 * np.arange(4 * n + 1) / n - 4) - 2
+        for t in np.unique(excess[excess > 0]):
+            assert pmf[excess >= t].sum() <= math.exp(-n * t * t / 8) * (1 + 1e-9), t
 
 
 class TestExactTables:

@@ -11,7 +11,9 @@ recorded before `run` reduced blocks to counts, so they pin the reports of
 the trial-log path.
 """
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -41,3 +43,35 @@ def test_golden_covers_every_zoo_model_and_format():
     assert any("--angles" in argv for argv in runs)
     assert any("threads" in c for c in GOLDEN)
     assert {c["argv"][2] for c in GOLDEN if c["argv"][0] == "bound"} == models - {"quantum"}
+
+
+#: What the violation test added to a `run` report: two JSON keys, and the
+#: same two columns at the end of the CSV summary.
+ADDED = ("violation_p_value", "violation_significant")
+
+
+def _without_added(text: str) -> str:
+    """A `run` report with the violation test's keys or columns taken out,
+    rendered as before they were added."""
+    if text.startswith("{"):
+        report = json.loads(text)
+        for key in ADDED:
+            del report[key]
+        return cli._render_json(report)
+    rows = list(csv.reader(io.StringIO(text)))
+    header, summary = rows[-2:]
+    assert tuple(header[-len(ADDED):]) == ADDED and len(summary) == len(header)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows[:-2] + [header[:-len(ADDED)], summary[:-len(ADDED)]])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("case", [c for c in GOLDEN if "parent_sha256" in c], ids=lambda c: c["case"])
+def test_run_reports_differ_from_the_parent_only_by_the_violation_test(case, capsys, monkeypatch):
+    if "threads" in case:
+        monkeypatch.setenv("BELLCHECK_THREADS", case["threads"])
+    else:
+        monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
+    assert cli.main(case["argv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(_without_added(out).encode()).hexdigest() == case["parent_sha256"]
