@@ -4,11 +4,12 @@ to the reference.
 Each of the 41 cases in data/run_golden.json holds an argv, an optional
 BELLCHECK_THREADS value and the sha256 of what the command wrote to
 stdout: 37 of `run` and `bound`, 4 of `ghz-check` (with and without the
-fifth constraint, and at another phi) and `zoo`. The LHV digests were
-recorded before the LHV models were compiled to class tables, so they pin
-the reports of the per-trial response path; the quantum digests were
-recorded before `run` reduced blocks to counts, so they pin the reports of
-the trial-log path.
+fifth constraint, and at another phi) and `zoo`.
+
+The 34 `run` digests were re-recorded when the report gained the
+violation test; each such case also holds the digest of its report
+before that (``parent_sha256``), and the report with the two added keys
+or columns taken out must still match it.
 """
 
 import csv
