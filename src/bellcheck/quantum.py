@@ -66,25 +66,29 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
 
 
 @functools.lru_cache(maxsize=16)
-def _word_limits(a: float, b: float) -> tuple[int, int, int]:
-    # the boundaries as raw Philox words: Generator.random() is (raw >> 11) *
-    # 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11; cached, as
-    # every block of a series asks for the same pair of angles
-    return tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in _cell_boundaries(a, b))
-
-
-def _at_or_above(raw: np.ndarray, limit: int) -> np.ndarray:
-    # no 64-bit word reaches the limit 2**64 of the boundary 1
-    return raw >= np.uint64(limit) if limit < 1 << 64 else np.zeros(len(raw), dtype=bool)
+def _word_limits(a: float, b: float) -> tuple[int, int]:
+    # the first and last boundaries as raw words: Generator.random() is
+    # (raw >> 11) * 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11;
+    # cached, as every block of a series asks for the same pair of angles
+    b0, _, b2 = _cell_boundaries(a, b)
+    return tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in (b0, b2))
 
 
 def _count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
     """How many of n singlet trials drawn from ``rng`` have agreeing clicks
-    (cells (+1,+1) and (-1,-1)); one raw Philox word decides each trial's
-    cell."""
+    (cells (+1,+1) and (-1,-1)); one raw word decides each trial's cell.
+
+    The clicks disagree exactly when l0 <= raw < l2, that is when
+    raw - l0 < l2 - l0 in wrap-around uint64 arithmetic: one comparison per
+    word. At cos(a - b) = 1 the limits are 0 and 2**64, a width no uint64
+    holds, and every word lies between them.
+    """
+    l0, l2 = _word_limits(a, b)
+    if l2 - l0 == 1 << 64:
+        return 0
     raw = rng.bit_generator.random_raw(n)
-    l0, _, l2 = _word_limits(a, b)
-    return n - int(np.count_nonzero(_at_or_above(raw, l0))) + int(np.count_nonzero(_at_or_above(raw, l2)))
+    raw -= np.uint64(l0)
+    return n - int(np.count_nonzero(raw < np.uint64(l2 - l0)))
 
 
 def quantum_correlation_table(angles: AnglePair) -> CorrelationTable:

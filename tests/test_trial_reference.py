@@ -3,11 +3,14 @@
 The two routes share the streams' definition and the models, and nothing
 else: the count path reduces blocks through class tables, batch codes and
 raw-word limits, the reference decides one trial at a time. Their counts
-must be equal for every model route and both singlet angle sets, for a
-one-trial series and for one that spills one trial into a second block;
-the singlet also at one trial short of a block and at three blocks and
-seven trials.
+must be equal for every model route and three singlet angle sets (the
+third puts cos(a - b) at 1, -1 and 0, where a cell is empty or a limit
+sits on a round value), for a one-trial series and for one that spills
+one trial into a second block; the singlet also at one trial short of a
+block and at three blocks and seven trials.
 """
+
+import math
 
 import pytest
 
@@ -30,7 +33,11 @@ def test_lhv_counts_equal_the_reference(factory, n):
 
 
 @pytest.mark.parametrize("n", SINGLET_SIZES)
-@pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
+@pytest.mark.parametrize(
+    "angles",
+    [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6), AnglePair(0.0, math.pi / 2, 0.0, math.pi)],
+    ids=["tsirelson", "custom", "cos 1, -1, 0"],
+)
 def test_singlet_counts_equal_the_reference(angles, n):
     assert_same_counts(count_quantum_experiment(angles, n, SEED), singlet_reference_counts(angles, n, SEED))
 
