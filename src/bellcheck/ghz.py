@@ -27,6 +27,11 @@ MAX_VARIABLES = 24
 _ANGLE_RESOLUTION = 1e-12
 _TWO_PI = 2 * math.pi
 
+#: Angles must be smaller than this in magnitude. From 2**13 on, floats
+#: are spaced 1.8e-12 apart, coarser than the grid, and k * 2*pi first
+#: misses grid point 0 at k = 1304 (8193.27).
+_MAX_ANGLE = 2.0**13
+
 
 def canonical_angle(theta: float) -> float:
     """Reduce an angle to [0, 2*pi) on a 1e-12 grid.
@@ -34,9 +39,13 @@ def canonical_angle(theta: float) -> float:
     Variable identity in a constraint system is decided by this canonical
     form: an angle names the grid point nearest to it modulo 2*pi, and
     within half a step of the 0/2*pi seam, on either side, that point is 0.
+    An angle of magnitude 2**13 or more is rejected, since the float error
+    of k * 2*pi there outgrows the grid.
     """
     if not math.isfinite(theta):
         raise ValueError("angle must be finite")
+    if abs(theta) >= _MAX_ANGLE:
+        raise ValueError(f"angle {theta!r} is too large: its magnitude must be below 2**13 = 8192")
     r = math.fmod(theta, _TWO_PI)
     if r < 0:
         r += _TWO_PI

@@ -405,6 +405,11 @@ class TestGhzCheck:
         err = capsys.readouterr().err
         assert "phi = 1e+308" in err and "2*phi" in err and "factor angle" not in err
 
+    def test_phi_beyond_the_angle_grid_exits_2(self, capsys):
+        # from 2**13 on, k * 2*pi no longer lands on the variable of angle 0
+        assert run_cli(["ghz-check", "--phi", repr(1304 * 2 * math.pi)]) == cli.EXIT_CONFIG
+        assert "2**13" in capsys.readouterr().err
+
     def test_resource_guard_exit_code(self, monkeypatch):
         from bellcheck import cli as cli_mod
         from bellcheck.errors import ResourceLimitError

@@ -173,6 +173,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             canonical_angle(float("nan"))
 
+    def test_canonical_angle_names_every_whole_turn_zero_below_two_to_the_13(self):
+        assert all(canonical_angle(s * k * 2 * math.pi) == 0.0 for k in range(1, 1304) for s in (1, -1))
+        for theta in (1304 * 2 * math.pi, -1304 * 2 * math.pi, 2.0**13, -(2.0**13), 1e300):
+            with pytest.raises(ValueError, match="2\\*\\*13"):
+                canonical_angle(theta)
+        assert 0.0 <= canonical_angle(math.nextafter(2.0**13, 0)) < 2 * math.pi
+
 
 def brute_force(constraints):
     """Reference: try every +-1 assignment, bit v of the index giving
