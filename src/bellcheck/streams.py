@@ -1,7 +1,7 @@
-"""Counter-based random streams for reproducible parallel trial generation.
+"""Keyed random streams for reproducible parallel trial generation.
 
 Every series is generated in fixed-size blocks. Block ``j`` of the series
-for setting pair ``p`` draws from a Philox stream keyed by
+for setting pair ``p`` draws from a PCG64DXSM stream seeded by
 ``SeedSequence(seed, spawn_key=(pair_code(p), j))``, so the randomness
 behind trial ``i`` is a pure function of ``(seed, pair, i // BLOCK_SIZE,
 i % BLOCK_SIZE)``. Block boundaries never move, which makes the output
@@ -9,7 +9,7 @@ bitwise identical no matter how blocks are distributed over workers or
 in what order they run.
 
 ``trial_stream`` is the definition of a block's stream. A run walks a
-series through ``series_streams``, which derives the same Philox keys for
+series through ``series_streams``, which derives the same seed words for
 a chunk of blocks in one vectorized pass and re-keys a single generator
 per block instead of hashing a fresh SeedSequence for each.
 """
@@ -30,6 +30,11 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
+# PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), with
+# which numpy seeds PCG64DXSM.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = (1 << 128) - 1
+
 #: Blocks keyed per vectorized pass: bounds the key memory of a series.
 _KEY_CHUNK = 4096
 
@@ -49,7 +54,7 @@ def validate_seed(seed: int) -> int:
 def trial_stream(seed: int, pair_code: int, block: int) -> np.random.Generator:
     """The dedicated generator for one (setting pair, block) cell."""
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code, block))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.PCG64DXSM(ss))
 
 
 def _powers(base: int, first: int, count: int) -> np.ndarray:
@@ -58,14 +63,15 @@ def _powers(base: int, first: int, count: int) -> np.ndarray:
 
 
 def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """The Philox keys of ``SeedSequence(seed, spawn_key=(pair_code, b))``
-    for each uint32 block index b, as an (m, 2) uint64 array, given the
-    pool of ``SeedSequence(seed, spawn_key=(pair_code,))``.
+    """``SeedSequence(seed, spawn_key=(pair_code, b)).generate_state(4,
+    np.uint64)`` for each uint32 block index b, as an (m, 4) uint64 array,
+    given the pool of ``SeedSequence(seed, spawn_key=(pair_code,))``.
 
     That pool is the longer sequence's state before its last entropy word;
     this finishes the job: SeedSequence's mix of the block word into each
-    pool word, then ``generate_state(2, np.uint64)``. uint32 arithmetic
-    wraps modulo 2**32, as the C code does.
+    pool word, then ``generate_state``, whose 8 uint32 output words cycle
+    through the 4 pool words twice. uint32 arithmetic wraps modulo 2**32,
+    as the C code does.
     """
     # hashmix calls made before the block word: 4 for the seed words
     # (a seed below 2**64 is at most 2 words, padded to 4), 4 * 3 for the
@@ -73,16 +79,25 @@ def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     done = _POOL + _POOL * (_POOL - 1) + _POOL
     xor_a = _INIT_A * _powers(_MULT_A, done, _POOL)
     mul_a = _INIT_A * _powers(_MULT_A, done + 1, _POOL)
-    xor_b = _INIT_B * _powers(_MULT_B, 0, _POOL)
-    mul_b = _INIT_B * _powers(_MULT_B, 1, _POOL)
+    xor_b = _INIT_B * _powers(_MULT_B, 0, 2 * _POOL)
+    mul_b = _INIT_B * _powers(_MULT_B, 1, 2 * _POOL)
     h = (blocks[:, None] ^ xor_a) * mul_a
     h ^= h >> 16
     mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * h
     mixed ^= mixed >> 16
-    state = (mixed ^ xor_b) * mul_b
+    state = (np.tile(mixed, 2) ^ xor_b) * mul_b
     state ^= state >> 16
     # generate_state reads its uint32 words as little-endian uint64 pairs
     return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _pcg_state(s0: int, s1: int, i0: int, i1: int) -> tuple[int, int]:
+    """The (state, inc) that numpy's PCG64DXSM seeding gives the seed
+    words (s0, s1, i0, i1): initstate = s0 * 2**64 + s1 and
+    initseq = i0 * 2**64 + i1, then inc = 2 * initseq + 1 and two LCG
+    steps around adding initstate, all modulo 2**128."""
+    inc = (i0 << 65 | i1 << 1 | 1) & _MASK_128
+    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK_128, inc
 
 
 def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.random.Generator]:
@@ -90,10 +105,10 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
     order, a generator equal bit for bit to ``trial_stream(seed,
     pair_code, block)``.
 
-    Keys are derived ``_KEY_CHUNK`` blocks at a time, so memory stays flat
-    in n_blocks. One Philox is re-keyed per block (counter 0, emptied
-    buffer, no buffered half word), so a yielded generator is valid only
-    until the next one is taken.
+    Seed words are derived ``_KEY_CHUNK`` blocks at a time, so memory stays
+    flat in n_blocks. One PCG64DXSM is re-keyed per block through its state
+    setter (with no buffered half word), so a yielded generator is valid
+    only until the next one is taken.
     """
     if not 0 <= n_blocks <= _MAX_BLOCKS:
         raise ValueError(
@@ -101,14 +116,13 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
             f"{BLOCK_SIZE} trials), got {n_blocks} blocks"
         )
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code,))
-    bit_gen = np.random.Philox(ss)
+    bit_gen = np.random.PCG64DXSM(ss)
     rng = np.random.Generator(bit_gen)
-    state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    state = {"bit_generator": "PCG64DXSM", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
     for first in range(0, n_blocks, _KEY_CHUNK):
         blocks = np.arange(first, min(first + _KEY_CHUNK, n_blocks), dtype=np.uint32)
-        for key in _block_keys(ss.pool, blocks):
-            state["state"]["key"] = key
+        for words in _block_keys(ss.pool, blocks).tolist():
+            state["state"]["state"], state["state"]["inc"] = _pcg_state(*words)
             bit_gen.state = state
             yield rng
 

@@ -161,7 +161,7 @@ def _words_at_boundaries(a, b):
 
 
 def _deviates(raw):
-    """What Generator.random() on Philox makes of raw words."""
+    """What Generator.random() makes of raw words."""
     return (raw >> np.uint64(11)) * 2.0**-53
 
 
@@ -187,8 +187,9 @@ def test_empty_cells_are_never_drawn(a, b):
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0), (29, 3, 7), (2**64 - 1, 1, 1000)])
-def test_philox_deviates_are_raw_words_shifted(key):
-    """The singlet compares raw words against limits because this holds."""
+def test_stream_deviates_are_raw_words_shifted(key):
+    """The singlet compares raw words against limits because random() on a
+    block's stream is (raw >> 11) * 2**-53."""
     assert np.array_equal(trial_stream(*key).random(5000), _deviates(trial_stream(*key).bit_generator.random_raw(5000)))
 
 

@@ -6,15 +6,15 @@ BELLCHECK_THREADS value and the sha256 of what the command wrote to
 stdout: 37 of `run` and `bound`, 4 of `ghz-check` (with and without the
 fifth constraint, and at another phi) and `zoo`.
 
-The 34 `run` digests were re-recorded when the report gained the
-violation test; each such case also holds the digest of its report
-before that (``parent_sha256``), and the report with the two added keys
-or columns taken out must still match it.
+The 34 `run` digests were re-recorded twice: when the report gained the
+violation test, and when the streams moved from Philox to PCG64DXSM
+(which changes every value of a report that draws from them; the
+conspiracy source draws nothing). In place of byte equality with the
+old streams, ``tests/test_streams.py`` checks over 1,000 seeds per model
+that the reports stay within their bands at the stated rate.
 """
 
-import csv
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -45,34 +45,3 @@ def test_golden_covers_every_zoo_model_and_format():
     assert any("threads" in c for c in GOLDEN)
     assert {c["argv"][2] for c in GOLDEN if c["argv"][0] == "bound"} == models - {"quantum"}
 
-
-#: What the violation test added to a `run` report: two JSON keys, and the
-#: same two columns at the end of the CSV summary.
-ADDED = ("violation_p_value", "violation_significant")
-
-
-def _without_added(text: str) -> str:
-    """A `run` report with the violation test's keys or columns taken out,
-    rendered as before they were added."""
-    if text.startswith("{"):
-        report = json.loads(text)
-        for key in ADDED:
-            del report[key]
-        return cli._render_json(report)
-    rows = list(csv.reader(io.StringIO(text)))
-    header, summary = rows[-2:]
-    assert tuple(header[-len(ADDED):]) == ADDED and len(summary) == len(header)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows[:-2] + [header[:-len(ADDED)], summary[:-len(ADDED)]])
-    return buf.getvalue()
-
-
-@pytest.mark.parametrize("case", [c for c in GOLDEN if "parent_sha256" in c], ids=lambda c: c["case"])
-def test_run_reports_differ_from_the_parent_only_by_the_violation_test(case, capsys, monkeypatch):
-    if "threads" in case:
-        monkeypatch.setenv("BELLCHECK_THREADS", case["threads"])
-    else:
-        monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
-    assert cli.main(case["argv"]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(_without_added(out).encode()).hexdigest() == case["parent_sha256"]

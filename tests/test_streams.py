@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 
 from bellcheck import streams
+from bellcheck.core import SETTING_PAIRS
+from bellcheck.engine import VIOLATION_DELTA, chsh_report, count_experiment, exact_correlation_table, hoeffding_epsilon
+from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_correlation_table
 from bellcheck.streams import BLOCK_SIZE, iter_blocks, series_streams, trial_stream, validate_seed
+from bellcheck.zoo import get_model
 
 #: Edge seeds (one and two uint32 words, both ends) plus random ones.
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
@@ -14,11 +18,18 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
 
 
 def seed_sequence_key(seed, pair_code, block):
-    return np.random.SeedSequence(seed, spawn_key=(pair_code, block)).generate_state(2, np.uint64)
+    """The (state, inc) numpy's own seeding gives a block's PCG64DXSM."""
+    return key_of(np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(pair_code, block)))))
 
 
 def key_of(rng):
-    return rng.bit_generator.state["state"]["key"]
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"]
+
+
+def test_a_block_draws_from_pcg64dxsm():
+    assert type(trial_stream(0, 1, 2).bit_generator) is np.random.PCG64DXSM
+    assert type(next(series_streams(0, 1, 1)).bit_generator) is np.random.PCG64DXSM
 
 
 def test_same_key_same_stream():
@@ -66,10 +77,10 @@ def test_series_keys_match_seed_sequence(seed, n_blocks, monkeypatch):
     # a partial chunk
     monkeypatch.setattr(streams, "_KEY_CHUNK", 7)
     for pair_code in range(4):
-        keys = [key_of(rng).copy() for rng in series_streams(seed, pair_code, n_blocks)]
+        keys = [key_of(rng) for rng in series_streams(seed, pair_code, n_blocks)]
         assert len(keys) == n_blocks
         for block, key in enumerate(keys):
-            assert np.array_equal(key, seed_sequence_key(seed, pair_code, block)), (seed, pair_code, block)
+            assert key == seed_sequence_key(seed, pair_code, block), (seed, pair_code, block)
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
@@ -80,18 +91,28 @@ def test_series_keys_across_a_full_chunk(seed):
         seen = 0
         for block, rng in enumerate(series_streams(seed, pair_code, n_blocks)):
             if block in checked:
-                assert np.array_equal(key_of(rng), seed_sequence_key(seed, pair_code, block))
+                assert key_of(rng) == seed_sequence_key(seed, pair_code, block)
             seen += 1
         assert seen == n_blocks
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_block_keys_up_to_the_last_one_word_index(seed):
+    """The seed words, the re-keyed state and the draws of blocks that a
+    series reaches only after billions of blocks."""
     blocks = np.array([0, 2**16, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+    rng = np.random.Generator(np.random.PCG64DXSM())
     for pair_code in range(4):
         pool = np.random.SeedSequence(seed, spawn_key=(pair_code,)).pool
-        want = [seed_sequence_key(seed, pair_code, int(b)) for b in blocks]
-        assert np.array_equal(streams._block_keys(pool, blocks), want)
+        words = streams._block_keys(pool, blocks)
+        want = [np.random.SeedSequence(seed, spawn_key=(pair_code, int(b))).generate_state(4, np.uint64) for b in blocks]
+        assert np.array_equal(words, want)
+        for block, w in zip(blocks.tolist(), words.tolist()):
+            state, inc = streams._pcg_state(*w)
+            assert (state, inc) == seed_sequence_key(seed, pair_code, block)
+            rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "state": {"state": state, "inc": inc},
+                                       "has_uint32": 0, "uinteger": 0}
+            assert np.array_equal(rng.bit_generator.random_raw(8), trial_stream(seed, pair_code, block).bit_generator.random_raw(8))
 
 
 def test_rekeyed_generator_leaks_no_buffered_half_word():
@@ -115,7 +136,7 @@ def test_first_stream_of_a_huge_series_keys_one_chunk():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(key_of(rng), seed_sequence_key(7, 1, 0))
+        assert key_of(rng) == seed_sequence_key(7, 1, 0)
         return peak, elapsed
 
     one_chunk, _ = first_stream_peak(streams._KEY_CHUNK)
@@ -127,3 +148,27 @@ def test_first_stream_of_a_huge_series_keys_one_chunk():
 def test_series_rejects_block_indices_beyond_one_word():
     with pytest.raises(ValueError, match="2\\*\\*32 blocks"):
         next(series_streams(0, 0, 2**32 + 1))
+
+
+@pytest.mark.parametrize("name", ["dice-coin", "cosine-sign", "conspiracy", "quantum"])
+def test_reports_leave_their_bands_at_most_at_the_stated_rate(name):
+    """Over 1,000 seeds at n = 1000, each correlation falls outside its
+    99% Hoeffding band for at most a delta share of the seeds, and a model
+    with measurement independence reports a significant violation for at
+    most a delta share."""
+    n, seeds = 1000, range(1000)
+    if name == "quantum":
+        exact = quantum_correlation_table(TSIRELSON_ANGLES)
+        reports = [chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, n, seed)) for seed in seeds]
+        mi = False
+    else:
+        model = get_model(name)
+        exact = exact_correlation_table(model)
+        reports = [chsh_report(count_experiment(model, n, seed)) for seed in seeds]
+        mi = model.declares_mi
+    band = hoeffding_epsilon(n)
+    for pair in SETTING_PAIRS:
+        outside = sum(abs(r.table.value(pair) - float(exact.value(pair))) > band for r in reports)
+        assert outside <= VIOLATION_DELTA * len(reports), pair
+    if mi:
+        assert sum(r.violation_significant for r in reports) <= VIOLATION_DELTA * len(reports)

@@ -2,7 +2,7 @@
 
 ``count_experiment`` reduces each block to a tag histogram folded through
 the class table, or to the codes of a model's batch responses, and
-``count_quantum_experiment`` compares raw Philox words with integer
+``count_quantum_experiment`` compares raw 64-bit words with integer
 limits. The reference shares none of those kernels. It draws each block
 from ``streams.trial_stream``, the definition of a block's stream, and
 decides every trial on its own:
