@@ -62,6 +62,17 @@ def _powers(base: int, first: int, count: int) -> np.ndarray:
     return np.array([pow(base, e, 1 << 32) for e in range(first, first + count)], dtype=np.uint32)
 
 
+# The hash constants of the block word's mix into each pool word: hashmix
+# calls made before it are 4 for the seed words (a seed below 2**64 is at
+# most 2 words, padded to 4), 4 * 3 for the cross mix and 4 for the pair
+# code (one word). Then those of generate_state's 8 output words.
+_DONE = _POOL + _POOL * (_POOL - 1) + _POOL
+_XOR_A = _INIT_A * _powers(_MULT_A, _DONE, _POOL)
+_MUL_A = _INIT_A * _powers(_MULT_A, _DONE + 1, _POOL)
+_XOR_B = _INIT_B * _powers(_MULT_B, 0, 2 * _POOL)
+_MUL_B = _INIT_B * _powers(_MULT_B, 1, 2 * _POOL)
+
+
 def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(pair_code, b)).generate_state(4,
     np.uint64)`` for each uint32 block index b, as an (m, 4) uint64 array,
@@ -73,22 +84,14 @@ def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     through the 4 pool words twice. uint32 arithmetic wraps modulo 2**32,
     as the C code does.
     """
-    # hashmix calls made before the block word: 4 for the seed words
-    # (a seed below 2**64 is at most 2 words, padded to 4), 4 * 3 for the
-    # cross mix, 4 for the pair code (one word)
-    done = _POOL + _POOL * (_POOL - 1) + _POOL
-    xor_a = _INIT_A * _powers(_MULT_A, done, _POOL)
-    mul_a = _INIT_A * _powers(_MULT_A, done + 1, _POOL)
-    xor_b = _INIT_B * _powers(_MULT_B, 0, 2 * _POOL)
-    mul_b = _INIT_B * _powers(_MULT_B, 1, 2 * _POOL)
-    h = (blocks[:, None] ^ xor_a) * mul_a
+    h = (blocks[:, None] ^ _XOR_A) * _MUL_A
     h ^= h >> 16
     mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * h
     mixed ^= mixed >> 16
-    state = (np.tile(mixed, 2) ^ xor_b) * mul_b
+    state = (np.tile(mixed, 2) ^ _XOR_B) * _MUL_B
     state ^= state >> 16
     # generate_state reads its uint32 words as little-endian uint64 pairs
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+    return state.astype("<u4", copy=False).view("<u8")
 
 
 def _pcg_state(s0: int, s1: int, i0: int, i1: int) -> tuple[int, int]:
