@@ -18,8 +18,8 @@ from .core import (
     behavior_of,
 )
 from .engine import (
-    ChshReport,
     VIOLATION_DELTA,
+    ChshReport,
     ClassFrequencies,
     MiDiagnostic,
     RunCounts,
