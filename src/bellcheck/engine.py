@@ -3,7 +3,8 @@
 Empirical side: ``count_experiment`` samples the four series (one per
 setting pair) block by block and keeps only integer counts: per pair, the
 trials in each of the 16 behavior classes, and from them the trials whose
-clicks agree. ``chsh_report`` reduces the agreements to the S* number, and
+clicks agree. ``chsh_report`` reduces the agreements to the S* number and
+the p-value of its excess over the LHV bound 2, and
 ``class_frequencies`` plus ``mi_diagnostic`` inspect how the classes were
 distributed across the four series. ``run_experiment`` draws the same
 blocks into a ``TrialLog`` of every click and tag, which both reports

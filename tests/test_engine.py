@@ -30,7 +30,7 @@ from bellcheck.engine import (
     violation_p_value,
 )
 from bellcheck.errors import ModelError
-from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
+from bellcheck.quantum import TSIRELSON_ANGLES, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 from trial_reference import assert_same_counts
@@ -420,10 +420,6 @@ class TestViolationTest:
         # 8 ln(1/delta) / (2 sqrt 2 - 2)^2 = 53.7
         s = quantum_chsh(TSIRELSON_ANGLES)
         assert [n for n in range(1, 2001) if violation_p_value(s, n) <= engine.VIOLATION_DELTA] == list(range(54, 2001))
-
-    def test_sampled_singlet_is_significant(self):
-        for seed in range(50):
-            assert chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, 1000, seed)).violation_significant
 
     def test_cosine_sign_rarely_reports_a_significant_violation(self):
         # exact S = -2, so the point estimate passes 2 for about half the
