@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -363,7 +364,10 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parse_args keeps no state
+    between calls."""
     parser = argparse.ArgumentParser(
         prog="bellcheck",
         description="Run and verify Bell/CHSH experiments on hidden-variable models.",

@@ -6,13 +6,15 @@ marginals at once. By Fine's theorem (PRL 48, 291, 1982) one exists
 exactly when every pair table is valid (checked when the statistics are
 built) and no CHSH facet value exceeds 2, so ``jp_feasible`` and
 ``chsh_criterion`` decide from the same eight facet values. A feasible
-input gets its witness from the exact simplex over the class vertices.
-Rational inputs stay exact; float inputs pass the facet test within
-``core.VERDICT_SLACK``.
+input gets Fine's joint distribution in closed form (Halliwell, Phys.
+Lett. A 378, 2945, 2014), built in integer arithmetic over one common
+denominator. Rational inputs stay exact; float inputs pass the facet test
+within ``core.VERDICT_SLACK``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -30,7 +32,8 @@ from .core import (
     within,
 )
 from .engine import exact_class_weights, theoretical_correlations, validate_weights
-from .simplex import solve_equality_feasibility
+# jp_feasible does not call the simplex; the name stays only for perfbench's tracer.
+from .simplex import solve_equality_feasibility  # noqa: F401
 
 # Statistics map: rows are the four correlations, the four marginals and
 # normalization; columns follow ALL_BEHAVIORS (code order).
@@ -46,15 +49,16 @@ _MARGINAL_ROWS = [
 STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
 
 
-def _pair_cells(es, ms):
-    """Each pair table's four cells, times 4: 1 + A*m_a + B*m_b + A*B*E
+def _pair_cells(es, ms, one=1):
+    """Each pair table's four cells, times 4: one + A*m_a + B*m_b + A*B*E
     for setting pair (i, k) and outcomes (A, B), in SETTING_PAIRS order.
-    ``ms`` is (m_a1, m_a2, m_b1, m_b2)."""
+    ``ms`` is (m_a1, m_a2, m_b1, m_b2); ``one`` is the common denominator
+    of statistics given as integer numerators."""
     for (i, k), e in zip(SETTING_PAIRS, es):
         m_a, m_b = ms[i - 1], ms[k + 1]
         for alpha in (-1, 1):
             for beta in (-1, 1):
-                yield (i, k), alpha, beta, 1 + alpha * m_a + beta * m_b + alpha * beta * e
+                yield (i, k), alpha, beta, one + alpha * m_a + beta * m_b + alpha * beta * e
 
 
 @dataclass(frozen=True)
@@ -160,23 +164,67 @@ def chsh_criterion(table: CorrelationTable) -> tuple[bool, Any]:
     return within(value, 2, VERDICT_SLACK), value
 
 
-def _exact_rhs(stats: BehaviorStatistics) -> list[Fraction | int]:
-    """The STATS_MATRIX right-hand side, exactly, for statistics that pass
-    the facet test. Exact ones are inside the local polytope already.
-    Float ones within tolerance can sit just outside it, so they are mixed
-    with the uniform distribution (all statistics 0) by the least t >= 0
-    that makes every cell (1 - t)*c + t nonnegative and the largest facet
-    value (1 - t)*F at most 2."""
-    if stats.is_exact:
-        return [Fraction(v) for v in stats.correlations.as_tuple() + stats.marginals()] + [1]
-    es = [Fraction(float(v)) for v in stats.correlations.as_tuple()]
-    ms = [Fraction(float(v)) for v in stats.marginals()]
+def _scaled_statistics(stats: BehaviorStatistics) -> tuple[int, list[int], list[int]]:
+    """The statistics as integer numerators over one denominator s:
+    (s, correlations, marginals), for statistics that pass the facet test.
+    Exact ones are inside the local polytope already. Float ones are taken
+    at their exact binary values; within tolerance they can sit just
+    outside it, so they are mixed with the uniform distribution (all
+    statistics 0) by the largest weight lambda = p/q <= 1 that makes every
+    pair cell lambda*(c - 1) + 1 nonnegative and the largest facet value
+    lambda*F at most 2. The mix is a change of scale: numerators times p
+    over the denominator times q."""
+    values = stats.correlations.as_tuple() + stats.marginals()
+    ratios = [(Fraction(v) if stats.is_exact else float(v)).as_integer_ratio() for v in values]
+    d = math.lcm(*(den for _, den in ratios))
+    nums = [num * (d // den) for num, den in ratios]
+    es, ms = nums[:4], nums[4:]
     _, top = _max_facet(es)
-    t = 1 - 2 / top if top > 2 else Fraction(0)
-    for *_, cell in _pair_cells(es, ms):
-        if cell < 0:
-            t = max(t, cell / (cell - 1))
-    return [(1 - t) * v for v in es + ms] + [1]
+    bounds = [(2 * d, top)] if top > 2 * d else []
+    bounds += [(d, d - cell) for *_, cell in _pair_cells(es, ms, d) if cell < 0]
+    p = q = 1
+    for num, den in bounds:
+        if num * q < p * den:
+            p, q = num, den
+    return q * d, [p * v for v in es], [p * v for v in ms]
+
+
+def _triple_cells(s: int, m_a: int, m_b1: int, m_b2: int, e1: int, e2: int, c: int) -> dict:
+    """8s times a distribution of (A, B1, B2), keyed by outcome, with the
+    given means, E(A*B1) = e1/s, E(A*B2) = e2/s, E(B1*B2) = c/s and the
+    third moment E(A*B1*B2) at its least feasible value."""
+    cells = {
+        (a, b1, b2): s + a * m_a + b1 * m_b1 + b2 * m_b2 + a * (b1 * e1 + b2 * e2) + b1 * b2 * c
+        for a in (-1, 1)
+        for b1 in (-1, 1)
+        for b2 in (-1, 1)
+    }
+    t = max(-n for (a, b1, b2), n in cells.items() if a * b1 * b2 == 1)
+    return {(a, b1, b2): n + a * b1 * b2 * t for (a, b1, b2), n in cells.items()}
+
+
+def _fine_witness(s: int, es: list[int], ms: list[int]):
+    """Fine's joint distribution for statistics es/s, ms/s inside the local
+    polytope, as (behavior, numerator, denominator) for each class of
+    nonzero weight.
+
+    Fourier-Motzkin elimination of the third moment leaves the triple
+    (A_i, B1, B2) an interval for c = E(B1*B2): from -1 + max(|e_i1 + e_i2|,
+    |m_b1 + m_b2|) to 1 - max(|e_i1 - e_i2|, |m_b1 - m_b2|). The two
+    triples' intervals meet exactly when the CHSH facets hold, and c is
+    the least value they share. Gluing the triples along their common
+    (B1, B2) table gives P(a1, a2, b1, b2) = P1(a1, b1, b2) P2(a2, b1, b2)
+    / P(b1, b2), where a zero P(b1, b2) leaves both factors zero."""
+    e11, e12, e21, e22 = es
+    m_a1, m_a2, m_b1, m_b2 = ms
+    c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
+    first = _triple_cells(s, m_a1, m_b1, m_b2, e11, e12, c)
+    second = _triple_cells(s, m_a2, m_b1, m_b2, e21, e22, c)
+    for beh in ALL_BEHAVIORS:
+        b1, b2 = beh.b1, beh.b2
+        n = first[beh.a1, b1, b2] * second[beh.a2, b1, b2]
+        if n:
+            yield beh, n, 16 * s * (s + b1 * m_b1 + b2 * m_b2 + b1 * b2 * c)
 
 
 def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
@@ -184,16 +232,16 @@ def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
 
     The verdict is the facet test of ``chsh_criterion``. An infeasible
     verdict carries the largest facet value, which exceeds 2; a feasible
-    one carries a witness solving the nine equality constraints (eight
-    stats plus normalization), exact for exact inputs and within about
-    VERDICT_SLACK for float inputs."""
+    one carries Fine's joint distribution as its witness. The witness
+    meets the nine equality constraints (eight stats plus normalization)
+    exactly for exact inputs and within about VERDICT_SLACK for float
+    inputs."""
     signs, value = _max_facet(stats.correlations.as_tuple())
     if not within(value, 2, VERDICT_SLACK):
         return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
-    feasible, x = solve_equality_feasibility(STATS_MATRIX, _exact_rhs(stats))
-    if not feasible:
-        raise RuntimeError("facet test passed but the simplex found no joint probability")
+    exact = stats.is_exact
     weights = {
-        b: w if stats.is_exact else float(w) for b, w in zip(ALL_BEHAVIORS, x) if w != 0
+        beh: Fraction(n, d) if exact else n / d
+        for beh, n, d in _fine_witness(*_scaled_statistics(stats))
     }
     return FeasibilityResult(True, JointProbability(weights), None)

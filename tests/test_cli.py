@@ -11,6 +11,8 @@ import pytest
 
 import bellcheck
 from bellcheck import cli
+from bellcheck.core import Behavior
+from bellcheck.jointprob import JointProbability, statistics_of
 
 
 def run_cli(args):
@@ -378,9 +380,56 @@ GOLDEN_FINE_CHECK = json.loads(
 
 @pytest.mark.parametrize("case", GOLDEN_FINE_CHECK, ids=[c["case"] for c in GOLDEN_FINE_CHECK])
 def test_fine_check_golden_output(capsys, case):
-    # byte-identical to the output recorded before fine-check decided by facets
     assert run_cli(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
+
+
+def _witness_statistics(witness: dict):
+    weights = {Behavior.from_compact(k): Fraction(v) for k, v in witness.items()}
+    assert all(w > 0 for w in weights.values())
+    stats = statistics_of(JointProbability(weights))
+    return list(stats.correlations.as_tuple()) + list(stats.marginals())
+
+
+@pytest.mark.parametrize("case", GOLDEN_FINE_CHECK, ids=[c["case"] for c in GOLDEN_FINE_CHECK])
+def test_fine_check_golden_differs_from_parent_only_in_witness(case):
+    # The closed-form witness changed some outputs recorded with the
+    # simplex's witness; those cases keep the old output as parent_stdout.
+    # Everything but the witness must match, and each new witness must
+    # reproduce the statistics exactly.
+    new = json.loads(case["stdout"])
+    parent = json.loads(case.get("parent_stdout", case["stdout"]))
+    witness, parent_witness = new.pop("witness"), parent.pop("witness")
+    assert new == parent
+    assert (witness is None) == (parent_witness is None)
+    if witness is not None:
+        args = cli.build_parser().parse_args(case["argv"])
+        es = cli._parse_fraction_list(args.correlations, 4, "--correlations")
+        ms = cli._parse_fraction_list(args.marginals or "0,0,0,0", 4, "--marginals")
+        assert _witness_statistics(witness) == es + ms
+        assert _witness_statistics(parent_witness) == es + ms
+
+
+class TestParserReuse:
+    """main() builds its parser once; consecutive calls share no state."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_marginals_do_not_carry_over(self, capsys):
+        assert run_cli(["fine-check", "--correlations=1,0,0,-1", "--marginals=1,0,1,0"]) == 0
+        assert _witness_statistics(json.loads(capsys.readouterr().out)["witness"])[4:] == [1, 0, 1, 0]
+        assert run_cli(["fine-check", "--correlations=1,0,0,-1"]) == 0
+        assert _witness_statistics(json.loads(capsys.readouterr().out)["witness"])[4:] == [0, 0, 0, 0]
+
+    def test_out_does_not_carry_over(self, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert run_cli(["run", "--model", "dice-coin", "--n", "100", "--out", str(out)]) == 0
+        capsys.readouterr()
+        out.unlink()
+        assert run_cli(["run", "--model", "dice-coin", "--n", "100"]) == 0
+        assert json.loads(capsys.readouterr().out)["model"] == "dice-coin"
+        assert not out.exists()
 
 
 class TestGhzCheck:

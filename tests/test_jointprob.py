@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from bellcheck.jointprob import (
     STATS_MATRIX,
     BehaviorStatistics,
     JointProbability,
+    _pair_cells,
     chsh_criterion,
     jp_feasible,
     jp_from_lhv,
@@ -389,6 +391,145 @@ class TestFacetsVsSimplex:
             got_vec = list(got.correlations.as_tuple()) + list(got.marginals())
             assert max(abs(g - v) for g, v in zip(got_vec, list(es) + list(ms))) <= 1e-9
         assert over_facet >= 20 and under_cell >= 20, (over_facet, under_cell)
+
+
+def _split(rng, total, parts):
+    """A random composition of ``total`` into ``parts`` nonnegative integers."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+_FACET_SIGNS = [
+    tuple(sign * (-1 if j == neg else 1) for j in range(4))
+    for neg in range(4)
+    for sign in (1, -1)
+]
+
+
+def _differential_case(rng):
+    """Exact statistics as integer numerators over a denominator up to 97:
+    a mixture of class vertices (sparse, a single vertex, the uniform
+    distribution, classes on one facet or classes sharing one outcome, so
+    that a marginal is +-1), or raw statistics and facet mixtures pushed
+    across their facet, which are often infeasible. Returns (numerators, denominator, stats),
+    or None when the draw admits no valid pair tables."""
+    kind = rng.choices(
+        ["sparse", "single", "uniform", "facet", "fixed", "raw", "pushed"],
+        weights=[3, 1, 1, 3, 3, 3, 3],
+    )[0]
+    den = rng.randint(1, 97)
+    if kind == "raw":
+        spread = rng.choice([0, den // 4])
+        nums = [rng.randint(-den, den) for _ in range(4)]
+        nums += [rng.randint(-spread, spread) for _ in range(4)]
+    else:
+        if kind == "uniform":
+            den = 16 * rng.randint(1, 6)
+            support = list(ALL_BEHAVIORS)
+            counts = [den // 16] * 16
+        else:
+            if kind in ("facet", "pushed"):
+                signs = rng.choice(_FACET_SIGNS)
+                pool = [b for b in ALL_BEHAVIORS if _facet_value(signs, b) == 2]
+            elif kind == "fixed":
+                coordinate, value = rng.randrange(4), rng.choice((-1, 1))
+                pool = [b for b in ALL_BEHAVIORS if b.outcomes()[coordinate] == value]
+            else:
+                pool = list(ALL_BEHAVIORS)
+            size = 1 if kind == "single" else rng.randint(1, min(len(pool), 8))
+            support = rng.sample(pool, size)
+            counts = _split(rng, den, size)
+        nums = [sum(n * row[b.code] for b, n in zip(support, counts)) for row in STATS_MATRIX[:8]]
+        if kind == "pushed":
+            # across the facet the mixture sits on, to 2 + 4*step/den
+            step = rng.randint(1, max(1, den // 8))
+            nums[:4] = [e + s * step for e, s in zip(nums[:4], signs)]
+    values = [Fraction(n, den) for n in nums]
+    try:
+        return nums, den, BehaviorStatistics(CorrelationTable(*values[:4]), *values[4:])
+    except ValueError:
+        return None
+
+
+class TestClosedFormVsSimplex:
+    """Fine's closed-form witness of jp_feasible against the exact simplex
+    over the 16 class vertices, an independent route to the same verdict."""
+
+    def test_exact_cases(self):
+        rng = random.Random(2014)
+        checked = infeasible = tied = empty_glue_cell = 0
+        while checked < 10_000:
+            case = _differential_case(rng)
+            if case is None:
+                continue
+            nums, den, stats = case
+            checked += 1
+            rhs = [Fraction(n, den) for n in nums] + [1]
+            simplex_feasible, _ = solve_equality_feasibility(STATS_MATRIX, rhs)
+            result = jp_feasible(stats)
+            assert result.feasible == simplex_feasible, stats
+            if not result.feasible:
+                infeasible += 1
+                continue
+            tied += chsh_criterion(stats.correlations)[1] == 2
+            empty_glue_cell += abs(nums[6]) == den or abs(nums[7]) == den
+            x = [result.witness.weights.get(b, Fraction(0)) for b in ALL_BEHAVIORS]
+            assert all(isinstance(w, Fraction) and w >= 0 for w in x), stats
+            # every row exactly, in integers over the witness's denominator
+            scale = math.lcm(*(w.denominator for w in x))
+            x_int = [w.numerator * (scale // w.denominator) for w in x]
+            for row, target in zip(STATS_MATRIX, nums + [den]):
+                assert sum(c * w for c, w in zip(row, x_int)) * den == target * scale, stats
+        assert infeasible >= 500 and tied >= 1000 and empty_glue_cell >= 1000, (
+            infeasible, tied, empty_glue_cell,
+        )
+
+    @pytest.mark.parametrize(
+        "es,ms",
+        [
+            # the facet e11 + e12 + e21 - e22 at 2 + 5e-10
+            ((0.5 + 5e-10, 0.5, 0.5, -0.5), (0.0, 0.0, 0.0, 0.0)),
+            # pair (1,1) cell (-,-) at -4e-13
+            ((1 - 4e-13, 0.0, 0.0, -1.0), (1.0, 0.0, 1.0, 0.0)),
+            # m_b2 just below -1: the (B1, B2) cells with b2 = +1 are empty
+            ((0.0, 0.0, 0.25, 0.5), (0.0, -0.5, 0.0, -1 - 5e-13)),
+        ],
+    )
+    def test_float_statistics_just_outside(self, es, ms):
+        self._check_float_witness(BehaviorStatistics(CorrelationTable(*es), *ms))
+
+    def test_float_boundary_points_nudged_outside(self):
+        # exact points on a facet or with an empty pair cell, as floats
+        # nudged by up to 3e-13 per statistic
+        rng = random.Random(1982)
+        outside = 0
+        for _ in range(2000):
+            case = _differential_case(rng)
+            if case is None:
+                continue
+            nums, den, _ = case
+            values = [n / den + rng.uniform(-3e-13, 3e-13) for n in nums]
+            try:
+                nudged = BehaviorStatistics(CorrelationTable(*values[:4]), *values[4:])
+            except ValueError:
+                continue
+            facets_pass, max_value = chsh_criterion(nudged.correlations)
+            if not facets_pass:
+                continue
+            cells = [cell for *_, cell in _pair_cells(values[:4], values[4:])]
+            outside += max_value > 2 or min(cells) < 0
+            self._check_float_witness(nudged)
+        assert outside >= 200, outside
+
+    @staticmethod
+    def _check_float_witness(stats):
+        result = jp_feasible(stats)
+        assert result.feasible
+        x = [result.witness.weights.get(b, 0.0) for b in ALL_BEHAVIORS]
+        assert all(isinstance(w, float) and w >= 0 for w in x)
+        target = list(stats.correlations.as_tuple()) + list(stats.marginals()) + [1]
+        for row, want in zip(STATS_MATRIX, target):
+            assert abs(sum(c * w for c, w in zip(row, x)) - want) <= 1e-9, stats
 
 
 def test_float32_statistics():
