@@ -4,8 +4,9 @@
 A single distribution over the 16 behavior classes reproduces given
 correlations and marginals if and only if every CHSH facet expression
 stays within 2 (Fine's theorem). ``jp_feasible`` decides by the eight
-facets and solves for a witness; the independent route below solves the
-linear feasibility problem over the 16 class vertices exactly. The
+facets and builds Fine's joint distribution as the witness; the
+independent route below runs the exact simplex on the linear
+feasibility problem over the 16 class vertices. The
 dice-coin statistics make the classic counterexample: the two settings
 per station are mutually exclusive to measure, yet a joint distribution
 over all four outcomes exists anyway.

@@ -174,8 +174,8 @@ def _scaled_statistics(stats: BehaviorStatistics) -> tuple[int, list[int], list[
     pair cell lambda*(c - 1) + 1 nonnegative and the largest facet value
     lambda*F at most 2. The mix is a change of scale: numerators times p
     over the denominator times q."""
-    values = stats.correlations.as_tuple() + stats.marginals()
-    ratios = [(Fraction(v) if stats.is_exact else float(v)).as_integer_ratio() for v in values]
+    convert = Fraction if stats.is_exact else float
+    ratios = [convert(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
     d = math.lcm(*(den for _, den in ratios))
     nums = [num * (d // den) for num, den in ratios]
     es, ms = nums[:4], nums[4:]

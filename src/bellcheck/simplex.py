@@ -6,7 +6,9 @@ previous pivot, and every division in the update rule is exact. Bland's
 rule picks pivots, which rules out cycling, and since the phase-1
 objective is bounded below by zero the method always terminates. Sizes
 here are tiny (16 structural columns, 9 rows), so there is no need for
-anything fancier.
+anything fancier. ``jointprob.jp_feasible`` builds its witness in closed
+form; this solver is the independent route that the tests and demo 05
+check its verdicts against.
 """
 
 from __future__ import annotations
