@@ -171,8 +171,8 @@ def _scaled_statistics(stats: BehaviorStatistics) -> tuple[int, list[int], list[
     at their exact binary values; within tolerance they can sit just
     outside it, so they are mixed with the uniform distribution (all
     statistics 0) by the largest weight lambda = p/q <= 1 that makes every
-    pair cell lambda*(c - 1) + 1 nonnegative and the largest facet value
-    lambda*F at most 2. The mix is a change of scale: numerators times p
+    pair cell lambda*(cell - 1) + 1 nonnegative and the largest facet
+    value lambda*F at most 2. The mix is a change of scale: numerators times p
     over the denominator times q."""
     convert = Fraction if stats.is_exact else float
     ratios = [convert(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
@@ -210,9 +210,9 @@ def _fine_witness(s: int, es: list[int], ms: list[int]):
 
     Fourier-Motzkin elimination of the third moment leaves the triple
     (A_i, B1, B2) an interval for c = E(B1*B2): from -1 + max(|e_i1 + e_i2|,
-    |m_b1 + m_b2|) to 1 - max(|e_i1 - e_i2|, |m_b1 - m_b2|). The two
-    triples' intervals meet exactly when the CHSH facets hold, and c is
-    the least value they share. Gluing the triples along their common
+    |m_b1 + m_b2|) to 1 - max(|e_i1 - e_i2|, |m_b1 - m_b2|). With valid
+    pair tables, the two triples' intervals meet exactly when the CHSH
+    facets hold, and c is the least value they share. Gluing the triples along their common
     (B1, B2) table gives P(a1, a2, b1, b2) = P1(a1, b1, b2) P2(a2, b1, b2)
     / P(b1, b2), where a zero P(b1, b2) leaves both factors zero."""
     e11, e12, e21, e22 = es
