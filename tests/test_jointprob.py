@@ -196,6 +196,13 @@ def _facet_value(signs, beh):
     return sum(s * beh.alice(i) * beh.bob(k) for s, (i, k) in zip(signs, SETTING_PAIRS))
 
 
+_FACET_SIGNS = [
+    tuple(sign * (-1 if j == neg else 1) for j in range(4))
+    for neg in range(4)
+    for sign in (1, -1)
+]
+
+
 def _push_correlations_outward(stats, step):
     """Scale correlations away from zero, keeping per-pair tables valid."""
     es = [e + step * (1 if e >= 0 else -1) for e in stats.correlations.as_tuple()]
@@ -311,13 +318,9 @@ class TestFacetsVsSimplex:
         rng = random.Random(2002)
         # half the mixtures use only the classes that reach +2 on one facet,
         # so that pushing their correlations outward often crosses it
-        facet_signs = [
-            tuple(sign * (-1 if j == neg else 1) for j in range(4))
-            for neg in range(4) for sign in (1, -1)
-        ]
         checked = infeasible = 0
         while checked < 2000:
-            signs = rng.choice(facet_signs) if rng.random() < 0.5 else None
+            signs = rng.choice(_FACET_SIGNS) if rng.random() < 0.5 else None
             weights = [
                 rng.randint(0, 6)
                 if signs is None or _facet_value(signs, b) == 2
@@ -399,20 +402,14 @@ def _split(rng, total, parts):
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
 
 
-_FACET_SIGNS = [
-    tuple(sign * (-1 if j == neg else 1) for j in range(4))
-    for neg in range(4)
-    for sign in (1, -1)
-]
-
-
 def _differential_case(rng):
     """Exact statistics as integer numerators over a denominator up to 97:
     a mixture of class vertices (sparse, a single vertex, the uniform
     distribution, classes on one facet or classes sharing one outcome, so
     that a marginal is +-1), or raw statistics and facet mixtures pushed
-    across their facet, which are often infeasible. Returns (numerators, denominator, stats),
-    or None when the draw admits no valid pair tables."""
+    across their facet, which are often infeasible. Returns (numerators,
+    denominator, stats), or None when the draw admits no valid pair
+    tables."""
     kind = rng.choices(
         ["sparse", "single", "uniform", "facet", "fixed", "raw", "pushed"],
         weights=[3, 1, 1, 3, 3, 3, 3],
