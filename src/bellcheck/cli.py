@@ -36,7 +36,7 @@ from .engine import (
     theoretical_chsh,
 )
 from .errors import ModelError, ResourceLimitError
-from .jointprob import BehaviorStatistics, chsh_criterion, jp_feasible
+from .jointprob import BehaviorStatistics, jp_feasible
 from .quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 
 # `run` reports from block counts and builds no trial log. The benchmark's
@@ -46,6 +46,7 @@ from .quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 # log, so the second name is bound to its count path. ROADMAP item 2 drops
 # both names.
 from .engine import run_experiment  # noqa: F401
+from .jointprob import chsh_criterion  # noqa: F401  (a tracer name only: fine-check prints stats.facet)
 from .quantum import count_quantum_experiment as run_quantum_experiment  # noqa: F401
 from .zoo import MODEL_FACTORIES, available_models, get_model
 
@@ -60,6 +61,10 @@ EXIT_RESOURCE = 4
 #: second.
 _MAX_NUMBER_CHARS = 2000
 _MAX_EXPONENT = 2000
+#: Bound on the digits of the eight values' common denominator d: fine-check
+#: prints numbers below 64*d**2, which then fit Python's 4300-digit str limit.
+_MAX_DENOMINATOR_DIGITS = 2100
+_MAX_DENOMINATOR = 10**_MAX_DENOMINATOR_DIGITS
 _EXPONENT = re.compile(r"[eE]([+-]?\d[\d_]*)\s*$")
 
 
@@ -311,9 +316,10 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
         if args.marginals is not None
         else [Fraction(0)] * 4
     )
+    if math.lcm(*(v.denominator for v in es + ms)) >= _MAX_DENOMINATOR:
+        raise ValueError(f"--correlations/--marginals: common denominator exceeds {_MAX_DENOMINATOR_DIGITS} digits")
     stats = BehaviorStatistics(CorrelationTable(*es), *ms)
     result = jp_feasible(stats)
-    all_pass, max_facet = chsh_criterion(stats.correlations)
     out = {
         "feasible": result.feasible,
         "witness": (
@@ -330,8 +336,8 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
             else None
         ),
         "chsh_criterion": {
-            "all_pass": all_pass,
-            "max_facet_value": _exact_and_float(max_facet),
+            "all_pass": result.feasible,
+            "max_facet_value": _exact_and_float(stats.facet[1]),
         },
     }
     _emit(_render_json(out), args.out)

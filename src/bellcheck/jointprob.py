@@ -8,14 +8,15 @@ built) and no CHSH facet value exceeds 2, so ``jp_feasible`` and
 ``chsh_criterion`` decide from the same eight facet values. A feasible
 input gets Fine's joint distribution in closed form (Halliwell, Phys.
 Lett. A 378, 2945, 2014), built in integer arithmetic over one common
-denominator. Rational inputs stay exact; float inputs pass the facet test
-within ``core.VERDICT_SLACK``.
+denominator. Rational inputs stay exact: ``BehaviorStatistics`` scales them
+at construction to integer numerators over their lcm, which every exact
+check reads. Float inputs pass the facet test within ``core.VERDICT_SLACK``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Rational
 from typing import Any, Mapping
@@ -49,13 +50,13 @@ _MARGINAL_ROWS = [
 STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
 
 
-def _pair_cells(es, ms, one=1):
+def _pair_cells(values, one=1):
     """Each pair table's four cells, times 4: one + A*m_a + B*m_b + A*B*E
     for setting pair (i, k) and outcomes (A, B), in SETTING_PAIRS order.
-    ``ms`` is (m_a1, m_a2, m_b1, m_b2); ``one`` is the common denominator
-    of statistics given as integer numerators."""
-    for (i, k), e in zip(SETTING_PAIRS, es):
-        m_a, m_b = ms[i - 1], ms[k + 1]
+    ``values`` is (e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2); ``one`` is
+    the common denominator of statistics given as integer numerators."""
+    for (i, k), e in zip(SETTING_PAIRS, values):
+        m_a, m_b = values[i + 3], values[k + 5]
         for alpha in (-1, 1):
             for beta in (-1, 1):
                 yield (i, k), alpha, beta, one + alpha * m_a + beta * m_b + alpha * beta * e
@@ -68,7 +69,8 @@ class BehaviorStatistics:
     Construction checks that every setting pair admits a valid 4-cell
     outcome table: (1 + A*m_a + B*m_b + A*B*E) / 4 must be nonnegative
     for all sign choices. Statistics violating that cannot come from any
-    experiment, CHSH or otherwise.
+    experiment, CHSH or otherwise. Exact statistics are checked and kept as
+    ``scaled``: (numerators over their lcm d, in ``_pair_cells`` order; d).
     """
 
     correlations: CorrelationTable
@@ -76,14 +78,22 @@ class BehaviorStatistics:
     m_a2: Any = 0
     m_b1: Any = 0
     m_b2: Any = 0
+    scaled: tuple[list[int], int] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, v in zip(("m_a1", "m_a2", "m_b1", "m_b2"), self.marginals()):
             _check_unit_interval(name, v)
-        for (i, k), alpha, beta, cell in _pair_cells(
-            self.correlations.as_tuple(), self.marginals()
-        ):
-            if not within(-cell, 0, DOMAIN_SLACK):
+        values = self.correlations.as_tuple() + self.marginals()
+        if all(isinstance(v, Rational) for v in values):
+            # as Python ints: numpy's fixed-width integers would overflow
+            d = math.lcm(*(int(v.denominator) for v in values))
+            nums = [int(v.numerator) * (d // int(v.denominator)) for v in values]
+            object.__setattr__(self, "scaled", (nums, d))
+        cells = _pair_cells(*self.scaled) if self.scaled else _pair_cells(values)
+        for j, (_, _, _, cell) in enumerate(cells):
+            if cell < 0 if self.scaled else not within(-cell, 0, DOMAIN_SLACK):
+                # the weight printed in the given values' own arithmetic
+                (i, k), alpha, beta, cell = list(_pair_cells(values))[j]
                 raise ValueError(
                     f"pair ({i},{k}) admits no outcome table: cell "
                     f"({alpha:+d},{beta:+d}) has weight {cell / 4} < 0"
@@ -93,10 +103,14 @@ class BehaviorStatistics:
         return (self.m_a1, self.m_a2, self.m_b1, self.m_b2)
 
     @property
-    def is_exact(self) -> bool:
-        return self.correlations.is_exact and all(
-            isinstance(v, Rational) for v in self.marginals()
-        )
+    def facet(self) -> tuple[tuple[int, int, int, int], Any]:
+        """``_max_facet`` of the correlations (top/d when exact), evaluated
+        once. Cached by hand: cached_property takes a lock before Python 3.12."""
+        if "facet" not in self.__dict__:
+            nums, d = self.scaled or (self.correlations.as_tuple(), None)
+            signs, top = _max_facet(nums[:4])
+            self.__dict__["facet"] = (signs, top if d is None else Fraction(top, d))
+        return self.__dict__["facet"]
 
 
 @dataclass(frozen=True)
@@ -164,29 +178,26 @@ def chsh_criterion(table: CorrelationTable) -> tuple[bool, Any]:
     return within(value, 2, VERDICT_SLACK), value
 
 
-def _scaled_statistics(stats: BehaviorStatistics) -> tuple[int, list[int], list[int]]:
-    """The statistics as integer numerators over one denominator s:
-    (s, correlations, marginals), for statistics that pass the facet test.
-    Exact ones are inside the local polytope already. Float ones are taken
-    at their exact binary values; within tolerance they can sit just
-    outside it, so they are mixed with the uniform distribution (all
+def _scaled_floats(stats: BehaviorStatistics) -> tuple[list[int], int]:
+    """Float statistics that pass the facet test as integer numerators over
+    one denominator s: (numerators, s), as ``scaled``. They are taken at their
+    exact binary values; within tolerance they can sit just outside the
+    local polytope, so they are mixed with the uniform distribution (all
     statistics 0) by the largest weight lambda = p/q <= 1 that makes every
     pair cell lambda*(cell - 1) + 1 nonnegative and the largest facet
     value lambda*F at most 2. The mix is a change of scale: numerators times p
     over the denominator times q."""
-    convert = Fraction if stats.is_exact else float
-    ratios = [convert(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
+    ratios = [float(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
     d = math.lcm(*(den for _, den in ratios))
     nums = [num * (d // den) for num, den in ratios]
-    es, ms = nums[:4], nums[4:]
-    _, top = _max_facet(es)
+    _, top = _max_facet(nums[:4])
     bounds = [(2 * d, top)] if top > 2 * d else []
-    bounds += [(d, d - cell) for *_, cell in _pair_cells(es, ms, d) if cell < 0]
+    bounds += [(d, d - cell) for *_, cell in _pair_cells(nums, d) if cell < 0]
     p = q = 1
     for num, den in bounds:
         if num * q < p * den:
             p, q = num, den
-    return q * d, [p * v for v in es], [p * v for v in ms]
+    return [p * v for v in nums], q * d
 
 
 def _triple_cells(s: int, m_a: int, m_b1: int, m_b2: int, e1: int, e2: int, c: int) -> dict:
@@ -203,10 +214,10 @@ def _triple_cells(s: int, m_a: int, m_b1: int, m_b2: int, e1: int, e2: int, c: i
     return {(a, b1, b2): n + a * b1 * b2 * t for (a, b1, b2), n in cells.items()}
 
 
-def _fine_witness(s: int, es: list[int], ms: list[int]):
-    """Fine's joint distribution for statistics es/s, ms/s inside the local
-    polytope, as (behavior, numerator, denominator) for each class of
-    nonzero weight.
+def _fine_witness(nums: list[int], s: int):
+    """Fine's joint distribution for statistics nums/s (e11, e12, e21, e22,
+    m_a1, m_a2, m_b1, m_b2) inside the local polytope, as (behavior,
+    numerator, denominator) for each class of nonzero weight.
 
     Fourier-Motzkin elimination of the third moment leaves the triple
     (A_i, B1, B2) an interval for c = E(B1*B2): from -1 + max(|e_i1 + e_i2|,
@@ -215,8 +226,7 @@ def _fine_witness(s: int, es: list[int], ms: list[int]):
     facets hold, and c is the least value they share. Gluing the triples along their common
     (B1, B2) table gives P(a1, a2, b1, b2) = P1(a1, b1, b2) P2(a2, b1, b2)
     / P(b1, b2), where a zero P(b1, b2) leaves both factors zero."""
-    e11, e12, e21, e22 = es
-    m_a1, m_a2, m_b1, m_b2 = ms
+    e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2 = nums
     c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
     first = _triple_cells(s, m_a1, m_b1, m_b2, e11, e12, c)
     second = _triple_cells(s, m_a2, m_b1, m_b2, e21, e22, c)
@@ -230,18 +240,24 @@ def _fine_witness(s: int, es: list[int], ms: list[int]):
 def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
     """Decide whether any joint probability reproduces the statistics.
 
-    The verdict is the facet test of ``chsh_criterion``. An infeasible
-    verdict carries the largest facet value, which exceeds 2; a feasible
-    one carries Fine's joint distribution as its witness. The witness
-    meets the nine equality constraints (eight stats plus normalization)
-    exactly for exact inputs and within about VERDICT_SLACK for float
-    inputs."""
-    signs, value = _max_facet(stats.correlations.as_tuple())
+    The verdict is the facet test of ``chsh_criterion``, on the facet value
+    the statistics evaluate once. An infeasible verdict carries the largest
+    facet value, which exceeds 2; a feasible one carries Fine's joint
+    distribution as its witness. The witness meets the nine equality
+    constraints (eight stats plus normalization) exactly for exact inputs
+    and within about VERDICT_SLACK for float inputs."""
+    signs, value = stats.facet
     if not within(value, 2, VERDICT_SLACK):
         return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
-    exact = stats.is_exact
-    weights = {
-        beh: Fraction(n, d) if exact else n / d
-        for beh, n, d in _fine_witness(*_scaled_statistics(stats))
-    }
-    return FeasibilityResult(True, JointProbability(weights), None)
+    if stats.scaled is None:
+        weights = {beh: n / d for beh, n, d in _fine_witness(*_scaled_floats(stats))}
+        return FeasibilityResult(True, JointProbability(weights), None)
+    # JointProbability's check, made here in integers over the lcm of the
+    # denominators; object.__new__ skips its re-sum of the Fractions
+    triples = list(_fine_witness(*stats.scaled))
+    lcm = math.lcm(*(den for *_, den in triples))
+    witness = object.__new__(JointProbability)
+    object.__setattr__(witness, "weights", {beh: Fraction(n, den) for beh, n, den in triples})
+    if any(n < 0 for _, n, _ in triples) or sum(n * (lcm // den) for _, n, den in triples) != lcm:
+        validate_weights(witness.weights)  # fails as the integer check did, with its own message
+    return FeasibilityResult(True, witness, None)

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli
+from bellcheck import cli, jointprob
 from bellcheck.core import Behavior
 from bellcheck.jointprob import JointProbability, statistics_of
 
@@ -364,6 +366,51 @@ class TestBoundedNumbers:
         assert json.loads(capsys.readouterr().out)["feasible"] is True
 
 
+class TestDenominatorBound:
+    """The eight values' common denominator is bounded right after parsing,
+    so every number fine-check prints fits Python's int-to-str limit."""
+
+    # 10**2100 - 1, the largest accepted denominator, as a product of two
+    # coprime factors that each fit the 2000-character limit
+    LOW, HIGH = 10**1050 - 1, 10**1050 + 1
+
+    def test_largest_accepted_denominator_renders(self, capsys):
+        assert self.LOW * self.HIGH == 10**cli._MAX_DENOMINATOR_DIGITS - 1
+        rng = random.Random(2100)
+        values = [Fraction(1, self.LOW), Fraction(1, self.HIGH)] + [
+            Fraction(rng.randrange(-10**940, 10**940), rng.choice((self.LOW, self.HIGH)))
+            for _ in range(6)
+        ]
+        argv = ["fine-check", "--correlations=" + ",".join(map(str, values[:4])),
+                "--marginals=" + ",".join(map(str, values[4:]))]
+        assert run_cli(argv) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["feasible"] is True
+        # the witness's longest number comes within 200 digits of the limit
+        assert 4100 <= max(map(len, re.findall(r"\d+", out))) <= 4300
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 10**2100, one past the largest accepted denominator
+            ["--correlations", f"1/{2**2100},1/{5**2100},0,0"],
+            ["--correlations", "0,0,0,0", "--marginals", f"0,1/{2**2100},0,1/{5**2100}"],
+            # eight 1991-digit denominators, each value within its own
+            # bounds; their lcm has 15,919 digits
+            ["--correlations", ",".join(f"1/{10**1990 + k}" for k in (1, 3, 7, 9)),
+             "--marginals", ",".join(f"1/{10**1990 + k}" for k in (11, 13, 17, 19))],
+        ],
+        ids=["correlations", "marginals", "eight-values"],
+    )
+    def test_denominator_past_the_bound_exits_2(self, capsys, argv):
+        assert run_cli(["fine-check", *argv]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (
+            "configuration error: --correlations/--marginals: common denominator "
+            f"exceeds {cli._MAX_DENOMINATOR_DIGITS} digits\n"
+        )
+
+
 class TestThreadsVariable:
     @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
     def test_bad_value_exits_2(self, value, monkeypatch, capsys):
@@ -408,6 +455,34 @@ def test_fine_check_golden_differs_from_parent_only_in_witness(case):
         ms = cli._parse_fraction_list(args.marginals or "0,0,0,0", 4, "--marginals")
         assert _witness_statistics(witness) == es + ms
         assert _witness_statistics(parent_witness) == es + ms
+
+
+@pytest.mark.parametrize("case", GOLDEN_FINE_CHECK, ids=[c["case"] for c in GOLDEN_FINE_CHECK])
+def test_fine_check_evaluates_the_facets_once(monkeypatch, capsys, case):
+    # the verdict, the certificate and the printed chsh_criterion block all
+    # come from one evaluation
+    calls = []
+    original = jointprob._max_facet
+
+    def counted(es):
+        calls.append(es)
+        return original(es)
+
+    monkeypatch.setattr(jointprob, "_max_facet", counted)
+    assert run_cli(case["argv"]) == 0
+    assert capsys.readouterr().out == case["stdout"]
+    assert len(calls) == 1
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    # perfbench's traced run wraps these names and stops if one is gone
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    for module, attr, _ in tracing.PATCHES:
+        assert hasattr(importlib.import_module(f"bellcheck.{module}"), attr), (module, attr)
 
 
 class TestParserReuse:
@@ -488,7 +563,7 @@ def test_runs_without_scipy():
 import contextlib, io, json, math, sys
 sys.modules["scipy"] = None
 import bellcheck as bc
-from bellcheck import cli
+from bellcheck import cli, jointprob
 result = bc.jp_feasible(bc.BehaviorStatistics(bc.CorrelationTable(0.5, 0.1, -0.2, -0.5), 0.1, 0.0, -0.1, 0.0))
 assert result.feasible and all(isinstance(w, float) for w in result.witness.weights.values())
 buf = io.StringIO()

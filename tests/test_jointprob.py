@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellcheck import jointprob
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable
 from bellcheck.engine import exact_class_weights, theoretical_correlations
 from bellcheck.jointprob import (
@@ -228,6 +229,115 @@ class TestFineBSoundness:
         # trial), yet the statistics admit a joint distribution
         stats = statistics_of(jp_from_lhv(dice_coin_model()))
         assert jp_feasible(stats).feasible
+
+
+def _reference_check(values):
+    """The pair-cell check and the largest facet as construction made them
+    before scaling to integers: in the values' own arithmetic (Fractions,
+    or ints for an all-int pair). Returns the first failing cell's message,
+    or None, and (signs, value), the first maximum in _FACET_SIGNS order."""
+    es, ms = values[:4], values[4:]
+    for (i, k), e in zip(SETTING_PAIRS, es):
+        for alpha in (-1, 1):
+            for beta in (-1, 1):
+                cell = 1 + alpha * ms[i - 1] + beta * ms[k + 1] + alpha * beta * e
+                if cell < 0:
+                    return (
+                        f"pair ({i},{k}) admits no outcome table: cell "
+                        f"({alpha:+d},{beta:+d}) has weight {cell / 4} < 0"
+                    ), None
+    facets = [(signs, sum(s * e for s, e in zip(signs, es))) for signs in _FACET_SIGNS]
+    return None, max(facets, key=lambda facet: facet[1])
+
+
+def _check_against_reference(values) -> bool:
+    """Whether the statistics were accepted; asserts that construction's
+    integer check and facet agree with _reference_check."""
+    message, facet = _reference_check(values)
+    try:
+        stats = BehaviorStatistics(CorrelationTable(*values[:4]), *values[4:])
+    except ValueError as exc:
+        assert str(exc) == message, values
+        return False
+    assert message is None, values
+    assert stats.facet == facet, values
+    nums, d = stats.scaled
+    assert d == math.lcm(*(Fraction(v).denominator for v in values))
+    assert [Fraction(n, d) for n in nums] == list(values)
+    return True
+
+
+_RATIONAL = st.one_of(
+    st.integers(min_value=-1, max_value=1),
+    st.fractions(min_value=-1, max_value=1, max_denominator=12),
+)
+
+
+class TestIntegerStatisticsVsFractions:
+    """Construction's integer pair-cell check and facet value against the
+    same computations in Fraction arithmetic."""
+
+    @given(st.lists(_RATIONAL, min_size=8, max_size=8))
+    @settings(max_examples=500, deadline=None)
+    def test_random_rationals(self, values):
+        _check_against_reference(values)
+
+    def test_both_verdicts_and_mixed_types(self):
+        rng = random.Random(1982)
+        accepted = rejected = 0
+        for _ in range(3000):
+            # values up to 1, 1/2 or 1/3 in magnitude, about 30% of them ints
+            scale = rng.choice((1, 2, 3))
+            ints = (-1, 0, 1) if scale == 1 else (0,)
+            dens = [rng.randint(1, 12) for _ in range(8)]
+            values = [
+                rng.choice(ints) if rng.random() < 0.3 else Fraction(rng.randint(-den, den), den * scale)
+                for den in dens
+            ]
+            if _check_against_reference(values):
+                accepted += 1
+            else:
+                rejected += 1
+        assert accepted >= 300 and rejected >= 300, (accepted, rejected)
+
+    def test_all_int_pair_keeps_its_float_weight(self):
+        # an all-int pair's weight is printed as the int arithmetic gives it
+        message = r"^pair \(1,1\) admits no outcome table: cell \(-1,-1\) has weight -0.5 < 0$"
+        with pytest.raises(ValueError, match=message):
+            BehaviorStatistics(CorrelationTable(-1, 0, 0, 0), 1, 0, 1, 0)
+
+    def test_ties_keep_the_first_maximum(self):
+        stats = BehaviorStatistics(CorrelationTable(Fraction(1), 0, 0, Fraction(-1)))
+        assert stats.facet == ((1, -1, -1, -1), 2) == _reference_check(stats.correlations.as_tuple() + (0,) * 4)[1]
+
+
+class TestExactWitnessCheck:
+    """The exact witness is checked in integers, not by JointProbability's
+    re-sum, and still fails with validate_weights's messages."""
+
+    STATS = BehaviorStatistics(
+        CorrelationTable(Fraction(-1, 3), Fraction(-1, 51), Fraction(-1, 17), Fraction(5, 51)),
+        Fraction(1, 17), Fraction(1, 51), Fraction(1, 17), Fraction(-13, 51),
+    )
+
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            (lambda triples: triples[1:], r"^class weights sum to \d+/\d+, not 1$"),
+            (lambda triples: [(b, -n, d) for b, n, d in triples[:1]] + triples[1:], "^class weights must be nonnegative$"),
+        ],
+        ids=["sum", "negative"],
+    )
+    def test_broken_witness_raises(self, monkeypatch, edit, message):
+        original = jointprob._fine_witness
+        monkeypatch.setattr(jointprob, "_fine_witness", lambda nums, s: edit(list(original(nums, s))))
+        with pytest.raises(ValueError, match=message):
+            jp_feasible(self.STATS)
+
+    def test_unbroken_witness_passes_the_fraction_check(self):
+        weights = jp_feasible(self.STATS).witness.weights
+        assert sum(weights.values()) == 1 and all(w > 0 for w in weights.values())
+        JointProbability(dict(weights))
 
 
 class TestBehaviorStatisticsValidation:
@@ -513,7 +623,7 @@ class TestClosedFormVsSimplex:
             facets_pass, max_value = chsh_criterion(nudged.correlations)
             if not facets_pass:
                 continue
-            cells = [cell for *_, cell in _pair_cells(values[:4], values[4:])]
+            cells = [cell for *_, cell in _pair_cells(values)]
             outside += max_value > 2 or min(cells) < 0
             self._check_float_witness(nudged)
         assert outside >= 200, outside
@@ -527,6 +637,16 @@ class TestClosedFormVsSimplex:
         target = list(stats.correlations.as_tuple()) + list(stats.marginals()) + [1]
         for row, want in zip(STATS_MATRIX, target):
             assert abs(sum(c * w for c, w in zip(row, x)) - want) <= 1e-9, stats
+
+
+def test_numpy_integer_statistics_stay_exact():
+    # np.int64 values are Rational; their lcm with 3**40 exceeds int64
+    es = [np.int64(0), Fraction(1, 3**40), np.int64(0), Fraction(-1, 3**40)]
+    ms = [np.int64(0), Fraction(1, 3**20), np.int64(0), np.int64(0)]
+    result = jp_feasible(BehaviorStatistics(CorrelationTable(*es), *ms))
+    assert result.feasible
+    got = statistics_of(result.witness)
+    assert list(got.correlations.as_tuple()) + list(got.marginals()) == es + ms
 
 
 def test_float32_statistics():
