@@ -71,4 +71,4 @@ from .zoo import (
     get_model,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

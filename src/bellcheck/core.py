@@ -10,6 +10,7 @@ integer tags, uses them as indices into the model's class table.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from numbers import Rational
@@ -52,7 +53,9 @@ def validate_outcome(value: int) -> int:
 
 
 def _check_unit_interval(name: str, value) -> None:
-    if not (within(value, 1, DOMAIN_SLACK) and within(-value, 1, DOMAIN_SLACK)):
+    # an exact value is decided in integers, as |numerator| <= denominator
+    if not (abs(value.numerator) <= abs(value.denominator) if isinstance(value, Rational)
+            else within(value, 1, DOMAIN_SLACK) and within(-value, 1, DOMAIN_SLACK)):
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
 
@@ -161,12 +164,12 @@ class LhvModel:
     ``mi_diagnostic`` but never assumes it.
 
     ``enumerate_lambda``, when given, returns the exact tag distribution
-    for a setting pair as (tag, weight) pairs with rational weights;
-    this powers the analytic (exact arithmetic) code paths, and a small
-    domain of non-negative integer tags also compiles to a class table
-    (see ``class_table``). The batch response functions are optional
-    vectorized twins of the scalar ones, used only by models without
-    such a table.
+    for a setting pair as (tag, weight) pairs with rational weights; it
+    compiles to ``class_distribution``, which the exact code paths and
+    ``run`` read, and a small domain of non-negative integer tags also to
+    a class table (see ``class_table``). The batch response functions are
+    optional vectorized twins of the scalar ones, used only by models
+    without such a table.
     """
 
     name: str
@@ -183,6 +186,45 @@ class LhvModel:
     def class_table(self) -> np.ndarray | None:
         """``class_table(self)``, compiled on first use and kept."""
         return class_table(self)
+
+    @functools.cached_property
+    def class_distribution(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], int] | None:
+        """The declared tag distribution compiled to class weights, on first
+        use: (per setting pair, the 16 class numerators in code order; their
+        common denominator d), or None without ``enumerate_lambda``.
+
+        Each declared tag's class comes from the class table when the model
+        has one, else from its scalar responses, once per distinct tag. An
+        ``enumerate_lambda`` that raises, a negative weight and weights of a
+        pair that do not sum to 1 raise ModelError naming enumerate_lambda.
+        """
+        if self.enumerate_lambda is None:
+            return None
+        where = f"model {self.name!r}: enumerate_lambda"
+        known = {} if self.class_table is None else dict(enumerate(self.class_table.tolist()))
+        sums, dens = {}, {}
+        for pair in SETTING_PAIRS:
+            try:
+                declared = list(self.enumerate_lambda(pair))
+                tags, weights = zip(*declared) if declared else ((), ())
+                weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
+            except Exception as exc:
+                raise ModelError(f"{where} failed: {exc}") from exc
+            # as Python ints: numpy's fixed-width integers would overflow
+            nums = [int(w.numerator) for w in weights]
+            denominators = [int(w.denominator) for w in weights]
+            dens[pair] = d = math.lcm(*set(denominators))
+            sums[pair] = acc = [0] * 16
+            for tag, w, num, den in zip(tags, weights, nums, denominators):
+                if num < 0:
+                    raise ModelError(f"{where}: tag {tag!r} of pair {pair} has weight {w} < 0")
+                if tag not in known:
+                    known[tag] = _code_of(self, tag, "class distribution")
+                acc[known[tag]] += num * (d // den)
+            if sum(acc) != d:
+                raise ModelError(f"{where}: declared tag weights of pair {pair} sum to {Fraction(sum(acc), d)}, not 1")
+        d = math.lcm(*dens.values())
+        return {pair: tuple(n * (d // dens[pair]) for n in sums[pair]) for pair in SETTING_PAIRS}, d
 
 
 def behavior_of(model: LhvModel, lam: Hashable) -> Behavior:
@@ -236,14 +278,23 @@ def class_table(model: LhvModel) -> np.ndarray | None:
         return None
     table = np.full(max(int(t) for t in tags) + 1, UNDECLARED, dtype=np.uint8)
     for tag in sorted(tags):
-        try:
-            table[tag] = behavior_of(model, tag).code
-        except Exception as exc:
-            raise ModelError(
-                f"model {model.name!r}: class table: responses at tag {tag!r} failed: {exc}"
-            ) from exc
+        table[tag] = _code_of(model, tag, "class table")
     table.setflags(write=False)
     return table
+
+
+def _code_of(model: LhvModel, tag, stage: str) -> int:
+    """``behavior_of(model, tag).code`` without building the Behavior; a
+    failing response raises ModelError naming ``stage``."""
+    try:
+        outs = (model.respond_alice(1, tag), model.respond_alice(2, tag),
+                model.respond_bob(1, tag), model.respond_bob(2, tag))
+        if not {1, -1}.issuperset(outs):
+            for value in outs:
+                validate_outcome(value)
+    except Exception as exc:
+        raise ModelError(f"model {model.name!r}: {stage}: responses at tag {tag!r} failed: {exc}") from exc
+    return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
 
 
 def table_codes(model: LhvModel, lams, stage: str = "class analysis") -> np.ndarray:

@@ -3,12 +3,13 @@
 Empirical side: ``count_experiment`` samples the four series (one per
 setting pair) block by block and keeps only integer counts: per pair, the
 trials in each of the 16 behavior classes, and from them the trials whose
-clicks agree. ``chsh_report`` reduces the agreements to the S* number and
-the p-value of its excess over the LHV bound 2, and
-``class_frequencies`` plus ``mi_diagnostic`` inspect how the classes were
-distributed across the four series. ``run_experiment`` draws the same
-blocks into a ``TrialLog`` of every click and tag, which both reports
-accept by first reducing it to the same counts.
+clicks agree (stream scheme v3: from the model's compiled class
+distribution where it declares one). ``chsh_report`` reduces the
+agreements to the S* number and the p-value of its excess over the LHV
+bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
+classes were distributed across the four series. ``run_experiment`` draws
+a ``TrialLog`` of every click and tag through ``sample_lambda``, which
+both reports accept by first reducing it to counts.
 
 Analytic side: given exact class weights, ``theoretical_correlations``
 and ``theoretical_chsh`` evaluate the same quantities in exact arithmetic.
@@ -36,19 +37,16 @@ from .core import (
     DOMAIN_SLACK,
     PAIR_CODES,
     SETTING_PAIRS,
-    UNDECLARED,
     VERDICT_SLACK,
     Behavior,
     CorrelationTable,
     LhvModel,
     behavior_codes,
-    behavior_of,
     pair_outcomes,
-    table_codes,
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import BLOCK_SIZE, iter_blocks, series_streams, validate_seed
+from .streams import BLOCK_SIZE, check_block_count, iter_blocks, series_streams, validate_seed
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -205,6 +203,18 @@ def _resolve_workers() -> int:
     return workers
 
 
+def check_run(n_per_series: int, seed: int) -> int:
+    """Check a run's size and seed before anything is compiled or drawn."""
+    if (
+        isinstance(n_per_series, bool)
+        or not isinstance(n_per_series, (int, np.integer))
+        or n_per_series < 1
+    ):
+        raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
+    check_block_count(-(-n_per_series // BLOCK_SIZE))
+    return validate_seed(seed)
+
+
 def _series(
     block_fn: BlockFn,
     reduce: Callable[[Iterator[Any]], Any],
@@ -220,13 +230,7 @@ def _series(
     keyed by (seed, pair, block) (``series_streams`` re-keys one generator
     per task), so the results are the same for any worker count.
     """
-    if (
-        isinstance(n_per_series, bool)
-        or not isinstance(n_per_series, (int, np.integer))
-        or n_per_series < 1
-    ):
-        raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
-    seed = validate_seed(seed)
+    seed = check_run(n_per_series, seed)
     workers = min(_resolve_workers(), len(SETTING_PAIRS))
     n_blocks = -(-n_per_series // BLOCK_SIZE)
 
@@ -282,29 +286,32 @@ _AGREEING = {
 
 def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts:
     """Run the four series of an LHV model and keep, per setting pair, the
-    count of each behavior class: the same blocks and tags as
-    ``run_experiment``, reduced block by block: to a histogram of its tags,
-    folded through the class table once per series, or for a model without
-    a table to the codes of its four responses per tag. A tag outside the
-    declared domain is the sampler's fault (``table_codes`` names it)."""
-    table = model.class_table  # compiled here, before any worker starts
-    holes = None if table is None else np.flatnonzero(table == UNDECLARED)
+    count of each behavior class.
 
-    def count(pair, rng, n):
-        lams = _draw_tags(model, pair, rng, n)
-        if table is None:
-            return np.bincount(core.behavior_codes(model, lams), minlength=16)
-        if lams.dtype.kind in "iu" and lams.min() >= 0 and lams.max() < len(table):
-            hist = np.bincount(lams.astype(np.intp, copy=False), minlength=len(table))
-            if not hist[holes].any():
-                return hist
-        table_codes(model, lams, "sample_lambda")  # raises
+    A model that declares its tag distribution draws each block's counts
+    from its compiled ``class_distribution``: Multinomial(k, w_pair) over
+    the classes of positive weight, on the block's stream. A model without
+    one draws the block's tags through ``sample_lambda`` and counts the
+    codes of its four responses per tag.
+    """
+    seed = check_run(n_per_series, seed)
+    compiled = model.class_distribution  # compiled here, before any worker starts
+    if compiled is not None:
+        nums, d = compiled
+        # zero-weight classes take no part in the draw, so they stay at 0
+        support = {pair: np.flatnonzero(nums[pair]) for pair in SETTING_PAIRS}
+        pvals = {pair: np.array([nums[pair][c] / d for c in support[pair]]) for pair in SETTING_PAIRS}
+
+    def count(pair, rng, k):
+        if compiled is None:
+            return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
+        counts = np.zeros(16, dtype=np.int64)
+        counts[support[pair]] = rng.multinomial(k, pvals[pair])
+        return counts
 
     classes = count_blocks(count, n_per_series, seed)
-    if table is not None:
-        classes = {pair: np.array([hist[table == c].sum() for c in range(16)]) for pair, hist in classes.items()}
     agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}
-    return RunCounts(validate_seed(seed), n_per_series, agree, classes)
+    return RunCounts(seed, n_per_series, agree, classes)
 
 
 def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
@@ -380,20 +387,12 @@ def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None)
 def exact_class_weights(
     model: LhvModel, pair: tuple[int, int] = (1, 1)
 ) -> dict[Behavior, Fraction]:
-    """Exact behavior-class weights for one setting pair, from the
-    model's declared tag distribution (classified through the model's
-    class table when it has one)."""
-    if model.enumerate_lambda is None:
+    """Exact behavior-class weights for one setting pair: a view of the
+    model's compiled ``class_distribution``, classes of weight 0 left out."""
+    if model.class_distribution is None:
         raise ValueError(f"model {model.name!r} does not declare an exact tag distribution")
-    table = model.class_table
-    weights: dict[Behavior, Fraction] = {}
-    for tag, w in model.enumerate_lambda(pair):
-        beh = behavior_of(model, tag) if table is None else ALL_BEHAVIORS[table[tag]]
-        weights[beh] = weights.get(beh, Fraction(0)) + Fraction(w)
-    total = sum(weights.values())
-    if total != 1:
-        raise ValueError(f"model {model.name!r}: declared tag weights sum to {total}, not 1")
-    return weights
+    nums, d = model.class_distribution
+    return {ALL_BEHAVIORS[c]: Fraction(n, d) for c, n in enumerate(nums[pair]) if n}
 
 
 def exact_class_frequencies(model: LhvModel) -> ClassFrequencies:

@@ -1,4 +1,8 @@
-"""Singlet-state trial sampling: the violating side of the comparison.
+"""Singlet-state sampling: the violating side of the comparison.
+
+A singlet trial's clicks disagree on l2 - l0 of the 2**64 raw words
+(``_word_limits``), so under stream scheme v3 a block of k trials draws its
+disagreements at once, as Binomial(k, (l2 - l0) / 2**64).
 
 Sign convention: E(a, b) = -cos(a - b), i.e. perfect anticorrelation at
 equal settings. The opposite (+cos) convention flips the sign of every
@@ -8,15 +12,13 @@ depends on the choice.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import RunCounts, chsh_statistic, count_blocks
-from .streams import validate_seed
+from .engine import RunCounts, check_run, chsh_statistic, count_blocks
 
 
 @dataclass(frozen=True)
@@ -65,30 +67,11 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     return float(b0), float(b1), float(b2)
 
 
-@functools.lru_cache(maxsize=16)
 def _word_limits(a: float, b: float) -> tuple[int, int]:
     # the first and last boundaries as raw words: Generator.random() is
-    # (raw >> 11) * 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11;
-    # cached, as every block of a series asks for the same pair of angles
+    # (raw >> 11) * 2**-53, so u < x exactly when raw < ceil(x * 2**53) << 11
     b0, _, b2 = _cell_boundaries(a, b)
     return tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in (b0, b2))
-
-
-def _count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
-    """How many of n singlet trials drawn from ``rng`` have agreeing clicks
-    (cells (+1,+1) and (-1,-1)); one raw word decides each trial's cell.
-
-    The clicks disagree exactly when l0 <= raw < l2, that is when
-    raw - l0 < l2 - l0 in wrap-around uint64 arithmetic: one comparison per
-    word. At cos(a - b) = 1 the limits are 0 and 2**64, a width no uint64
-    holds, and every word lies between them.
-    """
-    l0, l2 = _word_limits(a, b)
-    if l2 - l0 == 1 << 64:
-        return 0
-    raw = rng.bit_generator.random_raw(n)
-    raw -= np.uint64(l0)
-    return n - int(np.count_nonzero(raw < np.uint64(l2 - l0)))
 
 
 def quantum_correlation_table(angles: AnglePair) -> CorrelationTable:
@@ -104,11 +87,18 @@ def quantum_chsh(angles: AnglePair) -> float:
 
 
 def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> RunCounts:
-    """Sample the four series from the singlet distribution, reduced block
-    by block to agreement counts; they carry no class counts."""
+    """Sample the four series from the singlet distribution as agreement
+    counts, without class counts. A block's disagreement probability
+    (l2 - l0) / 2**64 is exact in a float: l2 - l0 is a multiple of 2**11
+    below 2**64, or 2**64 at cos(a - b) = 1, where every trial disagrees."""
+    seed = check_run(n_per_series, seed)
+    disagree = {}
+    for i, k in SETTING_PAIRS:
+        l0, l2 = _word_limits(angles.alice(i), angles.bob(k))
+        disagree[i, k] = (l2 - l0) / 2**64
 
     def count(pair, rng, n):
-        return _count_agreements(angles.alice(pair[0]), angles.bob(pair[1]), rng, n)
+        return n - int(rng.binomial(n, disagree[pair]))
 
     agree = count_blocks(count, n_per_series, seed)
-    return RunCounts(validate_seed(seed), n_per_series, agree)
+    return RunCounts(seed, n_per_series, agree)

@@ -103,6 +103,14 @@ def _pcg_state(s0: int, s1: int, i0: int, i1: int) -> tuple[int, int]:
     return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK_128, inc
 
 
+def check_block_count(n_blocks: int) -> None:
+    if not 0 <= n_blocks <= _MAX_BLOCKS:
+        raise ValueError(
+            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} (2**32 blocks of "
+            f"{BLOCK_SIZE} trials), got {n_blocks} blocks"
+        )
+
+
 def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.random.Generator]:
     """Yield, for blocks 0 .. n_blocks - 1 of one setting pair's series in
     order, a generator equal bit for bit to ``trial_stream(seed,
@@ -113,11 +121,7 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
     setter (with no buffered half word), so a yielded generator is valid
     only until the next one is taken.
     """
-    if not 0 <= n_blocks <= _MAX_BLOCKS:
-        raise ValueError(
-            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} (2**32 blocks of "
-            f"{BLOCK_SIZE} trials), got {n_blocks} blocks"
-        )
+    check_block_count(n_blocks)
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code,))
     bit_gen = np.random.PCG64DXSM(ss)
     rng = np.random.Generator(bit_gen)

@@ -6,8 +6,11 @@ batch route of models without a table (batch twins where the model has
 them), per tag and over whole runs. No zoo model has batch twins, so the
 batch route runs on the test-only models of ``batch_models``. The error
 tests pin that a misbehaving model ends in ModelError naming the stage,
-and in exit code 3 from the command line, and that the count path's tag
-histograms reject a bad tag with the per-trial lookup's exact message.
+and in exit code 3 from the command line wherever `run` meets the fault,
+and that the trial log rejects a bad tag with the per-trial lookup's exact
+message. `run` draws no tags of a model that declares its distribution
+(stream scheme v3), so a faulty ``sample_lambda`` of such a model leaves
+its report alone.
 """
 
 import dataclasses
@@ -30,7 +33,7 @@ from bellcheck.core import (
     behavior_of,
     class_table,
 )
-from bellcheck.engine import chsh_report, class_frequencies, count_experiment, run_experiment
+from bellcheck.engine import chsh_report, class_frequencies, count_experiment, log_counts, run_experiment
 from bellcheck.errors import ModelError
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import MODEL_FACTORIES, conspiracy_model, cosine_sign_model, dice_coin_model
@@ -209,13 +212,38 @@ def test_bad_model_on_table_path_is_model_error(kwargs, stage):
     assert stage in str(info.value)
 
 
-@pytest.mark.parametrize("kwargs,stage", [c[1:] for c in BAD_MODELS], ids=[c[0] for c in BAD_MODELS])
+#: (case id, model kwargs, the stage the message must name) of declared
+#: distributions that `run` rejects before drawing anything
+BAD_DISTRIBUTIONS = [
+    ("negative declared weight",
+     dict(tags=[0, 1], enumerate_lambda=lambda pair: [(0, Fraction(3, 2)), (1, Fraction(-1, 2))]), "enumerate_lambda"),
+    ("weights that do not sum to 1",
+     dict(tags=[0, 1], enumerate_lambda=lambda pair: [(0, Fraction(1, 2)), (1, Fraction(1, 4))]), "enumerate_lambda"),
+]
+
+#: the stages `run` reaches with a model that declares its distribution
+RUN_STAGES = {"class table", "enumerate_lambda"}
+
+
+@pytest.mark.parametrize(
+    "kwargs,stage", [c[1:] for c in BAD_MODELS + BAD_DISTRIBUTIONS], ids=[c[0] for c in BAD_MODELS + BAD_DISTRIBUTIONS]
+)
 def test_bad_model_on_table_path_exits_3(kwargs, stage, monkeypatch, capsys):
+    """`run` exits 3 on every fault it meets, naming the model and the
+    stage. It never calls ``sample_lambda`` of a model that declares its
+    distribution, so the sampler rows exit 0 with the report of the
+    declared distribution (their trial log still fails)."""
     monkeypatch.setitem(MODEL_FACTORIES, "bad-probe", lambda: _model(name="bad-probe", **kwargs))
-    assert cli.main(["run", "--model", "bad-probe", "--n", "50"]) == cli.EXIT_MODEL
+    code = cli.main(["run", "--model", "bad-probe", "--n", "50"])
     err = capsys.readouterr().err
+    if stage not in RUN_STAGES:
+        assert code == cli.EXIT_OK and err == ""
+        return
+    assert code == cli.EXIT_MODEL
     assert err.startswith("model error: ") and "'bad-probe'" in err and stage in err
     assert "Traceback" not in err
+    with pytest.raises(ModelError, match=stage):
+        count_experiment(_model(name="bad-probe", **kwargs), 50, seed=0)
 
 
 def _first_tags(*values):
@@ -276,13 +304,23 @@ COUNT_PATH_CASES = [c[:2] for c in BAD_MODELS] + BAD_TAGS
     "kwargs,message", [(c[1], MESSAGES[c[0]]) for c in COUNT_PATH_CASES], ids=[c[0] for c in COUNT_PATH_CASES]
 )
 def test_count_path_gives_the_table_codes_message(kwargs, message, monkeypatch, capsys):
-    """``count_experiment`` and ``run`` (exit 3) word every bad tag as the
-    per-trial lookup does, at a size whose last block holds one trial."""
+    """The trial log words every bad tag as the per-trial lookup does, at a
+    size whose last block holds one trial. ``count_experiment`` and ``run``
+    (exit 3) word the faults they meet the same way; they draw no tags of
+    a declared model, so its sampler's faults leave them alone."""
     n = BLOCK_SIZE + 1
+    with pytest.raises(ModelError) as info:
+        run_experiment(_model(name="bad-probe", **kwargs), n, seed=0)
+    assert str(info.value) == message
+    monkeypatch.setitem(MODEL_FACTORIES, "bad-probe", lambda: _model(name="bad-probe", **kwargs))
+    if "sample_lambda" in message:
+        counts = count_experiment(_model(name="bad-probe", **kwargs), n, seed=0)
+        assert all(counts.classes[p].sum() == counts.classes[p][15] == n for p in SETTING_PAIRS)
+        assert cli.main(["run", "--model", "bad-probe", "--n", str(n)]) == cli.EXIT_OK
+        return
     with pytest.raises(ModelError) as info:
         count_experiment(_model(name="bad-probe", **kwargs), n, seed=0)
     assert str(info.value) == message
-    monkeypatch.setitem(MODEL_FACTORIES, "bad-probe", lambda: _model(name="bad-probe", **kwargs))
     assert cli.main(["run", "--model", "bad-probe", "--n", str(n)]) == cli.EXIT_MODEL
     assert capsys.readouterr().err == f"model error: {message}\n"
 
@@ -292,8 +330,9 @@ def test_unsigned_tags_count_as_int64(dtype):
     model = dice_coin_model()
     draw = model.sample_lambda
     cast = lambda dtype: dataclasses.replace(model, sample_lambda=lambda rng, n, pair: draw(rng, n, pair).astype(dtype))
-    expected = count_experiment(cast(np.int64), BLOCK_SIZE + 1, seed=3)
-    counts = count_experiment(cast(dtype), BLOCK_SIZE + 1, seed=3)
+    counts_of = lambda model: log_counts(run_experiment(model, BLOCK_SIZE + 1, seed=3), model)
+    expected = counts_of(cast(np.int64))
+    counts = counts_of(cast(dtype))
     assert counts.agree == expected.agree
     assert all(np.array_equal(counts.classes[p], expected.classes[p]) for p in SETTING_PAIRS)
 

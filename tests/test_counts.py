@@ -1,17 +1,22 @@
 """The LHV count path (`count_experiment`) against the trial-log path
-(`run_experiment`), and the singlet's raw-word counts.
+(`run_experiment`), and the singlet's raw-word limits.
 
-Both LHV paths draw the same blocks from the same (seed, pair, block)
-streams; the count path reduces each block to integer counts at once, the
-log path keeps every click and tag and reduces the log afterwards. Their
-reports must be equal for every model route (class table, batch twins,
+A model without a declared distribution takes the same blocks and tags on
+both paths: the count path reduces each block to integer counts at once,
+the log path keeps every click and tag and reduces the log afterwards.
+Their counts must be equal for every such model route (batch twins,
 scalar responses; the batch twins belong to the test-only models of
-``batch_models``), at block-edge sizes, on one worker and on three. The
-singlet has no trial log: its counts are checked against the per-trial
-reference of ``trial_reference`` on one worker and on three, and the
-threshold tests feed its raw-word limits words on both sides of every
-limit. The memory tests pin that the count path holds no trial log and
-that building a log costs little more than the log itself.
+``batch_models``). A model that declares its distribution draws its count
+path's class counts from it (stream scheme v3), while the log still draws
+its tags through ``sample_lambda``: both must follow the declared
+distribution (``trial_reference.assert_counts_follow``). Every route is
+checked at block-edge sizes, and the count path gives equal counts on one
+worker and on three. The singlet has no trial log: its counts follow the
+singlet's probabilities as the per-trial reference of ``trial_reference``
+does, on one worker and on three, and the threshold tests feed its
+raw-word limits words on both sides of every limit. The memory tests pin
+that the count path holds no trial log and that building a log costs
+little more than the log itself.
 """
 
 import math
@@ -28,17 +33,25 @@ from batch_models import LHV_ROUTES, route_model, without_table
 from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
-    chsh_report,
     class_frequencies,
     count_experiment,
     log_counts,
     run_experiment,
 )
 from bellcheck import core, engine, quantum
-from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _count_agreements, count_quantum_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, count_quantum_experiment
 from bellcheck.streams import BLOCK_SIZE, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
-from trial_reference import assert_same_counts, singlet_reference_counts
+from trial_reference import (
+    agreement_runs,
+    assert_counts_follow,
+    assert_same_counts,
+    class_runs,
+    count_agreements,
+    reference_class_weights,
+    singlet_reference_counts,
+    singlet_weights,
+)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -49,36 +62,51 @@ SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
 DISPATCH = [("1 worker", "1"), ("3 workers", "3")]
 
 
+#: Seeds of the count path in each distribution check.
+SEEDS = range(200)
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
 def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
     model = route_model(factory)
     monkeypatch.setenv("BELLCHECK_THREADS", "1")
-    log = run_experiment(model, n, seed=23)
-    report, freqs = chsh_report(log), class_frequencies(log, model)
-    for label, threads in DISPATCH:
-        monkeypatch.setenv("BELLCHECK_THREADS", threads)
-        counts = count_experiment(model, n, seed=23)
-        assert chsh_report(counts) == report, label
-        assert class_frequencies(counts) == freqs, label
-        assert counts.seed == log.seed and counts.n_per_series == n
+    log = log_counts(run_experiment(model, n, seed=23), model)
+    counts = count_experiment(model, n, seed=23)
+    monkeypatch.setenv("BELLCHECK_THREADS", "3")
+    assert_same_counts(count_experiment(model, n, seed=23), counts)
+    if model.class_distribution is None:
+        assert_same_counts(counts, log)
+        return
+    monkeypatch.setenv("BELLCHECK_THREADS", "1")
+    weights = reference_class_weights(model)
+    assert_counts_follow(class_runs([log]), weights)
+    assert_counts_follow(class_runs(count_experiment(model, n, seed) for seed in SEEDS), weights)
 
 
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1])
 @pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
 def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
     # the singlet's trial-by-trial counts come from the per-trial reference
-    want = singlet_reference_counts(angles, n, 29)
-    for _, threads in DISPATCH:
-        monkeypatch.setenv("BELLCHECK_THREADS", threads)
-        assert_same_counts(count_quantum_experiment(angles, n, seed=29), want)
+    weights = singlet_weights(angles)
+    assert_counts_follow(agreement_runs([singlet_reference_counts(angles, n, 29)]), weights)
+    monkeypatch.setenv("BELLCHECK_THREADS", "1")
+    counts = count_quantum_experiment(angles, n, seed=29)
+    monkeypatch.setenv("BELLCHECK_THREADS", "3")
+    assert_same_counts(count_quantum_experiment(angles, n, seed=29), counts)
+    assert_counts_follow(agreement_runs(count_quantum_experiment(angles, n, seed) for seed in SEEDS), weights)
 
 
 def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
+    # the count path reads each pair's agreements off its class counts;
+    # on a trial log that reading must give the agreements of the clicks
     for name, factory in LHV_ROUTES:
         model = route_model(factory)
-        log = run_experiment(model, 3000, seed=5)
-        assert count_experiment(model, 3000, seed=5).agree == log_counts(log, model).agree, name
+        log = log_counts(run_experiment(model, 3000, seed=5), model)
+        for pair in SETTING_PAIRS:
+            assert int(log.classes[pair][engine._AGREEING[pair]].sum()) == log.agree[pair], (name, pair)
+        counts = count_experiment(model, 3000, seed=5)
+        assert all(counts.agree[p] == counts.classes[p][engine._AGREEING[p]].sum() for p in SETTING_PAIRS), name
 
 
 def test_quantum_counts_have_no_classes():
@@ -109,16 +137,20 @@ def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypat
 
 def test_n_past_one_word_block_indices_is_rejected(monkeypatch):
     # at BLOCK_SIZE * 2**32 + 1 trials the last block index needs two
-    # uint32 words; the samplers fail loudly if the run starts anyway
+    # uint32 words; the sampler, the compile and the singlet's limits fail
+    # loudly if the run starts anyway
     def no_sampling(*args):
         raise AssertionError("sampled")
 
     model = LhvModel(name="never-sampled", respond_alice=lambda i, lam: 1, respond_bob=lambda i, lam: 1,
                      sample_lambda=no_sampling, declares_mi=True)
-    monkeypatch.setattr(quantum, "_count_agreements", no_sampling)
+    declared = LhvModel(name="never-compiled", respond_alice=lambda i, lam: 1, respond_bob=lambda i, lam: 1,
+                        sample_lambda=no_sampling, declares_mi=True, enumerate_lambda=no_sampling)
+    monkeypatch.setattr(quantum, "_word_limits", no_sampling)
     too_many = BLOCK_SIZE * 2**32 + 1
-    with pytest.raises(ValueError, match="n_per_series"):
-        count_experiment(model, too_many, seed=0)
+    for lhv in (model, declared):
+        with pytest.raises(ValueError, match="n_per_series"):
+            count_experiment(lhv, too_many, seed=0)
     with pytest.raises(ValueError, match="n_per_series"):
         count_quantum_experiment(TSIRELSON_ANGLES, too_many, seed=0)
 
@@ -176,14 +208,14 @@ def test_threshold_cells_equal_searchsorted(a, b):
     raw = _words_at_boundaries(a, b)
     cells = np.searchsorted(np.array(_cell_boundaries(a, b)), _deviates(raw), side="right")
     # the clicks agree in cells 0, (+1,+1), and 3, (-1,-1)
-    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == np.count_nonzero((cells == 0) | (cells == 3))
+    assert count_agreements(a, b, FixedWords(raw), len(raw)) == np.count_nonzero((cells == 0) | (cells == 3))
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 0.0), (0.0, math.pi)])
 def test_empty_cells_are_never_drawn(a, b):
     raw = _words_at_boundaries(a, b)
     # cos = 1: the clicks always disagree; cos = -1: they always agree
-    assert _count_agreements(a, b, FixedWords(raw), len(raw)) == (0 if a == b else len(raw))
+    assert count_agreements(a, b, FixedWords(raw), len(raw)) == (0 if a == b else len(raw))
 
 
 @pytest.mark.parametrize("key", [(0, 0, 0), (29, 3, 7), (2**64 - 1, 1, 1000)])

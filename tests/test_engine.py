@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -428,6 +429,31 @@ class TestViolationTest:
         reports = [chsh_report(count_experiment(model, 1000, seed)) for seed in range(2000)]
         assert sum(not r.bound_satisfied for r in reports) > 500
         assert sum(r.violation_significant for r in reports) <= engine.VIOLATION_DELTA * len(reports)
+
+    def test_a_sampler_that_repeats_one_tag_no_longer_fakes_a_violation(self):
+        """A cosine-sign variant declares the same distribution, but its
+        sampler repeats one tag for a whole batch. Each trial still meets
+        measurement independence, yet the trials are not independent. `run`
+        draws its counts from the declared distribution, so over 200 seeds
+        at n = 1000 at most 1% (2) of its reports may be significant. From
+        the exact per-seed rate q (four binomial agreement counts), this
+        test fails with probability P(Binomial(200, q) > 2), asserted below
+        1e-4. The trial log still draws through the sampler and is
+        significant for far more seeds."""
+        from scipy.stats import binom
+
+        n, seeds = 1000, range(200)
+        model = dataclasses.replace(cosine_sign_model(), sample_lambda=lambda rng, k, pair: np.full(k, rng.integers(720)))
+        significant = sum(chsh_report(count_experiment(model, n, seed)).violation_significant for seed in seeds)
+        assert significant <= engine.VIOLATION_DELTA * len(seeds)
+        # Y = a11 + (n - a12) + a21 + a22 and S* = 2 Y / n - 4, as in the exact-tail test below
+        table, k, pmf = exact_correlation_table(model), np.arange(n + 1), np.ones(1)
+        for pair, sign in zip(SETTING_PAIRS, (1, -1, 1, 1)):
+            counts = binom.pmf(k, n, float((1 + table.value(pair)) / 2))
+            pmf = np.convolve(pmf, counts if sign > 0 else counts[::-1])
+        q = sum(p for y, p in enumerate(pmf) if violation_p_value(2 * y / n - 4, n) <= engine.VIOLATION_DELTA)
+        assert binom.sf(engine.VIOLATION_DELTA * len(seeds), len(seeds), q) < 1e-4
+        assert sum(chsh_report(run_experiment(model, n, seed)).violation_significant for seed in seeds) > 20
 
     @pytest.mark.parametrize("factory", [dice_coin_model, cosine_sign_model])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 54, 100, 333, 1000, 2000])

@@ -9,14 +9,13 @@ from bellcheck.engine import empirical_table, hoeffding_epsilon
 from bellcheck.quantum import (
     TSIRELSON_ANGLES,
     AnglePair,
-    _count_agreements,
     count_quantum_experiment,
     quantum_chsh,
     quantum_correlation_table,
     singlet_correlation,
 )
 from bellcheck.streams import trial_stream
-from trial_reference import assert_same_counts
+from trial_reference import assert_same_counts, count_agreements
 
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
@@ -70,11 +69,11 @@ class TestQuantumChsh:
 
 class TestSampling:
     def test_equal_settings_always_anticorrelated(self):
-        assert _count_agreements(0.3, 0.3, trial_stream(0, 0, 0), 2000) == 0
+        assert count_agreements(0.3, 0.3, trial_stream(0, 0, 0), 2000) == 0
 
     def test_orthogonal_settings_uncorrelated(self):
         n = 100_000
-        agree = _count_agreements(0.0, math.pi / 2, trial_stream(1, 0, 0), n)
+        agree = count_agreements(0.0, math.pi / 2, trial_stream(1, 0, 0), n)
         assert abs((2 * agree - n) / n) <= hoeffding_epsilon(n)
 
     def test_sampled_estimates_match_oracle(self):

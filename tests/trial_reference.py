@@ -1,11 +1,15 @@
-"""A per-trial reference for the count path.
+"""A per-trial reference for the count path, and the checks that compare them.
 
-``count_experiment`` reduces each block to a tag histogram folded through
-the class table, or to the codes of a model's batch responses, and
-``count_quantum_experiment`` compares raw 64-bit words with integer
-limits. The reference shares none of those kernels. It draws each block
-from ``streams.trial_stream``, the definition of a block's stream, and
-decides every trial on its own:
+Under stream scheme v3 the count path no longer decides trials one by one.
+``count_experiment`` draws each block's class counts from the model's
+compiled ``class_distribution`` (one multinomial draw per block) when the
+model declares its distribution, and only a model without one draws a tag
+per trial and counts the codes of its batch responses.
+``count_quantum_experiment`` draws each block's disagreements from the
+singlet's integer word limits (one binomial draw per block). The reference
+shares none of those kernels. It draws each block from
+``streams.trial_stream``, the definition of a block's stream, and decides
+every trial on its own:
 
 - An LHV trial draws its tag through ``sample_lambda``. Its clicks come
   from the scalar ``respond_alice`` and ``respond_bob`` at the measured
@@ -14,18 +18,34 @@ decides every trial on its own:
   (A, B) it falls in, with the cells in the order (+1,+1), (+1,-1),
   (-1,+1), (-1,-1) and P(A, B) = (1 - A*B*cos(a - b)) / 4.
 
-Each function returns the ``RunCounts`` that the count path must give for
-the same model or angles, n and seed; ``assert_same_counts`` compares two.
+For a model without a declared distribution both routes draw the same
+tags, so their counts must be equal (``assert_same_counts``). Otherwise the
+two routes draw different samples of one distribution, and
+``assert_counts_follow`` checks each against the exact weights:
+``reference_class_weights`` for an LHV model, (1 -+ cos(a - b)) / 2 for the
+singlet. ``count_agreements`` is the singlet's one-word-per-trial sampler,
+which the tests of the word limits read.
 """
 
+import collections
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from bellcheck.core import PAIR_CODES, SETTING_PAIRS, Behavior
 from bellcheck.engine import RunCounts
+from bellcheck.quantum import _word_limits
 from bellcheck.streams import iter_blocks, trial_stream
+
+#: Chance at most that one run's frequencies of a pair leave their band in
+#: ``assert_counts_follow``, when they follow the weights.
+RUN_DELTA = 0.01
+
+#: Chance at most that ``assert_counts_follow`` fails on counts that follow
+#: the weights.
+FALSE_FAILURE = 1e-9
 
 
 def assert_same_counts(got, want):
@@ -36,6 +56,87 @@ def assert_same_counts(got, want):
     else:
         for pair in SETTING_PAIRS:
             assert np.array_equal(got.classes[pair], want.classes[pair]), pair
+
+
+def _band(n, classes, delta):
+    """Hoeffding half-width within which each of ``classes`` frequencies of
+    n independent draws stays, all at once, with probability >= 1 - delta:
+    P(|f - w| >= t) <= 2 exp(-2 n t^2) per class, and a union bound."""
+    return math.sqrt(math.log(2 * classes / delta) / (2 * n))
+
+
+def _allowed(runs, delta, failure):
+    """The least x with P(Binomial(runs, delta) > x) <= failure."""
+    tail = 1.0
+    for x in range(runs + 1):
+        tail -= math.comb(runs, x) * delta**x * (1 - delta) ** (runs - x)
+        if tail <= failure:
+            return x
+    return runs
+
+
+def assert_counts_follow(runs, weights):
+    """Check that ``runs`` (one dict per run: setting pair -> counts of each
+    class in one series) are independent draws of Multinomial(n, weights[pair]).
+
+    Per pair: no run counts a class of weight 0; at most ``_allowed`` runs
+    have a class frequency outside its band at ``RUN_DELTA``, which a run
+    leaves with probability at most RUN_DELTA; and the frequencies pooled
+    over all runs stay within their band at a share of ``FALSE_FAILURE``.
+    Runs that follow the weights fail with probability at most
+    FALSE_FAILURE.
+    """
+    share = FALSE_FAILURE / (2 * len(weights))
+    for pair, w in weights.items():
+        w = np.array([float(x) for x in w])
+        support = w > 0
+        table = np.array([run[pair] for run in runs], dtype=np.int64)
+        n = table.sum(axis=1)
+        assert np.all(n == n[0]), pair
+        assert not table[:, ~support].any(), f"pair {pair}: a class of weight 0 was drawn"
+        deviation = np.abs(table / n[0] - w)[:, support]
+        outside = int(np.count_nonzero((deviation > _band(n[0], support.sum(), RUN_DELTA)).any(axis=1)))
+        assert outside <= _allowed(len(runs), RUN_DELTA, share), f"pair {pair}: {outside} of {len(runs)} runs"
+        pooled = np.abs(table.sum(axis=0) / n.sum() - w)[support]
+        assert pooled.max() <= _band(n.sum(), support.sum(), share), f"pair {pair}: pooled deviation {pooled.max()}"
+
+
+def class_runs(counts):
+    """The per-pair class counts of each ``RunCounts`` in ``counts``."""
+    return [run.classes for run in counts]
+
+
+def agreement_runs(counts):
+    """The per-pair (disagreements, agreements) of each ``RunCounts``."""
+    return [{p: (run.n_per_series - a, a) for p, a in run.agree.items()} for run in counts]
+
+
+def singlet_weights(angles):
+    """Per setting pair, the exact (P(disagree), P(agree)) of the singlet."""
+    out = {}
+    for i, k in SETTING_PAIRS:
+        agree = (1 - math.cos(angles.alice(i) - angles.bob(k))) / 2
+        out[i, k] = (1 - agree, agree)
+    return out
+
+
+@functools.cache
+def reference_class_weights(model):
+    """Per setting pair, the exact weight of each of the 16 classes, in code
+    order: every declared tag's weight, as a Fraction, added to the class of
+    its four scalar responses."""
+    code = functools.cache(lambda tag: Behavior(
+        model.respond_alice(1, tag), model.respond_alice(2, tag), model.respond_bob(1, tag), model.respond_bob(2, tag)
+    ).code)
+    weights = {}
+    for pair in SETTING_PAIRS:
+        weights[pair] = [Fraction(0)] * 16
+        # summed once per distinct (class, weight): tags tend to share one weight
+        for (c, weight), count in collections.Counter(
+            (code(tag), Fraction(weight)) for tag, weight in model.enumerate_lambda(pair)
+        ).items():
+            weights[pair][c] += count * weight
+    return weights
 
 
 def _blocks(seed, pair, n):
@@ -78,3 +179,22 @@ def singlet_reference_counts(angles, n, seed) -> RunCounts:
                 a, b = cells[sum(u >= e for e in upper[:3])]
                 agree[i, k] += a == b
     return RunCounts(seed, n, agree)
+
+
+def count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> int:
+    """How many of n singlet trials drawn from ``rng`` have agreeing clicks
+    (cells (+1,+1) and (-1,-1)); one raw word decides each trial's cell.
+
+    The clicks disagree exactly when l0 <= raw < l2, that is when
+    raw - l0 < l2 - l0 in wrap-around uint64 arithmetic: one comparison per
+    word. At cos(a - b) = 1 the limits are 0 and 2**64, a width no uint64
+    holds, and every word lies between them. The count path draws the
+    disagreements of a block as Binomial(n, (l2 - l0) / 2**64), the share
+    of words this counts.
+    """
+    l0, l2 = _word_limits(a, b)
+    if l2 - l0 == 1 << 64:
+        return 0
+    raw = rng.bit_generator.random_raw(n)
+    raw -= np.uint64(l0)
+    return n - int(np.count_nonzero(raw < np.uint64(l2 - l0)))
