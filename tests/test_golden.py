@@ -6,15 +6,25 @@ BELLCHECK_THREADS value and the sha256 of what the command wrote to
 stdout: 37 of `run` and `bound`, 4 of `ghz-check` (with and without the
 fifth constraint, and at another phi) and `zoo`.
 
-The 34 `run` digests were re-recorded twice: when the report gained the
-violation test, and when the streams moved from Philox to PCG64DXSM
-(which changes every value of a report that draws from them; the
-conspiracy source draws nothing). In place of byte equality with the
-old streams, ``tests/test_streams.py`` checks over 1,000 seeds per model
-that the reports stay within their bands at the stated rate.
+The `run` digests were re-recorded three times: all 34 when the report
+gained the violation test, all 34 when the streams moved from Philox to
+PCG64DXSM, and 28 for stream scheme v3 (version 0.3.0), which draws each
+block's counts at once: from the model's compiled class distribution, or
+for the singlet from its word limits. Each re-recording changes every
+value a report samples from its streams; the conspiracy source draws
+nothing, so its 6 digests, like the 7 of `bound`, `ghz-check` and `zoo`,
+did not change. The 28 cases that v3 changed keep the output of the code
+before it as ``parent_stdout``, and
+``test_rerecorded_reports_differ_from_the_parent_only_in_sampled_values``
+checks that the two differ only in sampled values. In place of byte
+equality with the old streams, ``tests/test_streams.py`` checks over
+1,000 seeds per model that the reports stay within their bands at the
+stated rate.
 """
 
+import csv
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -25,15 +35,64 @@ from bellcheck import cli
 GOLDEN = json.loads((Path(__file__).parent / "data" / "run_golden.json").read_text())
 
 
-@pytest.mark.parametrize("case", GOLDEN, ids=[c["case"] for c in GOLDEN])
-def test_report_bytes_match_golden(case, capsys, monkeypatch):
+def _output(case, capsys, monkeypatch) -> str:
     if "threads" in case:
         monkeypatch.setenv("BELLCHECK_THREADS", case["threads"])
     else:
         monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
     assert cli.main(case["argv"]) == 0
-    out = capsys.readouterr().out
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["case"] for c in GOLDEN])
+def test_report_bytes_match_golden(case, capsys, monkeypatch):
+    out = _output(case, capsys, monkeypatch)
     assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+#: What a report samples: the JSON fields, the MI fields and the CSV columns
+#: whose values come from the streams.
+SAMPLED = {"correlations", "s_star", "bound_satisfied", "violation_p_value", "violation_significant"}
+SAMPLED_MI = {"holds", "max_deviation", "worst_pair", "worst_class"}
+SAMPLED_COLUMNS = {"e_hat", "s_star", "violation_p_value", "violation_significant"}
+
+
+def _unsampled(argv, text):
+    """Everything of a command's output but its sampled values: CSV cells
+    outside the sampled columns; JSON fields outside the sampled ones, the
+    pairs (not the classes) of the class frequencies. Output of a command
+    other than `run` is kept whole."""
+    if argv[0] != "run":
+        return text
+    if "--format" in argv and argv[argv.index("--format") + 1] == "csv":
+        kept, header = [], None
+        for row in csv.reader(io.StringIO(text)):
+            if row[0] in ("pair_i", "s_star"):  # the two header rows
+                header = row
+                kept.append(row)
+            else:
+                kept.append([None if name in SAMPLED_COLUMNS else cell for name, cell in zip(header, row, strict=True)])
+        return kept
+    report = json.loads(text)
+    assert SAMPLED <= set(report)
+    for key in SAMPLED:
+        report[key] = None
+    if "class_frequencies" in report:
+        report["class_frequencies"] = sorted(report["class_frequencies"])
+        assert SAMPLED_MI <= set(report["mi"])
+        report["mi"].update(dict.fromkeys(SAMPLED_MI))
+    return report
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["case"] for c in GOLDEN])
+def test_rerecorded_reports_differ_from_the_parent_only_in_sampled_values(case, capsys, monkeypatch):
+    out = _output(case, capsys, monkeypatch)
+    argv = case["argv"]
+    draws = argv[0] == "run" and argv[argv.index("--model") + 1] != "conspiracy"
+    assert ("parent_stdout" in case) == draws
+    parent = case.get("parent_stdout", out)
+    assert (parent != out) == draws
+    assert _unsampled(argv, out) == _unsampled(argv, parent)
 
 
 def test_golden_covers_every_zoo_model_and_format():
