@@ -229,12 +229,23 @@ class LhvModel:
 
 def behavior_of(model: LhvModel, lam: Hashable) -> Behavior:
     """Evaluate a model's full response quadruple at one tag."""
-    return Behavior(
-        validate_outcome(model.respond_alice(1, lam)),
-        validate_outcome(model.respond_alice(2, lam)),
-        validate_outcome(model.respond_bob(1, lam)),
-        validate_outcome(model.respond_bob(2, lam)),
-    )
+    return ALL_BEHAVIORS[_code_of(model, lam)]
+
+
+def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
+    """``behavior_of(model, lam).code`` without building the Behavior. Given
+    a ``stage``, a failing response raises ModelError naming it."""
+    try:
+        outs = (model.respond_alice(1, lam), model.respond_alice(2, lam),
+                model.respond_bob(1, lam), model.respond_bob(2, lam))
+        if not {1, -1}.issuperset(outs):
+            for value in outs:
+                validate_outcome(value)
+    except Exception as exc:
+        if stage is None:
+            raise
+        raise ModelError(f"model {model.name!r}: {stage}: responses at tag {lam!r} failed: {exc}") from exc
+    return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
 
 
 def _batch_responses(
@@ -281,20 +292,6 @@ def class_table(model: LhvModel) -> np.ndarray | None:
         table[tag] = _code_of(model, tag, "class table")
     table.setflags(write=False)
     return table
-
-
-def _code_of(model: LhvModel, tag, stage: str) -> int:
-    """``behavior_of(model, tag).code`` without building the Behavior; a
-    failing response raises ModelError naming ``stage``."""
-    try:
-        outs = (model.respond_alice(1, tag), model.respond_alice(2, tag),
-                model.respond_bob(1, tag), model.respond_bob(2, tag))
-        if not {1, -1}.issuperset(outs):
-            for value in outs:
-                validate_outcome(value)
-    except Exception as exc:
-        raise ModelError(f"model {model.name!r}: {stage}: responses at tag {tag!r} failed: {exc}") from exc
-    return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
 
 
 def table_codes(model: LhvModel, lams, stage: str = "class analysis") -> np.ndarray:

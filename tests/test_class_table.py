@@ -263,8 +263,8 @@ def _last_trial(value):
     return lambda rng, n, pair: np.full(n, value if n == 1 else 0, dtype=np.int64)
 
 
-#: (case id, model kwargs) of bad tags aimed at the count path's checks
-#: before and after its tag histogram
+#: (case id, model kwargs) of bad tags for the per-trial lookup's checks:
+#: domain edges, holes, the last trial of a series and non-integer dtypes
 BAD_TAGS = [
     ("tag one past the domain", dict(tags=[0, 2], sample=_first_tags(0, 3))),
     ("tag above the domain before a hole", dict(tags=[0, 2], sample=_first_tags(0, 7, 1))),
