@@ -3,11 +3,15 @@
 All three models are defined by scalar responses on finite tag domains:
 exact class weights can be enumerated, and the class table built from
 the responses gives every trial's clicks and class. Even the
-"continuous" angle model lives on a grid.
+"continuous" angle model lives on a grid. ``get_model`` keeps one model
+per (factory, angles) per process; calling a factory builds a fresh one,
+and a one-shot CLI process still pays the compile (a few ms for
+cosine-sign).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -148,12 +152,16 @@ def available_models() -> list[str]:
 
 
 def get_model(name: str, angles=None) -> LhvModel:
-    """Resolve a zoo model by name. ``angles`` (an AnglePair) applies
-    only to the angle-parameterized cosine-sign model."""
+    """Resolve a zoo model by name, compiled once per (factory, angles) in
+    the process. ``angles`` (an AnglePair) applies only to the
+    angle-parameterized cosine-sign model."""
     if name not in MODEL_FACTORIES:
         raise ValueError(f"unknown model {name!r}; available: {', '.join(available_models())}")
-    if angles is not None:
-        if name != "cosine-sign":
-            raise ValueError(f"model {name!r} does not take angles")
-        return cosine_sign_model(angles.a1, angles.a2, angles.b1, angles.b2)
-    return MODEL_FACTORIES[name]()
+    if angles is not None and name != "cosine-sign":
+        raise ValueError(f"model {name!r} does not take angles")
+    return _built(MODEL_FACTORIES[name], None if angles is None else (angles.a1, angles.a2, angles.b1, angles.b2))
+
+
+@functools.lru_cache(maxsize=64)
+def _built(factory, angles) -> LhvModel:
+    return factory() if angles is None else factory(*angles)

@@ -78,15 +78,18 @@ def lookup_twins(model) -> LhvModel:
 
 def wide_table_model() -> LhvModel:
     """Tags uniform over 0..MAX_TABLE_TAGS - 1; tag t behaves as the code
-    of its low four bits xor its high four."""
-    code = lambda lam: Behavior.from_code((int(lam) ^ (int(lam) >> 12)) & 15)
+    of its low four bits xor its high four. The responses read that code's
+    bits directly (a1 is bit 3, see Behavior.code), as building a Behavior
+    per tag would triple the cost of compiling the 2^16-tag table."""
+    bit = lambda lam, b: 1 if (int(lam) ^ (int(lam) >> 12)) >> b & 1 else -1
+    weight = Fraction(1, MAX_TABLE_TAGS)
     return LhvModel(
         name="wide-table",
-        respond_alice=lambda index, lam: code(lam).alice(index),
-        respond_bob=lambda index, lam: code(lam).bob(index),
+        respond_alice=lambda index, lam: bit(lam, 4 - index),
+        respond_bob=lambda index, lam: bit(lam, 2 - index),
         sample_lambda=lambda rng, n, pair: rng.integers(0, MAX_TABLE_TAGS, size=n),
         declares_mi=True,
-        enumerate_lambda=lambda pair: [(t, Fraction(1, MAX_TABLE_TAGS)) for t in range(MAX_TABLE_TAGS)],
+        enumerate_lambda=lambda pair: [(t, weight) for t in range(MAX_TABLE_TAGS)],
         description="tag uniform over the largest class-table domain",
     )
 

@@ -1,8 +1,12 @@
+import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from bellcheck import cli, core
 from bellcheck.core import behavior_of
 from bellcheck.engine import (
     chsh_report,
@@ -14,8 +18,9 @@ from bellcheck.engine import (
     run_experiment,
     theoretical_chsh,
 )
-from bellcheck.quantum import TSIRELSON_ANGLES
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair
 from bellcheck.zoo import (
+    MODEL_FACTORIES,
     available_models,
     conspiracy_model,
     cosine_sign_model,
@@ -119,3 +124,59 @@ class TestRegistry:
         assert model.name == "cosine-sign"
         with pytest.raises(ValueError):
             get_model("dice-coin", TSIRELSON_ANGLES)
+
+
+class TestModelCache:
+    """``get_model`` keeps one compiled model per (factory, angles)."""
+
+    def test_repeated_cli_calls_compile_once(self, monkeypatch):
+        """Two `run`s and a `bound` in one process evaluate cosine-sign's
+        responses at its 720 tags once in total."""
+        # a factory of its own, so that no earlier test has compiled it
+        monkeypatch.setitem(MODEL_FACTORIES, "cosine-sign", lambda *angles: cosine_sign_model(*angles))
+        tags = []
+        code_of = core._code_of
+        monkeypatch.setattr(core, "_code_of", lambda model, lam, *rest: tags.append(lam) or code_of(model, lam, *rest))
+        for seed in (1, 2):
+            assert cli.main(["run", "--model", "cosine-sign", "--n", "1000", "--seed", str(seed)]) == cli.EXIT_OK
+            assert sorted(tags) == list(range(720))
+        assert cli.main(["bound", "--model", "cosine-sign"]) == cli.EXIT_OK
+        assert len(tags) == 720
+
+    def test_equal_keys_share_one_model(self):
+        assert get_model("dice-coin") is get_model("dice-coin")
+        tsirelson = get_model("cosine-sign", TSIRELSON_ANGLES)
+        assert get_model("cosine-sign", AnglePair(*TSIRELSON_ANGLES.as_tuple())) is tsirelson
+        other = get_model("cosine-sign", AnglePair(0.3, 1.9, -0.8, 2.6))
+        assert other is not tsirelson
+        assert other.class_distribution != tsirelson.class_distribution
+
+    def test_swapped_factory_takes_effect_on_the_next_call(self, monkeypatch):
+        cached = get_model("dice-coin")
+        probe = dataclasses.replace(dice_coin_model(), description="probe")
+        monkeypatch.setitem(MODEL_FACTORIES, "dice-coin", lambda: probe)
+        assert get_model("dice-coin") is probe
+        monkeypatch.undo()
+        assert get_model("dice-coin") is cached
+
+    @pytest.mark.parametrize(
+        "signs", itertools.product((1.0, -1.0), repeat=4), ids=lambda signs: "".join("+-"[s < 0] for s in signs)
+    )
+    def test_signed_zero_angles_share_one_model(self, signs, monkeypatch, capsys):
+        """-0.0 and 0.0 are one cache key; the shared model reports as a
+        fresh one built with the exact angles given."""
+        angles = AnglePair(*(s * 0.0 for s in signs))
+        assert get_model("cosine-sign", angles) is get_model("cosine-sign", AnglePair(0.0, 0.0, 0.0, 0.0))
+        argv = ["run", "--model", "cosine-sign", "--n", "2000", "--angles=" + ",".join(map(repr, angles.as_tuple()))]
+        assert cli.main(argv) == cli.EXIT_OK
+        cached = capsys.readouterr().out
+        monkeypatch.setattr(cli, "get_model", lambda name, angles: cosine_sign_model(*angles.as_tuple()))
+        assert cli.main(argv) == cli.EXIT_OK
+        assert capsys.readouterr().out == cached
+
+    def test_replace_of_a_cached_model_compiles_afresh(self):
+        model = get_model("cosine-sign")
+        assert model.class_table is not None and model.class_distribution is not None
+        copy = dataclasses.replace(model, description="copy")
+        assert "class_table" not in vars(copy) and "class_distribution" not in vars(copy)
+        assert np.array_equal(copy.class_table, model.class_table)
