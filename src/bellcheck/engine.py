@@ -226,9 +226,9 @@ def _series(
     ``block_fn(pair, stream, count)`` over that pair's blocks in order.
 
     Each task is one pair's whole series, so at most four workers run
-    (``BELLCHECK_THREADS`` caps them). Every block draws from the stream
-    keyed by (seed, pair, block) (``series_streams`` re-keys one generator
-    per task), so the results are the same for any worker count.
+    (``BELLCHECK_THREADS`` caps them). A block draws from the stream keyed by
+    (seed, pair, block), written into the task's generator in place or by its
+    state setter (``series_streams``): any worker count gives the same results.
     """
     seed = check_run(n_per_series, seed)
     workers = min(_resolve_workers(), len(SETTING_PAIRS))

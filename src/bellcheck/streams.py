@@ -8,14 +8,14 @@ i % BLOCK_SIZE)``. Block boundaries never move, which makes the output
 bitwise identical no matter how blocks are distributed over workers or
 in what order they run.
 
-``trial_stream`` is the definition of a block's stream. A run walks a
-series through ``series_streams``, which derives the same seed words for
-a chunk of blocks in one vectorized pass and re-keys a single generator
-per block instead of hashing a fresh SeedSequence for each.
+``trial_stream`` defines a block's stream. A run walks a series through
+``series_streams``, which keys a chunk of blocks in one vectorized pass
+and re-keys one generator per block in place, or through its state setter.
 """
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterator
 
 import numpy as np
@@ -31,9 +31,10 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 # PCG64's 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h), with
-# which numpy seeds PCG64DXSM.
+# which numpy seeds PCG64DXSM, as uint64 words and the low word's halves.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = (1 << 128) - 1
+_MULT_HI, _MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & 0xFFFFFFFFFFFFFFFF)
+_MULT_LO_HI, _MULT_LO_LO = np.uint64(_PCG_MULT >> 32 & 0xFFFFFFFF), np.uint64(_PCG_MULT & 0xFFFFFFFF)
 
 #: Blocks keyed per vectorized pass: bounds the key memory of a series.
 _KEY_CHUNK = 4096
@@ -94,13 +95,38 @@ def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return state.astype("<u4", copy=False).view("<u8")
 
 
-def _pcg_state(s0: int, s1: int, i0: int, i1: int) -> tuple[int, int]:
-    """The (state, inc) that numpy's PCG64DXSM seeding gives the seed
-    words (s0, s1, i0, i1): initstate = s0 * 2**64 + s1 and
-    initseq = i0 * 2**64 + i1, then inc = 2 * initseq + 1 and two LCG
-    steps around adding initstate, all modulo 2**128."""
-    inc = (i0 << 65 | i1 << 1 | 1) & _MASK_128
-    return ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK_128, inc
+def _pcg_keys(words: np.ndarray) -> np.ndarray:
+    """numpy's PCG64DXSM seeding of each row (s0, s1, i0, i1) of seed words as
+    a row (state_lo, state_hi, inc_lo, inc_hi): inc = 2 * (i0 * 2**64 + i1) + 1,
+    t = inc + s0 * 2**64 + s1, state = (t * M + inc) mod 2**128, in uint64 lanes:
+    a low-word sum carries when it wraps; t_lo * M_lo's high word is from halves."""
+    s0, s1, i0, i1 = words.T
+    inc_lo, inc_hi = i1 << 1 | 1, i0 << 1 | i1 >> 63
+    t_lo = s1 + inc_lo
+    t_hi = s0 + inc_hi + (t_lo < inc_lo)
+    a0, a1 = t_lo & 0xFFFFFFFF, t_lo >> 32
+    mid = a1 * _MULT_LO_LO + (a0 * _MULT_LO_LO >> 32)
+    product_hi = a1 * _MULT_LO_HI + (mid >> 32) + ((mid & 0xFFFFFFFF) + a0 * _MULT_LO_HI >> 32)
+    state_lo = t_lo * _MULT_LO + inc_lo
+    state_hi = product_hi + t_lo * _MULT_HI + t_hi * _MULT_LO + inc_hi + (state_lo < inc_lo)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+
+
+def _state_views(bit_gen: np.random.PCG64DXSM) -> tuple[np.ndarray, ctypes.c_uint64] | None:
+    """Writable views of the words (state_lo, state_hi, inc_lo, inc_hi) and the
+    half word (has_uint32, uinteger) that numpy's pcg64_state at bit_gen's
+    ``ctypes.state_address`` points to and holds, or None unless they read as
+    the state getter does with a half word buffered."""
+    address = bit_gen.ctypes.state_address
+    pointer = ctypes.c_void_p.from_address(address).value or 0
+    if not id(bit_gen) <= pointer <= id(bit_gen) + type(bit_gen).__basicsize__ - 32:
+        return None  # the words must lie inside the generator object
+    words = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(pointer))
+    half_word = ctypes.c_uint64.from_address(address + ctypes.sizeof(ctypes.c_void_p))
+    bit_gen.ctypes.next_uint32(address)
+    state, (s_lo, s_hi, i_lo, i_hi) = bit_gen.state, words.tolist()
+    got = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}, half_word.value
+    return (words, half_word) if got == (state["state"], state["uinteger"] << 32 | state["has_uint32"]) else None
 
 
 def check_block_count(n_blocks: int) -> None:
@@ -116,21 +142,25 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
     order, a generator equal bit for bit to ``trial_stream(seed,
     pair_code, block)``.
 
-    Seed words are derived ``_KEY_CHUNK`` blocks at a time, so memory stays
-    flat in n_blocks. One PCG64DXSM is re-keyed per block through its state
-    setter (with no buffered half word), so a yielded generator is valid
-    only until the next one is taken.
+    Seed words and PCG64DXSM keys are derived ``_KEY_CHUNK`` blocks at a
+    time, so memory stays flat in n_blocks. One PCG64DXSM is re-keyed per
+    block, by writing its state words and clearing its buffered half word in
+    place or, where ``_state_views`` finds another layout, through its state
+    setter; a yielded generator is valid only until the next one is taken.
     """
     check_block_count(n_blocks)
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code,))
-    bit_gen = np.random.PCG64DXSM(ss)
-    rng = np.random.Generator(bit_gen)
-    state = {"bit_generator": "PCG64DXSM", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
+    rng = np.random.Generator(np.random.PCG64DXSM(ss))
+    words, half_word = _state_views(rng.bit_generator) or (None, None)
     for first in range(0, n_blocks, _KEY_CHUNK):
         blocks = np.arange(first, min(first + _KEY_CHUNK, n_blocks), dtype=np.uint32)
-        for words in _block_keys(ss.pool, blocks).tolist():
-            state["state"]["state"], state["state"]["inc"] = _pcg_state(*words)
-            bit_gen.state = state
+        for row in _pcg_keys(_block_keys(ss.pool, blocks)):
+            if words is None:
+                s_lo, s_hi, i_lo, i_hi = row.tolist()
+                rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "has_uint32": 0, "uinteger": 0,
+                                           "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+            else:
+                words[...], half_word.value = row, 0
             yield rng
 
 

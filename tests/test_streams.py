@@ -17,6 +17,56 @@ SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
 ]
 
 
+#: Seed words (s0, s1, i0, i1) that take each carry of the 128-bit PCG64DXSM
+#: seeding in uint64 lanes: s1 + inc_lo wraps (inc_lo = 1), state_lo wraps
+#: (inc_lo = 2**64 - 1), i1's top bit moves into inc_hi, and all at once.
+CARRY_WORDS = np.array(
+    [(0, 2**64 - 1, 0, 0), (5, 3, 0, 2**63 - 1), (0, 0, 0, 2**63), (2**64 - 1,) * 4, (0,) * 4], dtype=np.uint64
+)
+
+#: Block indices up to the last one a series can reach.
+FAR_BLOCKS = np.array([0, 2**16, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
+
+MASK_64, MASK_128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def pcg_state(s0, s1, i0, i1):
+    """The reference for ``streams._pcg_keys``: the (state, inc) that
+    numpy's PCG64DXSM seeding gives the seed words (s0, s1, i0, i1), in
+    Python ints. initstate = s0 * 2**64 + s1 and initseq = i0 * 2**64 + i1,
+    then inc = 2 * initseq + 1 and two LCG steps around adding initstate,
+    all modulo 2**128."""
+    inc = (i0 << 65 | i1 << 1 | 1) & MASK_128
+    return ((inc + (s0 << 64 | s1)) * streams._PCG_MULT + inc) & MASK_128, inc
+
+
+def carries(s0, s1, i0, i1):
+    """The carries that ``_pcg_keys`` takes on these seed words."""
+    inc_lo = (i1 << 1 | 1) & MASK_64
+    t = (pcg_state(s0, s1, i0, i1)[1] + (s0 << 64 | s1)) & MASK_128
+    return s1 + inc_lo > MASK_64, (t * streams._PCG_MULT & MASK_64) + inc_lo > MASK_64, i1 >> 63 == 1
+
+
+class SeedWords(np.random.bit_generator.ISeedSequence):
+    """Hands numpy's own PCG64DXSM seeding four given uint64 seed words."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64)
+        return self.words.copy()
+
+
+@pytest.fixture(params=["in place", "setter"])
+def rekey(request, monkeypatch):
+    """Each re-key path of ``series_streams``: the setter path is forced by
+    a layout check that reports a mismatch."""
+    if request.param == "setter":
+        monkeypatch.setattr(streams, "_state_views", lambda bit_gen: None)
+    return request.param
+
+
 def seed_sequence_key(seed, pair_code, block):
     """The (state, inc) numpy's own seeding gives a block's PCG64DXSM."""
     return key_of(np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(pair_code, block)))))
@@ -72,7 +122,7 @@ def test_seed_validation():
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n_blocks", [1, 7, 16])
-def test_series_keys_match_seed_sequence(seed, n_blocks, monkeypatch):
+def test_series_keys_match_seed_sequence(seed, n_blocks, rekey, monkeypatch):
     # a chunk of 7 blocks: 16 blocks cross two chunk boundaries and end on
     # a partial chunk
     monkeypatch.setattr(streams, "_KEY_CHUNK", 7)
@@ -84,7 +134,7 @@ def test_series_keys_match_seed_sequence(seed, n_blocks, monkeypatch):
 
 
 @pytest.mark.parametrize("seed", SEEDS[:6])
-def test_series_keys_across_a_full_chunk(seed):
+def test_series_keys_across_a_full_chunk(seed, rekey):
     n_blocks = streams._KEY_CHUNK + 37
     checked = {0, 1, streams._KEY_CHUNK - 1, streams._KEY_CHUNK, streams._KEY_CHUNK + 1, n_blocks - 1}
     for pair_code in range(4):
@@ -96,26 +146,34 @@ def test_series_keys_across_a_full_chunk(seed):
         assert seen == n_blocks
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_block_keys_up_to_the_last_one_word_index(seed):
-    """The seed words, the re-keyed state and the draws of blocks that a
-    series reaches only after billions of blocks."""
-    blocks = np.array([0, 2**16, 2**31, 2**32 - 2, 2**32 - 1], dtype=np.uint32)
-    rng = np.random.Generator(np.random.PCG64DXSM())
-    for pair_code in range(4):
-        pool = np.random.SeedSequence(seed, spawn_key=(pair_code,)).pool
-        words = streams._block_keys(pool, blocks)
-        want = [np.random.SeedSequence(seed, spawn_key=(pair_code, int(b))).generate_state(4, np.uint64) for b in blocks]
-        assert np.array_equal(words, want)
-        for block, w in zip(blocks.tolist(), words.tolist()):
-            state, inc = streams._pcg_state(*w)
-            assert (state, inc) == seed_sequence_key(seed, pair_code, block)
-            rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "state": {"state": state, "inc": inc},
-                                       "has_uint32": 0, "uinteger": 0}
-            assert np.array_equal(rng.bit_generator.random_raw(8), trial_stream(seed, pair_code, block).bit_generator.random_raw(8))
+@pytest.mark.parametrize("seed", SEEDS + ["carries"])
+def test_block_keys_up_to_the_last_one_word_index(seed, rekey, monkeypatch):
+    """The seed words, the PCG64DXSM keys and the draws of blocks that a
+    series reaches only after billions of blocks, and of seed words that
+    take each carry of the keys' 128-bit arithmetic."""
+    if seed == "carries":
+        assert all(map(any, zip(*(carries(*w) for w in CARRY_WORDS.tolist()))))
+        cases = [(CARRY_WORDS, [np.random.Generator(np.random.PCG64DXSM(SeedWords(w))) for w in CARRY_WORDS])]
+    else:
+        cases = []
+        for pair_code in range(4):
+            words = streams._block_keys(np.random.SeedSequence(seed, spawn_key=(pair_code,)).pool, FAR_BLOCKS)
+            blocks = FAR_BLOCKS.tolist()
+            want = [np.random.SeedSequence(seed, spawn_key=(pair_code, b)).generate_state(4, np.uint64) for b in blocks]
+            assert np.array_equal(words, want)
+            cases.append((words, [trial_stream(seed, pair_code, b) for b in blocks]))
+    for words, fresh in cases:
+        for w, key, rng in zip(words.tolist(), streams._pcg_keys(words).tolist(), fresh):
+            state, inc = pcg_state(*w)
+            assert key == [state & MASK_64, state >> 64, inc & MASK_64, inc >> 64]
+            assert (state, inc) == key_of(rng)
+        # a series whose block j takes row j of these words
+        monkeypatch.setattr(streams, "_block_keys", lambda pool, blocks: words[blocks])
+        for got, want in zip(series_streams(0, 0, len(words)), fresh, strict=True):
+            assert np.array_equal(got.bit_generator.random_raw(8), want.bit_generator.random_raw(8))
 
 
-def test_rekeyed_generator_leaks_no_buffered_half_word():
+def test_rekeyed_generator_leaks_no_buffered_half_word(rekey):
     seed, pair_code = 2**40 + 3, 2
     for block, rng in enumerate(series_streams(seed, pair_code, 5)):
         fresh = trial_stream(seed, pair_code, block)
@@ -124,6 +182,41 @@ def test_rekeyed_generator_leaks_no_buffered_half_word():
         assert np.array_equal(rng.random(4), fresh.random(4))
         assert np.array_equal(rng.bit_generator.random_raw(3), fresh.bit_generator.random_raw(3))
         assert np.array_equal(rng.integers(0, 7, 3, dtype=np.uint32), fresh.integers(0, 7, 3, dtype=np.uint32))
+
+
+def test_layout_check_accepts_the_getters_words():
+    bit_gen = np.random.PCG64DXSM(3)
+    words, half_word = streams._state_views(bit_gen)
+    assert bit_gen.state["has_uint32"] == 1  # the check buffered a half word
+    words[...] = [1, 2, 3, 4]
+    half_word.value = 0
+    assert bit_gen.state == {
+        "bit_generator": "PCG64DXSM", "state": {"state": 2 << 64 | 1, "inc": 4 << 64 | 3}, "has_uint32": 0, "uinteger": 0
+    }
+
+
+def high_word_first(state):
+    state["state"] = {name: (value & MASK_64) << 64 | value >> 64 for name, value in state["state"].items()}
+    return state
+
+
+def other_half_word(state):
+    state["uinteger"] ^= 1
+    return state
+
+
+@pytest.mark.parametrize("distort", [high_word_first, other_half_word])
+def test_layout_check_refuses_another_layout(distort):
+    """A getter that reports the state through ``distort`` stands for a
+    layout the in-place write would misread: a build without __uint128_t
+    keeps each 128-bit value as (hi, lo)."""
+
+    class Distorted(np.random.PCG64DXSM):
+        @property
+        def state(self):
+            return distort(super().state)
+
+    assert streams._state_views(Distorted(3)) is None
 
 
 def test_first_stream_of_a_huge_series_keys_one_chunk():

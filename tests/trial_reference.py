@@ -123,19 +123,21 @@ def singlet_weights(angles):
 @functools.cache
 def reference_class_weights(model):
     """Per setting pair, the exact weight of each of the 16 classes, in code
-    order: every declared tag's weight, as a Fraction, added to the class of
-    its four scalar responses."""
+    order: every declared tag's rational weight added to the class of its
+    four scalar responses."""
     code = functools.cache(lambda tag: Behavior(
         model.respond_alice(1, tag), model.respond_alice(2, tag), model.respond_bob(1, tag), model.respond_bob(2, tag)
     ).code)
     weights = {}
     for pair in SETTING_PAIRS:
         weights[pair] = [Fraction(0)] * 16
-        # summed once per distinct (class, weight): tags tend to share one weight
-        for (c, weight), count in collections.Counter(
-            (code(tag), Fraction(weight)) for tag, weight in model.enumerate_lambda(pair)
+        # summed once per distinct (class, weight), keyed on the weight's
+        # integers: tags tend to share one weight, and hashing a Fraction
+        # costs more than the tuple
+        for (c, num, den), count in collections.Counter(
+            (code(tag), weight.numerator, weight.denominator) for tag, weight in model.enumerate_lambda(pair)
         ).items():
-            weights[pair][c] += count * weight
+            weights[pair][c] += Fraction(count * num, den)
     return weights
 
 
