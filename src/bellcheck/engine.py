@@ -3,8 +3,8 @@
 Empirical side: ``count_experiment`` samples the four series (one per
 setting pair) block by block and keeps only integer counts: per pair, the
 trials in each of the 16 behavior classes, and from them the trials whose
-clicks agree (stream scheme v3: from the model's compiled class
-distribution where it declares one). ``chsh_report`` reduces the
+clicks agree (stream scheme v3: ``count_draws`` draws them from the model's
+compiled class distribution where it declares one). ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
 classes were distributed across the four series. ``run_experiment`` draws
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -46,7 +45,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import BLOCK_SIZE, check_block_count, iter_blocks, series_streams, validate_seed
+from .streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, series_streams, validate_seed
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -184,12 +183,6 @@ def violation_p_value(s_star: float, n: int) -> float:
     return math.exp(-n * t * t / 8)
 
 
-# A block function maps (pair, block stream, trial count) to that block's
-# result: click and tag arrays for a trial log, integer counts for a
-# report. LHV and quantum runs share this hook.
-BlockFn = Callable[[tuple[int, int], np.random.Generator, int], Any]
-
-
 def _resolve_workers() -> int:
     env = os.environ.get("BELLCHECK_THREADS", "").strip()
     if not env:
@@ -216,7 +209,7 @@ def check_run(n_per_series: int, seed: int) -> int:
 
 
 def _series(
-    block_fn: BlockFn,
+    block_fn: Callable[[tuple[int, int], np.random.Generator, int], Any],
     reduce: Callable[[Iterator[Any]], Any],
     n_per_series: int,
     seed: int,
@@ -246,10 +239,19 @@ def _series(
         return dict(pool.map(run_series, SETTING_PAIRS))
 
 
-def count_blocks(counter: BlockFn, n_per_series: int, seed: int) -> dict[tuple[int, int], Any]:
-    """Sum ``counter``'s per-block counts over each setting pair's blocks,
-    in place; only one block's trials are held per worker."""
-    return _series(counter, functools.partial(functools.reduce, operator.iadd), n_per_series, seed)
+def count_draws(distribution: tuple[Mapping, int], n_per_series: int, seed: int) -> dict[tuple[int, int], np.ndarray]:
+    """Per setting pair, the run's counts over the outcomes of ``distribution``
+    (per pair, integer weights; their denominator) by ``streams.draw_counts``:
+    one task, or one per series with ``BELLCHECK_THREADS`` above 1."""
+    seed = check_run(n_per_series, seed)
+    nums, d = distribution
+    rows = [(PAIR_CODES[pair], nums[pair]) for pair in SETTING_PAIRS]
+    workers = min(_resolve_workers(), len(rows))
+    if workers == 1:
+        return dict(zip(SETTING_PAIRS, draw_counts(seed, rows, d, n_per_series)))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = pool.map(lambda row: draw_counts(seed, [row], d, n_per_series), rows)
+        return {pair: counts for pair, [counts] in zip(SETTING_PAIRS, tasks)}
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -288,28 +290,17 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     """Run the four series of an LHV model and keep, per setting pair, the
     count of each behavior class.
 
-    A model that declares its tag distribution draws each block's counts
-    from its compiled ``class_distribution``: Multinomial(k, w_pair) over
-    the classes of positive weight, on the block's stream. A model without
-    one draws the block's tags through ``sample_lambda`` and counts the
-    codes of its four responses per tag.
+    A model that declares its tag distribution draws the counts from its
+    compiled ``class_distribution`` (``count_draws``); a model without one
+    draws each block's tags through ``sample_lambda`` and counts their codes.
     """
     seed = check_run(n_per_series, seed)
-    compiled = model.class_distribution  # compiled here, before any worker starts
-    if compiled is not None:
-        nums, d = compiled
-        # zero-weight classes take no part in the draw, so they stay at 0
-        support = {pair: np.flatnonzero(nums[pair]) for pair in SETTING_PAIRS}
-        pvals = {pair: np.array([nums[pair][c] / d for c in support[pair]]) for pair in SETTING_PAIRS}
-
-    def count(pair, rng, k):
-        if compiled is None:
+    if model.class_distribution is not None:  # compiled here, before any worker starts
+        classes = count_draws(model.class_distribution, n_per_series, seed)
+    else:
+        def count(pair, rng, k):
             return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
-        counts = np.zeros(16, dtype=np.int64)
-        counts[support[pair]] = rng.multinomial(k, pvals[pair])
-        return counts
-
-    classes = count_blocks(count, n_per_series, seed)
+        classes = _series(count, sum, n_per_series, seed)
     agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}
     return RunCounts(seed, n_per_series, agree, classes)
 

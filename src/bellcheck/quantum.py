@@ -1,8 +1,9 @@
 """Singlet-state sampling: the violating side of the comparison.
 
 A singlet trial's clicks disagree on l2 - l0 of the 2**64 raw words
-(``_word_limits``), so under stream scheme v3 a block of k trials draws its
-disagreements at once, as Binomial(k, (l2 - l0) / 2**64).
+(``_word_limits``), so under stream scheme v3 a series is the distribution
+(disagree, agree) with weight (l2 - l0) / 2**64 on disagree: one binomial
+draw per block, none at cos(a - b) = +-1.
 
 Sign convention: E(a, b) = -cos(a - b), i.e. perfect anticorrelation at
 equal settings. The opposite (+cos) convention flips the sign of every
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import RunCounts, check_run, chsh_statistic, count_blocks
+from .engine import RunCounts, check_run, chsh_statistic, count_draws
 
 
 @dataclass(frozen=True)
@@ -88,17 +89,11 @@ def quantum_chsh(angles: AnglePair) -> float:
 
 def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) -> RunCounts:
     """Sample the four series from the singlet distribution as agreement
-    counts, without class counts. A block's disagreement probability
+    counts, without class counts. A pair's disagreement probability
     (l2 - l0) / 2**64 is exact in a float: l2 - l0 is a multiple of 2**11
     below 2**64, or 2**64 at cos(a - b) = 1, where every trial disagrees."""
     seed = check_run(n_per_series, seed)
-    disagree = {}
-    for i, k in SETTING_PAIRS:
-        l0, l2 = _word_limits(angles.alice(i), angles.bob(k))
-        disagree[i, k] = (l2 - l0) / 2**64
-
-    def count(pair, rng, n):
-        return n - int(rng.binomial(n, disagree[pair]))
-
-    agree = count_blocks(count, n_per_series, seed)
-    return RunCounts(seed, n_per_series, agree)
+    limits = {(i, k): _word_limits(angles.alice(i), angles.bob(k)) for i, k in SETTING_PAIRS}
+    weights = {pair: (l2 - l0, 2**64 - (l2 - l0)) for pair, (l0, l2) in limits.items()}
+    counts = count_draws((weights, 2**64), n_per_series, seed)
+    return RunCounts(seed, n_per_series, {pair: int(counts[pair][1]) for pair in SETTING_PAIRS})

@@ -8,15 +8,15 @@ i % BLOCK_SIZE)``. Block boundaries never move, which makes the output
 bitwise identical no matter how blocks are distributed over workers or
 in what order they run.
 
-``trial_stream`` defines a block's stream. A run walks a series through
-``series_streams``, which keys a chunk of blocks in one vectorized pass
-and re-keys one generator per block in place, or through its state setter.
+``trial_stream`` defines a block's stream. ``draw_counts`` (a run's counts)
+and ``series_streams`` key chunks of blocks in one vectorized pass and
+re-key one generator per block in place, or through its state setter.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -77,7 +77,8 @@ _MUL_B = _INIT_B * _powers(_MULT_B, 1, 2 * _POOL)
 def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """``SeedSequence(seed, spawn_key=(pair_code, b)).generate_state(4,
     np.uint64)`` for each uint32 block index b, as an (m, 4) uint64 array,
-    given the pool of ``SeedSequence(seed, spawn_key=(pair_code,))``.
+    given the pool of ``SeedSequence(seed, spawn_key=(pair_code,))``; for
+    a (P, 4) stack of such pools, a (P, m, 4) array.
 
     That pool is the longer sequence's state before its last entropy word;
     this finishes the job: SeedSequence's mix of the block word into each
@@ -87,7 +88,7 @@ def _block_keys(pool: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """
     h = (blocks[:, None] ^ _XOR_A) * _MUL_A
     h ^= h >> 16
-    mixed = np.uint32(_MIX_L) * pool - np.uint32(_MIX_R) * h
+    mixed = np.uint32(_MIX_L) * pool[..., None, :] - np.uint32(_MIX_R) * h
     mixed ^= mixed >> 16
     state = (np.tile(mixed, 2) ^ _XOR_B) * _MUL_B
     state ^= state >> 16
@@ -100,7 +101,7 @@ def _pcg_keys(words: np.ndarray) -> np.ndarray:
     a row (state_lo, state_hi, inc_lo, inc_hi): inc = 2 * (i0 * 2**64 + i1) + 1,
     t = inc + s0 * 2**64 + s1, state = (t * M + inc) mod 2**128, in uint64 lanes:
     a low-word sum carries when it wraps; t_lo * M_lo's high word is from halves."""
-    s0, s1, i0, i1 = words.T
+    s0, s1, i0, i1 = np.moveaxis(words, -1, 0)
     inc_lo, inc_hi = i1 << 1 | 1, i0 << 1 | i1 >> 63
     t_lo = s1 + inc_lo
     t_hi = s0 + inc_hi + (t_lo < inc_lo)
@@ -109,7 +110,7 @@ def _pcg_keys(words: np.ndarray) -> np.ndarray:
     product_hi = a1 * _MULT_LO_HI + (mid >> 32) + ((mid & 0xFFFFFFFF) + a0 * _MULT_LO_HI >> 32)
     state_lo = t_lo * _MULT_LO + inc_lo
     state_hi = product_hi + t_lo * _MULT_HI + t_hi * _MULT_LO + inc_hi + (state_lo < inc_lo)
-    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=1)
+    return np.stack([state_lo, state_hi, inc_lo, inc_hi], axis=-1)
 
 
 def _state_views(bit_gen: np.random.PCG64DXSM) -> tuple[np.ndarray, ctypes.c_uint64] | None:
@@ -129,25 +130,24 @@ def _state_views(bit_gen: np.random.PCG64DXSM) -> tuple[np.ndarray, ctypes.c_uin
     return (words, half_word) if got == (state["state"], state["uinteger"] << 32 | state["has_uint32"]) else None
 
 
+def _set_key(bit_gen: np.random.PCG64DXSM, row: np.ndarray) -> None:
+    """Key bit_gen to a (state_lo, state_hi, inc_lo, inc_hi) row through its state setter."""
+    s_lo, s_hi, i_lo, i_hi = row.tolist()
+    bit_gen.state = {"bit_generator": "PCG64DXSM", "has_uint32": 0, "uinteger": 0,
+                     "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+
+
 def check_block_count(n_blocks: int) -> None:
     if not 0 <= n_blocks <= _MAX_BLOCKS:
-        raise ValueError(
-            f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} (2**32 blocks of "
-            f"{BLOCK_SIZE} trials), got {n_blocks} blocks"
-        )
+        raise ValueError(f"n_per_series must be at most {BLOCK_SIZE * _MAX_BLOCKS} (2**32 blocks of "
+                         f"{BLOCK_SIZE} trials), got {n_blocks} blocks")
 
 
 def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.random.Generator]:
     """Yield, for blocks 0 .. n_blocks - 1 of one setting pair's series in
-    order, a generator equal bit for bit to ``trial_stream(seed,
-    pair_code, block)``.
-
-    Seed words and PCG64DXSM keys are derived ``_KEY_CHUNK`` blocks at a
-    time, so memory stays flat in n_blocks. One PCG64DXSM is re-keyed per
-    block, by writing its state words and clearing its buffered half word in
-    place or, where ``_state_views`` finds another layout, through its state
-    setter; a yielded generator is valid only until the next one is taken.
-    """
+    order, a generator equal bit for bit to ``trial_stream(seed, pair_code,
+    block)``: one PCG64DXSM re-keyed per block as in ``draw_counts``, valid
+    only until the next one is taken."""
     check_block_count(n_blocks)
     ss = np.random.SeedSequence(validate_seed(seed), spawn_key=(pair_code,))
     rng = np.random.Generator(np.random.PCG64DXSM(ss))
@@ -156,20 +156,55 @@ def series_streams(seed: int, pair_code: int, n_blocks: int) -> Iterator[np.rand
         blocks = np.arange(first, min(first + _KEY_CHUNK, n_blocks), dtype=np.uint32)
         for row in _pcg_keys(_block_keys(ss.pool, blocks)):
             if words is None:
-                s_lo, s_hi, i_lo, i_hi = row.tolist()
-                rng.bit_generator.state = {"bit_generator": "PCG64DXSM", "has_uint32": 0, "uinteger": 0,
-                                           "state": {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}}
+                _set_key(rng.bit_generator, row)
             else:
                 words[...], half_word.value = row, 0
             yield rng
 
 
+def draw_counts(seed: int, rows: Sequence[tuple[int, Sequence[int]]], d: int, n: int) -> list[np.ndarray]:
+    """Per (pair_code, nums) of ``rows``, the counts of n trials over outcomes
+    of weights nums / d: all n on a sole outcome of positive weight, with no
+    draw; else one draw per block of k trials on ``trial_stream(seed,
+    pair_code, block)`` over the positive weights w: ``binomial(k, w[0])``
+    for two (what ``multinomial(k, w)`` draws), ``multinomial(k, w)`` for more.
+    The drawn series' keys are derived together, ``_KEY_CHUNK`` blocks per
+    pass; one PCG64DXSM, checked once by ``_state_views``, is re-keyed per
+    block in place, or through its state setter."""
+    seed, n_blocks = validate_seed(seed), -(-n // BLOCK_SIZE)
+    check_block_count(n_blocks)
+    counts = [np.zeros(len(nums), dtype=np.int64) for _, nums in rows]
+    series = []
+    for (code, nums), c in zip(rows, counts):
+        support = [i for i, num in enumerate(nums) if num]
+        if len(support) == 1:
+            c[support] = n
+        else:
+            series.append((code, c, support, np.array([nums[i] / d for i in support])))
+    if not series:
+        return counts
+    pools = np.array([np.random.SeedSequence(seed, spawn_key=(code,)).pool for code, *_ in series])
+    rng = np.random.Generator(np.random.PCG64DXSM(seed))  # re-keyed before every draw
+    words, half_word = _state_views(rng.bit_generator) or (None, None)
+    step = max(1, _KEY_CHUNK // len(series))
+    for first in range(0, n_blocks, step):
+        stop = min(first + step, n_blocks)
+        sizes = [BLOCK_SIZE] * (stop - first - 1) + [min(BLOCK_SIZE, n - (stop - 1) * BLOCK_SIZE)]
+        keys = _pcg_keys(_block_keys(pools, np.arange(first, stop, dtype=np.uint32)))
+        for (_, c, support, w), series_keys in zip(series, keys):
+            draw, p, acc = (rng.binomial, float(w[0]), 0) if len(w) == 2 else (rng.multinomial, w, 0)
+            for row, k in zip(series_keys, sizes):
+                if words is None:
+                    _set_key(rng.bit_generator, row)
+                else:
+                    words[...] = row
+                    half_word.value = 0
+                acc += draw(k, p)
+            c[support] += (acc, sum(sizes) - acc) if len(w) == 2 else acc
+    return counts
+
+
 def iter_blocks(n: int):
     """Yield (block_index, start, stop) covering range(n) in fixed blocks."""
-    block = 0
-    start = 0
-    while start < n:
-        stop = min(start + BLOCK_SIZE, n)
-        yield block, start, stop
-        block += 1
-        start = stop
+    for block, start in enumerate(range(0, n, BLOCK_SIZE)):
+        yield block, start, min(start + BLOCK_SIZE, n)

@@ -14,9 +14,13 @@ checked at block-edge sizes, and the count path gives equal counts on one
 worker and on three. The singlet has no trial log: its counts follow the
 singlet's probabilities as the per-trial reference of ``trial_reference``
 does, on one worker and on three, and the threshold tests feed its
-raw-word limits words on both sides of every limit. The memory tests pin
-that the count path holds no trial log and that building a log costs
-little more than the log itself.
+raw-word limits words on both sides of every limit. The count loop
+(``engine.count_draws``) must give exactly the counts of a block-by-block
+reference that draws each block on ``trial_stream``: a multinomial over a
+model's classes of positive weight, a binomial at the singlet's
+disagreement probability. The memory tests pin that the count path holds
+no trial log and that building a log costs little more than the log
+itself.
 """
 
 import math
@@ -30,7 +34,7 @@ import numpy as np
 import pytest
 
 from batch_models import LHV_ROUTES, route_model, without_table
-from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
+from bellcheck.core import PAIR_CODES, SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
     class_frequencies,
@@ -38,9 +42,9 @@ from bellcheck.engine import (
     log_counts,
     run_experiment,
 )
-from bellcheck import core, engine, quantum
-from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, count_quantum_experiment
-from bellcheck.streams import BLOCK_SIZE, trial_stream
+from bellcheck import core, engine, quantum, streams
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _word_limits, count_quantum_experiment
+from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 from trial_reference import (
     agreement_runs,
@@ -91,6 +95,107 @@ def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
     monkeypatch.setenv("BELLCHECK_THREADS", "3")
     assert_same_counts(count_quantum_experiment(angles, n, seed=29), counts)
     assert_counts_follow(agreement_runs(count_quantum_experiment(angles, n, seed) for seed in SEEDS), weights)
+
+
+#: The count loop's differential: sizes around a block edge and a series of
+#: four blocks whose last is partial; seeds at both ends of the range and 20
+#: others.
+DRAW_SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 49159]
+DRAW_SEEDS = [0, 2**64 - 1] + [int(s) for s in np.random.default_rng(20).integers(0, 2**64, 20, dtype=np.uint64)]
+
+#: conspiracy, dice-coin and cosine-sign have 1, 2 and 8 classes of
+#: positive weight per setting pair.
+DRAW_MODELS = {"conspiracy": 1, "dice-coin": 2, "cosine-sign": 8}
+
+#: The singlet at 0 < p < 1 and at cos(a - b) = +-1, where p is 1 or 0.
+DRAW_ANGLES = {
+    "tsirelson": TSIRELSON_ANGLES, "custom": AnglePair(0.3, 1.9, -0.8, 2.6),
+    "cos +-1": AnglePair(0.0, math.pi, 0.0, math.pi),
+}
+
+
+def block_by_block_classes(model, n, seed):
+    """Per setting pair, the class counts of one multinomial draw per block
+    on ``trial_stream``, over the classes of positive weight."""
+    nums, d = model.class_distribution
+    classes = {}
+    for pair in SETTING_PAIRS:
+        support = [c for c in range(16) if nums[pair][c]]
+        pvals = np.array([nums[pair][c] / d for c in support])
+        classes[pair] = np.zeros(16, dtype=np.int64)
+        for block, start, stop in iter_blocks(n):
+            classes[pair][support] += trial_stream(seed, PAIR_CODES[pair], block).multinomial(stop - start, pvals)
+    return classes
+
+
+def block_by_block_agreements(angles, n, seed):
+    """Per setting pair, n minus the disagreements of one binomial draw per
+    block on ``trial_stream``, at the share (l2 - l0) / 2**64."""
+    agree = {}
+    for pair in SETTING_PAIRS:
+        l0, l2 = _word_limits(angles.alice(pair[0]), angles.bob(pair[1]))
+        agree[pair] = n - sum(int(trial_stream(seed, PAIR_CODES[pair], block).binomial(stop - start, (l2 - l0) / 2**64))
+                              for block, start, stop in iter_blocks(n))
+    return agree
+
+
+@pytest.fixture(params=["in place, 1 worker", "in place, 3 workers", "setter, 1 worker", "chunks of 3 blocks"])
+def draw_path(request, monkeypatch):
+    """Each re-key path of the count loop, one task per series, and keys
+    derived 3 blocks per series at a time (a series of 4 blocks ends on a
+    chunk of one partial block): the setter path is forced by a layout
+    check that reports a mismatch."""
+    if request.param.startswith("setter"):
+        monkeypatch.setattr(streams, "_state_views", lambda bit_gen: None)
+    if request.param.startswith("chunks"):
+        monkeypatch.setattr(streams, "_KEY_CHUNK", 3 * len(SETTING_PAIRS))
+    monkeypatch.setenv("BELLCHECK_THREADS", "3" if "3 workers" in request.param else "1")
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("name", DRAW_MODELS)
+def test_count_loop_equals_block_by_block_multinomials(name, n, draw_path):
+    model = MODEL_FACTORIES[name]()
+    nums, _ = model.class_distribution
+    assert {sum(map(bool, nums[pair])) for pair in SETTING_PAIRS} == {DRAW_MODELS[name]}
+    for seed in DRAW_SEEDS:
+        got = count_experiment(model, n, seed).classes
+        want = block_by_block_classes(model, n, seed)
+        for pair in SETTING_PAIRS:
+            assert np.array_equal(got[pair], want[pair]), (seed, pair)
+
+
+@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("angles", DRAW_ANGLES.values(), ids=DRAW_ANGLES)
+def test_count_loop_equals_block_by_block_binomials(angles, n, draw_path):
+    for seed in DRAW_SEEDS:
+        assert count_quantum_experiment(angles, n, seed).agree == block_by_block_agreements(angles, n, seed), seed
+
+
+def test_one_outcome_pairs_key_no_stream(monkeypatch):
+    # conspiracy has one class per pair, the singlet one cell at cos = +-1
+    def no_keys(*args):
+        raise AssertionError("keys derived")
+
+    monkeypatch.setattr(streams, "_block_keys", no_keys)
+    classes = count_experiment(MODEL_FACTORIES["conspiracy"](), 49159, seed=3).classes
+    assert all(classes[pair].max() == 49159 for pair in SETTING_PAIRS)
+    agree = count_quantum_experiment(DRAW_ANGLES["cos +-1"], 49159, seed=3).agree
+    assert agree == {(1, 1): 0, (1, 2): 49159, (2, 1): 49159, (2, 2): 0}
+
+
+def test_a_two_outcome_multinomial_is_one_binomial():
+    """The count loop draws a two-outcome block as ``binomial(k, w)``, which
+    is what numpy's ``multinomial(k, [w, 1 - w])`` draws for its first
+    count, from the same stream words. A numpy release that draws it
+    otherwise fails here, and the two-outcome draws would change bytes."""
+    cases = np.random.default_rng(200)
+    ks = [0, 1, 30, BLOCK_SIZE] + [int(10 ** x) for x in cases.uniform(0, 6, 196)]
+    ws = [0.0, 0.5, 1.0, 2**-53] + cases.random(196).tolist()
+    for case, (k, w) in enumerate(zip(ks, ws, strict=True)):
+        a, b = (np.random.Generator(np.random.PCG64DXSM(case)) for _ in range(2))
+        assert a.multinomial(k, [w, 1 - w])[0] == b.binomial(k, w), (k, w)
+        assert a.bit_generator.state == b.bit_generator.state, (k, w)
 
 
 def test_lhv_agreements_read_off_the_classes_equal_the_clicks():

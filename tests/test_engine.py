@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
-from bellcheck import engine
+from bellcheck import engine, streams
 from bellcheck.engine import (
     ChshReport,
     RunCounts,
@@ -51,6 +51,14 @@ def constant_model():
         declares_mi=True,
         enumerate_lambda=lambda pair: [(0, Fraction(1))],
     )
+
+
+#: Two outcomes of weight 1/2 at every setting pair: every series draws.
+TWO_OUTCOMES = (dict.fromkeys(SETTING_PAIRS, (1, 1)), 2)
+
+
+def no_keys(*args):
+    raise AssertionError("keys derived")
 
 
 def exact_sweep_log(model, domain):
@@ -145,23 +153,18 @@ class TestRunExperiment:
             run_experiment(dice_coin_model(), 2.5, seed=0)
 
     @pytest.mark.parametrize("n", [True, 2.5, "10"])
-    def test_non_integer_n_rejected_before_sampling(self, n):
-        def sampler(pair, rng, count):
-            raise AssertionError("sampler called")
-
+    def test_non_integer_n_rejected_before_sampling(self, n, monkeypatch):
+        monkeypatch.setattr(streams, "_block_keys", no_keys)
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.count_blocks(sampler, n, seed=0)
+            engine.count_draws(TWO_OUTCOMES, n, seed=0)
 
-    def test_n_past_one_word_block_indices_rejected_before_sampling(self):
+    def test_n_past_one_word_block_indices_rejected_before_sampling(self, monkeypatch):
         # block indices are mixed into the stream key as one uint32 word
-        def sampler(pair, rng, count):
-            raise AssertionError("sampler called")
-
+        monkeypatch.setattr(streams, "_block_keys", no_keys)
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.count_blocks(sampler, BLOCK_SIZE * 2**32 + 1, seed=0)
-        with pytest.raises(AssertionError, match="sampler called"):  # the largest n starts sampling
-            engine.count_blocks(sampler, BLOCK_SIZE * 2**32, seed=0)
-
+            engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32 + 1, seed=0)
+        with pytest.raises(AssertionError, match="keys derived"):  # the largest n starts keying blocks
+            engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32, seed=0)
 
 class TestResolveWorkers:
     """BELLCHECK_THREADS: unset or blank means 1 worker; anything other

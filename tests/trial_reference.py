@@ -2,11 +2,13 @@
 
 Under stream scheme v3 the count path no longer decides trials one by one.
 ``count_experiment`` draws each block's class counts from the model's
-compiled ``class_distribution`` (one multinomial draw per block) when the
-model declares its distribution, and only a model without one draws a tag
-per trial and counts the codes of its batch responses.
-``count_quantum_experiment`` draws each block's disagreements from the
-singlet's integer word limits (one binomial draw per block). The reference
+compiled ``class_distribution`` when the model declares its distribution
+(``engine.count_draws``: no draw for a pair with one class, one binomial
+per block for two, one multinomial per block for more), and only a model
+without one draws a tag per trial and counts the codes of its batch
+responses. ``count_quantum_experiment`` goes through the same loop with the
+singlet's two outcomes (disagree, agree), weighted by its integer word
+limits: one binomial draw per block, none at cos(a - b) = +-1. The reference
 shares none of those kernels. It draws each block from
 ``streams.trial_stream``, the definition of a block's stream, and decides
 every trial on its own:
