@@ -1,8 +1,7 @@
 """bellcheck: simulate and verify Bell/CHSH experiments.
 
-Local hidden-variable models and the singlet are sampled block by block
-into integer counts per setting pair, and every report is computed from
-those counts. The CHSH statistic is computed empirically and exactly;
+Local hidden-variable models and the singlet are sampled into integer
+counts per setting pair, and every report is computed from those counts. The CHSH statistic is computed empirically and exactly;
 the |S| <= 2 bound is verified through the 16 equivalence classes of
 effective hidden variables; the singlet provides the violating side;
 parity constraint systems and joint-probability feasibility round out
@@ -71,4 +70,4 @@ from .zoo import (
     get_model,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -1,10 +1,11 @@
 """Running CHSH experiments and analyzing them.
 
 Empirical side: ``count_experiment`` samples the four series (one per
-setting pair) block by block and keeps only integer counts: per pair, the
-trials in each of the 16 behavior classes, and from them the trials whose
-clicks agree (stream scheme v3: ``count_draws`` draws them from the model's
-compiled class distribution where it declares one). ``chsh_report`` reduces the
+setting pair) and keeps only integer counts: per pair, the trials in each
+of the 16 behavior classes, and from them the trials whose clicks agree
+(stream scheme v4: ``count_draws`` draws each series' counts at once from
+the model's compiled class distribution where it declares one; otherwise
+the tags are drawn block by block). ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
 classes were distributed across the four series. ``run_experiment`` draws
@@ -45,7 +46,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, series_streams, validate_seed
+from .streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, trial_stream, validate_seed
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -197,7 +198,8 @@ def _resolve_workers() -> int:
 
 
 def check_run(n_per_series: int, seed: int) -> int:
-    """Check a run's size and seed before anything is compiled or drawn."""
+    """Check a run's size, seed and ``BELLCHECK_THREADS`` before anything is
+    compiled or drawn."""
     if (
         isinstance(n_per_series, bool)
         or not isinstance(n_per_series, (int, np.integer))
@@ -205,7 +207,9 @@ def check_run(n_per_series: int, seed: int) -> int:
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
     check_block_count(-(-n_per_series // BLOCK_SIZE))
-    return validate_seed(seed)
+    seed = validate_seed(seed)
+    _resolve_workers()
+    return seed
 
 
 def _series(
@@ -219,18 +223,17 @@ def _series(
     ``block_fn(pair, stream, count)`` over that pair's blocks in order.
 
     Each task is one pair's whole series, so at most four workers run
-    (``BELLCHECK_THREADS`` caps them). A block draws from the stream keyed by
-    (seed, pair, block), written into the task's generator in place or by its
-    state setter (``series_streams``): any worker count gives the same results.
+    (``BELLCHECK_THREADS`` caps them). A block draws from
+    ``trial_stream(seed, pair_code, block)``: any worker count gives the
+    same results.
     """
     seed = check_run(n_per_series, seed)
     workers = min(_resolve_workers(), len(SETTING_PAIRS))
-    n_blocks = -(-n_per_series // BLOCK_SIZE)
 
     def run_series(pair):
-        streams = series_streams(seed, PAIR_CODES[pair], n_blocks)
         return pair, reduce(
-            block_fn(pair, rng, stop - start) for rng, (_, start, stop) in zip(streams, iter_blocks(n_per_series))
+            block_fn(pair, trial_stream(seed, PAIR_CODES[pair], block), stop - start)
+            for block, start, stop in iter_blocks(n_per_series)
         )
 
     if workers == 1:
@@ -241,17 +244,12 @@ def _series(
 
 def count_draws(distribution: tuple[Mapping, int], n_per_series: int, seed: int) -> dict[tuple[int, int], np.ndarray]:
     """Per setting pair, the run's counts over the outcomes of ``distribution``
-    (per pair, integer weights; their denominator) by ``streams.draw_counts``:
-    one task, or one per series with ``BELLCHECK_THREADS`` above 1."""
+    (per pair, integer weights; their denominator): one draw per series by
+    ``streams.draw_counts``, all on the calling thread."""
     seed = check_run(n_per_series, seed)
     nums, d = distribution
     rows = [(PAIR_CODES[pair], nums[pair]) for pair in SETTING_PAIRS]
-    workers = min(_resolve_workers(), len(rows))
-    if workers == 1:
-        return dict(zip(SETTING_PAIRS, draw_counts(seed, rows, d, n_per_series)))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        tasks = pool.map(lambda row: draw_counts(seed, [row], d, n_per_series), rows)
-        return {pair: counts for pair, [counts] in zip(SETTING_PAIRS, tasks)}
+    return dict(zip(SETTING_PAIRS, draw_counts(seed, rows, d, n_per_series)))
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -295,7 +293,7 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     draws each block's tags through ``sample_lambda`` and counts their codes.
     """
     seed = check_run(n_per_series, seed)
-    if model.class_distribution is not None:  # compiled here, before any worker starts
+    if model.class_distribution is not None:  # compiled here, before the tag path's workers start
         classes = count_draws(model.class_distribution, n_per_series, seed)
     else:
         def count(pair, rng, k):

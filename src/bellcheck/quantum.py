@@ -1,9 +1,9 @@
 """Singlet-state sampling: the violating side of the comparison.
 
 A singlet trial's clicks disagree on l2 - l0 of the 2**64 raw words
-(``_word_limits``), so under stream scheme v3 a series is the distribution
+(``_word_limits``), so under stream scheme v4 a series is the distribution
 (disagree, agree) with weight (l2 - l0) / 2**64 on disagree: one binomial
-draw per block, none at cos(a - b) = +-1.
+draw per series, none at cos(a - b) = +-1.
 
 Sign convention: E(a, b) = -cos(a - b), i.e. perfect anticorrelation at
 equal settings. The opposite (+cos) convention flips the sign of every
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .core import CorrelationTable, SETTING_PAIRS
 from .engine import RunCounts, check_run, chsh_statistic, count_draws
@@ -61,11 +59,12 @@ def _cell_boundaries(a: float, b: float) -> tuple[float, float, float]:
     # joint cells in order (+1,+1), (+1,-1), (-1,+1), (-1,-1) with
     # P(A,B) = (1 - A*B*cos(a-b)) / 4; a uniform deviate u falls in cell
     # (u >= b0) + (u >= b1) + (u >= b2) of the cumulative boundaries, so
-    # the clicks agree below b0 and from b2 on
+    # the clicks agree below b0 and from b2 on; summed left to right, as
+    # the word limits, and so every report, depend on each sum's rounding
     c = -singlet_correlation(a, b)
-    p = np.array([(1 - c) / 4, (1 + c) / 4, (1 + c) / 4, (1 - c) / 4])
-    b0, b1, b2 = np.cumsum(p)[:3]
-    return float(b0), float(b1), float(b2)
+    b0 = (1 - c) / 4
+    b1 = b0 + (1 + c) / 4
+    return b0, b1, b1 + (1 + c) / 4
 
 
 def _word_limits(a: float, b: float) -> tuple[int, int]:

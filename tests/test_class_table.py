@@ -9,7 +9,7 @@ tests pin that a misbehaving model ends in ModelError naming the stage,
 and in exit code 3 from the command line wherever `run` meets the fault,
 and that the trial log rejects a bad tag with the per-trial lookup's exact
 message. `run` draws no tags of a model that declares its distribution
-(stream scheme v3), so a faulty ``sample_lambda`` of such a model leaves
+(since stream scheme v3), so a faulty ``sample_lambda`` of such a model leaves
 its report alone.
 """
 

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import bellcheck
-from bellcheck import cli, jointprob
+from bellcheck import cli, engine, jointprob, quantum
 from bellcheck.core import Behavior
+from bellcheck.engine import count_draws
 from bellcheck.jointprob import JointProbability, statistics_of
+from bellcheck.streams import BLOCK_SIZE
 
 
 def run_cli(args):
@@ -154,6 +156,30 @@ class TestRun:
         )
         assert proc.returncode == cli.EXIT_CONFIG
         assert "n_per_series" in proc.stderr and "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("model", ["dice-coin", "cosine-sign", "quantum"])
+    def test_n_up_to_two_to_the_46_runs_and_one_more_exits_2(self, model, monkeypatch, capsys):
+        # every run keeps the tag path's limit of 2**32 blocks of BLOCK_SIZE
+        drawn = []
+
+        def recording(*args):
+            drawn.append(count_draws(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(engine, "count_draws", recording)
+        monkeypatch.setattr(quantum, "count_draws", recording)
+        n = BLOCK_SIZE << 32
+        assert n == 2**46
+        assert run_cli(["run", "--model", model, "--n", str(n), "--seed", "46"]) == 0
+        assert json.loads(capsys.readouterr().out)["n_per_series"] == n
+        [counts] = drawn
+        assert all(c.min() >= 0 and int(c.sum()) == n for c in counts.values())
+        assert run_cli(["run", "--model", model, "--n", str(n + 1)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "configuration error: n_per_series must be at most 70368744177664 "
+            "(2**32 blocks of 16384 trials), got 4294967297 blocks\n"
+        )
+        assert len(drawn) == 1
 
     def test_angles_rejected_for_plain_models(self):
         assert run_cli(["run", "--model", "dice-coin", "--n", "10",

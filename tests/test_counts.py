@@ -7,7 +7,7 @@ the log path keeps every click and tag and reduces the log afterwards.
 Their counts must be equal for every such model route (batch twins,
 scalar responses; the batch twins belong to the test-only models of
 ``batch_models``). A model that declares its distribution draws its count
-path's class counts from it (stream scheme v3), while the log still draws
+path's class counts from it (stream scheme v4), while the log still draws
 its tags through ``sample_lambda``: both must follow the declared
 distribution (``trial_reference.assert_counts_follow``). Every route is
 checked at block-edge sizes, and the count path gives equal counts on one
@@ -15,12 +15,13 @@ worker and on three. The singlet has no trial log: its counts follow the
 singlet's probabilities as the per-trial reference of ``trial_reference``
 does, on one worker and on three, and the threshold tests feed its
 raw-word limits words on both sides of every limit. The count loop
-(``engine.count_draws``) must give exactly the counts of a block-by-block
-reference that draws each block on ``trial_stream``: a multinomial over a
+(``engine.count_draws``, stream scheme v4) must give exactly the counts of
+one draw per series on block 0's ``trial_stream``: a multinomial over a
 model's classes of positive weight, a binomial at the singlet's
-disagreement probability. The memory tests pin that the count path holds
-no trial log and that building a log costs little more than the log
-itself.
+disagreement probability. Up to ``BLOCK_SIZE`` trials that is the
+block-by-block draw of stream scheme v3. The memory tests pin that the
+count path holds no trial log and that building a log costs little more
+than the log itself.
 """
 
 import math
@@ -44,7 +45,7 @@ from bellcheck.engine import (
 )
 from bellcheck import core, engine, quantum, streams
 from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _word_limits, count_quantum_experiment
-from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream
+from bellcheck.streams import BLOCK_SIZE, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 from trial_reference import (
     agreement_runs,
@@ -97,10 +98,14 @@ def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
     assert_counts_follow(agreement_runs(count_quantum_experiment(angles, n, seed) for seed in SEEDS), weights)
 
 
-#: The count loop's differential: sizes around a block edge and a series of
-#: four blocks whose last is partial; seeds at both ends of the range and 20
-#: others.
-DRAW_SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 49159]
+#: The count loop's differential. Series of one block: its edges, a few
+#: small sizes and 20 others. Longer series: just past a block, the golden
+#: size, 2^26 and the largest n a run takes. Seeds at both ends of the
+#: range and 20 others.
+ONE_BLOCK_SIZES = [1, 2, 5, 1000, BLOCK_SIZE - 1, BLOCK_SIZE] + sorted(
+    int(k) for k in np.random.default_rng(21).integers(1, BLOCK_SIZE, 20)
+)
+LONG_SIZES = [BLOCK_SIZE + 1, 49159, 1 << 26, BLOCK_SIZE << 32]
 DRAW_SEEDS = [0, 2**64 - 1] + [int(s) for s in np.random.default_rng(20).integers(0, 2**64, 20, dtype=np.uint64)]
 
 #: conspiracy, dice-coin and cosine-sign have 1, 2 and 8 classes of
@@ -114,74 +119,106 @@ DRAW_ANGLES = {
 }
 
 
-def block_by_block_classes(model, n, seed):
+def drawn_classes(model, n, seed, block_size):
     """Per setting pair, the class counts of one multinomial draw per block
-    on ``trial_stream``, over the classes of positive weight."""
+    of ``block_size`` trials, block j on ``trial_stream(seed, code, j)``,
+    over the classes of positive weight: stream scheme v3 at ``BLOCK_SIZE``,
+    v4 at n."""
     nums, d = model.class_distribution
     classes = {}
     for pair in SETTING_PAIRS:
         support = [c for c in range(16) if nums[pair][c]]
         pvals = np.array([nums[pair][c] / d for c in support])
         classes[pair] = np.zeros(16, dtype=np.int64)
-        for block, start, stop in iter_blocks(n):
-            classes[pair][support] += trial_stream(seed, PAIR_CODES[pair], block).multinomial(stop - start, pvals)
+        for block, start in enumerate(range(0, n, block_size)):
+            k = min(block_size, n - start)
+            classes[pair][support] += trial_stream(seed, PAIR_CODES[pair], block).multinomial(k, pvals)
     return classes
 
 
-def block_by_block_agreements(angles, n, seed):
+def drawn_agreements(angles, n, seed, block_size):
     """Per setting pair, n minus the disagreements of one binomial draw per
-    block on ``trial_stream``, at the share (l2 - l0) / 2**64."""
+    block of ``block_size`` trials, block j on ``trial_stream(seed, code,
+    j)``, at the share (l2 - l0) / 2**64: stream scheme v3 at
+    ``BLOCK_SIZE``, v4 at n."""
     agree = {}
     for pair in SETTING_PAIRS:
         l0, l2 = _word_limits(angles.alice(pair[0]), angles.bob(pair[1]))
-        agree[pair] = n - sum(int(trial_stream(seed, PAIR_CODES[pair], block).binomial(stop - start, (l2 - l0) / 2**64))
-                              for block, start, stop in iter_blocks(n))
+        draws = (trial_stream(seed, PAIR_CODES[pair], block).binomial(min(block_size, n - start), (l2 - l0) / 2**64)
+                 for block, start in enumerate(range(0, n, block_size)))
+        agree[pair] = n - sum(map(int, draws))
     return agree
 
 
-@pytest.fixture(params=["in place, 1 worker", "in place, 3 workers", "setter, 1 worker", "chunks of 3 blocks"])
-def draw_path(request, monkeypatch):
-    """Each re-key path of the count loop, one task per series, and keys
-    derived 3 blocks per series at a time (a series of 4 blocks ends on a
-    chunk of one partial block): the setter path is forced by a layout
-    check that reports a mismatch."""
-    if request.param.startswith("setter"):
-        monkeypatch.setattr(streams, "_state_views", lambda bit_gen: None)
-    if request.param.startswith("chunks"):
-        monkeypatch.setattr(streams, "_KEY_CHUNK", 3 * len(SETTING_PAIRS))
-    monkeypatch.setenv("BELLCHECK_THREADS", "3" if "3 workers" in request.param else "1")
-
-
-@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("n", ONE_BLOCK_SIZES)
 @pytest.mark.parametrize("name", DRAW_MODELS)
-def test_count_loop_equals_block_by_block_multinomials(name, n, draw_path):
+def test_counts_of_one_block_equal_stream_scheme_v3(name, n):
+    """Up to ``BLOCK_SIZE`` trials a series is one block, which v3 drew
+    as one multinomial on block 0's stream: v4 keeps those counts."""
     model = MODEL_FACTORIES[name]()
     nums, _ = model.class_distribution
     assert {sum(map(bool, nums[pair])) for pair in SETTING_PAIRS} == {DRAW_MODELS[name]}
     for seed in DRAW_SEEDS:
         got = count_experiment(model, n, seed).classes
-        want = block_by_block_classes(model, n, seed)
+        want = drawn_classes(model, n, seed, BLOCK_SIZE)
         for pair in SETTING_PAIRS:
             assert np.array_equal(got[pair], want[pair]), (seed, pair)
 
 
-@pytest.mark.parametrize("n", DRAW_SIZES)
+@pytest.mark.parametrize("n", ONE_BLOCK_SIZES)
 @pytest.mark.parametrize("angles", DRAW_ANGLES.values(), ids=DRAW_ANGLES)
-def test_count_loop_equals_block_by_block_binomials(angles, n, draw_path):
+def test_singlet_counts_of_one_block_equal_stream_scheme_v3(angles, n):
     for seed in DRAW_SEEDS:
-        assert count_quantum_experiment(angles, n, seed).agree == block_by_block_agreements(angles, n, seed), seed
+        assert count_quantum_experiment(angles, n, seed).agree == drawn_agreements(angles, n, seed, BLOCK_SIZE), seed
+
+
+@pytest.mark.parametrize("n", LONG_SIZES)
+@pytest.mark.parametrize("name", DRAW_MODELS)
+def test_a_long_series_is_one_multinomial_on_block_0(name, n):
+    model = MODEL_FACTORIES[name]()
+    for seed in DRAW_SEEDS:
+        got = count_experiment(model, n, seed).classes
+        want = drawn_classes(model, n, seed, n)
+        for pair in SETTING_PAIRS:
+            assert np.array_equal(got[pair], want[pair]), (seed, pair)
+
+
+@pytest.mark.parametrize("n", LONG_SIZES)
+@pytest.mark.parametrize("angles", DRAW_ANGLES.values(), ids=DRAW_ANGLES)
+def test_a_long_singlet_series_is_one_binomial_on_block_0(angles, n):
+    for seed in DRAW_SEEDS:
+        assert count_quantum_experiment(angles, n, seed).agree == drawn_agreements(angles, n, seed, n), seed
 
 
 def test_one_outcome_pairs_key_no_stream(monkeypatch):
     # conspiracy has one class per pair, the singlet one cell at cos = +-1
-    def no_keys(*args):
-        raise AssertionError("keys derived")
+    def no_stream(*args):
+        raise AssertionError("stream keyed")
 
-    monkeypatch.setattr(streams, "_block_keys", no_keys)
+    monkeypatch.setattr(streams, "trial_stream", no_stream)
     classes = count_experiment(MODEL_FACTORIES["conspiracy"](), 49159, seed=3).classes
     assert all(classes[pair].max() == 49159 for pair in SETTING_PAIRS)
     agree = count_quantum_experiment(DRAW_ANGLES["cos +-1"], 49159, seed=3).agree
     assert agree == {(1, 1): 0, (1, 2): 49159, (2, 1): 49159, (2, 2): 0}
+
+
+#: Sizes of the one-draw path's stated-rate check: one past three blocks,
+#: and 2^26, which v3 drew in 4,096 blocks.
+ONE_DRAW_SIZES = [49159, 1 << 26]
+
+
+@pytest.mark.parametrize("n", ONE_DRAW_SIZES)
+@pytest.mark.parametrize("name", ["dice-coin", "cosine-sign", "quantum"])
+def test_one_draw_series_follow_their_distribution(name, n):
+    """Over 200 seeds, a series drawn at once follows its distribution as
+    ``assert_counts_follow`` states: the zoo models' class weights, and
+    the singlet's agreement probabilities at Tsirelson angles."""
+    if name == "quantum":
+        runs = agreement_runs(count_quantum_experiment(TSIRELSON_ANGLES, n, seed) for seed in SEEDS)
+        assert_counts_follow(runs, singlet_weights(TSIRELSON_ANGLES))
+    else:
+        model = MODEL_FACTORIES[name]()
+        assert_counts_follow(class_runs(count_experiment(model, n, seed) for seed in SEEDS), reference_class_weights(model))
 
 
 def test_a_two_outcome_multinomial_is_one_binomial():
@@ -300,6 +337,26 @@ def _deviates(raw):
 #: or 1) or a boundary sits on a round value (cos = 0)
 BOUNDARY_ANGLES = [(0.0, 0.0), (0.4, 0.4), (0.0, math.pi), (math.pi, 0.0), (0.0, math.pi / 2),
                    (0.0, 2 * math.pi), (1.0, 1.0 + math.pi / 3), (TSIRELSON_ANGLES.a1, TSIRELSON_ANGLES.b1)]
+
+
+def cumsum_boundaries(a, b):
+    """The first three cell boundaries as ``np.cumsum`` adds up the four
+    cell probabilities."""
+    c = math.cos(a - b)
+    return tuple(np.cumsum(np.array([(1 - c) / 4, (1 + c) / 4, (1 + c) / 4, (1 - c) / 4]))[:3].tolist())
+
+
+def test_word_limits_equal_the_cumsum_route():
+    # a grid of angle pairs with cos(a - b) = +-1 and 0 among them, the
+    # boundary angles and random pairs
+    grid = [(0.0, k * math.pi / 12) for k in range(-48, 49)] + BOUNDARY_ANGLES
+    grid += np.random.default_rng(22).uniform(-10, 10, (2000, 2)).tolist()
+    assert {round(math.cos(a - b), 12) for a, b in grid} >= {-1.0, 0.0, 1.0}
+    for a, b in grid:
+        boundaries = cumsum_boundaries(a, b)
+        assert _cell_boundaries(a, b) == boundaries, (a, b)
+        b0, _, b2 = boundaries
+        assert _word_limits(a, b) == tuple(min(math.ceil(x * 2**53), 2**53) << 11 for x in (b0, b2)), (a, b)
 
 
 @pytest.mark.parametrize("a,b", BOUNDARY_ANGLES)

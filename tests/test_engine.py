@@ -34,6 +34,7 @@ from bellcheck.errors import ModelError
 from bellcheck.quantum import TSIRELSON_ANGLES, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
+from batch_models import without_table
 from trial_reference import assert_same_counts
 
 DICE_WEIGHTS = {
@@ -57,8 +58,8 @@ def constant_model():
 TWO_OUTCOMES = (dict.fromkeys(SETTING_PAIRS, (1, 1)), 2)
 
 
-def no_keys(*args):
-    raise AssertionError("keys derived")
+def no_stream(*args):
+    raise AssertionError("stream keyed")
 
 
 def exact_sweep_log(model, domain):
@@ -154,16 +155,17 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("n", [True, 2.5, "10"])
     def test_non_integer_n_rejected_before_sampling(self, n, monkeypatch):
-        monkeypatch.setattr(streams, "_block_keys", no_keys)
+        monkeypatch.setattr(streams, "trial_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
             engine.count_draws(TWO_OUTCOMES, n, seed=0)
 
     def test_n_past_one_word_block_indices_rejected_before_sampling(self, monkeypatch):
-        # block indices are mixed into the stream key as one uint32 word
-        monkeypatch.setattr(streams, "_block_keys", no_keys)
+        # block indices are mixed into the stream key as one uint32 word,
+        # and every run keeps the tag path's limit
+        monkeypatch.setattr(streams, "trial_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
             engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32 + 1, seed=0)
-        with pytest.raises(AssertionError, match="keys derived"):  # the largest n starts keying blocks
+        with pytest.raises(AssertionError, match="stream keyed"):  # the largest n draws
             engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32, seed=0)
 
 class TestResolveWorkers:
@@ -190,7 +192,8 @@ class TestResolveWorkers:
 
     @pytest.mark.parametrize("n", [100, 5 * BLOCK_SIZE], ids=["1 block", "5 blocks"])
     def test_pool_bounded_by_the_four_series(self, monkeypatch, n):
-        # one task per setting pair, however many blocks a series has
+        # on the tag path, one task per setting pair, however many blocks a
+        # series has; a declared distribution draws on the calling thread
         sizes = []
 
         class RecordingPool:
@@ -209,10 +212,14 @@ class TestResolveWorkers:
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setenv("BELLCHECK_THREADS", "64")
-        counts = count_experiment(dice_coin_model(), n, seed=4)
+        model = without_table(dice_coin_model())
+        counts = count_experiment(model, n, seed=4)
+        assert sizes == [4]
+        declared = count_experiment(dice_coin_model(), n, seed=4)
         assert sizes == [4]
         monkeypatch.setenv("BELLCHECK_THREADS", "1")
-        assert_same_counts(counts, count_experiment(dice_coin_model(), n, seed=4))
+        assert_same_counts(counts, count_experiment(model, n, seed=4))
+        assert_same_counts(declared, count_experiment(dice_coin_model(), n, seed=4))
 
 
 def agreeing(n, **agree):

@@ -1,14 +1,15 @@
 """A per-trial reference for the count path, and the checks that compare them.
 
-Under stream scheme v3 the count path no longer decides trials one by one.
-``count_experiment`` draws each block's class counts from the model's
-compiled ``class_distribution`` when the model declares its distribution
-(``engine.count_draws``: no draw for a pair with one class, one binomial
-per block for two, one multinomial per block for more), and only a model
-without one draws a tag per trial and counts the codes of its batch
-responses. ``count_quantum_experiment`` goes through the same loop with the
-singlet's two outcomes (disagree, agree), weighted by its integer word
-limits: one binomial draw per block, none at cos(a - b) = +-1. The reference
+Under stream scheme v4 the count path does not decide trials one by one.
+``count_experiment`` draws each series' class counts at once from the
+model's compiled ``class_distribution`` when the model declares its
+distribution (``engine.count_draws``: no draw for a pair with one class,
+one binomial per series for two, one multinomial per series for more),
+and only a model without one draws a tag per trial and counts the codes of
+its batch responses. ``count_quantum_experiment`` goes through the same
+loop with the singlet's two outcomes (disagree, agree), weighted by its
+integer word limits: one binomial draw per series, none at
+cos(a - b) = +-1. The reference
 shares none of those kernels. It draws each block from
 ``streams.trial_stream``, the definition of a block's stream, and decides
 every trial on its own:
@@ -193,7 +194,7 @@ def count_agreements(a: float, b: float, rng: np.random.Generator, n: int) -> in
     raw - l0 < l2 - l0 in wrap-around uint64 arithmetic: one comparison per
     word. At cos(a - b) = 1 the limits are 0 and 2**64, a width no uint64
     holds, and every word lies between them. The count path draws the
-    disagreements of a block as Binomial(n, (l2 - l0) / 2**64), the share
+    disagreements of a series as Binomial(n, (l2 - l0) / 2**64), the share
     of words this counts.
     """
     l0, l2 = _word_limits(a, b)
