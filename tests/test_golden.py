@@ -6,20 +6,25 @@ BELLCHECK_THREADS value and the sha256 of what the command wrote to
 stdout: 37 of `run` and `bound`, 4 of `ghz-check` (with and without the
 fifth constraint, and at another phi) and `zoo`.
 
-The `run` digests were re-recorded three times: all 34 when the report
+The `run` digests were re-recorded four times: all 34 when the report
 gained the violation test, all 34 when the streams moved from Philox to
-PCG64DXSM, and 28 for stream scheme v3 (version 0.3.0), which draws each
-block's counts at once: from the model's compiled class distribution, or
-for the singlet from its word limits. Each re-recording changes every
-value a report samples from its streams; the conspiracy source draws
-nothing, so its 6 digests, like the 7 of `bound`, `ghz-check` and `zoo`,
-did not change. The 28 cases that v3 changed keep the output of the code
-before it as ``parent_stdout``, and
+PCG64DXSM, 28 for stream scheme v3 (version 0.3.0), which draws each
+block's counts at once, and 12 for stream scheme v4 (version 0.4.0), which
+draws each series' counts at once on block 0's stream: from the model's
+compiled class distribution, or for the singlet from its word limits.
+v4 changed only the cases whose series span more than one block (n =
+49159); up to one block it draws what v3 drew. Each re-recording changes
+every value a report samples from its streams; the conspiracy source
+draws nothing, so its 6 digests, like the 7 of `bound`, `ghz-check` and
+`zoo`, did not change. Each of the 28 cases that draw keeps the output of
+the code before its last re-recording as ``parent_stdout`` (v3's for the
+12 that v4 changed, v2's for the other 16), and
 ``test_rerecorded_reports_differ_from_the_parent_only_in_sampled_values``
 checks that the two differ only in sampled values. In place of byte
 equality with the old streams, ``tests/test_streams.py`` checks over
 1,000 seeds per model that the reports stay within their bands at the
-stated rate.
+stated rate, and ``tests/test_counts.py`` that series drawn at once
+follow their distributions over 200 seeds.
 """
 
 import csv
