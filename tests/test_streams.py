@@ -1,11 +1,30 @@
 import numpy as np
 import pytest
 
-from bellcheck.core import SETTING_PAIRS
+from bellcheck import engine
+from bellcheck.core import PAIR_CODES, SETTING_PAIRS
 from bellcheck.engine import VIOLATION_DELTA, chsh_report, count_experiment, exact_correlation_table, hoeffding_epsilon
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_correlation_table
-from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream, validate_seed
+from bellcheck.streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, trial_stream, validate_seed
 from bellcheck.zoo import get_model
+
+#: Edge seeds (one and two uint32 words, both ends) plus random ones.
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
+    int(s) for s in np.random.default_rng(2024).integers(0, 2**64, size=6, dtype=np.uint64)
+]
+
+#: Block indices up to the last one a series can reach.
+FAR_BLOCKS = [0, 1, 2**16, 2**31, 2**32 - 2, 2**32 - 1]
+
+
+def seed_sequence_key(seed, pair_code, block):
+    """The (state, inc) numpy's own seeding gives a block's PCG64DXSM."""
+    return key_of(np.random.Generator(np.random.PCG64DXSM(np.random.SeedSequence(seed, spawn_key=(pair_code, block)))))
+
+
+def key_of(rng):
+    state = rng.bit_generator.state
+    return state["state"]["state"], state["state"]["inc"]
 
 
 def test_a_block_draws_from_pcg64dxsm():
@@ -48,6 +67,69 @@ def test_seed_validation():
         validate_seed(1.5)
     with pytest.raises(ValueError):
         validate_seed(True)
+
+
+@pytest.mark.parametrize("n_blocks", [0, 1, 2**32])
+def test_block_count_accepts_up_to_two_to_the_32(n_blocks):
+    check_block_count(n_blocks)
+
+
+@pytest.mark.parametrize("n_blocks", [-1, 2**32 + 1])
+def test_block_count_rejects_block_indices_beyond_one_word(n_blocks):
+    with pytest.raises(ValueError, match="n_per_series must be at most 70368744177664 \\(2\\*\\*32 blocks"):
+        check_block_count(n_blocks)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_streams_up_to_the_last_block_index_are_distinct(seed):
+    """The blocks a series reaches only after billions of blocks are keyed
+    by numpy's own seeding, and no two (pair, block) cells share a stream."""
+    firsts = set()
+    for code in range(4):
+        for block in FAR_BLOCKS:
+            rng = trial_stream(seed, code, block)
+            assert key_of(rng) == seed_sequence_key(seed, code, block), (code, block)
+            firsts.add(tuple(rng.bit_generator.random_raw(2).tolist()))
+    assert len(firsts) == 4 * len(FAR_BLOCKS)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 7 * BLOCK_SIZE, 15 * BLOCK_SIZE + 1], ids=["1 block", "7 blocks", "16 blocks"])
+@pytest.mark.parametrize("threads", ["1", "3"])
+def test_tag_path_keys_each_block_on_its_own_stream(seed, n, threads, monkeypatch):
+    """``engine._series`` hands block j of a pair's series the fresh stream
+    ``SeedSequence(seed, spawn_key=(pair_code, j))`` and the block's trial
+    count, in block order, on any number of workers."""
+    monkeypatch.setenv("BELLCHECK_THREADS", threads)
+    got = engine._series(lambda pair, rng, count: (key_of(rng), count), list, n, seed)
+    assert list(got) == list(SETTING_PAIRS)
+    for pair, blocks in got.items():
+        want = [(seed_sequence_key(seed, PAIR_CODES[pair], block), stop - start) for block, start, stop in iter_blocks(n)]
+        assert blocks == want, pair
+
+
+#: Rows of ``draw_counts``: one outcome, two, two among zeros, and more.
+DRAW_ROWS = [(1, (0, 6, 0)), (3, (2, 4)), (5, (0, 1, 0, 5, 0)), (7, (1, 2, 0, 3))]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1, BLOCK_SIZE << 32])
+def test_draw_counts_is_one_multinomial_on_block_0(seed, n):
+    """Each row's counts sum to n, put nothing on a zero weight and equal
+    one multinomial of n over the positive weights on block 0's stream;
+    a sole outcome takes all n."""
+    got = draw_counts(seed, DRAW_ROWS, 6, n)
+    assert len(got) == len(DRAW_ROWS)
+    for (code, nums), counts in zip(DRAW_ROWS, got):
+        support = [i for i, num in enumerate(nums) if num]
+        want = np.zeros(len(nums), dtype=np.int64)
+        if len(support) == 1:
+            want[support] = n
+        else:
+            want[support] = trial_stream(seed, code, 0).multinomial(n, [nums[i] / 6 for i in support])
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want), (code, nums)
+        assert counts.sum() == n
 
 
 @pytest.mark.parametrize("name", ["dice-coin", "cosine-sign", "conspiracy", "quantum"])
