@@ -3,8 +3,8 @@
 Outcomes are plain ints in {-1, +1} so products and averages can be
 written directly. Hidden-variable tags are opaque hashable values; the
 engine never looks inside one. It passes tags to the model's response
-functions, or, when the model declares a small domain of non-negative
-integer tags, uses them as indices into the model's class table.
+functions: once per distinct tag when it compiles a declared tag
+distribution into class weights, and per drawn tag otherwise.
 """
 
 from __future__ import annotations
@@ -166,10 +166,9 @@ class LhvModel:
     ``enumerate_lambda``, when given, returns the exact tag distribution
     for a setting pair as (tag, weight) pairs with rational weights; it
     compiles to ``class_distribution``, which the exact code paths and
-    ``run`` read, and a small domain of non-negative integer tags also to
-    a class table (see ``class_table``). The batch response functions are
-    optional vectorized twins of the scalar ones, used only by models
-    without such a table.
+    ``run`` read. The batch response functions are optional vectorized
+    twins of the scalar ones; they serve the per-trial routes, which are
+    the tag path of a model without ``enumerate_lambda`` and the trial log.
     """
 
     name: str
@@ -183,33 +182,33 @@ class LhvModel:
     description: str = ""
 
     @functools.cached_property
-    def class_table(self) -> np.ndarray | None:
-        """``class_table(self)``, compiled on first use and kept."""
-        return class_table(self)
-
-    @functools.cached_property
     def class_distribution(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], int] | None:
         """The declared tag distribution compiled to class weights, on first
         use: (per setting pair, the 16 class numerators in code order; their
         common denominator d), or None without ``enumerate_lambda``.
 
-        Each declared tag's class comes from the class table when the model
-        has one, else from its scalar responses, once per distinct tag. An
-        ``enumerate_lambda`` that raises, a negative weight and weights of a
-        pair that do not sum to 1 raise ModelError naming enumerate_lambda.
+        Each distinct declared tag's class comes from its scalar responses,
+        evaluated once; a response that raises or returns a value other
+        than -1/+1 raises ModelError naming the class distribution stage.
+        An ``enumerate_lambda`` that raises or declares an unhashable tag, a
+        negative weight and weights of a pair that do not sum to 1 raise
+        ModelError naming enumerate_lambda.
         """
         if self.enumerate_lambda is None:
             return None
         where = f"model {self.name!r}: enumerate_lambda"
-        known = {} if self.class_table is None else dict(enumerate(self.class_table.tolist()))
+        known = {}
         sums, dens = {}, {}
         for pair in SETTING_PAIRS:
             try:
                 declared = list(self.enumerate_lambda(pair))
                 tags, weights = zip(*declared) if declared else ((), ())
                 weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
+                fresh = [tag for tag in dict.fromkeys(tags) if tag not in known]
             except Exception as exc:
                 raise ModelError(f"{where} failed: {exc}") from exc
+            for tag in fresh:
+                known[tag] = _code_of(self, tag, "class distribution")
             # as Python ints: numpy's fixed-width integers would overflow
             nums = [int(w.numerator) for w in weights]
             denominators = [int(w.denominator) for w in weights]
@@ -218,8 +217,6 @@ class LhvModel:
             for tag, w, num, den in zip(tags, weights, nums, denominators):
                 if num < 0:
                     raise ModelError(f"{where}: tag {tag!r} of pair {pair} has weight {w} < 0")
-                if tag not in known:
-                    known[tag] = _code_of(self, tag, "class distribution")
                 acc[known[tag]] += num * (d // den)
             if sum(acc) != d:
                 raise ModelError(f"{where}: declared tag weights of pair {pair} sum to {Fraction(sum(acc), d)}, not 1")
@@ -256,71 +253,6 @@ def _batch_responses(
     return np.fromiter((scalar(index, lam) for lam in lams), dtype=np.int64, count=len(lams))
 
 
-#: Tags at or above this never index a class table; a model declaring one
-#: keeps the per-trial batch path.
-MAX_TABLE_TAGS = 1 << 16
-
-#: Class-table entry of a tag the model does not declare (codes are 0..15).
-UNDECLARED = 16
-
-
-def _is_table_tag(tag) -> bool:
-    return isinstance(tag, (int, np.integer)) and not isinstance(tag, bool) and 0 <= tag < MAX_TABLE_TAGS
-
-
-def class_table(model: LhvModel) -> np.ndarray | None:
-    """The model compiled to a dense tag -> behavior code table, or None.
-
-    A model gets a table when ``enumerate_lambda`` declares, over all four
-    setting pairs, only non-negative integer tags below MAX_TABLE_TAGS.
-    Entry t is ``behavior_of(model, t).code`` for a declared tag t and
-    UNDECLARED otherwise; each declared tag is evaluated once through the
-    scalar responses, which therefore define the clicks of every trial.
-    A response that raises or returns a value other than -1/+1 raises
-    ModelError. ``model.class_table`` holds the compiled table.
-    """
-    if model.enumerate_lambda is None:
-        return None
-    try:
-        tags = {tag for pair in SETTING_PAIRS for tag, _ in model.enumerate_lambda(pair)}
-    except Exception as exc:
-        raise ModelError(f"model {model.name!r}: enumerate_lambda failed: {exc}") from exc
-    if not tags or not all(_is_table_tag(t) for t in tags):
-        return None
-    table = np.full(max(int(t) for t in tags) + 1, UNDECLARED, dtype=np.uint8)
-    for tag in sorted(tags):
-        table[tag] = _code_of(model, tag, "class table")
-    table.setflags(write=False)
-    return table
-
-
-def table_codes(model: LhvModel, lams, stage: str = "class analysis") -> np.ndarray:
-    """Behavior codes of ``lams`` looked up in ``model.class_table``.
-
-    Raises ModelError naming ``stage`` and the first tag outside the
-    declared domain.
-    """
-    table = model.class_table
-    lams = np.asarray(lams)
-    if lams.dtype.kind not in "iu":
-        raise ModelError(
-            f"model {model.name!r}: {stage}: tags of dtype {lams.dtype} are "
-            "outside the declared integer domain"
-        )
-    if lams.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if lams.min() < 0 or lams.max() >= len(table):
-        outside = lams[(lams < 0) | (lams >= len(table))]
-    else:
-        codes = table[lams]
-        if codes.max() < UNDECLARED:
-            return codes
-        outside = lams[codes == UNDECLARED]
-    raise ModelError(
-        f"model {model.name!r}: {stage}: tag {outside[0].item()!r} is outside the declared domain"
-    )
-
-
 #: The bit of a behavior code that holds each party's response at each
 #: setting index (a1 most significant, see Behavior.code).
 _CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
@@ -347,26 +279,11 @@ def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: 
     return out
 
 
-def pair_outcomes(
-    model: LhvModel, pair: tuple[int, int], lams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's and Bob's outcomes (int8) at setting pair ``pair`` for tags
-    just drawn by ``sample_lambda``: two bit reads of the tags' codes in
-    the class table when the model has one, the responses otherwise."""
-    sides = (("alice", pair[0]), ("bob", pair[1]))
-    if model.class_table is None:
-        return tuple(responses(model, *side, lams, "trial generation").astype(np.int8) for side in sides)
-    codes = table_codes(model, lams, "sample_lambda")
-    return tuple(((codes >> _CODE_BIT[side]) & 1).astype(np.int8) * 2 - 1 for side in sides)
-
-
 def behavior_codes(model: LhvModel, lams: np.ndarray, known=None) -> np.ndarray:
-    """Vectorized behavior_of: map an array of tags to behavior codes,
-    through the class table when the model has one. ``known`` maps
-    (party, index) to outcomes already at hand, which skip the responses.
-    A misbehaving response raises ModelError naming the class analysis stage."""
-    if model.class_table is not None:
-        return table_codes(model, lams)
+    """Vectorized behavior_of: map an array of tags to behavior codes.
+    ``known`` maps (party, index) to outcomes already at hand, which skip
+    the responses. A misbehaving response raises ModelError naming the
+    class analysis stage."""
     lams = np.asarray(lams)
     known = known or {}
     # all responses before any packing: packing between them left heap holes

@@ -9,8 +9,9 @@ the tags are drawn block by block). ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
 classes were distributed across the four series. ``run_experiment`` draws
-a ``TrialLog`` of every click and tag through ``sample_lambda``, which
-both reports accept by first reducing it to counts.
+a ``TrialLog`` of every tag through ``sample_lambda`` and every click from
+the responses at it, which both reports accept by first reducing it to
+counts.
 
 Analytic side: given exact class weights, ``theoretical_correlations``
 and ``theoretical_chsh`` evaluate the same quantities in exact arithmetic.
@@ -42,7 +43,6 @@ from .core import (
     CorrelationTable,
     LhvModel,
     behavior_codes,
-    pair_outcomes,
     within,
 )
 from .errors import BoundViolationError, ModelError
@@ -263,14 +263,16 @@ def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator,
 
 
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
-    """Run the four series of an LHV model and log every click and tag;
-    each series concatenates its blocks, so the log is bitwise identical
+    """Run the four series of an LHV model and log every click and tag:
+    tags from ``sample_lambda``, clicks from the responses at each tag.
+    Each series concatenates its blocks, so the log is bitwise identical
     for any worker count."""
-    model.class_table  # compiled here, before any worker starts
 
     def sample(pair, rng, count):
         lams = _draw_tags(model, pair, rng, count)
-        return (*pair_outcomes(model, pair, lams), lams)
+        clicks = (core.responses(model, party, index, lams, "trial generation").astype(np.int8)
+                  for party, index in (("alice", pair[0]), ("bob", pair[1])))
+        return (*clicks, lams)
 
     arrays = _series(sample, lambda blocks: [np.concatenate(a) for a in zip(*blocks)], n_per_series, seed)
     series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
@@ -361,8 +363,7 @@ def chsh_report(data: TrialLog | RunCounts) -> ChshReport:
 def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None) -> ClassFrequencies:
     """Relative frequency of each behavior class, separately for each
     setting pair: from the class counts of a run, or from a trial log
-    whose tags are first classified through ``model`` (its class table
-    when it has one)."""
+    whose tags are first classified through ``model``'s responses."""
     counts = data if isinstance(data, RunCounts) else log_counts(data, model)
     if counts.classes is None:
         raise ValueError("class analysis needs class counts, which a quantum run does not have")

@@ -1,8 +1,8 @@
 """Canonical hidden-variable models used by the tests, demos and CLI.
 
-All three models are defined by scalar responses on finite tag domains:
-exact class weights can be enumerated, and the class table built from
-the responses gives every trial's clicks and class. Even the
+All three models are defined by scalar responses on finite tag domains,
+so their exact class weights can be enumerated: each compiles to a class
+distribution, evaluating its responses once per declared tag. Even the
 "continuous" angle model lives on a grid. ``get_model`` keeps one model
 per (factory, angles) per process; calling a factory builds a fresh one,
 and a one-shot CLI process still pays the compile (a few ms for

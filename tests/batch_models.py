@@ -1,20 +1,22 @@
 """Test-only LHV models for the per-trial batch route.
 
-No zoo model has batch response twins: each compiles to a class table
-built from its scalar responses. The route that calls ``respond_*_batch``
-on every trial (``core.responses``) serves models without a table, and
-these helpers give the tests such models:
+No zoo model has batch response twins: each declares its tag distribution,
+which compiles to class weights through its scalar responses, once per
+declared tag. The routes that ask ``core.responses`` about every drawn tag
+are the tag path of a model without a declared distribution and the trial
+log of any model. They call ``respond_*_batch`` where a model has them,
+and these helpers give the tests such models:
 
 - ``uniform_code_model``: the tag is a behavior code drawn uniformly from
   all 16, so every class meets the batch route. Its twins read the code
   bits with numpy, apart from ``Behavior``'s decoding.
-- ``lookup_twins``: a finite-domain model without its class table, on
-  twins that index arrays of its scalar responses.
+- ``lookup_twins``: a finite-domain model without its declared
+  distribution, on twins that index arrays of its scalar responses.
 
-``wide_table_model`` is the one table model here: it declares every tag
-below MAX_TABLE_TAGS, the largest class table a model can have.
+``wide_table_model`` declares 2^16 tags, the costliest compile here.
 ``LHV_ROUTES`` puts them next to the zoo models, one entry per route a
-count can take, and ``route_model`` builds each route's model once.
+count can take, ``route_model`` builds each route's model once and
+``log_model`` the model its trial logs run on.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bellcheck.core import MAX_TABLE_TAGS, SETTING_PAIRS, Behavior, LhvModel
+from bellcheck.core import SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.zoo import MODEL_FACTORIES
 
 
@@ -46,19 +48,20 @@ def uniform_code_model() -> LhvModel:
     )
 
 
-def without_table(model) -> LhvModel:
-    """``model`` with no declared domain, hence no class table: its trials
-    go through the batch twins when it has them, else the scalar responses."""
+def without_distribution(model) -> LhvModel:
+    """``model`` with no declared distribution, so that its counts take the
+    tag path: through the batch twins when it has them, else the scalar
+    responses."""
     return dataclasses.replace(model, enumerate_lambda=None)
 
 
 def scalar_only(model) -> LhvModel:
-    """``model`` with neither a class table nor batch twins."""
-    return dataclasses.replace(without_table(model), respond_alice_batch=None, respond_bob_batch=None)
+    """``model`` with neither a declared distribution nor batch twins."""
+    return dataclasses.replace(without_distribution(model), respond_alice_batch=None, respond_bob_batch=None)
 
 
 def lookup_twins(model) -> LhvModel:
-    """A finite-domain ``model`` without its class table, on batch twins
+    """A finite-domain ``model`` without its declared distribution, on batch twins
     that look each tag up in arrays of the scalar responses at the
     declared tags. An undeclared tag reads 0, which is no outcome."""
     tags = sorted({tag for pair in SETTING_PAIRS for tag, _ in model.enumerate_lambda(pair)})
@@ -70,38 +73,42 @@ def lookup_twins(model) -> LhvModel:
         return lambda index, lams: outcomes[index][lams]
 
     return dataclasses.replace(
-        without_table(model),
+        without_distribution(model),
         respond_alice_batch=twin(model.respond_alice),
         respond_bob_batch=twin(model.respond_bob),
     )
 
 
+#: The tags of ``wide_table_model``: 0..WIDE_TAGS - 1.
+WIDE_TAGS = 1 << 16
+
+
 def wide_table_model() -> LhvModel:
-    """Tags uniform over 0..MAX_TABLE_TAGS - 1; tag t behaves as the code
-    of its low four bits xor its high four. The responses read that code's
+    """Tags uniform over 0..WIDE_TAGS - 1; tag t behaves as the code of
+    its low four bits xor its high four. The responses read that code's
     bits directly (a1 is bit 3, see Behavior.code), as building a Behavior
-    per tag would triple the cost of compiling the 2^16-tag table."""
+    per tag would triple the cost of compiling the 2^16 tags."""
     bit = lambda lam, b: 1 if (int(lam) ^ (int(lam) >> 12)) >> b & 1 else -1
-    weight = Fraction(1, MAX_TABLE_TAGS)
+    weight = Fraction(1, WIDE_TAGS)
     return LhvModel(
         name="wide-table",
         respond_alice=lambda index, lam: bit(lam, 4 - index),
         respond_bob=lambda index, lam: bit(lam, 2 - index),
-        sample_lambda=lambda rng, n, pair: rng.integers(0, MAX_TABLE_TAGS, size=n),
+        sample_lambda=lambda rng, n, pair: rng.integers(0, WIDE_TAGS, size=n),
         declares_mi=True,
-        enumerate_lambda=lambda pair: [(t, weight) for t in range(MAX_TABLE_TAGS)],
-        description="tag uniform over the largest class-table domain",
+        enumerate_lambda=lambda pair: [(t, weight) for t in range(WIDE_TAGS)],
+        description="tag uniform over 2^16 declared tags",
     )
 
 
-#: (id, model factory): every zoo model on its class table, each one again
-#: on lookup twins, the uniform-code model on its table and on its own
-#: twins (all 16 classes), one zoo model on its scalar responses alone, and
-#: the largest class table a model can have (2^16 tags)
+#: (id, model factory): every zoo model on its declared distribution, each
+#: one again on lookup twins, the uniform-code model on its distribution and
+#: on its own twins (all 16 classes), one zoo model on its scalar responses
+#: alone, and a declared distribution of 2^16 tags
 LHV_ROUTES = (
     [(name, MODEL_FACTORIES[name]) for name in sorted(MODEL_FACTORIES)]
     + [(f"{name} twins", lambda name=name: lookup_twins(MODEL_FACTORIES[name]())) for name in sorted(MODEL_FACTORIES)]
-    + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_table(uniform_code_model()))]
+    + [("uniform-code", uniform_code_model), ("uniform-code twins", lambda: without_distribution(uniform_code_model()))]
     + [("dice-coin scalar", lambda: scalar_only(MODEL_FACTORIES["dice-coin"]()))]
     + [("uniform 2^16 tags", wide_table_model)]
 )
@@ -109,6 +116,19 @@ LHV_ROUTES = (
 
 @functools.cache
 def route_model(factory) -> LhvModel:
-    """One model per ``LHV_ROUTES`` factory, so that each class table
-    compiles once per test session."""
+    """One model per ``LHV_ROUTES`` factory, so that each class
+    distribution compiles once per test session."""
     return factory()
+
+
+@functools.cache
+def log_model(factory) -> LhvModel:
+    """The model that a trial log of a ``LHV_ROUTES`` factory runs on, once
+    per test session: a model with batch twins or without a declared
+    distribution as it is, any other on its lookup twins. The twins answer
+    as the scalar responses do, at numpy speed: a zoo model's scalar
+    responses take seconds per log of 49159 trials per series."""
+    model = route_model(factory)
+    if model.respond_alice_batch is not None or model.class_distribution is None:
+        return model
+    return lookup_twins(model)

@@ -8,8 +8,9 @@ Their counts must be equal for every such model route (batch twins,
 scalar responses; the batch twins belong to the test-only models of
 ``batch_models``). A model that declares its distribution draws its count
 path's class counts from it (stream scheme v4), while the log still draws
-its tags through ``sample_lambda``: both must follow the declared
-distribution (``trial_reference.assert_counts_follow``). Every route is
+its tags through ``sample_lambda`` (on batch twins, see
+``batch_models.log_model``): both must follow the declared distribution
+(``trial_reference.assert_counts_follow``). Every route is
 checked at block-edge sizes, and the count path gives equal counts on one
 worker and on three. The singlet has no trial log: its counts follow the
 singlet's probabilities as the per-trial reference of ``trial_reference``
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_models import LHV_ROUTES, route_model, without_table
+from batch_models import LHV_ROUTES, log_model, route_model, without_distribution
 from bellcheck.core import PAIR_CODES, SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
@@ -58,7 +59,8 @@ from trial_reference import (
     singlet_weights,
 )
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 SIZES = [1, BLOCK_SIZE - 1, BLOCK_SIZE + 1, 49159]
@@ -70,9 +72,9 @@ SEEDS = range(200)
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
 def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
-    model = route_model(factory)
+    model, logged = route_model(factory), log_model(factory)
     monkeypatch.setenv("BELLCHECK_THREADS", "1")
-    log = log_counts(run_experiment(model, n, seed=23), model)
+    log = log_counts(run_experiment(logged, n, seed=23), logged)
     counts = count_experiment(model, n, seed=23)
     monkeypatch.setenv("BELLCHECK_THREADS", "3")
     assert_same_counts(count_experiment(model, n, seed=23), counts)
@@ -239,7 +241,7 @@ def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
     # the count path reads each pair's agreements off its class counts;
     # on a trial log that reading must give the agreements of the clicks
     for name, factory in LHV_ROUTES:
-        model = route_model(factory)
+        model = log_model(factory)
         log = log_counts(run_experiment(model, 3000, seed=5), model)
         for pair in SETTING_PAIRS:
             assert int(log.classes[pair][engine._AGREEING[pair]].sum()) == log.agree[pair], (name, pair)
@@ -262,7 +264,7 @@ def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypat
         return core.behavior_codes(*args)
 
     monkeypatch.setattr(engine, "behavior_codes", recording)
-    model = without_table(MODEL_FACTORIES["dice-coin"]())
+    model = without_distribution(MODEL_FACTORIES["dice-coin"]())
     monkeypatch.setenv("BELLCHECK_THREADS", "3")
     counts = count_experiment(model, 1000, seed=9)
     assert set(threads) <= {threading.get_ident()}
@@ -409,11 +411,14 @@ def test_run_memory_is_flat_in_n(model, small, large):
 
 _LOG_RSS = """
 import resource, sys
+from batch_models import lookup_twins
 from bellcheck.engine import run_experiment
 from bellcheck.zoo import get_model
 
+model = lookup_twins(get_model(sys.argv[1]))
+
 def log_of(n):
-    return run_experiment(get_model(sys.argv[1]), n, seed=1)
+    return run_experiment(model, n, seed=1)
 
 log_of(1 << 15)  # warm-up
 before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -427,8 +432,10 @@ print(grew * 1024, sum(a.nbytes for a in arrays))
 @pytest.mark.parametrize("model", ["cosine-sign"])
 def test_log_memory_is_near_its_bytes(model):
     """Each series concatenates its own blocks, so with one worker only
-    one series is held twice (as blocks and joined), not the whole log."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), BELLCHECK_THREADS="1")
+    one series is held twice (as blocks and joined), not the whole log.
+    The log takes its clicks from the model's lookup twins, as the zoo
+    models' scalar responses would take a minute at this size."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(TESTS)]), BELLCHECK_THREADS="1")
     proc = subprocess.run([sys.executable, "-c", _LOG_RSS, model, str(1 << 21)], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

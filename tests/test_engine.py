@@ -34,7 +34,7 @@ from bellcheck.errors import ModelError
 from bellcheck.quantum import TSIRELSON_ANGLES, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
-from batch_models import without_table
+from batch_models import lookup_twins, without_distribution
 from trial_reference import assert_same_counts
 
 DICE_WEIGHTS = {
@@ -91,7 +91,7 @@ class TestRunExperiment:
 
     def test_dice_tags_uniform(self):
         n = 600_000
-        log = run_experiment(dice_coin_model(), n, seed=42)
+        log = run_experiment(lookup_twins(dice_coin_model()), n, seed=42)
         band = math.sqrt(math.log(2 / 0.01) / (2 * n))  # indicator range 1
         for pair in SETTING_PAIRS:
             counts = np.bincount(log.series[pair].lambdas, minlength=7)[1:]
@@ -212,7 +212,7 @@ class TestResolveWorkers:
 
         monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setenv("BELLCHECK_THREADS", "64")
-        model = without_table(dice_coin_model())
+        model = without_distribution(dice_coin_model())
         counts = count_experiment(model, n, seed=4)
         assert sizes == [4]
         declared = count_experiment(dice_coin_model(), n, seed=4)
@@ -293,7 +293,7 @@ class TestClassFrequencies:
             class_frequencies(counts, dice_coin_model())
 
     def test_never_more_than_16_classes(self):
-        for model in (dice_coin_model(), cosine_sign_model(), conspiracy_model()):
+        for model in map(lookup_twins, (dice_coin_model(), cosine_sign_model(), conspiracy_model())):
             log = run_experiment(model, 5000, seed=11)
             freqs = class_frequencies(log, model)
             assert all(len(inner) <= 16 for inner in freqs.per_pair.values())
@@ -449,7 +449,8 @@ class TestViolationTest:
         the exact per-seed rate q (four binomial agreement counts), this
         test fails with probability P(Binomial(200, q) > 2), asserted below
         1e-4. The trial log still draws through the sampler and is
-        significant for far more seeds."""
+        significant for far more seeds; it takes its clicks from the
+        model's lookup twins, which answer as its scalar responses do."""
         from scipy.stats import binom
 
         n, seeds = 1000, range(200)
@@ -463,7 +464,8 @@ class TestViolationTest:
             pmf = np.convolve(pmf, counts if sign > 0 else counts[::-1])
         q = sum(p for y, p in enumerate(pmf) if violation_p_value(2 * y / n - 4, n) <= engine.VIOLATION_DELTA)
         assert binom.sf(engine.VIOLATION_DELTA * len(seeds), len(seeds), q) < 1e-4
-        assert sum(chsh_report(run_experiment(model, n, seed)).violation_significant for seed in seeds) > 20
+        twins = lookup_twins(model)
+        assert sum(chsh_report(run_experiment(twins, n, seed)).violation_significant for seed in seeds) > 20
 
     @pytest.mark.parametrize("factory", [dice_coin_model, cosine_sign_model])
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 54, 100, 333, 1000, 2000])
