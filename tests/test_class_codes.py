@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from batch_models import lookup_twins, scalar_only, uniform_code_model, without_distribution
+from batch_models import WIDE_TAGS, lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_distribution
 from bellcheck import cli
 from bellcheck.core import SETTING_PAIRS, LhvModel, behavior_codes, behavior_of
 from bellcheck.engine import chsh_report, class_frequencies, count_experiment, log_counts, run_experiment
@@ -129,6 +129,62 @@ def test_model_without_declared_distribution_takes_the_tag_path():
     assert behavior_codes(model, np.zeros(3, dtype=np.int64)).tolist() == [15, 15, 15]
 
 
+def test_class_distribution_is_compiled_once_per_model():
+    calls = []
+
+    def respond(i, lam):
+        calls.append((i, lam))
+        return 1
+
+    model = _model(respond_alice=respond, tags=[0, 1])
+    compiled = model.class_distribution
+    assert model.class_distribution is compiled
+    count_experiment(model, 10, seed=1)
+    assert len(calls) == 4
+
+
+def test_zoo_class_distributions():
+    """dice-coin declares 6 tags in two classes per pair, cosine-sign 720
+    directions in 8 classes per pair, and conspiracy one class per pair."""
+    shapes = {"conspiracy": (4, 1, 1), "cosine-sign": (720, 720, 8), "dice-coin": (6, 6, 2)}
+    for name, (tags, denominator, classes) in shapes.items():
+        model = MODEL_FACTORIES[name]()
+        nums, d = model.class_distribution
+        assert (len(declared_tags(model)), d) == (tags, denominator), name
+        assert all(np.count_nonzero(nums[pair]) == classes for pair in SETTING_PAIRS), name
+
+
+def test_wide_table_model_compiles_each_of_its_tags():
+    """Each of the 2^16 tags has weight 1/2^16 and the code of its low four
+    bits xor its high four, so every class holds 2^12 of them."""
+    assert wide_table_model().class_distribution == (dict.fromkeys(SETTING_PAIRS, (1 << 12,) * 16), WIDE_TAGS)
+
+
+#: declared tags of every hashable kind, each of which compiles: floats,
+#: strings, bools, negative and large integers, tuples, None and mixed types
+DECLARED_DOMAINS = [
+    [0.5],
+    ["a", "b"],
+    [True, False],
+    [-1, 0],
+    [0, WIDE_TAGS],
+    [(0, 1), (1, 0)],
+    [None, "x"],
+    [Fraction(1, 3), 2.5, 0],
+]
+
+
+@pytest.mark.parametrize("tags", DECLARED_DOMAINS)
+def test_any_hashable_declared_tags_compile(tags):
+    respond = lambda i, lam: 1 if (len(repr(lam)) + i) % 2 else -1
+    model = _model(tags=tags, respond_alice=respond, respond_bob=lambda i, lam: -respond(i, lam))
+    nums, d = model.class_distribution
+    expected = [0] * 16
+    for tag in tags:
+        expected[behavior_of(model, tag).code] += Fraction(1, len(tags))
+    assert all([Fraction(num, d) for num in nums[pair]] == expected for pair in SETTING_PAIRS)
+
+
 def _model(
     *,
     tags=(0,),
@@ -176,6 +232,13 @@ LOG_FAULTS = [
      _CLICKS.format("alice", 1) + "failed: 'no such direction'"),
     ("response returns 0 at a drawn tag", dict(respond_bob=lambda i, lam: 0 if i == 2 else 1),
      _CLICKS.format("bob", 2) + "returned a value other than -1/+1"),
+    ("too few tags", dict(sample=lambda rng, n, pair: np.zeros(n - 1, dtype=np.int64)), _SHAPE.format((49,))),
+    ("batch twin raises", dict(respond_alice_batch=lambda i, lams: _unknown_pair((i, len(lams)))),
+     _CLICKS.format("alice", 1) + "failed: (1, 50)"),
+    ("batch twin returns 0", dict(respond_bob_batch=lambda i, lams: np.zeros(len(lams), dtype=np.int8)),
+     _CLICKS.format("bob", 1) + "returned a value other than -1/+1"),
+    ("batch twin returns 2", dict(respond_alice_batch=lambda i, lams: np.full(len(lams), 2)),
+     _CLICKS.format("alice", 1) + "returned a value other than -1/+1"),
 ]
 
 
@@ -195,7 +258,57 @@ def test_trial_log_answers_at_any_drawn_tag():
     assert all(np.all(s.alice == -1) and np.all(s.bob == 1) for s in log.series.values())
 
 
+def _first_tags(*values):
+    """A sampler whose every block starts with ``values`` and goes on with 0."""
+
+    def sample(rng, n, pair):
+        tags = np.zeros(n, dtype=np.int64)
+        tags[: len(values)] = values[:n]
+        return tags
+
+    return sample
+
+
+def _last_trial(value):
+    """A sampler whose one-trial blocks draw ``value``: the last trial of a
+    series of BLOCK_SIZE + 1."""
+    return lambda rng, n, pair: np.full(n, value if n == 1 else 0, dtype=np.int64)
+
+
+#: (case id, declared tags, sampler) of drawn tags that the declared
+#: distribution does not hold or that no integer array could index: domain
+#: edges, holes, the last trial of a series and non-integer dtypes
+DRAWN_TAGS = [
+    ("tag above the domain", [0, 1], lambda rng, n, pair: np.full(n, 5)),
+    ("tag in a domain hole", [0, 2], lambda rng, n, pair: np.ones(n, dtype=np.int64)),
+    ("negative tag", [0, 1], lambda rng, n, pair: np.full(n, -1)),
+    ("float tags", [0, 1], lambda rng, n, pair: np.arange(n) / 2),
+    ("tag one past the domain", [0, 2], _first_tags(0, 3)),
+    ("tag above the domain before a hole", [0, 2], _first_tags(0, 7, 1)),
+    ("hole before a tag above the domain", [0, 2], _first_tags(1, 0, 7)),
+    ("hole at the last trial", [0, 2], _last_trial(1)),
+    ("bool tags", [0, 1], lambda rng, n, pair: np.arange(n) % 3 == 0),
+    ("float32 tags", [0, 1], lambda rng, n, pair: np.arange(n, dtype=np.float32)),
+]
+
+
+@pytest.mark.parametrize("tags,sample", [c[1:] for c in DRAWN_TAGS], ids=[c[0] for c in DRAWN_TAGS])
+def test_trial_log_reads_the_responses_at_each_drawn_tag(tags, sample):
+    """At a size whose last block holds one trial, every click of the log
+    is the scalar response at its drawn tag, declared or not."""
+    respond = lambda i, lam: 1 if (int(lam) + i) % 2 else -1
+    model = _model(tags=tags, respond_alice=respond, respond_bob=lambda i, lam: respond(i + 1, lam), sample=sample)
+    log = run_experiment(model, BLOCK_SIZE + 1, seed=0)
+    for (i, k), s in log.series.items():
+        assert s.lambdas.shape == (BLOCK_SIZE + 1,)
+        codes = s.lambdas.astype(np.int64)
+        assert np.array_equal(s.alice, np.where((codes + i) % 2, 1, -1))
+        assert np.array_equal(s.bob, np.where((codes + k + 1) % 2, 1, -1))
+    assert log.series[(1, 1)].lambdas.dtype == np.asarray(sample(None, 1, (1, 1))).dtype
+
+
 _COMPILE = "model 'bad-probe': class distribution: responses at tag {} failed: {}"
+_ENUMERATE = "model 'bad-probe': enumerate_lambda"
 
 #: (case id, model kwargs, the message of `run` and ``count_experiment``;
 #: None for the sampler's faults, which they never meet)
@@ -214,6 +327,18 @@ RUN_FAULTS = [
      "model 'bad-probe': enumerate_lambda: tag 1 of pair (1, 1) has weight -1/2 < 0"),
     ("weights that do not sum to 1", dict(enumerate_lambda=lambda pair: [(0, Fraction(1, 2)), (1, Fraction(1, 4))]),
      "model 'bad-probe': enumerate_lambda: declared tag weights of pair (1, 1) sum to 3/4, not 1"),
+    ("no declared tags", dict(enumerate_lambda=lambda pair: []),
+     _ENUMERATE + ": declared tag weights of pair (1, 1) sum to 0, not 1"),
+    ("enumerate_lambda returns None", dict(enumerate_lambda=lambda pair: None),
+     _ENUMERATE + " failed: 'NoneType' object is not iterable"),
+    ("tag without a weight", dict(enumerate_lambda=lambda pair: [(0,)]),
+     _ENUMERATE + " failed: not enough values to unpack (expected 2, got 1)"),
+    ("weight that is no number", dict(enumerate_lambda=lambda pair: [(0, "one")]),
+     _ENUMERATE + " failed: Invalid literal for Fraction: 'one'"),
+    ("response returns None", dict(tags=[0, 1], respond_alice=lambda i, lam: None if lam == 1 else 1),
+     _COMPILE.format(1, "outcome must be -1 or +1, got None")),
+    ("response returns 2", dict(tags=[0, 1], respond_bob=lambda i, lam: 2),
+     _COMPILE.format(0, "outcome must be -1 or +1, got 2")),
 ]
 
 
@@ -338,12 +463,13 @@ LOG_ROUTES = [
 
 
 @pytest.mark.parametrize("factory,scalar,twins", [c[1:] for c in LOG_ROUTES], ids=[c[0] for c in LOG_ROUTES])
-def test_logs_on_scalar_responses_and_on_twins_agree(factory, scalar, twins):
+@pytest.mark.parametrize("n", [1, 3000])
+def test_logs_on_scalar_responses_and_on_twins_agree(factory, scalar, twins, n):
     """The same (n, seed) gives the same report and class frequencies
     whether a log's clicks and classes come from the scalar responses or
-    from batch twins."""
+    from batch twins, down to series of one trial."""
     on_scalar, on_twins = scalar(factory()), twins(factory())
     assert on_scalar.respond_alice_batch is None and on_twins.respond_alice_batch is not None
-    a, b = run_experiment(on_scalar, 3000, seed=11), run_experiment(on_twins, 3000, seed=11)
+    a, b = run_experiment(on_scalar, n, seed=11), run_experiment(on_twins, n, seed=11)
     assert chsh_report(a) == chsh_report(b)
     assert class_frequencies(a, on_scalar) == class_frequencies(b, on_twins)
