@@ -17,12 +17,13 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import ghz as ghz_mod
-from .core import DOMAIN_SLACK, SETTING_PAIRS, CorrelationTable
+from .core import ALL_BEHAVIORS, DOMAIN_SLACK, SETTING_PAIRS, CorrelationTable
 from .engine import (
     chsh_report,
     chsh_statistic,
@@ -163,8 +164,9 @@ def _pair_key(pair) -> str:
     return f"{pair[0]},{pair[1]}"
 
 
-def _table_dict(table: CorrelationTable) -> dict:
-    return {key: float(v) for key, v in asdict(table).items()}
+_TABLE_KEYS = ("e11", "e12", "e21", "e22")
+#: Compact name of each behavior class, indexed by code.
+_COMPACT = tuple(beh.compact() for beh in ALL_BEHAVIORS)
 
 
 def _report_dict(config: ExperimentConfig, counts, model) -> dict:
@@ -174,7 +176,7 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
         "n_per_series": report.n_per_series,
         "seed": counts.seed,
         "angles": list(config.angles.as_tuple()) if config.angles else None,
-        "correlations": _table_dict(report.table),
+        "correlations": dict(zip(_TABLE_KEYS, map(float, report.table.as_tuple()))),
         "s_star": float(report.s_star),
         "bound_satisfied": report.bound_satisfied,
         "hoeffding_epsilon": report.hoeffding_epsilon,
@@ -183,12 +185,12 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
     }
     if model is not None:
         freqs = class_frequencies(counts)
+        n = counts.n_per_series
         out["class_frequencies"] = {
-            _pair_key(pair): {beh.compact(): float(f) for beh, f in sorted(
-                inner.items(), key=lambda kv: kv[0].code)}
-            for pair, inner in freqs.per_pair.items()
+            _pair_key(pair): {_COMPACT[c]: k / n for c, k in enumerate(counts.classes[pair].tolist()) if k}
+            for pair in SETTING_PAIRS
         }
-        tolerance = 3 * hoeffding_epsilon(counts.n_per_series, value_range=1.0)
+        tolerance = 3 * hoeffding_epsilon(n, value_range=1.0)
         mi = mi_diagnostic(freqs, tolerance)
         out["mi"] = {
             "declared": model.declares_mi,
@@ -202,7 +204,31 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
 
 
 def _render_json(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
+    for dicts with str keys, lists, tuples, str, bool, int, float and None;
+    anything else raises TypeError. Written directly: before Python 3.13,
+    json.dumps indents through its pure-Python encoder."""
+    return _json(obj, "\n") + "\n"
+
+
+def _json(obj, newline: str) -> str:
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return (float.__repr__(obj) if math.isfinite(obj)
+                else "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
+    inner = newline + "  "
+    if isinstance(obj, dict):  # a key that is not a str fails sorting or encoding with TypeError
+        items, brackets = [encode_basestring_ascii(key) + ": " + _json(obj[key], inner) for key in sorted(obj)], "{}"
+    elif isinstance(obj, (list, tuple)):
+        items, brackets = [_json(v, inner) for v in obj], "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if items else brackets
 
 
 def _render_csv(report_dict: dict) -> str:
@@ -269,7 +295,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     mi = mi_diagnostic(exact_class_frequencies(model), DOMAIN_SLACK)
     out = {
         "model": args.model,
-        "series_table": {key: _exact_and_float(v) for key, v in asdict(table).items()},
+        "series_table": {key: _exact_and_float(v) for key, v in zip(_TABLE_KEYS, table.as_tuple())},
         "series_s": _exact_and_float(series_s),
         "single_distribution": {
             "classes": [

@@ -28,6 +28,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -281,7 +282,7 @@ def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
 _AGREEING = {
-    (i, k): np.array([beh.alice(i) == beh.bob(k) for beh in ALL_BEHAVIORS])
+    (i, k): tuple(beh.alice(i) == beh.bob(k) for beh in ALL_BEHAVIORS)
     for i, k in SETTING_PAIRS
 }
 
@@ -301,7 +302,7 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
         def count(pair, rng, k):
             return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
         classes = _series(count, sum, n_per_series, seed)
-    agree = {pair: int(classes[pair][_AGREEING[pair]].sum()) for pair in SETTING_PAIRS}
+    agree = {pair: sum(compress(classes[pair].tolist(), _AGREEING[pair])) for pair in SETTING_PAIRS}
     return RunCounts(seed, n_per_series, agree, classes)
 
 
@@ -369,7 +370,7 @@ def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None)
         raise ValueError("class analysis needs class counts, which a quantum run does not have")
     n = counts.n_per_series
     return ClassFrequencies(per_pair={
-        pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair]) if k > 0}
+        pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair].tolist()) if k > 0}
         for pair in SETTING_PAIRS
     })
 
@@ -443,7 +444,10 @@ def mi_diagnostic(freqs: ClassFrequencies, tolerance: float) -> MiDiagnostic:
 
     Measurement independence predicts identical distributions; the
     diagnostic reports the largest |p(class | pair) - p(class | (1,1))|
-    and whether it stays within tolerance.
+    and whether it stays within tolerance. Ties go to the first maximum:
+    in ``SETTING_PAIRS`` order, then in the iteration order of
+    ``set(reference) | set(current)`` (dice-coin's two classes tie at
+    every power-of-two n). ROADMAP item 7 replaces this diagnostic.
     """
     if set(freqs.per_pair) != set(SETTING_PAIRS):
         raise ValueError("mi_diagnostic needs class frequencies for all four setting pairs")
