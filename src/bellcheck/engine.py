@@ -3,9 +3,10 @@
 Empirical side: ``count_experiment`` samples the four series (one per
 setting pair) and keeps only integer counts: per pair, the trials in each
 of the 16 behavior classes, and from them the trials whose clicks agree
-(stream scheme v4: ``count_draws`` draws each series' counts at once from
-the model's compiled class distribution where it declares one; otherwise
-the tags are drawn block by block). ``chsh_report`` reduces the
+(stream scheme v4: ``streams.draw_counts`` draws each series' counts at
+once from the model's compiled class distribution where it declares one;
+otherwise the tags are drawn block by block). Every series runs on the
+calling thread. ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
 classes were distributed across the four series. ``run_experiment`` draws
@@ -24,8 +25,6 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -54,7 +53,7 @@ from .streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, tr
 # run_experiment, log_counts). It stays for the benchmark:
 # perfbench/tracing.py wraps engine.run_experiment by name and replays each
 # log, and the lhv-continuous workload reads the log's arrays. ROADMAP
-# item 2 moves the benchmark onto the count path; the log can go after it.
+# item 1 moves the benchmark onto the count path; item 2 then deletes the log.
 @dataclass(frozen=True, eq=False)
 class Series:
     """One setting pair's trials in columnar form."""
@@ -185,32 +184,18 @@ def violation_p_value(s_star: float, n: int) -> float:
     return math.exp(-n * t * t / 8)
 
 
-def _resolve_workers() -> int:
-    env = os.environ.get("BELLCHECK_THREADS", "").strip()
-    if not env:
-        return 1
-    try:
-        workers = int(env)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"BELLCHECK_THREADS must be an integer of at least 1, got {env!r}")
-    return workers
-
-
-def check_run(n_per_series: int, seed: int) -> int:
-    """Check a run's size, seed and ``BELLCHECK_THREADS`` before anything is
-    compiled or drawn."""
+def check_run(n_per_series: int, seed: int) -> tuple[int, int]:
+    """Check a run's size and seed before anything is compiled or drawn,
+    and return both as Python ints."""
     if (
         isinstance(n_per_series, bool)
         or not isinstance(n_per_series, (int, np.integer))
         or n_per_series < 1
     ):
         raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
-    check_block_count(-(-n_per_series // BLOCK_SIZE))
-    seed = validate_seed(seed)
-    _resolve_workers()
-    return seed
+    n = int(n_per_series)
+    check_block_count(-(-n // BLOCK_SIZE))
+    return n, validate_seed(seed)
 
 
 def _series(
@@ -219,38 +204,17 @@ def _series(
     n_per_series: int,
     seed: int,
 ) -> dict[tuple[int, int], Any]:
-    """Check the run's arguments, then return, per setting pair in
-    ``SETTING_PAIRS`` order, ``reduce`` of the iterator of
-    ``block_fn(pair, stream, count)`` over that pair's blocks in order.
-
-    Each task is one pair's whole series, so at most four workers run
-    (``BELLCHECK_THREADS`` caps them). A block draws from
-    ``trial_stream(seed, pair_code, block)``: any worker count gives the
-    same results.
-    """
-    seed = check_run(n_per_series, seed)
-    workers = min(_resolve_workers(), len(SETTING_PAIRS))
-
-    def run_series(pair):
-        return pair, reduce(
+    """Per setting pair in ``SETTING_PAIRS`` order, ``reduce`` of the
+    iterator of ``block_fn(pair, stream, count)`` over that pair's blocks
+    in order, all on the calling thread. Block j of a series draws from
+    ``trial_stream(seed, pair_code, j)``."""
+    return {
+        pair: reduce(
             block_fn(pair, trial_stream(seed, PAIR_CODES[pair], block), stop - start)
             for block, start, stop in iter_blocks(n_per_series)
         )
-
-    if workers == 1:
-        return dict(map(run_series, SETTING_PAIRS))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(run_series, SETTING_PAIRS))
-
-
-def count_draws(distribution: tuple[Mapping, int], n_per_series: int, seed: int) -> dict[tuple[int, int], np.ndarray]:
-    """Per setting pair, the run's counts over the outcomes of ``distribution``
-    (per pair, integer weights; their denominator): one draw per series by
-    ``streams.draw_counts``, all on the calling thread."""
-    seed = check_run(n_per_series, seed)
-    nums, d = distribution
-    rows = [(PAIR_CODES[pair], nums[pair]) for pair in SETTING_PAIRS]
-    return dict(zip(SETTING_PAIRS, draw_counts(seed, rows, d, n_per_series)))
+        for pair in SETTING_PAIRS
+    }
 
 
 def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
@@ -266,8 +230,8 @@ def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator,
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
     """Run the four series of an LHV model and log every click and tag:
     tags from ``sample_lambda``, clicks from the responses at each tag.
-    Each series concatenates its blocks, so the log is bitwise identical
-    for any worker count."""
+    Each series concatenates its blocks in order."""
+    n_per_series, seed = check_run(n_per_series, seed)
 
     def sample(pair, rng, count):
         lams = _draw_tags(model, pair, rng, count)
@@ -277,7 +241,7 @@ def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
 
     arrays = _series(sample, lambda blocks: [np.concatenate(a) for a in zip(*blocks)], n_per_series, seed)
     series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
-    return TrialLog(series=series, seed=validate_seed(seed), n_per_series=n_per_series)
+    return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
 
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
@@ -292,12 +256,13 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     count of each behavior class.
 
     A model that declares its tag distribution draws the counts from its
-    compiled ``class_distribution`` (``count_draws``); a model without one
-    draws each block's tags through ``sample_lambda`` and counts their codes.
+    compiled ``class_distribution`` (``streams.draw_counts``); a model
+    without one draws each block's tags through ``sample_lambda`` and
+    counts their codes.
     """
-    seed = check_run(n_per_series, seed)
-    if model.class_distribution is not None:  # compiled here, before the tag path's workers start
-        classes = count_draws(model.class_distribution, n_per_series, seed)
+    n_per_series, seed = check_run(n_per_series, seed)
+    if model.class_distribution is not None:
+        classes = draw_counts(model.class_distribution, n_per_series, seed)
     else:
         def count(pair, rng, k):
             return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)

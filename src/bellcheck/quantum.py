@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import RunCounts, check_run, chsh_statistic, count_draws
+from .engine import RunCounts, check_run, chsh_statistic
+from .streams import draw_counts
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) ->
     counts, without class counts. A pair's disagreement probability
     (l2 - l0) / 2**64 is exact in a float: l2 - l0 is a multiple of 2**11
     below 2**64, or 2**64 at cos(a - b) = 1, where every trial disagrees."""
-    seed = check_run(n_per_series, seed)
+    n_per_series, seed = check_run(n_per_series, seed)
     limits = {(i, k): _word_limits(angles.alice(i), angles.bob(k)) for i, k in SETTING_PAIRS}
     weights = {pair: (l2 - l0, 2**64 - (l2 - l0)) for pair, (l0, l2) in limits.items()}
-    counts = count_draws((weights, 2**64), n_per_series, seed)
+    counts = draw_counts((weights, 2**64), n_per_series, seed)
     return RunCounts(seed, n_per_series, {pair: int(counts[pair][1]) for pair in SETTING_PAIRS})

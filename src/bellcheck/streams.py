@@ -7,15 +7,16 @@ pair, block): ``trial_stream(seed, pair_code(p), j)``, seeded by
 Under stream scheme v4 a series of a declared distribution, or of the
 singlet, is one draw on block 0's stream, whatever its length
 (``draw_counts``). A model on the tag path draws its tags in fixed blocks
-of ``BLOCK_SIZE``, block j on its own stream, so its results are bitwise
-identical however blocks are distributed over workers.
+of ``BLOCK_SIZE`` (``iter_blocks``), block j on its own stream.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
+
+from .core import PAIR_CODES, SETTING_PAIRS
 
 #: Trials per block. Fixed: changing it changes the streams.
 BLOCK_SIZE = 1 << 14
@@ -45,25 +46,30 @@ def check_block_count(n_blocks: int) -> None:
                          f"{BLOCK_SIZE} trials), got {n_blocks} blocks")
 
 
-def draw_counts(seed: int, rows: Sequence[tuple[int, Sequence[int]]], d: int, n: int) -> list[np.ndarray]:
-    """Per (pair_code, nums) of ``rows``, the counts of n independent trials
-    over outcomes of weights nums / d: all n on a sole outcome of positive
-    weight, with no draw; else one draw on ``trial_stream(seed, pair_code,
-    0)`` over the positive weights w: ``binomial(n, w[0])`` for two (what
+def draw_counts(
+    distribution: tuple[Mapping[tuple[int, int], Sequence[int]], int], n: int, seed: int
+) -> dict[tuple[int, int], np.ndarray]:
+    """Per setting pair, the counts of n independent trials over the
+    outcomes of ``distribution`` (per pair, integer weights nums; their
+    denominator d): all n on a sole outcome of positive weight, with no
+    draw; else one draw on ``trial_stream(seed, pair_code, 0)`` over the
+    positive weights w: ``binomial(n, w[0])`` for two (what
     ``multinomial(n, w)`` draws), ``multinomial(n, w)`` for more."""
-    counts = []
-    for code, nums in rows:
-        c = np.zeros(len(nums), dtype=np.int64)
-        support = [i for i, num in enumerate(nums) if num]
-        w = [nums[i] / d for i in support]
+    nums, d = distribution
+    counts = {}
+    for pair in SETTING_PAIRS:
+        row = nums[pair]
+        c = np.zeros(len(row), dtype=np.int64)
+        support = [i for i, num in enumerate(row) if num]
+        w = [row[i] / d for i in support]
         if len(support) == 1:
             c[support] = n
         elif len(support) == 2:
-            k = int(trial_stream(seed, code, 0).binomial(n, w[0]))
+            k = int(trial_stream(seed, PAIR_CODES[pair], 0).binomial(n, w[0]))
             c[support] = k, n - k
         else:
-            c[support] = trial_stream(seed, code, 0).multinomial(n, w)
-        counts.append(c)
+            c[support] = trial_stream(seed, PAIR_CODES[pair], 0).multinomial(n, w)
+        counts[pair] = c
     return counts
 
 

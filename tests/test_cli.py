@@ -14,9 +14,8 @@ import pytest
 import bellcheck
 from bellcheck import cli, engine, jointprob, quantum
 from bellcheck.core import Behavior
-from bellcheck.engine import count_draws
 from bellcheck.jointprob import JointProbability, statistics_of
-from bellcheck.streams import BLOCK_SIZE
+from bellcheck.streams import BLOCK_SIZE, draw_counts
 
 
 def run_cli(args):
@@ -163,11 +162,11 @@ class TestRun:
         drawn = []
 
         def recording(*args):
-            drawn.append(count_draws(*args))
+            drawn.append(draw_counts(*args))
             return drawn[-1]
 
-        monkeypatch.setattr(engine, "count_draws", recording)
-        monkeypatch.setattr(quantum, "count_draws", recording)
+        monkeypatch.setattr(engine, "draw_counts", recording)
+        monkeypatch.setattr(quantum, "draw_counts", recording)
         n = BLOCK_SIZE << 32
         assert n == 2**46
         assert run_cli(["run", "--model", model, "--n", str(n), "--seed", "46"]) == 0
@@ -435,15 +434,6 @@ class TestDenominatorBound:
             "configuration error: --correlations/--marginals: common denominator "
             f"exceeds {cli._MAX_DENOMINATOR_DIGITS} digits\n"
         )
-
-
-class TestThreadsVariable:
-    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
-    def test_bad_value_exits_2(self, value, monkeypatch, capsys):
-        monkeypatch.setenv("BELLCHECK_THREADS", value)
-        assert run_cli(["run", "--model", "dice-coin", "--n", "10"]) == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "BELLCHECK_THREADS" in err and "Traceback" not in err
 
 
 GOLDEN_FINE_CHECK = json.loads(

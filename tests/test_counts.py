@@ -16,7 +16,7 @@ worker and on three. The singlet has no trial log: its counts follow the
 singlet's probabilities as the per-trial reference of ``trial_reference``
 does, on one worker and on three, and the threshold tests feed its
 raw-word limits words on both sides of every limit. The count loop
-(``engine.count_draws``, stream scheme v4) must give exactly the counts of
+(``streams.draw_counts``, stream scheme v4) must give exactly the counts of
 one draw per series on block 0's ``trial_stream``: a multinomial over a
 model's classes of positive weight, a binomial at the singlet's
 disagreement probability. Up to ``BLOCK_SIZE`` trials that is the

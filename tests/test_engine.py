@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,7 @@ from bellcheck.engine import (
     exact_class_weights,
     exact_correlation_table,
     hoeffding_epsilon,
+    log_counts,
     mi_diagnostic,
     run_experiment,
     theoretical_chsh,
@@ -31,7 +33,7 @@ from bellcheck.engine import (
     violation_p_value,
 )
 from bellcheck.errors import ModelError
-from bellcheck.quantum import TSIRELSON_ANGLES, quantum_chsh
+from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
 from batch_models import lookup_twins, without_distribution
@@ -55,7 +57,12 @@ def constant_model():
 
 
 #: Two outcomes of weight 1/2 at every setting pair: every series draws.
-TWO_OUTCOMES = (dict.fromkeys(SETTING_PAIRS, (1, 1)), 2)
+#: The two count-loop entries, as run(n_per_series, seed): a declared
+#: model's class distribution and the singlet's two outcomes.
+COUNT_RUNS = [
+    lambda n, seed: count_experiment(dice_coin_model(), n, seed),
+    lambda n, seed: count_quantum_experiment(TSIRELSON_ANGLES, n, seed),
+]
 
 
 def no_stream(*args):
@@ -153,73 +160,57 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="n_per_series"):
             run_experiment(dice_coin_model(), 2.5, seed=0)
 
+    @pytest.mark.parametrize("run", COUNT_RUNS, ids=["declared", "singlet"])
     @pytest.mark.parametrize("n", [True, 2.5, "10"])
-    def test_non_integer_n_rejected_before_sampling(self, n, monkeypatch):
+    def test_non_integer_n_rejected_before_sampling(self, run, n, monkeypatch):
         monkeypatch.setattr(streams, "trial_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.count_draws(TWO_OUTCOMES, n, seed=0)
+            run(n, 0)
 
-    def test_n_past_one_word_block_indices_rejected_before_sampling(self, monkeypatch):
+    @pytest.mark.parametrize("run", COUNT_RUNS, ids=["declared", "singlet"])
+    def test_n_past_one_word_block_indices_rejected_before_sampling(self, run, monkeypatch):
         # block indices are mixed into the stream key as one uint32 word,
         # and every run keeps the tag path's limit
         monkeypatch.setattr(streams, "trial_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
-            engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32 + 1, seed=0)
+            run(BLOCK_SIZE * 2**32 + 1, 0)
         with pytest.raises(AssertionError, match="stream keyed"):  # the largest n draws
-            engine.count_draws(TWO_OUTCOMES, BLOCK_SIZE * 2**32, seed=0)
+            run(BLOCK_SIZE * 2**32, 0)
 
-class TestResolveWorkers:
-    """BELLCHECK_THREADS: unset or blank means 1 worker; anything other
-    than an integer >= 1 is a ValueError naming the variable."""
 
-    def test_unset_and_blank(self, monkeypatch):
-        monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
-        assert engine._resolve_workers() == 1
-        monkeypatch.setenv("BELLCHECK_THREADS", "  ")
-        assert engine._resolve_workers() == 1
+@pytest.mark.parametrize("size", [np.uint64, np.uint32, np.uint8, np.int64])
+def test_numpy_integer_sizes_run_as_their_int(size):
+    """A numpy integer n_per_series gives the counts of the same int, and
+    every run records it as a Python int."""
+    model = dice_coin_model()
+    runs = {
+        "declared": lambda n: count_experiment(model, n, 5),
+        "tag path": lambda n: count_experiment(without_distribution(model), n, 5),
+        "singlet": lambda n: count_quantum_experiment(TSIRELSON_ANGLES, n, 5),
+        "trial log": lambda n: log_counts(run_experiment(model, n, 5), model),
+    }
+    for name, run in runs.items():
+        got = run(size(200))
+        assert type(got.n_per_series) is int, name
+        assert_same_counts(got, run(200))
+    assert type(run_experiment(model, size(200), 5).n_per_series) is int
 
-    def test_integer_values(self, monkeypatch):
-        monkeypatch.setenv("BELLCHECK_THREADS", " 3 ")
-        assert engine._resolve_workers() == 3
-        monkeypatch.setenv("BELLCHECK_THREADS", str(10**6))  # resolved only; no pool starts
-        assert engine._resolve_workers() == 10**6
 
-    @pytest.mark.parametrize("value", ["0", "-2", "abc", "2.5", "1e3", "3 workers"])
-    def test_bad_values_name_the_variable(self, monkeypatch, value):
-        monkeypatch.setenv("BELLCHECK_THREADS", value)
-        with pytest.raises(ValueError, match="BELLCHECK_THREADS"):
-            engine._resolve_workers()
+def test_every_series_samples_on_the_calling_thread(monkeypatch):
+    """BELLCHECK_THREADS is not read: the tag path and the trial log call
+    sample_lambda on the calling thread alone."""
+    monkeypatch.setenv("BELLCHECK_THREADS", "4")
+    threads = set()
+    model = without_distribution(dice_coin_model())
 
-    @pytest.mark.parametrize("n", [100, 5 * BLOCK_SIZE], ids=["1 block", "5 blocks"])
-    def test_pool_bounded_by_the_four_series(self, monkeypatch, n):
-        # on the tag path, one task per setting pair, however many blocks a
-        # series has; a declared distribution draws on the calling thread
-        sizes = []
+    def sample_lambda(rng, n, pair):
+        threads.add(threading.get_ident())
+        return model.sample_lambda(rng, n, pair)
 
-        class RecordingPool:
-            # runs tasks inline, so that no thread starts
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(engine, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("BELLCHECK_THREADS", "64")
-        model = without_distribution(dice_coin_model())
-        counts = count_experiment(model, n, seed=4)
-        assert sizes == [4]
-        declared = count_experiment(dice_coin_model(), n, seed=4)
-        assert sizes == [4]
-        monkeypatch.setenv("BELLCHECK_THREADS", "1")
-        assert_same_counts(counts, count_experiment(model, n, seed=4))
-        assert_same_counts(declared, count_experiment(dice_coin_model(), n, seed=4))
+    recording = dataclasses.replace(model, sample_lambda=sample_lambda)
+    count_experiment(recording, 3 * BLOCK_SIZE, seed=8)
+    run_experiment(recording, 3 * BLOCK_SIZE, seed=8)
+    assert threads == {threading.get_ident()}
 
 
 def agreeing(n, **agree):

@@ -95,12 +95,10 @@ def test_streams_up_to_the_last_block_index_are_distinct(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [1, 7 * BLOCK_SIZE, 15 * BLOCK_SIZE + 1], ids=["1 block", "7 blocks", "16 blocks"])
-@pytest.mark.parametrize("threads", ["1", "3"])
-def test_tag_path_keys_each_block_on_its_own_stream(seed, n, threads, monkeypatch):
+def test_tag_path_keys_each_block_on_its_own_stream(seed, n):
     """``engine._series`` hands block j of a pair's series the fresh stream
     ``SeedSequence(seed, spawn_key=(pair_code, j))`` and the block's trial
-    count, in block order, on any number of workers."""
-    monkeypatch.setenv("BELLCHECK_THREADS", threads)
+    count, in block order."""
     got = engine._series(lambda pair, rng, count: (key_of(rng), count), list, n, seed)
     assert list(got) == list(SETTING_PAIRS)
     for pair, blocks in got.items():
@@ -108,27 +106,29 @@ def test_tag_path_keys_each_block_on_its_own_stream(seed, n, threads, monkeypatc
         assert blocks == want, pair
 
 
-#: Rows of ``draw_counts``: one outcome, two, two among zeros, and more.
-DRAW_ROWS = [(1, (0, 6, 0)), (3, (2, 4)), (5, (0, 1, 0, 5, 0)), (7, (1, 2, 0, 3))]
+#: Per-pair weights over 6 for ``draw_counts``: one outcome, two, two
+#: among zeros, and more.
+DRAW_NUMS = dict(zip(SETTING_PAIRS, [(0, 6, 0), (2, 4), (0, 1, 0, 5, 0), (1, 2, 0, 3)]))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1, BLOCK_SIZE << 32])
 def test_draw_counts_is_one_multinomial_on_block_0(seed, n):
-    """Each row's counts sum to n, put nothing on a zero weight and equal
-    one multinomial of n over the positive weights on block 0's stream;
-    a sole outcome takes all n."""
-    got = draw_counts(seed, DRAW_ROWS, 6, n)
-    assert len(got) == len(DRAW_ROWS)
-    for (code, nums), counts in zip(DRAW_ROWS, got):
+    """Each pair's counts sum to n, put nothing on a zero weight and equal
+    one multinomial of n over the positive weights on block 0's stream of
+    the pair; a sole outcome takes all n."""
+    got = draw_counts((DRAW_NUMS, 6), n, seed)
+    assert list(got) == list(SETTING_PAIRS)
+    for pair, nums in DRAW_NUMS.items():
+        counts = got[pair]
         support = [i for i, num in enumerate(nums) if num]
         want = np.zeros(len(nums), dtype=np.int64)
         if len(support) == 1:
             want[support] = n
         else:
-            want[support] = trial_stream(seed, code, 0).multinomial(n, [nums[i] / 6 for i in support])
+            want[support] = trial_stream(seed, PAIR_CODES[pair], 0).multinomial(n, [nums[i] / 6 for i in support])
         assert counts.dtype == np.int64
-        assert np.array_equal(counts, want), (code, nums)
+        assert np.array_equal(counts, want), (pair, nums)
         assert counts.sum() == n
 
 

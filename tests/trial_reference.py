@@ -3,7 +3,7 @@
 Under stream scheme v4 the count path does not decide trials one by one.
 ``count_experiment`` draws each series' class counts at once from the
 model's compiled ``class_distribution`` when the model declares its
-distribution (``engine.count_draws``: no draw for a pair with one class,
+distribution (``streams.draw_counts``: no draw for a pair with one class,
 one binomial per series for two, one multinomial per series for more),
 and only a model without one draws a tag per trial and counts the codes of
 its batch responses. ``count_quantum_experiment`` goes through the same
