@@ -436,6 +436,18 @@ class TestDenominatorBound:
         )
 
 
+class TestThreadsVariableNotRead:
+    @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+    def test_former_bad_value_runs_as_unset(self, value, monkeypatch, capsys):
+        args = ["run", "--model", "dice-coin", "--n", "10"]
+        monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
+        assert run_cli(args) == 0
+        unset = capsys.readouterr()
+        monkeypatch.setenv("BELLCHECK_THREADS", value)
+        assert run_cli(args) == 0
+        assert capsys.readouterr() == unset
+
+
 GOLDEN_FINE_CHECK = json.loads(
     (Path(__file__).parent / "data" / "fine_check_golden.json").read_text()
 )

@@ -56,7 +56,6 @@ def constant_model():
     )
 
 
-#: Two outcomes of weight 1/2 at every setting pair: every series draws.
 #: The two count-loop entries, as run(n_per_series, seed): a declared
 #: model's class distribution and the singlet's two outcomes.
 COUNT_RUNS = [
@@ -194,6 +193,24 @@ def test_numpy_integer_sizes_run_as_their_int(size):
         assert type(got.n_per_series) is int, name
         assert_same_counts(got, run(200))
     assert type(run_experiment(model, size(200), 5).n_per_series) is int
+
+
+#: Values of BELLCHECK_THREADS that once set a worker count or stopped a
+#: run: blank, integers, and values that were not integers of at least 1.
+FORMER_THREADS_VALUES = ["  ", " 3 ", "1000000", "0", "-2", "abc", "2.5", "1e3", "3 workers"]
+
+
+@pytest.mark.parametrize("value", FORMER_THREADS_VALUES)
+def test_threads_variable_leaves_every_run_as_unset(value, monkeypatch):
+    """No value of BELLCHECK_THREADS fails a run or changes its counts, on
+    the tag path and in the trial log."""
+    model = without_distribution(dice_coin_model())
+    n = 2 * BLOCK_SIZE + 5
+    monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
+    tags, log = count_experiment(model, n, seed=6), log_counts(run_experiment(model, n, 6), model)
+    monkeypatch.setenv("BELLCHECK_THREADS", value)
+    assert_same_counts(count_experiment(model, n, seed=6), tags)
+    assert_same_counts(log_counts(run_experiment(model, n, 6), model), log)
 
 
 def test_every_series_samples_on_the_calling_thread(monkeypatch):

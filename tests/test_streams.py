@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -104,6 +106,29 @@ def test_tag_path_keys_each_block_on_its_own_stream(seed, n):
     for pair, blocks in got.items():
         want = [(seed_sequence_key(seed, PAIR_CODES[pair], block), stop - start) for block, start, stop in iter_blocks(n)]
         assert blocks == want, pair
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", [1, 7 * BLOCK_SIZE, 15 * BLOCK_SIZE + 1], ids=["1 block", "7 blocks", "16 blocks"])
+def test_trial_log_keys_each_block_on_its_own_stream(seed, n):
+    """``run_experiment`` asks ``sample_lambda`` for block j of a pair's
+    series on the fresh stream ``SeedSequence(seed, spawn_key=(pair_code, j))``
+    and the block's trial count, in block order, and logs the tags it
+    returns in that order."""
+    model = get_model("dice-coin")
+    calls = {pair: [] for pair in SETTING_PAIRS}
+    tags = {pair: [] for pair in SETTING_PAIRS}
+
+    def sample_lambda(rng, count, pair):
+        calls[pair].append((key_of(rng), count))
+        tags[pair].append(model.sample_lambda(rng, count, pair))
+        return tags[pair][-1]
+
+    log = engine.run_experiment(dataclasses.replace(model, sample_lambda=sample_lambda), n, seed)
+    for pair in SETTING_PAIRS:
+        want = [(seed_sequence_key(seed, PAIR_CODES[pair], block), stop - start) for block, start, stop in iter_blocks(n)]
+        assert calls[pair] == want, pair
+        assert np.array_equal(log.series[pair].lambdas, np.concatenate(tags[pair])), pair
 
 
 #: Per-pair weights over 6 for ``draw_counts``: one outcome, two, two
