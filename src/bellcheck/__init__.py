@@ -27,16 +27,16 @@ from .engine import (
     class_frequencies,
     count_experiment,
     empirical_table,
-    exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
+    exact_mi_holds,
     hoeffding_epsilon,
     mi_diagnostic,
     theoretical_chsh,
     theoretical_correlations,
     violation_p_value,
 )
-from .errors import BoundViolationError, ModelError, ResourceLimitError
+from .errors import BoundViolationError, ModelError
 from .ghz import (
     ProductConstraint,
     SatResult,

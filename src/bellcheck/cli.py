@@ -4,7 +4,7 @@ Subcommands: run (sample an experiment and write a report), bound (exact
 analysis of a named model), fine-check (joint-probability feasibility of
 given statistics), ghz-check (constraint-system satisfiability), zoo
 (list models). Exit codes: 0 success, 2 configuration error, 3 model
-error, 4 enumeration guard exceeded.
+error.
 """
 
 from __future__ import annotations
@@ -23,20 +23,20 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import ghz as ghz_mod
-from .core import ALL_BEHAVIORS, DOMAIN_SLACK, SETTING_PAIRS, CorrelationTable
+from .core import ALL_BEHAVIORS, SETTING_PAIRS, CorrelationTable
 from .engine import (
     chsh_report,
     chsh_statistic,
     class_frequencies,
     count_experiment,
-    exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
+    exact_mi_holds,
     hoeffding_epsilon,
     mi_diagnostic,
     theoretical_chsh,
 )
-from .errors import ModelError, ResourceLimitError
+from .errors import ModelError
 from .jointprob import BehaviorStatistics, jp_feasible
 from .quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 
@@ -54,7 +54,6 @@ from .zoo import MODEL_FACTORIES, available_models, get_model
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_MODEL = 3
-EXIT_RESOURCE = 4
 
 #: Bounds on one fine-check number, checked before Fraction parses it:
 #: Fraction builds 10**|exponent| exactly, so '1e-400000000' alone would
@@ -292,7 +291,6 @@ def cmd_bound(args: argparse.Namespace) -> int:
     series_s = chsh_statistic(table)
     weights = exact_class_weights(model, (1, 1))
     s_single, per_class = theoretical_chsh(weights)
-    mi = mi_diagnostic(exact_class_frequencies(model), DOMAIN_SLACK)
     out = {
         "model": args.model,
         "series_table": {key: _exact_and_float(v) for key, v in zip(_TABLE_KEYS, table.as_tuple())},
@@ -308,7 +306,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
             ],
             "s": _exact_and_float(s_single),
         },
-        "mi_holds_exact": mi.holds,
+        "mi_holds_exact": exact_mi_holds(model),
     }
     _emit(_render_json(out), args.out)
     return EXIT_OK
@@ -445,9 +443,6 @@ def main(argv: list[str] | None = None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except ResourceLimitError as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
     except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

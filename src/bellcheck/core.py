@@ -117,6 +117,12 @@ class Behavior:
 #: All 16 behaviors in code order (code 0 = all -1, code 15 = all +1).
 ALL_BEHAVIORS: tuple[Behavior, ...] = tuple(Behavior.from_code(c) for c in range(16))
 
+#: Per setting pair (i, k), the product A_i * B_k of each behavior class,
+#: indexed by code.
+CLASS_SIGNS: dict[tuple[int, int], tuple[int, ...]] = {
+    (i, k): tuple(beh.alice(i) * beh.bob(k) for beh in ALL_BEHAVIORS) for i, k in SETTING_PAIRS
+}
+
 
 @dataclass(frozen=True)
 class CorrelationTable:

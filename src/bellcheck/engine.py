@@ -23,7 +23,6 @@ the whole reason a single weight distribution can never push |S| past 2.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,6 +34,7 @@ import numpy as np
 from . import core
 from .core import (
     ALL_BEHAVIORS,
+    CLASS_SIGNS,
     DOMAIN_SLACK,
     PAIR_CODES,
     SETTING_PAIRS,
@@ -245,10 +245,7 @@ def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
 
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
-_AGREEING = {
-    (i, k): tuple(beh.alice(i) == beh.bob(k) for beh in ALL_BEHAVIORS)
-    for i, k in SETTING_PAIRS
-}
+_AGREEING = {pair: tuple(sign > 0 for sign in signs) for pair, signs in CLASS_SIGNS.items()}
 
 
 def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts:
@@ -340,23 +337,26 @@ def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None)
     })
 
 
+def _compiled(model: LhvModel) -> tuple[dict[tuple[int, int], tuple[int, ...]], int]:
+    if model.class_distribution is None:
+        raise ValueError(f"model {model.name!r} does not declare an exact tag distribution")
+    return model.class_distribution
+
+
 def exact_class_weights(
     model: LhvModel, pair: tuple[int, int] = (1, 1)
 ) -> dict[Behavior, Fraction]:
     """Exact behavior-class weights for one setting pair: a view of the
     model's compiled ``class_distribution``, classes of weight 0 left out."""
-    if model.class_distribution is None:
-        raise ValueError(f"model {model.name!r} does not declare an exact tag distribution")
-    nums, d = model.class_distribution
+    nums, d = _compiled(model)
     return {ALL_BEHAVIORS[c]: Fraction(n, d) for c, n in enumerate(nums[pair]) if n}
 
 
-def exact_class_frequencies(model: LhvModel) -> ClassFrequencies:
-    """Exact per-pair class frequencies (the analytic twin of
-    class_frequencies on a sampled log)."""
-    return ClassFrequencies(
-        per_pair={pair: exact_class_weights(model, pair) for pair in SETTING_PAIRS}
-    )
+def exact_mi_holds(model: LhvModel) -> bool:
+    """Whether the four setting pairs' declared class weights are equal,
+    decided on the compiled integer numerators over their one denominator."""
+    nums, _ = _compiled(model)
+    return len(set(nums.values())) == 1
 
 
 def validate_weights(weights: Mapping[Behavior, Any]) -> None:
@@ -371,22 +371,15 @@ def theoretical_correlations(weights: Mapping[Behavior, Any]) -> CorrelationTabl
     """E(a_i, b_k) = sum over classes of w * A_i * B_k, exact when the
     weights are exact."""
     validate_weights(weights)
-    es = []
-    for i, k in SETTING_PAIRS:
-        es.append(sum(w * (beh.alice(i) * beh.bob(k)) for beh, w in weights.items()))
-    return CorrelationTable(*es)
+    return CorrelationTable(*(
+        sum(w * signs[beh.code] for beh, w in weights.items()) for signs in CLASS_SIGNS.values()
+    ))
 
 
-@functools.lru_cache(maxsize=16)
-def class_chsh_value(behavior: Behavior) -> int:
-    """C = A1*B1 - A1*B2 + A2*B1 + A2*B2 for one class: the CHSH statistic
-    of its table of +-1 products. Always -2 or +2, since it factors as
-    A1*(B1 - B2) + A2*(B1 + B2) and exactly one parenthesis is nonzero.
-    Cached over the 16 classes, as theoretical_chsh asks once per weight."""
-    c = chsh_statistic(theoretical_correlations({behavior: 1}))
-    if c not in (-2, 2):
-        raise BoundViolationError(f"per-class CHSH value {c} outside {{-2, +2}}")
-    return c
+#: C = A1*B1 - A1*B2 + A2*B1 + A2*B2 per class code: the CHSH statistic of
+#: the class's table of +-1 products. Always -2 or +2, since it factors as
+#: A1*(B1 - B2) + A2*(B1 + B2) and exactly one parenthesis is nonzero.
+_CLASS_CHSH = tuple(p11 - p12 + p21 + p22 for p11, p12, p21, p22 in zip(*CLASS_SIGNS.values()))
 
 
 def theoretical_chsh(weights: Mapping[Behavior, Any]) -> tuple[Any, dict[Behavior, int]]:
@@ -397,7 +390,9 @@ def theoretical_chsh(weights: Mapping[Behavior, Any]) -> tuple[Any, dict[Behavio
     is re-checked here and a failure raises BoundViolationError.
     """
     validate_weights(weights)
-    per_class = {beh: class_chsh_value(beh) for beh in weights}
+    per_class = {beh: _CLASS_CHSH[beh.code] for beh in weights}
+    if bad := set(per_class.values()) - {-2, 2}:
+        raise BoundViolationError(f"per-class CHSH value {min(bad)} outside {{-2, +2}}")
     s = sum(w * per_class[beh] for beh, w in weights.items())
     if not within(abs(s), 2, VERDICT_SLACK):
         raise BoundViolationError(f"single-distribution CHSH value {s} exceeds 2")
@@ -437,14 +432,15 @@ def mi_diagnostic(freqs: ClassFrequencies, tolerance: float) -> MiDiagnostic:
 
 
 def exact_correlation_table(model: LhvModel) -> CorrelationTable:
-    """Exact E(a_i, b_k) where each pair uses its own tag distribution.
+    """Exact E(a_i, b_k) where each pair uses its own tag distribution:
+    (2 * agree - d) / d on its compiled numerators, as ``run`` reads counts.
 
     For a model honouring measurement independence this equals
     theoretical_correlations of any single pair's weights; for a
     conspiring sampler the four entries come from four different
     distributions and no single-distribution bound applies.
     """
+    nums, d = _compiled(model)
     return CorrelationTable(*(
-        theoretical_correlations(exact_class_weights(model, pair)).value(pair)
-        for pair in SETTING_PAIRS
+        Fraction(2 * sum(compress(nums[pair], _AGREEING[pair])) - d, d) for pair in SETTING_PAIRS
     ))

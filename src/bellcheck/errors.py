@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: a ModelError ends a command in exit 3."""
 
 
 class ModelError(RuntimeError):
@@ -7,10 +7,6 @@ class ModelError(RuntimeError):
     Raised when ``sample_lambda`` fails on its own domain or when a
     response function returns something other than -1 or +1.
     """
-
-
-class ResourceLimitError(RuntimeError):
-    """An enumeration guard was exceeded (e.g. too many GHZ variables)."""
 
 
 class BoundViolationError(RuntimeError):

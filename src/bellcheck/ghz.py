@@ -16,13 +16,8 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .core import validate_outcome
-from .errors import ResourceLimitError
 
 PARTIES = ("A", "B", "C", "D")
-
-#: Variable count above which a system is refused, so the assignment
-#: space a verdict covers stays within 2**24.
-MAX_VARIABLES = 24
 
 _ANGLE_RESOLUTION = 1e-12
 _TWO_PI = 2 * math.pi
@@ -155,12 +150,7 @@ def check_satisfiable(constraints: list[ProductConstraint]) -> SatResult:
     exactly when the bits under the mask have parity
     (popcount(mask) + [target == -1]) mod 2."""
     ordered, index, canon = _collect_variables(constraints)
-    n_vars = len(ordered)
-    if n_vars > MAX_VARIABLES:
-        raise ResourceLimitError(
-            f"{n_vars} distinct variables exceed the enumeration guard of {MAX_VARIABLES}"
-        )
-    total = 1 << n_vars
+    total = 1 << len(ordered)
 
     # echelon rows keyed by their lowest set bit, the row's pivot
     pivots: dict[int, tuple[int, int]] = {}

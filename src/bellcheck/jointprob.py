@@ -23,6 +23,7 @@ from typing import Any, Mapping
 
 from .core import (
     ALL_BEHAVIORS,
+    CLASS_SIGNS,
     DOMAIN_SLACK,
     SETTING_PAIRS,
     VERDICT_SLACK,
@@ -38,9 +39,7 @@ from .simplex import solve_equality_feasibility  # noqa: F401
 
 # Statistics map: rows are the four correlations, the four marginals and
 # normalization; columns follow ALL_BEHAVIORS (code order).
-_CORR_ROWS = [
-    [beh.alice(i) * beh.bob(k) for beh in ALL_BEHAVIORS] for i, k in SETTING_PAIRS
-]
+_CORR_ROWS = [list(signs) for signs in CLASS_SIGNS.values()]
 _MARGINAL_ROWS = [
     [beh.a1 for beh in ALL_BEHAVIORS],
     [beh.a2 for beh in ALL_BEHAVIORS],
@@ -139,15 +138,10 @@ class FeasibilityResult:
     certificate: ViolatedFacet | None
 
 
-def jp_from_lhv(
-    model: LhvModel, class_weights: Mapping[Behavior, Any] | None = None
-) -> JointProbability:
-    """The joint probability an LHV model induces: exactly its class-
-    weight distribution. With no explicit weights, the model's declared
-    tag distribution (at pair (1,1)) is enumerated."""
-    if class_weights is None:
-        class_weights = exact_class_weights(model, (1, 1))
-    return JointProbability(weights=dict(class_weights))
+def jp_from_lhv(model: LhvModel) -> JointProbability:
+    """The joint probability an LHV model induces: exactly its class-weight
+    distribution, the model's declared tag distribution at pair (1,1)."""
+    return JointProbability(weights=exact_class_weights(model, (1, 1)))
 
 
 def statistics_of(jp: JointProbability) -> BehaviorStatistics:

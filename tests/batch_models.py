@@ -13,7 +13,9 @@ and these helpers give the tests such models:
 - ``lookup_twins``: a finite-domain model without its declared
   distribution, on twins that index arrays of its scalar responses.
 
-``wide_table_model`` declares 2^16 tags, the costliest compile here.
+``wide_table_model`` declares 2^16 tags, the costliest compile here, and
+``declared_model`` declares its class weights pair by pair, as
+``tilted_model`` does to break measurement independence by 10^-15.
 ``LHV_ROUTES`` puts them next to the zoo models, one entry per route a
 count can take, ``route_model`` builds each route's model once and
 ``log_model`` the model its trial logs run on.
@@ -99,6 +101,34 @@ def wide_table_model() -> LhvModel:
         enumerate_lambda=lambda pair: [(t, weight) for t in range(WIDE_TAGS)],
         description="tag uniform over 2^16 declared tags",
     )
+
+
+def declared_model(per_pair, name="declared") -> LhvModel:
+    """A model whose tag is a behavior code, declaring for each setting pair
+    the weights ``per_pair[pair]`` ({Behavior: rational weight}), which may
+    differ between pairs."""
+    return LhvModel(
+        name=name,
+        respond_alice=lambda index, lam: Behavior.from_code(lam).alice(index),
+        respond_bob=lambda index, lam: Behavior.from_code(lam).bob(index),
+        sample_lambda=lambda rng, n, pair: rng.integers(0, 16, size=n),
+        declares_mi=False,
+        enumerate_lambda=lambda pair: [(beh.code, w) for beh, w in per_pair[pair].items()],
+        description="declared class weights per setting pair",
+    )
+
+
+#: The tilt of ``tilted_model``: 10^-15, below ``core.DOMAIN_SLACK``.
+TILT = Fraction(1, 10**15)
+
+
+def tilted_model() -> LhvModel:
+    """Dice-coin's two classes at 1/2 each on pair (1,1), and at 1/2 +- TILT
+    on pairs (1,2), (2,1) and (2,2)."""
+    half = Fraction(1, 2)
+    up, down = Behavior(1, -1, 1, 1), Behavior(1, 1, 1, -1)
+    weights = {pair: {up: half + TILT, down: half - TILT} for pair in SETTING_PAIRS[1:]}
+    return declared_model({(1, 1): {up: half, down: half}, **weights}, name="tilted")
 
 
 #: (id, model factory): every zoo model on its declared distribution, each

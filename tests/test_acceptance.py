@@ -17,9 +17,9 @@ from bellcheck.engine import (
     chsh_statistic,
     class_frequencies,
     count_experiment,
-    exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
+    exact_mi_holds,
     hoeffding_epsilon,
     mi_diagnostic,
     theoretical_chsh,
@@ -138,7 +138,7 @@ def test_criterion_6_jp_construction_soundness():
         for factory in (dice_coin_model, cosine_sign_model, conspiracy_model):
             model = factory()
             weights = exact_class_weights(model, (1, 1))
-            stats = statistics_of(jp_from_lhv(model, weights))
+            stats = statistics_of(jp_from_lhv(model))
             expected = theoretical_correlations(weights)
             assert stats.correlations.as_tuple() == expected.as_tuple()
 
@@ -164,9 +164,7 @@ def test_criterion_8_mi_diagnostic_discriminates():
             (cosine_sign_model, True),
             (conspiracy_model, False),
         ):
-            model = factory()
-            mi = mi_diagnostic(exact_class_frequencies(model), tolerance=1e-12)
-            assert mi.holds is expected
+            assert exact_mi_holds(factory()) is expected
 
         n = 100_000
         model = conspiracy_model()

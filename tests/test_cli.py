@@ -16,6 +16,7 @@ from bellcheck import cli, engine, jointprob, quantum
 from bellcheck.core import Behavior
 from bellcheck.jointprob import JointProbability, statistics_of
 from bellcheck.streams import BLOCK_SIZE, draw_counts
+from batch_models import tilted_model
 
 
 def run_cli(args):
@@ -65,15 +66,6 @@ class TestRun:
         for path in (a, b):
             assert run_cli(["run", "--model", "dice-coin", "--n", "5000",
                             "--seed", "7", "--out", str(path)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_byte_identical_across_workers(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        monkeypatch.setenv("BELLCHECK_THREADS", "1")
-        run_cli(["run", "--model", "cosine-sign", "--n", "40000", "--seed", "1", "--out", str(a)])
-        monkeypatch.setenv("BELLCHECK_THREADS", "4")
-        run_cli(["run", "--model", "cosine-sign", "--n", "40000", "--seed", "1",
-                 "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
     def test_quantum_run(self, tmp_path):
@@ -312,6 +304,13 @@ class TestBound:
 
     def test_quantum_rejected(self):
         assert run_cli(["bound", "--model", "quantum"]) == cli.EXIT_CONFIG
+
+    def test_mi_verdict_is_integer_equality(self, capsys, monkeypatch):
+        # pairs (1,2), (2,1) and (2,2) tilt one weight by 10^-15
+        monkeypatch.setattr(cli, "get_model", lambda name, angles=None: tilted_model())
+        assert run_cli(["bound", "--model", "dice-coin"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["model"] == "dice-coin" and out["mi_holds_exact"] is False
 
 
 class TestFineCheck:
@@ -564,15 +563,6 @@ class TestGhzCheck:
         assert run_cli(["ghz-check", "--phi", repr(1304 * 2 * math.pi)]) == cli.EXIT_CONFIG
         assert "2**13" in capsys.readouterr().err
 
-    def test_resource_guard_exit_code(self, monkeypatch):
-        from bellcheck import cli as cli_mod
-        from bellcheck.errors import ResourceLimitError
-
-        def explode(constraints):
-            raise ResourceLimitError("too many variables")
-
-        monkeypatch.setattr(cli_mod.ghz_mod, "check_satisfiable", explode)
-        assert run_cli(["ghz-check"]) == cli.EXIT_RESOURCE
 
 
 class TestZooCommand:

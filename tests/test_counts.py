@@ -11,10 +11,9 @@ path's class counts from it (stream scheme v4), while the log still draws
 its tags through ``sample_lambda`` (on batch twins, see
 ``batch_models.log_model``): both must follow the declared distribution
 (``trial_reference.assert_counts_follow``). Every route is
-checked at block-edge sizes, and the count path gives equal counts on one
-worker and on three. The singlet has no trial log: its counts follow the
-singlet's probabilities as the per-trial reference of ``trial_reference``
-does, on one worker and on three, and the threshold tests feed its
+checked at block-edge sizes. The singlet has no trial log: its counts
+follow the singlet's probabilities as the per-trial reference of
+``trial_reference`` does, and the threshold tests feed its
 raw-word limits words on both sides of every limit. The count loop
 (``streams.draw_counts``, stream scheme v4) must give exactly the counts of
 one draw per series on block 0's ``trial_stream``: a multinomial over a
@@ -72,17 +71,12 @@ SEEDS = range(200)
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
-def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
+def test_lhv_counts_match_the_trial_log(factory, n):
     model, logged = route_model(factory), log_model(factory)
-    monkeypatch.setenv("BELLCHECK_THREADS", "1")
     log = log_counts(run_experiment(logged, n, seed=23), logged)
-    counts = count_experiment(model, n, seed=23)
-    monkeypatch.setenv("BELLCHECK_THREADS", "3")
-    assert_same_counts(count_experiment(model, n, seed=23), counts)
     if model.class_distribution is None:
-        assert_same_counts(counts, log)
+        assert_same_counts(count_experiment(model, n, seed=23), log)
         return
-    monkeypatch.setenv("BELLCHECK_THREADS", "1")
     weights = reference_class_weights(model)
     assert_counts_follow(class_runs([log]), weights)
     assert_counts_follow(class_runs(count_experiment(model, n, seed) for seed in SEEDS), weights)
@@ -90,14 +84,10 @@ def test_lhv_counts_match_the_trial_log(factory, n, monkeypatch):
 
 @pytest.mark.parametrize("n", [1, BLOCK_SIZE + 1])
 @pytest.mark.parametrize("angles", [TSIRELSON_ANGLES, AnglePair(0.3, 1.9, -0.8, 2.6)], ids=["tsirelson", "custom"])
-def test_quantum_counts_match_the_trial_log(angles, n, monkeypatch):
+def test_quantum_counts_match_the_trial_log(angles, n):
     # the singlet's trial-by-trial counts come from the per-trial reference
     weights = singlet_weights(angles)
     assert_counts_follow(agreement_runs([singlet_reference_counts(angles, n, 29)]), weights)
-    monkeypatch.setenv("BELLCHECK_THREADS", "1")
-    counts = count_quantum_experiment(angles, n, seed=29)
-    monkeypatch.setenv("BELLCHECK_THREADS", "3")
-    assert_same_counts(count_quantum_experiment(angles, n, seed=29), counts)
     assert_counts_follow(agreement_runs(count_quantum_experiment(angles, n, seed) for seed in SEEDS), weights)
 
 

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
+from bellcheck.core import ALL_BEHAVIORS, DOMAIN_SLACK, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
 from bellcheck import engine, streams
 from bellcheck.engine import (
     ChshReport,
+    ClassFrequencies,
     RunCounts,
     Series,
     TrialLog,
@@ -20,9 +21,9 @@ from bellcheck.engine import (
     class_frequencies,
     count_experiment,
     empirical_table,
-    exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
+    exact_mi_holds,
     hoeffding_epsilon,
     log_counts,
     mi_diagnostic,
@@ -36,7 +37,7 @@ from bellcheck.errors import ModelError
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
-from batch_models import lookup_twins, without_distribution
+from batch_models import declared_model, lookup_twins, tilted_model, without_distribution
 from trial_reference import assert_same_counts
 
 DICE_WEIGHTS = {
@@ -106,20 +107,6 @@ class TestRunExperiment:
     def test_seeded_determinism(self):
         a = count_experiment(dice_coin_model(), 40_000, seed=9)
         b = count_experiment(dice_coin_model(), 40_000, seed=9)
-        assert_same_counts(a, b)
-
-    def test_worker_count_invariance(self, monkeypatch):
-        monkeypatch.setenv("BELLCHECK_THREADS", "1")
-        a = count_experiment(dice_coin_model(), 50_000, seed=3)
-        monkeypatch.setenv("BELLCHECK_THREADS", "4")
-        b = count_experiment(dice_coin_model(), 50_000, seed=3)
-        assert_same_counts(a, b)
-
-    def test_env_var_worker_cap(self, monkeypatch):
-        monkeypatch.setenv("BELLCHECK_THREADS", "3")
-        a = count_experiment(dice_coin_model(), 20_000, seed=5)
-        monkeypatch.delenv("BELLCHECK_THREADS")
-        b = count_experiment(dice_coin_model(), 20_000, seed=5)
         assert_same_counts(a, b)
 
     def test_sampler_failure_becomes_model_error(self):
@@ -367,21 +354,24 @@ class TestTheoreticalChsh:
         assert s == chsh_statistic(theoretical_correlations(weights))
 
 
+def exact_frequencies(model) -> ClassFrequencies:
+    """A model's exact class weights at each setting pair, as frequencies."""
+    return ClassFrequencies(per_pair={pair: exact_class_weights(model, pair) for pair in SETTING_PAIRS})
+
+
 class TestMiDiagnostic:
     def test_dice_exact_holds(self):
-        mi = mi_diagnostic(exact_class_frequencies(dice_coin_model()), tolerance=1e-12)
+        mi = mi_diagnostic(exact_frequencies(dice_coin_model()), tolerance=1e-12)
         assert mi.holds
         assert mi.max_deviation == 0
 
     def test_conspiracy_fails(self):
-        mi = mi_diagnostic(exact_class_frequencies(conspiracy_model()), tolerance=1e-12)
+        mi = mi_diagnostic(exact_frequencies(conspiracy_model()), tolerance=1e-12)
         assert not mi.holds
         assert mi.max_deviation == 1.0
         assert mi.worst_pair in SETTING_PAIRS[1:]
 
     def test_requires_all_four_pairs(self):
-        from bellcheck.engine import ClassFrequencies
-
         partial = ClassFrequencies(per_pair={(1, 1): {Behavior(1, 1, 1, 1): 1.0}})
         with pytest.raises(ValueError):
             mi_diagnostic(partial, tolerance=0.1)
@@ -494,7 +484,67 @@ class TestViolationTest:
             assert pmf[excess >= t].sum() <= math.exp(-n * t * t / 8) * (1 + 1e-9), t
 
 
+class TestExactMiHolds:
+    def test_a_tilt_of_1e_15_breaks_independence(self):
+        model = tilted_model()
+        assert exact_mi_holds(model) is False
+        # the float diagnostic at DOMAIN_SLACK, once bound's verdict, passes it
+        mi = mi_diagnostic(exact_frequencies(model), DOMAIN_SLACK)
+        assert mi.holds and 0 < mi.max_deviation <= 1e-15
+
+    def test_pairs_declared_over_different_denominators_compare_as_weights(self):
+        # pair (2,2) declares one odd and one even tag at 1/2, the others six
+        # tags at 1/6: the same two class weights, over d = 2 and d = 6
+        def declared(pair):
+            return [(1, Fraction(1, 2)), (2, Fraction(1, 2))] if pair == (2, 2) else [(k, Fraction(1, 6)) for k in range(1, 7)]
+
+        assert exact_mi_holds(dataclasses.replace(dice_coin_model(), enumerate_lambda=declared)) is True
+
+    def test_needs_a_declared_distribution(self):
+        with pytest.raises(ValueError, match="exact tag distribution"):
+            exact_mi_holds(without_distribution(dice_coin_model()))
+
+
+def per_pair_route(model) -> tuple:
+    """The route exact_correlation_table replaced, kept as its reference:
+    each pair's exact class weights through theoretical_correlations."""
+    return tuple(theoretical_correlations(exact_class_weights(model, pair)).value(pair) for pair in SETTING_PAIRS)
+
+
+#: Angle sets (a1, a2, b1, b2) of cosine-sign for the differential test.
+COSINE_SIGN_ANGLES = [
+    (0.8, 1.0, 0.8, 2.0),
+    (0.0, 1.0, math.pi / 2, 2.0),
+    (0.3, 1.9, -0.8, 2.6),
+    (0.0, math.pi / 2, math.pi, -math.pi / 2),
+]
+
+pair_dependent_weights = st.tuples(*[rational_weights] * 4).map(lambda ws: dict(zip(SETTING_PAIRS, ws)))
+
+
 class TestExactTables:
+    @pytest.mark.parametrize(
+        "factory",
+        [dice_coin_model, cosine_sign_model, conspiracy_model]
+        + [lambda a=a: cosine_sign_model(*a) for a in COSINE_SIGN_ANGLES],
+        ids=["dice-coin", "cosine-sign", "conspiracy"] + [f"cosine-sign angles {i}" for i in range(len(COSINE_SIGN_ANGLES))],
+    )
+    def test_matches_the_per_pair_route(self, factory):
+        model = factory()
+        table = exact_correlation_table(model)
+        assert table.as_tuple() == per_pair_route(model)
+        assert all(type(e) is Fraction for e in table.as_tuple())
+
+    @given(pair_dependent_weights)
+    @settings(max_examples=200, deadline=None)
+    def test_declared_pair_dependent_weights_match_the_per_pair_route(self, per_pair):
+        model = declared_model(per_pair)
+        assert exact_correlation_table(model).as_tuple() == per_pair_route(model)
+
+    def test_needs_a_declared_distribution(self):
+        with pytest.raises(ValueError, match="exact tag distribution"):
+            exact_correlation_table(without_distribution(dice_coin_model()))
+
     def test_conspiracy_series_table(self):
         table = exact_correlation_table(conspiracy_model())
         assert table.as_tuple() == (1, -1, 1, 1)

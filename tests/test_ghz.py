@@ -6,9 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.errors import ResourceLimitError
 from bellcheck.ghz import (
-    MAX_VARIABLES,
     ProductConstraint,
     canonical_angle,
     check_satisfiable,
@@ -129,12 +127,34 @@ class TestCheckSatisfiable:
         result = check_satisfiable([c])
         assert result.witness == {("A", 0.0): 1}
 
-    def test_variable_guard(self):
-        constraints = [
-            ProductConstraint((("A", 0.01 * i),), 1) for i in range(MAX_VARIABLES + 1)
-        ]
-        with pytest.raises(ResourceLimitError):
-            check_satisfiable(constraints)
+    @staticmethod
+    def _planted_system(n_vars, seed):
+        """Rows of 2 to 5 distinct factors over n_vars variables, each
+        variable in at least one row, with targets set by a planted
+        assignment: satisfiable by construction."""
+        rng = random.Random(seed)
+        variables = [("ABCD"[i % 4], 0.01 * (i // 4)) for i in range(n_vars)]
+        planted = {v: rng.choice((-1, 1)) for v in variables}
+        order = rng.sample(variables, n_vars)
+        groups = [order[i:i + 3] for i in range(0, n_vars, 3)]
+        groups += [rng.sample(variables, rng.randint(2, 5)) for _ in range(n_vars // 2)]
+        return [ProductConstraint(tuple(g), math.prod(planted[v] for v in g)) for g in groups]
+
+    @pytest.mark.parametrize("n_vars", [25, 64, 200])
+    def test_planted_systems_past_two_to_the_24(self, n_vars):
+        # elimination has no variable cap: the planted system is satisfied
+        # by its witness, and one row more that contradicts two rows is not
+        constraints = self._planted_system(n_vars, seed=n_vars)
+        result = check_satisfiable(constraints)
+        assert result.satisfiable
+        assert len(result.witness) == n_vars
+        assert all(evaluate_constraint(c, result.witness) == c.target for c in constraints)
+        assert result.assignments_checked == 2**n_vars
+        first, last = constraints[0], constraints[-1]
+        contradiction = ProductConstraint(first.factors + last.factors, -first.target * last.target)
+        result = check_satisfiable(constraints + [contradiction])
+        assert (result.satisfiable, result.witness) == (False, None)
+        assert result.assignments_checked == 2**n_vars
 
     def test_angle_canonicalization_merges_variables(self):
         a = ProductConstraint((("A", 0.0),), 1)

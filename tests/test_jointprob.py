@@ -39,12 +39,12 @@ class TestJpFromLhv:
         }
 
     def test_constant_point_mass(self):
-        jp = jp_from_lhv(dice_coin_model(), {Behavior(1, 1, 1, 1): Fraction(1)})
+        jp = JointProbability({Behavior(1, 1, 1, 1): Fraction(1)})
         assert jp.weights == {Behavior(1, 1, 1, 1): Fraction(1)}
 
     def test_uniform_identity(self):
         w = {beh: Fraction(1, 16) for beh in ALL_BEHAVIORS}
-        assert jp_from_lhv(dice_coin_model(), w).weights == w
+        assert JointProbability(w).weights == w
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
@@ -221,7 +221,7 @@ class TestFineBSoundness:
     def test_statistics_match_theoretical_correlations(self, factory):
         model = factory()
         weights = exact_class_weights(model, (1, 1))
-        stats = statistics_of(jp_from_lhv(model, weights))
+        stats = statistics_of(jp_from_lhv(model))
         assert stats.correlations.as_tuple() == theoretical_correlations(weights).as_tuple()
 
     def test_dice_counterexample_has_jp(self):

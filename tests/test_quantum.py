@@ -88,9 +88,7 @@ class TestSampling:
         with pytest.raises(ValueError, match="n_per_series"):
             count_quantum_experiment(TSIRELSON_ANGLES, 2.5, seed=0)
 
-    def test_reproducible(self, monkeypatch):
-        monkeypatch.setenv("BELLCHECK_THREADS", "1")
+    def test_reproducible(self):
         a = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
-        monkeypatch.setenv("BELLCHECK_THREADS", "4")
         b = count_quantum_experiment(TSIRELSON_ANGLES, 30_000, seed=5)
         assert_same_counts(a, b)

@@ -11,10 +11,9 @@ from bellcheck.core import behavior_of
 from bellcheck.engine import (
     chsh_report,
     chsh_statistic,
-    exact_class_frequencies,
     exact_class_weights,
     exact_correlation_table,
-    mi_diagnostic,
+    exact_mi_holds,
     run_experiment,
     theoretical_chsh,
 )
@@ -74,8 +73,7 @@ class TestConspiracy:
         assert chsh_statistic(exact_correlation_table(conspiracy_model())) == 4
 
     def test_mi_fails(self):
-        mi = mi_diagnostic(exact_class_frequencies(conspiracy_model()), tolerance=1e-12)
-        assert not mi.holds
+        assert exact_mi_holds(conspiracy_model()) is False
 
 
 class TestZooContracts:
@@ -96,8 +94,7 @@ class TestZooContracts:
     def test_mi_declarations_match_diagnostic(self):
         for factory in (dice_coin_model, cosine_sign_model, conspiracy_model):
             model = factory()
-            mi = mi_diagnostic(exact_class_frequencies(model), tolerance=1e-12)
-            assert mi.holds == model.declares_mi
+            assert exact_mi_holds(model) is model.declares_mi
 
     def test_samplers_respect_requested_length(self):
         from bellcheck.streams import trial_stream
