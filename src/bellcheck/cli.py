@@ -186,7 +186,7 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
         freqs = class_frequencies(counts)
         n = counts.n_per_series
         out["class_frequencies"] = {
-            _pair_key(pair): {_COMPACT[c]: k / n for c, k in enumerate(counts.classes[pair].tolist()) if k}
+            _pair_key(pair): {_COMPACT[c]: k / n for c, k in enumerate(counts.classes[pair]) if k}
             for pair in SETTING_PAIRS
         }
         tolerance = 3 * hoeffding_epsilon(n, value_range=1.0)

@@ -145,10 +145,6 @@ class CorrelationTable:
         i, k = pair
         return self.as_tuple()[2 * (i - 1) + (k - 1)]
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(v, Rational) for v in self.as_tuple())
-
 
 # Batch samplers receive a dedicated random stream, a trial count, and the
 # setting pair; they return one tag per trial. Models that honour

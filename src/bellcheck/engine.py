@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from numbers import Integral
 from typing import Any, Callable, Iterator, Mapping
 
 import numpy as np
@@ -46,7 +47,7 @@ from .core import (
     within,
 )
 from .errors import BoundViolationError, ModelError
-from .streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, trial_stream, validate_seed
+from .streams import check_run, draw_counts, iter_blocks, trial_stream
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -96,12 +97,13 @@ class RunCounts:
     ``agree[pair]`` counts the trials whose two clicks agree;
     ``classes[pair]`` holds the count of each of the 16 behavior classes,
     indexed by code, for runs with hidden-variable tags (None otherwise).
+    Runs make every count a Python int, so no report reads a numpy type.
     """
 
     seed: int
     n_per_series: int
     agree: Mapping[tuple[int, int], int]
-    classes: Mapping[tuple[int, int], np.ndarray] | None = None
+    classes: Mapping[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         if set(self.agree) != set(SETTING_PAIRS):
@@ -110,8 +112,10 @@ class RunCounts:
             if not 0 <= agree <= self.n_per_series:
                 raise ValueError(f"pair {pair}: {agree} agreements in {self.n_per_series} trials")
         for pair, counts in (self.classes or {}).items():
-            if counts.sum() != self.n_per_series:
-                raise ValueError(f"pair {pair}: class counts sum to {counts.sum()}, not {self.n_per_series}")
+            total = sum(counts)  # a float if any entry is one
+            if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
+                raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
+                                 f"{self.n_per_series}, got {tuple(counts)}")
 
 
 @dataclass(frozen=True)
@@ -184,20 +188,6 @@ def violation_p_value(s_star: float, n: int) -> float:
     return math.exp(-n * t * t / 8)
 
 
-def check_run(n_per_series: int, seed: int) -> tuple[int, int]:
-    """Check a run's size and seed before anything is compiled or drawn,
-    and return both as Python ints."""
-    if (
-        isinstance(n_per_series, bool)
-        or not isinstance(n_per_series, (int, np.integer))
-        or n_per_series < 1
-    ):
-        raise ValueError(f"n_per_series must be an integer of at least 1, got {n_per_series!r}")
-    n = int(n_per_series)
-    check_block_count(-(-n // BLOCK_SIZE))
-    return n, validate_seed(seed)
-
-
 def _series(
     block_fn: Callable[[tuple[int, int], np.random.Generator, int], Any],
     reduce: Callable[[Iterator[Any]], Any],
@@ -263,8 +253,8 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     else:
         def count(pair, rng, k):
             return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
-        classes = _series(count, sum, n_per_series, seed)
-    agree = {pair: sum(compress(classes[pair].tolist(), _AGREEING[pair])) for pair in SETTING_PAIRS}
+        classes = _series(count, lambda blocks: tuple(sum(blocks).tolist()), n_per_series, seed)
+    agree = {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
     return RunCounts(seed, n_per_series, agree, classes)
 
 
@@ -280,7 +270,7 @@ def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
         for pair in SETTING_PAIRS:
             s = log.series[pair]
             known = {("alice", pair[0]): s.alice, ("bob", pair[1]): s.bob}
-            classes[pair] = np.bincount(behavior_codes(model, s.lambdas, known), minlength=16)
+            classes[pair] = tuple(np.bincount(behavior_codes(model, s.lambdas, known), minlength=16).tolist())
     return RunCounts(log.seed, log.n_per_series, agree, classes)
 
 
@@ -332,7 +322,7 @@ def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None)
         raise ValueError("class analysis needs class counts, which a quantum run does not have")
     n = counts.n_per_series
     return ClassFrequencies(per_pair={
-        pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair].tolist()) if k > 0}
+        pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair]) if k > 0}
         for pair in SETTING_PAIRS
     })
 

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass
 
 from .core import CorrelationTable, SETTING_PAIRS
-from .engine import RunCounts, check_run, chsh_statistic
-from .streams import draw_counts
+from .engine import RunCounts, chsh_statistic
+from .streams import check_run, draw_counts
 
 
 @dataclass(frozen=True)
@@ -96,4 +96,4 @@ def count_quantum_experiment(angles: AnglePair, n_per_series: int, seed: int) ->
     limits = {(i, k): _word_limits(angles.alice(i), angles.bob(k)) for i, k in SETTING_PAIRS}
     weights = {pair: (l2 - l0, 2**64 - (l2 - l0)) for pair, (l0, l2) in limits.items()}
     counts = draw_counts((weights, 2**64), n_per_series, seed)
-    return RunCounts(seed, n_per_series, {pair: int(counts[pair][1]) for pair in SETTING_PAIRS})
+    return RunCounts(seed, n_per_series, {pair: counts[pair][1] for pair in SETTING_PAIRS})

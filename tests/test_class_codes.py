@@ -355,7 +355,7 @@ def test_bad_model_exits_3(kwargs, message, monkeypatch, capsys):
     err = capsys.readouterr().err
     if message is None:
         counts = count_experiment(_model(name="bad-probe", **kwargs), n, seed=0)
-        assert all(counts.classes[p].sum() == counts.classes[p][15] == n for p in SETTING_PAIRS)
+        assert all(sum(counts.classes[p]) == counts.classes[p][15] == n for p in SETTING_PAIRS)
         assert (code, err) == (cli.EXIT_OK, "")
         return
     with pytest.raises(ModelError) as info:

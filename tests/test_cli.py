@@ -164,7 +164,7 @@ class TestRun:
         assert run_cli(["run", "--model", model, "--n", str(n), "--seed", "46"]) == 0
         assert json.loads(capsys.readouterr().out)["n_per_series"] == n
         [counts] = drawn
-        assert all(c.min() >= 0 and int(c.sum()) == n for c in counts.values())
+        assert all(min(c) >= 0 and sum(c) == n for c in counts.values())
         assert run_cli(["run", "--model", model, "--n", str(n + 1)]) == cli.EXIT_CONFIG
         assert capsys.readouterr().err == (
             "configuration error: n_per_series must be at most 70368744177664 "

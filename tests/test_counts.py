@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from batch_models import LHV_ROUTES, log_model, route_model, without_distribution
+from batch_models import LHV_ROUTES, log_model, lookup_twins, route_model, scalar_only, without_distribution
 from bellcheck.core import PAIR_CODES, SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
@@ -46,7 +46,7 @@ from bellcheck.engine import (
 )
 from bellcheck import core, engine, quantum, streams
 from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _word_limits, count_quantum_experiment
-from bellcheck.streams import BLOCK_SIZE, trial_stream
+from bellcheck.streams import BLOCK_SIZE, check_run, draw_counts, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 from trial_reference import (
     agreement_runs,
@@ -190,7 +190,7 @@ def test_one_outcome_pairs_key_no_stream(monkeypatch):
 
     monkeypatch.setattr(streams, "trial_stream", no_stream)
     classes = count_experiment(MODEL_FACTORIES["conspiracy"](), 49159, seed=3).classes
-    assert all(classes[pair].max() == 49159 for pair in SETTING_PAIRS)
+    assert all(max(classes[pair]) == 49159 for pair in SETTING_PAIRS)
     agree = count_quantum_experiment(DRAW_ANGLES["cos +-1"], 49159, seed=3).agree
     assert agree == {(1, 1): 0, (1, 2): 49159, (2, 1): 49159, (2, 2): 0}
 
@@ -235,7 +235,7 @@ def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
         model = log_model(factory)
         log = log_counts(run_experiment(model, 3000, seed=5), model)
         for pair in SETTING_PAIRS:
-            agree = sum(itertools.compress(log.classes[pair].tolist(), engine._AGREEING[pair]))
+            agree = sum(itertools.compress(log.classes[pair], engine._AGREEING[pair]))
             assert agree == log.agree[pair], (name, pair)
 
 
@@ -296,6 +296,77 @@ def test_run_counts_validation():
         RunCounts(0, 4, agree, classes)
     freqs = class_frequencies(RunCounts(0, 3, agree, classes))
     assert freqs.per_pair[(1, 2)] == {Behavior(1, 1, 1, 1): 2 / 3, Behavior(-1, -1, -1, -1): 1 / 3}
+
+
+@pytest.mark.parametrize("bad", [
+    (6, -1) + (0,) * 14,
+    (5,) + (0,) * 14,
+    (5,) + (0,) * 16,
+    (2.5, 2.5) + (0,) * 14,
+], ids=["negative entry", "15 entries", "17 entries", "float entries"])
+def test_run_counts_reject_a_class_vector_that_is_not_16_counts(bad):
+    """Each class vector sums to n here, and each is still refused, with
+    a message that names its pair."""
+    good = (5,) + (0,) * 15
+    classes = {pair: good for pair in SETTING_PAIRS} | {(2, 1): bad}
+    with pytest.raises(ValueError, match=r"pair \(2, 1\): class counts must be 16 nonnegative integers summing to 5"):
+        RunCounts(1, 5, dict.fromkeys(SETTING_PAIRS, 5), classes)
+
+
+def _singlet_draws(monkeypatch):
+    """The counts ``count_quantum_experiment`` draws at angles where pairs
+    (1, 1) and (2, 1) have one outcome (cos = +-1) and the others two."""
+    drawn = []
+
+    def recording(*args):
+        drawn.append(draw_counts(*args))
+        return drawn[-1]
+
+    monkeypatch.setattr(quantum, "draw_counts", recording)
+    count_quantum_experiment(AnglePair(0.0, math.pi, 0.0, math.pi / 4), 49159, seed=3)
+    [counts] = drawn
+    assert counts[(1, 1)] == (49159, 0) and counts[(2, 1)] == (0, 49159)
+    return counts
+
+
+def _log_classes(factory):
+    model = log_model(factory)
+    return log_counts(run_experiment(model, BLOCK_SIZE + 1, seed=3), model).classes
+
+
+#: Every source of class vectors, each a function of pytest's monkeypatch.
+COUNT_SOURCES = {
+    **{name: lambda mp, name=name: count_experiment(MODEL_FACTORIES[name](), 49159, seed=3).classes
+       for name in ("dice-coin", "cosine-sign", "conspiracy")},
+    "tag path, batch twins": lambda mp: count_experiment(
+        lookup_twins(MODEL_FACTORIES["dice-coin"]()), BLOCK_SIZE + 1, seed=3).classes,
+    "tag path, scalar responses": lambda mp: count_experiment(
+        scalar_only(MODEL_FACTORIES["dice-coin"]()), BLOCK_SIZE + 1, seed=3).classes,
+    "log_counts": lambda mp: _log_classes(MODEL_FACTORIES["cosine-sign"]),
+    "draw_counts, 16 classes": lambda mp: draw_counts(
+        (dict.fromkeys(SETTING_PAIRS, tuple(range(1, 17))), 136), 49159, seed=3),
+    "draw_counts, singlet": _singlet_draws,
+}
+
+
+@pytest.mark.parametrize("source", COUNT_SOURCES.values(), ids=COUNT_SOURCES)
+def test_class_vectors_are_tuples_of_python_ints(source, monkeypatch):
+    """Every count leaves the draw as a Python int, in a tuple per pair."""
+    counts = source(monkeypatch)
+    assert list(counts) == list(SETTING_PAIRS)
+    for pair, vector in counts.items():
+        assert type(vector) is tuple and all(type(k) is int for k in vector), (pair, vector)
+
+
+def test_run_check_takes_numpy_integers_and_refuses_bools_and_floats():
+    for n, seed in [(np.int32(5), np.uint64(2**64 - 1)), (np.uint64(5), np.int32(7))]:
+        checked = check_run(n, seed)
+        assert checked == (5, int(seed)) and all(type(v) is int for v in checked)
+    for bad in (True, np.bool_(True), 2.0, np.float64(2)):
+        with pytest.raises(ValueError, match="n_per_series must be an integer"):
+            check_run(bad, 0)
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            check_run(5, bad)
 
 
 class FixedWords:

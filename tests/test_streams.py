@@ -7,7 +7,7 @@ from bellcheck import engine
 from bellcheck.core import PAIR_CODES, SETTING_PAIRS
 from bellcheck.engine import VIOLATION_DELTA, chsh_report, count_experiment, exact_correlation_table, hoeffding_epsilon
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_correlation_table
-from bellcheck.streams import BLOCK_SIZE, check_block_count, draw_counts, iter_blocks, trial_stream, validate_seed
+from bellcheck.streams import BLOCK_SIZE, check_run, draw_counts, iter_blocks, trial_stream, validate_seed
 from bellcheck.zoo import get_model
 
 #: Edge seeds (one and two uint32 words, both ends) plus random ones.
@@ -71,15 +71,20 @@ def test_seed_validation():
         validate_seed(True)
 
 
-@pytest.mark.parametrize("n_blocks", [0, 1, 2**32])
-def test_block_count_accepts_up_to_two_to_the_32(n_blocks):
-    check_block_count(n_blocks)
+@pytest.mark.parametrize("n_blocks", [1, 2**32])
+def test_run_check_accepts_up_to_two_to_the_32_blocks(n_blocks):
+    for n in (BLOCK_SIZE * (n_blocks - 1) + 1, BLOCK_SIZE * n_blocks):
+        assert check_run(n, 7) == (n, 7)
 
 
-@pytest.mark.parametrize("n_blocks", [-1, 2**32 + 1])
-def test_block_count_rejects_block_indices_beyond_one_word(n_blocks):
-    with pytest.raises(ValueError, match="n_per_series must be at most 70368744177664 \\(2\\*\\*32 blocks"):
-        check_block_count(n_blocks)
+@pytest.mark.parametrize("n_blocks", [2**32 + 1, 2**33])
+def test_run_check_rejects_block_indices_beyond_one_word(n_blocks):
+    for n in (BLOCK_SIZE * (n_blocks - 1) + 1, BLOCK_SIZE * n_blocks):
+        with pytest.raises(ValueError) as info:
+            check_run(n, 7)
+        assert str(info.value) == (
+            f"n_per_series must be at most 70368744177664 (2**32 blocks of 16384 trials), got {n_blocks} blocks"
+        )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -152,9 +157,9 @@ def test_draw_counts_is_one_multinomial_on_block_0(seed, n):
             want[support] = n
         else:
             want[support] = trial_stream(seed, PAIR_CODES[pair], 0).multinomial(n, [nums[i] / 6 for i in support])
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, want), (pair, nums)
-        assert counts.sum() == n
+        assert type(counts) is tuple and all(type(k) is int for k in counts)
+        assert counts == tuple(want.tolist()), (pair, nums)
+        assert sum(counts) == n
 
 
 @pytest.mark.parametrize("name", ["dice-coin", "cosine-sign", "conspiracy", "quantum"])
