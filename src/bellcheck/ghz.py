@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .core import validate_outcome
 
@@ -26,6 +26,8 @@ _TWO_PI = 2 * math.pi
 #: are spaced 1.8e-12 apart, coarser than the grid, and k * 2*pi first
 #: misses grid point 0 at k = 1304 (8193.27).
 _MAX_ANGLE = 2.0**13
+#: Above this, an angle reduced modulo 2*pi names the grid point 0.
+_SEAM = _TWO_PI - _ANGLE_RESOLUTION / 2
 
 
 def canonical_angle(theta: float) -> float:
@@ -37,14 +39,14 @@ def canonical_angle(theta: float) -> float:
     An angle of magnitude 2**13 or more is rejected, since the float error
     of k * 2*pi there outgrows the grid.
     """
-    if not math.isfinite(theta):
-        raise ValueError("angle must be finite")
-    if abs(theta) >= _MAX_ANGLE:
+    if not abs(theta) < _MAX_ANGLE:
+        if not math.isfinite(theta):
+            raise ValueError("angle must be finite")
         raise ValueError(f"angle {theta!r} is too large: its magnitude must be below 2**13 = 8192")
     r = math.fmod(theta, _TWO_PI)
     if r < 0:
         r += _TWO_PI
-    if r > _TWO_PI - _ANGLE_RESOLUTION / 2:
+    if r > _SEAM:
         return 0.0
     return round(r / _ANGLE_RESOLUTION) * _ANGLE_RESOLUTION
 
@@ -105,8 +107,8 @@ def ghz_constraint_system(phi: float, include_fifth: bool = False) -> list[Produ
     """
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    if not math.isfinite(2 * phi):
-        raise ValueError(f"phi = {phi!r} is too large: the constraint angle 2*phi overflows a float")
+    if not abs(2 * phi) < _MAX_ANGLE:
+        raise ValueError(f"phi = {phi!r} is too large: the constraint angle 2*phi must be below 2**13 in magnitude")
     residue = canonical_angle(phi) % math.pi
     if min(residue, abs(residue - math.pi)) < _ANGLE_RESOLUTION * 2:
         raise ValueError("phi must not be 0 modulo pi; the variables collapse")
@@ -129,36 +131,32 @@ def ghz_constraint_system(phi: float, include_fifth: bool = False) -> list[Produ
     return constraints
 
 
-def _collect_variables(constraints: Iterable[ProductConstraint]):
-    variables: set[tuple[str, float]] = set()
-    canon = []
-    for c in constraints:
-        fs = c.canonical_factors()
-        canon.append((fs, c.target))
-        variables.update(fs)
-    ordered = sorted(variables)
-    index = {v: i for i, v in enumerate(ordered)}
-    return ordered, index, canon
-
-
 def check_satisfiable(constraints: list[ProductConstraint]) -> SatResult:
     """Decide the system by Gaussian elimination over GF(2).
 
-    Bit v of an assignment index gives variable v's value (0 -> -1,
-    1 -> +1). Factors that repeat an even number of times square away;
-    the rest form the constraint's mask, and the product meets the target
-    exactly when the bits under the mask have parity
-    (popcount(mask) + [target == -1]) mod 2."""
-    ordered, index, canon = _collect_variables(constraints)
+    A variable is named by its factor's canonical form, and each distinct
+    raw factor is canonicalized once per call. Bit v of an assignment index
+    gives sorted variable v's value (0 -> -1, 1 -> +1). Factors that repeat
+    an even number of times square away; the rest form the constraint's
+    mask, and the product meets the target exactly when the bits under the
+    mask have parity (popcount(mask) + [target == -1]) mod 2."""
+    canon: dict[tuple[str, float], tuple[str, float]] = {}
+    for c in constraints:
+        for f in c.factors:
+            if f not in canon:
+                canon[f] = (f[0], canonical_angle(f[1]))
+    ordered = sorted(set(canon.values()))
+    bit_of = {v: 1 << i for i, v in enumerate(ordered)}
+    bit = {f: bit_of[v] for f, v in canon.items()}
     total = 1 << len(ordered)
 
     # echelon rows keyed by their lowest set bit, the row's pivot
     pivots: dict[int, tuple[int, int]] = {}
-    for fs, target in canon:
+    for c in constraints:
         mask = 0
-        for v in fs:
-            mask ^= 1 << index[v]
-        parity = (mask.bit_count() + (target == -1)) & 1
+        for f in c.factors:
+            mask ^= bit[f]
+        parity = (mask.bit_count() + (c.target == -1)) & 1
         while mask:
             low = mask & -mask
             if low not in pivots:

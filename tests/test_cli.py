@@ -563,6 +563,13 @@ class TestGhzCheck:
         assert run_cli(["ghz-check", "--phi", repr(1304 * 2 * math.pi)]) == cli.EXIT_CONFIG
         assert "2**13" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("phi", ["5000", "-5000"])
+    def test_phi_whose_double_leaves_the_angle_grid_is_named(self, phi, capsys):
+        # phi itself is below 2**13, but the constraint angle 2*phi is not
+        assert run_cli(["ghz-check", "--phi", phi]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"phi = {float(phi)!r}" in err and "2*phi" in err and "2**13" in err
+        assert "angle 10000.0" not in err and "angle -10000.0" not in err
 
 
 class TestZooCommand:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellcheck import ghz
 from bellcheck.ghz import (
     ProductConstraint,
     canonical_angle,
@@ -63,6 +64,16 @@ class TestConstraintSystem:
     def test_other_phi_four_system_ok(self):
         cs = ghz_constraint_system(0.7)
         assert len(cs) == 4
+
+    def test_phi_whose_double_leaves_the_angle_grid_rejected(self):
+        # the angle 2*phi must be decidable, not only phi itself
+        for phi in (5000.0, -5000.0, 4096.0):
+            with pytest.raises(ValueError, match=r"2\*phi .*2\*\*13"):
+                ghz_constraint_system(phi)
+        cs = ghz_constraint_system(4095.9)
+        result = check_satisfiable(cs)
+        assert result.satisfiable
+        assert all(evaluate_constraint(c, result.witness) == c.target for c in cs)
 
 
 class TestCheckSatisfiable:
@@ -163,6 +174,34 @@ class TestCheckSatisfiable:
         assert not result.satisfiable
         assert result.assignments_checked == 2
 
+    def test_each_distinct_raw_factor_is_canonicalized_once(self, monkeypatch):
+        # the four-system's 16 factors are 8 distinct (party, angle) pairs
+        cs = ghz_constraint_system(math.pi / 2)
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return canonical_angle(theta)
+
+        monkeypatch.setattr(ghz, "canonical_angle", counted)
+        assert check_satisfiable(cs).satisfiable
+        assert len(calls) == 8
+
+    def test_the_first_bad_angle_raises_before_any_row_is_reduced(self):
+        # row 3 reduces to 0 = 1, but the angle of rows 2 and 4, the first one
+        # off the grid, raises; so does a bad angle after the contradiction
+        rows = [
+            ProductConstraint((("A", 0.0),), 1),
+            ProductConstraint((("B", 9000.5),), 1),
+            ProductConstraint((("A", 0.0),), -1),
+            ProductConstraint((("C", 0.0), ("B", 9000.5), ("D", -12345.0)), 1),
+        ]
+        with pytest.raises(ValueError) as info:
+            check_satisfiable(rows)
+        assert str(info.value) == "angle 9000.5 is too large: its magnitude must be below 2**13 = 8192"
+        with pytest.raises(ValueError, match="angle -12345.0 is too large"):
+            check_satisfiable([rows[0], rows[2], ProductConstraint((("D", -12345.0),), 1)])
+
     def test_a_turn_below_the_seam_names_the_zero_variable(self):
         # 165 * 2pi reduces to just under 2pi, and must not name a second variable
         a = ProductConstraint((("A", 0.0),), 1)
@@ -193,6 +232,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             canonical_angle(float("nan"))
 
+    def test_canonical_angle_names_a_non_finite_angle(self):
+        for theta in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^angle must be finite$"):
+                canonical_angle(theta)
+
     def test_canonical_angle_names_every_whole_turn_zero_below_two_to_the_13(self):
         assert all(canonical_angle(s * k * 2 * math.pi) == 0.0 for k in range(1, 1304) for s in (1, -1))
         for theta in (1304 * 2 * math.pi, -1304 * 2 * math.pi, 2.0**13, -(2.0**13), 1e300):
@@ -222,28 +266,52 @@ def brute_force(constraints):
 
 
 class TestAgainstBruteForce:
-    def _random_system(self, rng):
+    @staticmethod
+    def _spellings(theta, rng):
+        """Raw angles that canonicalize to theta's variable."""
+        spellings = [theta, theta + 2e-13, theta - 2e-13]
+        spellings += [theta + k * 2 * math.pi for k in (-3, -2, -1, 1, 2, 3)]
+        if theta == 0.0:
+            spellings += [-0.0, 2 * math.pi - 1e-13]
+        return rng.sample(spellings, rng.randint(2, 4))
+
+    def _random_system(self, rng, aliased=False):
+        """aliased: each variable appears under several raw spellings."""
         pool = [("ABCD"[i % 4], 0.25 * (i // 4)) for i in range(rng.randint(1, 12))]
+        if aliased:
+            names = {v: [(v[0], a) for a in self._spellings(v[1], rng)] for v in pool}
         rows = []
         for _ in range(rng.randint(1, len(pool) + 3)):
             factors = [rng.choice(pool) for _ in range(rng.randint(1, 6))]
             if rng.random() < 0.3:
                 factors += [rng.choice(factors)]  # a repeated factor
+            if aliased:
+                factors = [rng.choice(names[v]) for v in factors]
             rows.append(ProductConstraint(tuple(factors), rng.choice((-1, 1))))
         return rows
 
+    @staticmethod
+    def _agrees_with_brute_force(constraints):
+        result = check_satisfiable(constraints)
+        assert (result.satisfiable, result.witness, result.assignments_checked) == brute_force(constraints)
+        return result.satisfiable
+
     def test_random_systems(self):
         rng = random.Random(1212)
-        verdicts = set()
-        for _ in range(1200):
-            constraints = self._random_system(rng)
-            result = check_satisfiable(constraints)
-            satisfiable, witness, size = brute_force(constraints)
-            assert result.satisfiable == satisfiable
-            assert result.witness == witness
-            assert result.assignments_checked == size
-            verdicts.add(satisfiable)
+        verdicts = {self._agrees_with_brute_force(self._random_system(rng)) for _ in range(1200)}
         assert verdicts == {True, False}
+
+    def test_aliased_random_systems(self):
+        # raw spellings of one variable must merge exactly as the canonical
+        # form merges them, which brute_force applies to every factor
+        rng = random.Random(2727)
+        systems = [self._random_system(rng, aliased=True) for _ in range(1200)]
+        assert {self._agrees_with_brute_force(constraints) for constraints in systems} == {True, False}
+        merged = [
+            len({f for c in cs for f in c.factors}) > len({f for c in cs for f in c.canonical_factors()})
+            for cs in systems
+        ]
+        assert sum(merged) > 1000
 
     @pytest.mark.parametrize("phi", [math.pi / 2, 0.3, 1.1, 2.5, -0.7])
     def test_ghz_check_systems(self, phi):
