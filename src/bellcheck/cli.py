@@ -371,17 +371,18 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
 def cmd_ghz_check(args: argparse.Namespace) -> int:
     constraints = ghz_mod.ghz_constraint_system(args.phi, include_fifth=args.fifth)
     result = ghz_mod.check_satisfiable(constraints)
+    items = sorted(result.witness.items()) if result.witness else []
+    # the fewest significant digits, from 6 up to 17, that keep the keys distinct; past 6,
+    # each angle must also read back to itself, so that its key names its own grid point
+    digits = next(g for g in range(6, 18) if len({(p, f"{a:.{g}g}") for (p, a), _ in items}) == len(items)
+                  and (g == 6 or all(ghz_mod.canonical_angle(float(f"{a:.{g}g}")) == a for (_, a), _ in items)))
     out = {
         "phi": args.phi,
         "include_fifth": args.fifth,
         "n_constraints": len(constraints),
         "satisfiable": result.satisfiable,
         "assignments_checked": result.assignments_checked,
-        "witness": (
-            {f"{party}({angle:.6g})": value for (party, angle), value in sorted(result.witness.items())}
-            if result.witness
-            else None
-        ),
+        "witness": {f"{party}({angle:.{digits}g})": value for (party, angle), value in items} if items else None,
     }
     _emit(_render_json(out), args.out)
     return EXIT_OK

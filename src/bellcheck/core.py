@@ -76,6 +76,10 @@ class Behavior:
     def __post_init__(self):
         for v in (self.a1, self.a2, self.b1, self.b2):
             validate_outcome(v)
+        object.__setattr__(self, "_hash", hash(self.outcomes()))  # the generated hash's value, once
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def outcomes(self) -> tuple[int, int, int, int]:
         return (self.a1, self.a2, self.b1, self.b2)

@@ -49,16 +49,27 @@ _MARGINAL_ROWS = [
 STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
 
 
+# Sign tables for Fine's theorem, built once: the eight facets' signs on (e11,
+# e12, e21, e22) in _max_facet's order; per pair cell in _pair_cells order, (e,
+# m_a, m_b indices into the statistics, A, B); (A, B1, B2) and A*B1*B2 in
+# _triple_cells order; per class in code order, its (A1, B1, B2) and (A2, B1,
+# B2) indices in _TRIPLES, B1 and B2.
+_FACETS = tuple(tuple(sign * (-1) ** (i == j) for i in range(4)) for j in range(4) for sign in (1, -1))
+_PAIR_CELLS = tuple((j, i + 3, k + 5, alpha, beta) for j, (i, k) in enumerate(SETTING_PAIRS)
+                    for alpha in (-1, 1) for beta in (-1, 1))
+_TRIPLES = tuple((a, b1, b2) for a in (-1, 1) for b1 in (-1, 1) for b2 in (-1, 1))
+_PARITY = tuple(a * b1 * b2 for a, b1, b2 in _TRIPLES)
+_GLUE = tuple((_TRIPLES.index((b.a1, b.b1, b.b2)), _TRIPLES.index((b.a2, b.b1, b.b2)), b.b1, b.b2)
+              for b in ALL_BEHAVIORS)
+
+
 def _pair_cells(values, one=1):
     """Each pair table's four cells, times 4: one + A*m_a + B*m_b + A*B*E
     for setting pair (i, k) and outcomes (A, B), in SETTING_PAIRS order.
     ``values`` is (e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2); ``one`` is
     the common denominator of statistics given as integer numerators."""
-    for (i, k), e in zip(SETTING_PAIRS, values):
-        m_a, m_b = values[i + 3], values[k + 5]
-        for alpha in (-1, 1):
-            for beta in (-1, 1):
-                yield (i, k), alpha, beta, one + alpha * m_a + beta * m_b + alpha * beta * e
+    for e, a, b, alpha, beta in _PAIR_CELLS:
+        yield SETTING_PAIRS[e], alpha, beta, one + alpha * values[a] + beta * values[b] + alpha * beta * values[e]
 
 
 @dataclass(frozen=True)
@@ -154,16 +165,11 @@ def _max_facet(es) -> tuple[tuple[int, int, int, int], Any]:
     """The largest of the eight CHSH facet values of (e11, e12, e21, e22)
     and the signs that reach it. Negating term j gives S - 2*e_j, where S
     is the plain sum; the candidates run over j = 0..3, each with the +
-    sign before the - sign, and the first maximum wins."""
+    sign before the - sign (``_FACETS`` order), and the first maximum wins."""
     total = sum(es)
-    best = None
-    for j, e in enumerate(es):
-        value = total - 2 * e
-        signs = tuple(-1 if i == j else 1 for i in range(4))
-        for candidate in ((signs, value), (tuple(-s for s in signs), -value)):
-            if best is None or candidate[1] > best[1]:
-                best = candidate
-    return best
+    values = [v for e in es for v in (total - 2 * e, -(total - 2 * e))]
+    top = max(values)
+    return _FACETS[values.index(top)], top
 
 
 def chsh_criterion(table: CorrelationTable) -> tuple[bool, Any]:
@@ -184,28 +190,25 @@ def _scaled_floats(stats: BehaviorStatistics) -> tuple[list[int], int]:
     ratios = [float(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
     d = math.lcm(*(den for _, den in ratios))
     nums = [num * (d // den) for num, den in ratios]
-    _, top = _max_facet(nums[:4])
-    bounds = [(2 * d, top)] if top > 2 * d else []
-    bounds += [(d, d - cell) for *_, cell in _pair_cells(nums, d) if cell < 0]
-    p = q = 1
-    for num, den in bounds:
-        if num * q < p * den:
-            p, q = num, den
+    total = sum(nums[:4])
+    top = max(abs(total - 2 * e) for e in nums[:4])
+    # the least bound, the first of equal ones: the facet's 2d/top, then d/-x per cell d + x < 0
+    p, q = (2 * d, top) if top > 2 * d else (1, 1)
+    for e, a, b, alpha, beta in _PAIR_CELLS:
+        x = alpha * nums[a] + beta * nums[b] + alpha * beta * nums[e]
+        if x < -d and d * q < p * -x:
+            p, q = d, -x
     return [p * v for v in nums], q * d
 
 
-def _triple_cells(s: int, m_a: int, m_b1: int, m_b2: int, e1: int, e2: int, c: int) -> dict:
-    """8s times a distribution of (A, B1, B2), keyed by outcome, with the
+def _triple_cells(s: int, m_a: int, m_b1: int, m_b2: int, e1: int, e2: int, c: int) -> list[int]:
+    """8s times a distribution of (A, B1, B2), in ``_TRIPLES`` order, with the
     given means, E(A*B1) = e1/s, E(A*B2) = e2/s, E(B1*B2) = c/s and the
     third moment E(A*B1*B2) at its least feasible value."""
-    cells = {
-        (a, b1, b2): s + a * m_a + b1 * m_b1 + b2 * m_b2 + a * (b1 * e1 + b2 * e2) + b1 * b2 * c
-        for a in (-1, 1)
-        for b1 in (-1, 1)
-        for b2 in (-1, 1)
-    }
-    t = max(-n for (a, b1, b2), n in cells.items() if a * b1 * b2 == 1)
-    return {(a, b1, b2): n + a * b1 * b2 * t for (a, b1, b2), n in cells.items()}
+    cells = [s + a * m_a + b1 * m_b1 + b2 * m_b2 + a * (b1 * e1 + b2 * e2) + b1 * b2 * c
+             for a, b1, b2 in _TRIPLES]
+    t = max(-n for n, parity in zip(cells, _PARITY) if parity == 1)
+    return [n + parity * t for n, parity in zip(cells, _PARITY)]
 
 
 def _fine_witness(nums: list[int], s: int):
@@ -224,9 +227,8 @@ def _fine_witness(nums: list[int], s: int):
     c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
     first = _triple_cells(s, m_a1, m_b1, m_b2, e11, e12, c)
     second = _triple_cells(s, m_a2, m_b1, m_b2, e21, e22, c)
-    for beh in ALL_BEHAVIORS:
-        b1, b2 = beh.b1, beh.b2
-        n = first[beh.a1, b1, b2] * second[beh.a2, b1, b2]
+    for beh, (i, j, b1, b2) in zip(ALL_BEHAVIORS, _GLUE):
+        n = first[i] * second[j]
         if n:
             yield beh, n, 16 * s * (s + b1 * m_b1 + b2 * m_b2 + b1 * b2 * c)
 

@@ -552,6 +552,18 @@ class TestGhzCheck:
     def test_degenerate_phi(self):
         assert run_cli(["ghz-check", "--phi", "0"]) == cli.EXIT_CONFIG
 
+    def test_witness_keys_name_every_variable(self, capsys):
+        # phi = 2*pi - 1e-9: A(phi) and A(2*phi) agree to 6 significant digits
+        phi = 6.283185306179586
+        assert run_cli(["ghz-check", "--phi", repr(phi)]) == 0
+        witness = json.loads(capsys.readouterr().out)["witness"]
+        variables = sorted(bellcheck.ghz.check_satisfiable(bellcheck.ghz_constraint_system(phi)).witness.items())
+        assert len(witness) == len(variables) == 8
+        for key, ((party, angle), value) in zip(witness, variables):
+            match = re.fullmatch(r"([A-D])\((.+)\)", key)
+            assert match[1] == party and abs(float(match[2]) - angle) <= 1e-12, (key, angle)
+            assert witness[key] == value
+
     def test_phi_whose_double_overflows_is_named(self, capsys):
         # 1e308 is finite, but the constraint angle 2*phi is not
         assert run_cli(["ghz-check", "--phi", "1e308"]) == cli.EXIT_CONFIG

@@ -83,6 +83,13 @@ class TestBehavior:
         for beh in ALL_BEHAVIORS:
             assert Behavior.from_compact(beh.compact()) == beh
 
+    def test_hash_is_the_outcome_tuples_hash(self):
+        # computed once at construction; set order follows it, so it must not change
+        for beh in ALL_BEHAVIORS:
+            built = (beh, Behavior(*beh.outcomes()), Behavior.from_code(beh.code), Behavior.from_compact(beh.compact()))
+            assert {hash(b) for b in built} == {hash((beh.a1, beh.a2, beh.b1, beh.b2))}
+        assert list({Behavior.from_code(c) for c in range(16)}) == list(set(ALL_BEHAVIORS))
+
     def test_rejects_non_unit_outcomes(self):
         with pytest.raises(ValueError):
             Behavior(0, 1, 1, 1)

@@ -658,3 +658,165 @@ def test_float32_statistics():
     got = statistics_of(result.witness)
     got_vec = list(got.correlations.as_tuple()) + list(got.marginals())
     assert np.allclose(got_vec, list(es) + list(ms), rtol=0, atol=1e-12)
+
+
+# Fine's theorem as it was computed per call before the sign tables: tuples,
+# generators and dicts keyed by outcome. The tables must reproduce it exactly.
+def _ref_pair_cells(values, one=1):
+    for (i, k), e in zip(SETTING_PAIRS, values):
+        m_a, m_b = values[i + 3], values[k + 5]
+        for alpha in (-1, 1):
+            for beta in (-1, 1):
+                yield (i, k), alpha, beta, one + alpha * m_a + beta * m_b + alpha * beta * e
+
+
+def _ref_max_facet(es):
+    total = sum(es)
+    best = None
+    for j, e in enumerate(es):
+        value = total - 2 * e
+        signs = tuple(-1 if i == j else 1 for i in range(4))
+        for candidate in ((signs, value), (tuple(-s for s in signs), -value)):
+            if best is None or candidate[1] > best[1]:
+                best = candidate
+    return best
+
+
+def _ref_scaled_floats(stats):
+    ratios = [float(v).as_integer_ratio() for v in stats.correlations.as_tuple() + stats.marginals()]
+    d = math.lcm(*(den for _, den in ratios))
+    nums = [num * (d // den) for num, den in ratios]
+    _, top = _ref_max_facet(nums[:4])
+    bounds = [(2 * d, top)] if top > 2 * d else []
+    bounds += [(d, d - cell) for *_, cell in _ref_pair_cells(nums, d) if cell < 0]
+    p = q = 1
+    for num, den in bounds:
+        if num * q < p * den:
+            p, q = num, den
+    return [p * v for v in nums], q * d
+
+
+def _ref_triple_cells(s, m_a, m_b1, m_b2, e1, e2, c):
+    cells = {
+        (a, b1, b2): s + a * m_a + b1 * m_b1 + b2 * m_b2 + a * (b1 * e1 + b2 * e2) + b1 * b2 * c
+        for a in (-1, 1)
+        for b1 in (-1, 1)
+        for b2 in (-1, 1)
+    }
+    t = max(-n for (a, b1, b2), n in cells.items() if a * b1 * b2 == 1)
+    return {(a, b1, b2): n + a * b1 * b2 * t for (a, b1, b2), n in cells.items()}
+
+
+def _ref_fine_witness(nums, s):
+    e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2 = nums
+    c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
+    first = _ref_triple_cells(s, m_a1, m_b1, m_b2, e11, e12, c)
+    second = _ref_triple_cells(s, m_a2, m_b1, m_b2, e21, e22, c)
+    triples = []
+    for beh in ALL_BEHAVIORS:
+        b1, b2 = beh.b1, beh.b2
+        n = first[beh.a1, b1, b2] * second[beh.a2, b1, b2]
+        if n:
+            triples.append((beh, n, 16 * s * (s + b1 * m_b1 + b2 * m_b2 + b1 * b2 * c)))
+    return triples
+
+
+def _facet_key(facet):
+    """(signs, repr(value)): a signed zero or a value's type shows in the repr."""
+    signs, value = facet
+    return signs, repr(value)
+
+
+def _assert_witness_matches_reference(nums, s):
+    e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2 = nums
+    c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
+    for args in ((s, m_a1, m_b1, m_b2, e11, e12, c), (s, m_a2, m_b1, m_b2, e21, e22, c)):
+        assert jointprob._triple_cells(*args) == list(_ref_triple_cells(*args).values()), nums
+    assert list(jointprob._fine_witness(nums, s)) == _ref_fine_witness(nums, s), nums
+
+
+class TestSignTablesVsPerCallReference:
+    """The facet, pair cells, float scaling and witness read module-level
+    sign tables; each agrees exactly with the per-call reference above."""
+
+    def test_max_facet_on_raw_values(self):
+        # floats with signed zeros and ties, ints and Fractions, mixed
+        rng = random.Random(1982)
+        pool = [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 0, 1, -1, Fraction(1, 3), Fraction(-1, 2)]
+        ties = 0
+        for _ in range(20_000):
+            es = [rng.choice(pool) if rng.random() < 0.6 else rng.uniform(-1, 1) for _ in range(4)]
+            got, want = jointprob._max_facet(es), _ref_max_facet(es)
+            assert _facet_key(got) == _facet_key(want), es
+            values = [s * v for v in (sum(es) - 2 * e for e in es) for s in (1, -1)]
+            ties += values.count(want[1]) > 1
+        assert ties >= 2000, ties
+
+    def test_exact_statistics(self):
+        rng = random.Random(1948)
+        checked = feasible = tied = zero_cell = 0
+        while checked < 2000:
+            case = _differential_case(rng)
+            if case is None:
+                continue
+            nums, den, stats = case
+            checked += 1
+            scaled, d = stats.scaled
+            signs, top = _ref_max_facet(scaled[:4])
+            assert _facet_key(stats.facet) == _facet_key((signs, Fraction(top, d))), stats
+            es = stats.correlations.as_tuple()
+            assert _facet_key(jointprob._max_facet(es)) == _facet_key(_ref_max_facet(es)), stats
+            assert list(_pair_cells(scaled, d)) == list(_ref_pair_cells(scaled, d)), stats
+            zero_cell += min(cell for *_, cell in _ref_pair_cells(scaled, d)) == 0
+            if top > 2 * d:
+                continue
+            feasible += 1
+            tied += top == 2 * d
+            _assert_witness_matches_reference(scaled, d)
+        assert feasible >= 1000 and checked - feasible >= 100 and tied >= 300 and zero_cell >= 300, (
+            feasible, tied, zero_cell,
+        )
+
+    def test_float_statistics(self):
+        # exact cases as floats: half nudged by up to 3e-13 per statistic,
+        # often just outside the polytope (lambda < 1), half left on their
+        # facets and zero cells; zeros turn into -0.0 half the time
+        rng = random.Random(2014)
+        checked = feasible = outside = signed_zero = tied = zero_cell = 0
+        while checked < 2000:
+            case = _differential_case(rng)
+            if case is None:
+                continue
+            nums, den, _ = case
+            nudge = 3e-13 if rng.random() < 0.5 else 0.0
+            values = [n / den + rng.uniform(-nudge, nudge) for n in nums]
+            values = [-0.0 if v == 0 and rng.random() < 0.5 else v for v in values]
+            try:
+                stats = BehaviorStatistics(CorrelationTable(*values[:4]), *values[4:])
+            except ValueError:
+                continue
+            checked += 1
+            signed_zero += any(math.copysign(1, v) < 0 for v in values if v == 0)
+            es = stats.correlations.as_tuple()
+            want = _ref_max_facet(es)
+            assert _facet_key(stats.facet) == _facet_key(want), values
+            assert list(_pair_cells(values)) == list(_ref_pair_cells(values)), values
+            result = jp_feasible(stats)
+            assert result.feasible == (want[1] <= 2 + 1e-9), values
+            if not result.feasible:
+                assert _facet_key((result.certificate.signs, result.certificate.value)) == _facet_key(want)
+                continue
+            feasible += 1
+            exact = [Fraction(v) for v in values]
+            outside += (
+                _ref_max_facet(exact[:4])[1] > 2 or min(cell for *_, cell in _ref_pair_cells(exact)) < 0
+            )
+            tied += want[1] == 2
+            zero_cell += min(cell for *_, cell in _ref_pair_cells(exact)) == 0
+            scaled = jointprob._scaled_floats(stats)
+            assert scaled == _ref_scaled_floats(stats), values
+            _assert_witness_matches_reference(*scaled)
+            weights = [(beh, n / d) for beh, n, d in _ref_fine_witness(*scaled)]
+            assert list(result.witness.weights.items()) == weights, values
+        assert feasible >= 1000 and outside >= 200 and signed_zero >= 200, (feasible, outside, signed_zero)
+        assert tied >= 200 and zero_cell >= 200, (tied, zero_cell)
