@@ -269,17 +269,21 @@ def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: 
     for each tag in ``lams``, from the model's batch twin when it has one
     and from its scalar response otherwise.
 
-    A response that raises or returns a value other than -1/+1 raises
-    ModelError naming the model and ``stage``.
+    A response that raises, answers in another shape than ``lams`` or
+    returns a value other than -1/+1 raises ModelError naming the model
+    and ``stage``.
     """
     where = f"model {model.name!r}: {stage}: respond_{party} at setting {index}"
     try:
         out = _batch_responses(
             getattr(model, f"respond_{party}"), getattr(model, f"respond_{party}_batch"), index, lams
         )
-        valid = np.all(np.abs(out) == 1)
+        shaped = out.shape == lams.shape
+        valid = shaped and np.all(np.abs(out) == 1)
     except Exception as exc:
         raise ModelError(f"{where} failed: {exc}") from exc
+    if not shaped:
+        raise ModelError(f"{where} returned outcomes of shape {out.shape} for tags of shape {lams.shape}")
     if not valid:
         raise ModelError(f"{where} returned a value other than -1/+1")
     return out
@@ -292,8 +296,9 @@ def behavior_codes(model: LhvModel, lams: np.ndarray, known=None) -> np.ndarray:
     class analysis stage."""
     lams = np.asarray(lams)
     known = known or {}
-    # all responses before any packing: packing between them left heap holes
-    # that raised the peak RSS of a 2^20-trial class analysis by 8 MB
+    # all responses before any packing: in one call over 2^20 tags, packing
+    # between them left heap holes worth 8 MB of peak RSS (engine's calls
+    # pass one block of tags, where the order moves nothing)
     outs = {side: known[side] if side in known else responses(model, *side, lams, "class analysis")
             for side in _CODE_BIT}
     return sum((outs[side] > 0).astype(np.uint8) << bit for side, bit in _CODE_BIT.items())

@@ -220,16 +220,28 @@ def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator,
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
     """Run the four series of an LHV model and log every click and tag:
     tags from ``sample_lambda``, clicks from the responses at each tag.
-    Each series concatenates its blocks in order."""
+    Each series writes its blocks in order into arrays of n trials: int8
+    clicks, and tags of the blocks' promoted dtype (what concatenating
+    them gives)."""
     n_per_series, seed = check_run(n_per_series, seed)
 
     def sample(pair, rng, count):
         lams = _draw_tags(model, pair, rng, count)
-        clicks = (core.responses(model, party, index, lams, "trial generation").astype(np.int8)
+        clicks = (core.responses(model, party, index, lams, "trial generation")
                   for party, index in (("alice", pair[0]), ("bob", pair[1])))
         return (*clicks, lams)
 
-    arrays = _series(sample, lambda blocks: [np.concatenate(a) for a in zip(*blocks)], n_per_series, seed)
+    def fill(blocks):
+        alice, bob = np.empty(n_per_series, np.int8), np.empty(n_per_series, np.int8)
+        for (_, start, stop), (a, b, lams) in zip(iter_blocks(n_per_series), blocks):
+            if start == 0:
+                lambdas = np.empty(n_per_series, lams.dtype)
+            elif (dtype := np.result_type(lambdas.dtype, lams.dtype)) != lambdas.dtype:
+                lambdas = lambdas.astype(dtype)
+            alice[start:stop], bob[start:stop], lambdas[start:stop] = a, b, lams
+        return alice, bob, lambdas
+
+    arrays = _series(sample, fill, n_per_series, seed)
     series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
     return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
 
@@ -267,10 +279,13 @@ def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
     classes = None
     if model is not None:
         classes = {}
-        for pair in SETTING_PAIRS:
-            s = log.series[pair]
-            known = {("alice", pair[0]): s.alice, ("bob", pair[1]): s.bob}
-            classes[pair] = tuple(np.bincount(behavior_codes(model, s.lambdas, known), minlength=16).tolist())
+        for i, k in SETTING_PAIRS:
+            s = log.series[(i, k)]
+            # block by block, so the two responses the clicks do not hold take one block's memory
+            blocks = (np.bincount(behavior_codes(model, s.lambdas[start:stop], {
+                ("alice", i): s.alice[start:stop], ("bob", k): s.bob[start:stop]}), minlength=16)
+                for _, start, stop in iter_blocks(log.n_per_series))
+            classes[(i, k)] = tuple(sum(blocks).tolist())
     return RunCounts(log.seed, log.n_per_series, agree, classes)
 
 
@@ -321,10 +336,14 @@ def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None)
     if counts.classes is None:
         raise ValueError("class analysis needs class counts, which a quantum run does not have")
     n = counts.n_per_series
-    return ClassFrequencies(per_pair={
+    # RunCounts checked the counts: nonnegative, n per pair. object.__new__
+    # skips ClassFrequencies' re-validation of the quotients.
+    freqs = object.__new__(ClassFrequencies)
+    object.__setattr__(freqs, "per_pair", {
         pair: {ALL_BEHAVIORS[c]: k / n for c, k in enumerate(counts.classes[pair]) if k > 0}
         for pair in SETTING_PAIRS
     })
+    return freqs
 
 
 def _compiled(model: LhvModel) -> tuple[dict[tuple[int, int], tuple[int, ...]], int]:

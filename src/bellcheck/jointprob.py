@@ -52,15 +52,16 @@ STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
 # Sign tables for Fine's theorem, built once: the eight facets' signs on (e11,
 # e12, e21, e22) in _max_facet's order; per pair cell in _pair_cells order, (e,
 # m_a, m_b indices into the statistics, A, B); (A, B1, B2) and A*B1*B2 in
-# _triple_cells order; per class in code order, its (A1, B1, B2) and (A2, B1,
-# B2) indices in _TRIPLES, B1 and B2.
+# _triple_cells order; the four (B1, B2); per class in code order, its (A1,
+# B1, B2) and (A2, B1, B2) indices in _TRIPLES and its (B1, B2) index.
 _FACETS = tuple(tuple(sign * (-1) ** (i == j) for i in range(4)) for j in range(4) for sign in (1, -1))
 _PAIR_CELLS = tuple((j, i + 3, k + 5, alpha, beta) for j, (i, k) in enumerate(SETTING_PAIRS)
                     for alpha in (-1, 1) for beta in (-1, 1))
 _TRIPLES = tuple((a, b1, b2) for a in (-1, 1) for b1 in (-1, 1) for b2 in (-1, 1))
 _PARITY = tuple(a * b1 * b2 for a, b1, b2 in _TRIPLES)
-_GLUE = tuple((_TRIPLES.index((b.a1, b.b1, b.b2)), _TRIPLES.index((b.a2, b.b1, b.b2)), b.b1, b.b2)
-              for b in ALL_BEHAVIORS)
+_B_PAIRS = tuple((b1, b2) for b1 in (-1, 1) for b2 in (-1, 1))
+_GLUE = tuple((_TRIPLES.index((b.a1, b.b1, b.b2)), _TRIPLES.index((b.a2, b.b1, b.b2)),
+               _B_PAIRS.index((b.b1, b.b2))) for b in ALL_BEHAVIORS)
 
 
 def _pair_cells(values, one=1):
@@ -227,10 +228,12 @@ def _fine_witness(nums: list[int], s: int):
     c = max(abs(e11 + e12), abs(e21 + e22), abs(m_b1 + m_b2)) - s
     first = _triple_cells(s, m_a1, m_b1, m_b2, e11, e12, c)
     second = _triple_cells(s, m_a2, m_b1, m_b2, e21, e22, c)
-    for beh, (i, j, b1, b2) in zip(ALL_BEHAVIORS, _GLUE):
+    # per (B1, B2): 64 s^2 P(b1, b2), the glue's denominator
+    glue = [16 * s * (s + b1 * m_b1 + b2 * m_b2 + b1 * b2 * c) for b1, b2 in _B_PAIRS]
+    for beh, (i, j, g) in zip(ALL_BEHAVIORS, _GLUE):
         n = first[i] * second[j]
         if n:
-            yield beh, n, 16 * s * (s + b1 * m_b1 + b2 * m_b2 + b1 * b2 * c)
+            yield beh, n, glue[g]
 
 
 def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:

@@ -12,6 +12,8 @@ and these helpers give the tests such models:
   bits with numpy, apart from ``Behavior``'s decoding.
 - ``lookup_twins``: a finite-domain model without its declared
   distribution, on twins that index arrays of its scalar responses.
+- ``direction_model``: float tags uniform in [0, 2*pi), which never
+  repeat, so a trial log of it is as large as a log gets per trial.
 
 ``wide_table_model`` declares 2^16 tags, the costliest compile here, and
 ``declared_model`` declares its class weights pair by pair, as
@@ -23,6 +25,7 @@ count can take, ``route_model`` builds each route's model once and
 
 import dataclasses
 import functools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +50,25 @@ def uniform_code_model() -> LhvModel:
         respond_alice_batch=_bit_twin({1: 3, 2: 2}),
         respond_bob_batch=_bit_twin({1: 1, 2: 0}),
         description="tag = behavior code, uniform over all 16",
+    )
+
+
+def direction_model() -> LhvModel:
+    """Alice answers sign(cos(a - lam)) at a in (0, pi/2), Bob the opposite
+    sign at b in (pi/4, 3*pi/4), for a float direction lam uniform in
+    [0, 2*pi); with scalar responses and their batch twins."""
+    angles = {"alice": (0.0, math.pi / 2), "bob": (math.pi / 4, 3 * math.pi / 4)}
+    scalar = lambda party, sign: lambda index, lam: sign if math.cos(angles[party][index - 1] - lam) >= 0 else -sign
+    twin = lambda party, sign: lambda index, lams: np.where(np.cos(angles[party][index - 1] - lams) >= 0, sign, -sign)
+    return LhvModel(
+        name="direction",
+        respond_alice=scalar("alice", 1),
+        respond_bob=scalar("bob", -1),
+        sample_lambda=lambda rng, n, pair: rng.random(n) * (2 * math.pi),
+        declares_mi=True,
+        respond_alice_batch=twin("alice", 1),
+        respond_bob_batch=twin("bob", -1),
+        description="sign(cos(angle - direction)) with a float direction",
     )
 
 

@@ -249,6 +249,37 @@ def test_bad_model_in_a_trial_log_is_model_error(kwargs, message):
     assert str(info.value) == message
 
 
+#: (case id, a batch twin's answer of another shape than n tags')
+MISSHAPEN = [
+    ("scalar", lambda n: 1),
+    ("one outcome", lambda n: np.array([1])),
+    ("n + 1 outcomes", lambda n: np.ones(n + 1, dtype=np.int8)),
+]
+
+
+@pytest.mark.parametrize("answer", [c[1] for c in MISSHAPEN], ids=[c[0] for c in MISSHAPEN])
+def test_batch_answer_of_another_shape_is_model_error(answer):
+    """A twin must answer in the tags' shape, since a broadcast answer would
+    stand for every tag's: on the tag path, in trial generation and in a
+    log's class analysis, which alone asks Alice's setting 2 about tag 1."""
+    n = 1000
+    shape = np.shape(answer(n))
+    message = "model '{}': {}: respond_{} at setting {} returned outcomes of shape {} for tags of shape (1000,)"
+    bad_bob = _model(name="shape-probe", enumerate_lambda=None, respond_bob_batch=lambda i, lams: answer(len(lams)))
+    for run, stage in ((count_experiment, "class analysis"), (run_experiment, "trial generation")):
+        with pytest.raises(ModelError) as info:
+            run(bad_bob, n, seed=0)
+        assert str(info.value) == message.format("shape-probe", stage, "bob", 1, shape)
+    late = dataclasses.replace(
+        _pair_one_misbehaving(lambda lam: 1),
+        respond_alice_batch=lambda i, lams: answer(len(lams)) if i == 2 and lams[0] == 1 else np.ones(len(lams)),
+    )
+    log = run_experiment(late, n, seed=0)
+    with pytest.raises(ModelError) as info:
+        class_frequencies(log, late)
+    assert str(info.value) == message.format("late-bad", "class analysis", "alice", 2, shape)
+
+
 def test_trial_log_answers_at_any_drawn_tag():
     """The log takes each click from the responses at the drawn tag, also
     at a tag the model does not declare."""

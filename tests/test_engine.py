@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import math
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.core import ALL_BEHAVIORS, DOMAIN_SLACK, SETTING_PAIRS, Behavior, CorrelationTable, LhvModel
+from bellcheck.core import (
+    ALL_BEHAVIORS,
+    DOMAIN_SLACK,
+    PAIR_CODES,
+    SETTING_PAIRS,
+    Behavior,
+    CorrelationTable,
+    LhvModel,
+    behavior_codes,
+)
 from bellcheck import engine, streams
 from bellcheck.engine import (
     ChshReport,
@@ -35,9 +46,16 @@ from bellcheck.engine import (
 )
 from bellcheck.errors import ModelError
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
-from bellcheck.streams import BLOCK_SIZE
+from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
-from batch_models import declared_model, lookup_twins, tilted_model, without_distribution
+from batch_models import (
+    declared_model,
+    direction_model,
+    lookup_twins,
+    tilted_model,
+    uniform_code_model,
+    without_distribution,
+)
 from trial_reference import assert_same_counts
 
 DICE_WEIGHTS = {
@@ -217,6 +235,108 @@ def test_every_series_samples_on_the_calling_thread(monkeypatch):
     assert threads == {threading.get_ident()}
 
 
+def whole_series_classes(log, model):
+    """Per pair, the class counts of one ``behavior_codes`` call over the
+    whole series: the reference for ``log_counts``' block-by-block pass."""
+    return {(i, k): tuple(np.bincount(behavior_codes(model, s.lambdas, {
+        ("alice", i): s.alice, ("bob", k): s.bob}), minlength=16).tolist())
+        for (i, k), s in log.series.items()}
+
+
+def code_bits_model():
+    """Tags uniform over the 16 behavior codes, each response read off its
+    bit of the code by the scalar responses alone."""
+    return LhvModel(
+        name="code-bits",
+        respond_alice=lambda index, lam: 1 if lam >> (4 - index) & 1 else -1,
+        respond_bob=lambda index, lam: 1 if lam >> (2 - index) & 1 else -1,
+        sample_lambda=lambda rng, n, pair: rng.integers(0, 16, size=n),
+        declares_mi=True,
+    )
+
+
+def traced_peak(call):
+    """call()'s result and the peak of the memory tracemalloc traces during
+    it, after a warm-up log of two blocks and its class analysis."""
+    model = direction_model()
+    class_frequencies(run_experiment(model, 2 * BLOCK_SIZE, seed=1), model)
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - held
+
+
+#: (case id, model factory): all 16 classes on batch twins and on scalar
+#: responses alone, and float tags on batch twins
+BLOCKWISE_MODELS = [
+    ("uniform-code twins", lambda: without_distribution(uniform_code_model())),
+    ("code bits scalar", code_bits_model),
+    ("direction twins", direction_model),
+]
+
+
+class TestBlockwiseTrialLog:
+    @pytest.mark.parametrize("factory", [c[1] for c in BLOCKWISE_MODELS], ids=[c[0] for c in BLOCKWISE_MODELS])
+    @pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 5])
+    def test_blockwise_classes_equal_whole_series_classes(self, factory, n):
+        model = factory()
+        log = run_experiment(model, n, seed=17)
+        counts = log_counts(log, model)
+        assert counts.classes == whole_series_classes(log, model)
+        assert all(type(c) is int for row in counts.classes.values() for c in row)
+        assert list(counts.classes) == list(SETTING_PAIRS)
+
+    @pytest.mark.parametrize("dtypes,logged", [
+        ((np.int64, np.float64, np.int64), np.float64),
+        ((np.float64, np.int64, np.int64), np.float64),
+        ((np.uint8, np.int8, np.uint8), np.int16),
+        ((np.int8, np.int8, np.int64), np.int64),
+    ], ids=["int64 to float64", "float64 to int64", "uint8 to int8", "int8 to int64 in the last block"])
+    def test_tags_take_the_dtype_concatenating_the_blocks_gives(self, dtypes, logged):
+        """A series whose blocks' tag dtypes differ logs the tag values and
+        the dtype that ``np.concatenate`` of its blocks gives."""
+        n = 2 * BLOCK_SIZE + 5
+
+        def sampler():
+            cycle = itertools.cycle(dtypes)
+            return lambda rng, count, pair: rng.integers(0, 16, size=count).astype(next(cycle))
+
+        twin = lambda shift: lambda index, lams: np.where(lams.astype(np.int64) >> (shift - index) & 1, 1, -1)
+        model = LhvModel("dtype-switch", lambda i, lam: 1, lambda i, lam: 1, sampler(), True,
+                         respond_alice_batch=twin(4), respond_bob_batch=twin(2))
+        log = run_experiment(model, n, seed=5)
+        reference = sampler()
+        for pair, s in log.series.items():
+            blocks = [reference(trial_stream(5, PAIR_CODES[pair], j), stop - start, pair)
+                      for j, start, stop in iter_blocks(n)]
+            expected = np.concatenate(blocks)
+            assert [b.dtype for b in blocks] == list(dtypes)
+            assert s.lambdas.dtype == expected.dtype == logged, pair
+            assert np.array_equal(s.lambdas, expected), pair
+            assert np.array_equal(s.alice, twin(4)(pair[0], expected)) and s.alice.dtype == np.int8
+            assert np.array_equal(s.bob, twin(2)(pair[1], expected)) and s.bob.dtype == np.int8
+        assert log_counts(log, model).classes == whole_series_classes(log, model)
+
+    def test_building_a_log_takes_its_bytes_and_a_block(self):
+        """At 2^18 float-tag trials per series the log holds 10 MiB, and
+        building it takes at most 1.1 times that."""
+        log, peak = traced_peak(lambda: run_experiment(direction_model(), 1 << 18, seed=11))
+        log_bytes = sum(a.nbytes for s in log.series.values() for a in (s.alice, s.bob, s.lambdas))
+        assert log_bytes == 4 * 10 * (1 << 18)
+        assert peak <= 1.1 * log_bytes, peak / log_bytes
+
+    def test_class_analysis_of_a_log_takes_a_block(self):
+        """The class analysis of that log takes at most 1 MiB on top of it."""
+        model = direction_model()
+        log = run_experiment(model, 1 << 18, seed=11)
+        _, peak = traced_peak(lambda: class_frequencies(log, model))
+        assert peak <= 1 << 20, peak
+
+
 def agreeing(n, **agree):
     """Run counts of n trials per pair: agree["e12"] agreements at pair
     (1, 2) and so on, n at every pair not named."""
@@ -286,6 +406,24 @@ class TestClassFrequencies:
         counts = count_quantum_experiment(TSIRELSON_ANGLES, 10, seed=0)
         with pytest.raises(ValueError, match="class"):
             class_frequencies(counts, dice_coin_model())
+
+    def test_counts_give_frequencies_without_revalidation(self, monkeypatch):
+        """RunCounts checked the counts, so class_frequencies makes no
+        validate_weights call; its frequencies still pass one."""
+        calls = []
+        monkeypatch.setattr(engine, "validate_weights", lambda weights: calls.append(weights))
+        model = without_distribution(dice_coin_model())
+        for counts in (count_experiment(model, 1000, seed=3), run_experiment(model, 1000, seed=3)):
+            freqs = class_frequencies(counts, model)
+            assert calls == []
+            for pair in SETTING_PAIRS:
+                validate_weights(freqs.per_pair[pair])
+
+    def test_caller_built_frequencies_are_validated(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ClassFrequencies({(1, 1): {Behavior(1, 1, 1, 1): 1.5, Behavior(-1, -1, -1, -1): -0.5}})
+        with pytest.raises(ValueError, match="sum to 0.5, not 1"):
+            ClassFrequencies({pair: {Behavior(1, 1, 1, 1): 0.5} for pair in SETTING_PAIRS})
 
     def test_never_more_than_16_classes(self):
         for model in map(lookup_twins, (dice_coin_model(), cosine_sign_model(), conspiracy_model())):
