@@ -276,7 +276,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def _frac_str(x) -> str:
-    return str(Fraction(x))
+    return str(x if type(x) is Fraction else Fraction(x))
 
 
 def _exact_and_float(x) -> dict:
@@ -344,14 +344,13 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
         raise ValueError(f"--correlations/--marginals: common denominator exceeds {_MAX_DENOMINATOR_DIGITS} digits")
     stats = BehaviorStatistics(CorrelationTable(*es), *ms)
     result = jp_feasible(stats)
+    weights = result.witness.weights if result.witness else None
     out = {
         "feasible": result.feasible,
         "witness": (
-            {
-                beh.compact(): _frac_str(w)
-                for beh, w in sorted(result.witness.weights.items(), key=lambda kv: kv[0].code)
-            }
-            if result.witness
+            {_COMPACT[code]: _frac_str(w)
+             for code, beh in enumerate(ALL_BEHAVIORS) if (w := weights.get(beh)) is not None}
+            if weights is not None
             else None
         ),
         "violated_facet": (
@@ -395,10 +394,16 @@ def cmd_zoo(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once: parse_args keeps no state
     between calls."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subparsers action's choices: each
+    command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="bellcheck",
         description="Run and verify Bell/CHSH experiments on hidden-variable models.",
@@ -434,11 +439,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     zoo = sub.add_parser("zoo", help="list available models")
     zoo.set_defaults(func=cmd_zoo)
-    return parser
+    return parser, sub.choices
+
+
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with the same namespace, output
+    and exit status, but an argv that starts with a command's name skips
+    the top-level pass: that command's parser takes the rest, as the
+    subparsers action would, and leftovers get the top-level error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except ModelError as exc:

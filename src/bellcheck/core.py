@@ -36,11 +36,17 @@ DOMAIN_SLACK = 1e-12
 VERDICT_SLACK = 1e-9
 
 
+def is_exact(value) -> bool:
+    """Whether value is Rational: a float or a Fraction by its exact type,
+    which is faster, and any other type (subclasses too) by the ABC check."""
+    return type(value) is Fraction or type(value) is not float and isinstance(value, Rational)
+
+
 def within(value, limit, slack) -> bool:
     """Whether value <= limit: exactly when value is Rational, otherwise
     as a float up to ``slack`` (DOMAIN_SLACK or VERDICT_SLACK). NaN is
     never within a limit."""
-    if isinstance(value, Rational):
+    if is_exact(value):
         return value <= limit
     return float(value) <= limit + slack
 
@@ -54,7 +60,7 @@ def validate_outcome(value: int) -> int:
 
 def _check_unit_interval(name: str, value) -> None:
     # an exact value is decided in integers, as |numerator| <= denominator
-    if not (abs(value.numerator) <= abs(value.denominator) if isinstance(value, Rational)
+    if not (abs(value.numerator) <= abs(value.denominator) if is_exact(value)
             else within(value, 1, DOMAIN_SLACK) and within(-value, 1, DOMAIN_SLACK)):
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
@@ -254,9 +260,18 @@ def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
 def _batch_responses(
     scalar: ResponseFn, batch: BatchResponseFn | None, index: int, lams: np.ndarray
 ) -> np.ndarray:
+    """The batch twin's answer as an array, else the scalar responses', each
+    of which must equal -1 or +1 (``_code_of``'s rule)."""
     if batch is not None:
         return np.asarray(batch(index, lams))
-    return np.fromiter((scalar(index, lam) for lam in lams), dtype=np.int64, count=len(lams))
+    outs = [scalar(index, lam) for lam in lams]
+    if not {1, -1}.issuperset(outs):
+        raise _NotAnOutcome
+    return np.array(outs, dtype=np.int64)
+
+
+class _NotAnOutcome(ValueError):
+    """A scalar response answered a value other than -1/+1."""
 
 
 #: The bit of a behavior code that holds each party's response at each
@@ -270,8 +285,9 @@ def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: 
     and from its scalar response otherwise.
 
     A response that raises, answers in another shape than ``lams`` or
-    returns a value other than -1/+1 raises ModelError naming the model
-    and ``stage``.
+    returns a value other than -1/+1 raises ModelError naming the model,
+    ``stage``, the party and the setting. A twin's dtype must be bool,
+    integer or float, so a complex or object array is refused as a whole.
     """
     where = f"model {model.name!r}: {stage}: respond_{party} at setting {index}"
     try:
@@ -279,7 +295,9 @@ def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: 
             getattr(model, f"respond_{party}"), getattr(model, f"respond_{party}_batch"), index, lams
         )
         shaped = out.shape == lams.shape
-        valid = shaped and np.all(np.abs(out) == 1)
+        valid = shaped and out.dtype.kind in "biuf" and np.all(np.abs(out) == 1)
+    except _NotAnOutcome:
+        shaped, valid = True, False
     except Exception as exc:
         raise ModelError(f"{where} failed: {exc}") from exc
     if not shaped:

@@ -266,27 +266,32 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
         def count(pair, rng, k):
             return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
         classes = _series(count, lambda blocks: tuple(sum(blocks).tolist()), n_per_series, seed)
-    agree = {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
-    return RunCounts(seed, n_per_series, agree, classes)
+    return RunCounts(seed, n_per_series, _agree(classes), classes)
+
+
+def _agree(classes: Mapping[tuple[int, int], tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """Per setting pair, the trials whose two clicks agree, from its class counts."""
+    return {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
 
 
 def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
-    """Reduce a trial log to its report's counts: agreements from the
-    clicks and, given the model, class counts from the logged tags. The
+    """Reduce a trial log to its report's counts. Without a model, the
+    agreements come from the clicks; given the model, class counts come
+    from the logged tags and the agreements from the class counts. The
     clicks are taken as the model's answers at the measured settings, as
     they are in every log that ``run_experiment`` makes."""
-    agree = {pair: _agreements(s) for pair, s in log.series.items()}
-    classes = None
-    if model is not None:
-        classes = {}
-        for i, k in SETTING_PAIRS:
-            s = log.series[(i, k)]
-            # block by block, so the two responses the clicks do not hold take one block's memory
-            blocks = (np.bincount(behavior_codes(model, s.lambdas[start:stop], {
-                ("alice", i): s.alice[start:stop], ("bob", k): s.bob[start:stop]}), minlength=16)
-                for _, start, stop in iter_blocks(log.n_per_series))
-            classes[(i, k)] = tuple(sum(blocks).tolist())
-    return RunCounts(log.seed, log.n_per_series, agree, classes)
+    if model is None:
+        agree = {pair: _agreements(s) for pair, s in log.series.items()}
+        return RunCounts(log.seed, log.n_per_series, agree)
+    classes = {}
+    for i, k in SETTING_PAIRS:
+        s = log.series[(i, k)]
+        # block by block, so the two responses the clicks do not hold take one block's memory
+        blocks = (np.bincount(behavior_codes(model, s.lambdas[start:stop], {
+            ("alice", i): s.alice[start:stop], ("bob", k): s.bob[start:stop]}), minlength=16)
+            for _, start, stop in iter_blocks(log.n_per_series))
+        classes[(i, k)] = tuple(sum(blocks).tolist())
+    return RunCounts(log.seed, log.n_per_series, _agree(classes), classes)
 
 
 def _agreements(series: Series) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Rational
 from typing import Any, Mapping
 
 from .core import (
@@ -31,6 +30,7 @@ from .core import (
     CorrelationTable,
     LhvModel,
     _check_unit_interval,
+    is_exact,
     within,
 )
 from .engine import exact_class_weights, theoretical_correlations, validate_weights
@@ -95,7 +95,7 @@ class BehaviorStatistics:
         for name, v in zip(("m_a1", "m_a2", "m_b1", "m_b2"), self.marginals()):
             _check_unit_interval(name, v)
         values = self.correlations.as_tuple() + self.marginals()
-        if all(isinstance(v, Rational) for v in values):
+        if all(map(is_exact, values)):
             # as Python ints: numpy's fixed-width integers would overflow
             d = math.lcm(*(int(v.denominator) for v in values))
             nums = [int(v.numerator) * (d // int(v.denominator)) for v in values]

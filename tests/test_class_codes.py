@@ -280,6 +280,66 @@ def test_batch_answer_of_another_shape_is_model_error(answer):
     assert str(info.value) == message.format("late-bad", "class analysis", "alice", 2, shape)
 
 
+#: (case id, the answer a response gives for n tags: a scalar response's
+#: at each tag, or an array, its batch twin's): answers that are not -1/+1
+#: by ``behavior_of``'s rule
+NOT_OUTCOMES = [
+    ("scalar 1.7", lambda n: 1.7),
+    ("scalar -0.5", lambda n: -0.5),
+    ("scalar nan", lambda n: math.nan),
+    ("scalar 1j", lambda n: 1j),
+    ("scalar tuple", lambda n: (1,)),
+    ("twin 1j", lambda n: np.full(n, 1j)),
+    ("twin 1+0j", lambda n: np.full(n, 1 + 0j)),
+    ("twin object 1j", lambda n: np.array([1j] * n, dtype=object)),
+]
+
+
+@pytest.mark.parametrize("answer", [c[1] for c in NOT_OUTCOMES], ids=[c[0] for c in NOT_OUTCOMES])
+def test_answer_that_is_not_an_outcome_is_model_error(answer):
+    """A per-trial answer other than -1/+1 is refused, as ``behavior_of``
+    refuses it, on the tag path, in trial generation and in a log's class
+    analysis; a scalar answer is not truncated to an int, and a batch
+    twin's complex answer of modulus 1 is no outcome."""
+    n = 1000
+    twin = isinstance(answer(n), np.ndarray)
+    respond = (lambda i, lam: 1) if twin else (lambda i, lam: answer(1))
+    batch = {"respond_bob_batch": lambda i, lams: answer(len(lams))} if twin else {}
+    message = "model '{}': {}: respond_{} at setting {} returned a value other than -1/+1"
+    bad_bob = _model(name="value-probe", enumerate_lambda=None, respond_bob=respond, **batch)
+    for run, stage in ((count_experiment, "class analysis"), (run_experiment, "trial generation")):
+        with pytest.raises(ModelError) as info:
+            run(bad_bob, n, seed=0)
+        assert str(info.value) == message.format("value-probe", stage, "bob", 1)
+    late = _pair_one_misbehaving(lambda lam: answer(1) if lam == 1 else 1)
+    if twin:
+        late = dataclasses.replace(late, respond_alice_batch=lambda i, lams: (
+            answer(len(lams)) if i == 2 and lams[0] == 1 else np.ones(len(lams))))
+    log = run_experiment(late, n, seed=0)
+    with pytest.raises(ModelError) as info:
+        class_frequencies(log, late)
+    assert str(info.value) == message.format("late-bad", "class analysis", "alice", 2)
+
+
+#: Scalar answers equal to -1/+1 by ``behavior_of``'s rule, in types other
+#: than int: (+1, -1) in each
+EQUAL_TO_OUTCOMES = [(1.0, -1.0), (True, -1), (np.float64(1.0), np.int8(-1)), (Fraction(1), Fraction(-1))]
+
+
+@pytest.mark.parametrize("plus,minus", EQUAL_TO_OUTCOMES, ids=lambda v: type(v).__name__)
+def test_scalar_answers_equal_to_outcomes_count_as_them(plus, minus):
+    as_ints = scalar_only(MODEL_FACTORIES["dice-coin"]())
+    convert = lambda respond: lambda i, lam: plus if respond(i, lam) == 1 else minus
+    typed = dataclasses.replace(as_ints, respond_alice=convert(as_ints.respond_alice),
+                                respond_bob=convert(as_ints.respond_bob))
+    assert count_experiment(typed, 3000, seed=2).classes == count_experiment(as_ints, 3000, seed=2).classes
+    log, reference = run_experiment(typed, 3000, seed=2), run_experiment(as_ints, 3000, seed=2)
+    for pair in SETTING_PAIRS:
+        assert np.array_equal(log.series[pair].alice, reference.series[pair].alice)
+        assert np.array_equal(log.series[pair].bob, reference.series[pair].bob)
+    assert log_counts(log, typed).classes == log_counts(reference, as_ints).classes
+
+
 def test_trial_log_answers_at_any_drawn_tag():
     """The log takes each click from the responses at the drawn tag, also
     at a tag the model does not declare."""

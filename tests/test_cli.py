@@ -620,3 +620,85 @@ print("ok")
 def test_package_version_matches_pyproject():
     pyproject = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
     assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == bellcheck.__version__
+
+
+GOLDEN_ARGVS = [c["argv"] for c in json.loads((Path(__file__).parent / "data" / "run_golden.json").read_text())] + [
+    c["argv"] for c in GOLDEN_FINE_CHECK]
+
+#: (case id, argv) beyond the golden commands: help, command names that
+#: are not one, and the faults argparse reports
+DISPATCH_CASES = [
+    ("empty", []),
+    ("help", ["-h"]),
+    ("help before a command", ["-h", "run"]),
+    ("command help", ["run", "-h"]),
+    ("command help by prefix", ["fine-check", "--he"]),
+    ("help among faults", ["run", "-h", "--bogus"]),
+    ("unknown command", ["bogus"]),
+    ("abbreviated command", ["fine"]),
+    ("option before the command", ["--model", "dice-coin", "run"]),
+    ("bare run", ["run"]),
+    ("bare bound", ["bound"]),
+    ("unknown flag", ["run", "--bogus"]),
+    ("unknown flags and values", ["run", "--bogus", "1", "--model", "dice-coin", "-x"]),
+    ("abbreviated flag", ["run", "--mod", "dice-coin", "--se", "3"]),
+    ("abbreviated flag after an = flag", ["fine-check", "--correlations=0,0,0,0", "--m", "0,0,0,0"]),
+    ("bad int", ["run", "--n", "x"]),
+    ("bad choice", ["run", "--format", "xml"]),
+    ("flag without its value", ["run", "--model"]),
+    ("value that reads as a flag", ["fine-check", "--correlations", "-1,0,0,1"]),
+    ("extra positional", ["run", "--model", "dice-coin", "extra"]),
+    ("double dash", ["run", "--", "--model", "dice-coin"]),
+    ("double dash first", ["--", "run"]),
+    ("negative seed", ["run", "--model", "dice-coin", "--seed", "-1"]),
+    ("missing required option", ["fine-check"]),
+    ("missing required option with another", ["fine-check", "--marginals=0,0,0,0"]),
+    ("zoo x", ["zoo", "x"]),
+    ("flag given twice", ["bound", "--model", "dice-coin", "--model", "conspiracy"]),
+    ("phi", ["ghz-check", "--phi", "-0.5", "--fifth"]),
+]
+
+
+def _parsed(parse, argv, capsys):
+    """What ``parse(argv)`` gives: ("namespace", the namespace) or ("exit",
+    its exit code), and what it wrote to stdout and stderr."""
+    try:
+        result = "namespace", parse(argv)
+    except SystemExit as exc:
+        result = "exit", exc.code
+    return result, capsys.readouterr()
+
+
+class TestDispatch:
+    """main() parses through cli.parse_args, which sends an argv that starts
+    with a command's name straight to that command's parser. Every argv
+    must give what the top-level parser's parse_args gives: the namespace,
+    or the exit code, stdout and stderr."""
+
+    @pytest.mark.parametrize("argv", GOLDEN_ARGVS + [c[1] for c in DISPATCH_CASES],
+                             ids=[" ".join(a) for a in GOLDEN_ARGVS] + [c[0] for c in DISPATCH_CASES])
+    def test_dispatch_matches_the_top_level_parser(self, argv, capsys):
+        direct = _parsed(cli.parse_args, list(argv), capsys)
+        assert direct == _parsed(cli.build_parser().parse_args, list(argv), capsys)
+        if direct[0][0] == "namespace":
+            assert repr(direct[0][1]) == repr(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("argv", [c["argv"] for c in GOLDEN_FINE_CHECK[:2]] + [["run", "--bogus"], ["zoo"]])
+    def test_a_command_argv_skips_the_top_level_pass(self, argv, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser parsed a command argv")
+
+        monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+        assert _parsed(cli.parse_args, argv, capsys)[0][0] == ("exit" if "--bogus" in argv else "namespace")
+
+    def test_main_reads_sys_argv_and_takes_any_sequence(self, monkeypatch, capsys):
+        assert run_cli(("zoo",)) == 0
+        listed = capsys.readouterr()
+        monkeypatch.setattr(sys, "argv", ["bellcheck", "zoo"])
+        assert cli.main() == 0
+        assert capsys.readouterr() == listed
+        monkeypatch.setattr(sys, "argv", ["bellcheck", "zoo", "x"])
+        with pytest.raises(SystemExit) as info:
+            cli.main()
+        assert info.value.code == 2
+        assert capsys.readouterr().err.endswith("bellcheck: error: unrecognized arguments: x\n")

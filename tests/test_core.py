@@ -1,8 +1,10 @@
 from fractions import Fraction
+from numbers import Rational
 
 import numpy as np
 import pytest
 
+from bellcheck import core, jointprob
 from bellcheck.core import (
     ALL_BEHAVIORS,
     DOMAIN_SLACK,
@@ -10,8 +12,10 @@ from bellcheck.core import (
     Behavior,
     CorrelationTable,
     LhvModel,
+    _check_unit_interval,
     behavior_codes,
     behavior_of,
+    is_exact,
     within,
 )
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
@@ -135,3 +139,81 @@ class TestValidation:
         )
         with pytest.raises(ValueError):
             behavior_of(broken, 0)
+
+
+# Copies of the type tests before `is_exact`, which took the numbers.Rational
+# ABC check for every value: the exact-type checks must decide as they did.
+def _abc_within(value, limit, slack) -> bool:
+    if isinstance(value, Rational):
+        return value <= limit
+    return float(value) <= limit + slack
+
+
+def _abc_check_unit_interval(name: str, value) -> None:
+    if not (abs(value.numerator) <= abs(value.denominator) if isinstance(value, Rational)
+            else _abc_within(value, 1, DOMAIN_SLACK) and _abc_within(-value, 1, DOMAIN_SLACK)):
+        raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+
+
+class _FractionSubclass(Fraction):
+    pass
+
+
+#: Floats (-0.0, NaN, the infinities, 1 +- DOMAIN_SLACK and past it), numpy
+#: scalars, bools, ints, Fractions and a Fraction subclass, in [-1, 1] and out
+TYPED_VALUES = [
+    0.5, -0.0, float("nan"), float("inf"), float("-inf"),
+    1 + DOMAIN_SLACK, 1 - DOMAIN_SLACK, -1 - DOMAIN_SLACK, 1 + 2 * DOMAIN_SLACK, 2 + VERDICT_SLACK / 2,
+    np.float64(0.25), np.float64(1 + DOMAIN_SLACK), np.float64(-1 - 2 * DOMAIN_SLACK), np.float64("nan"),
+    np.int64(1), np.int64(-1), np.int64(3),
+    True, False, 0, 1, -1, 2,
+    Fraction(1, 3), Fraction(-4, 3), Fraction(2), _FractionSubclass(1, 2), _FractionSubclass(-5, 4),
+]
+
+
+def _outcome(call, *args):
+    """What ``call(*args)`` gives: its result's type and repr, or its error's."""
+    try:
+        result = call(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(result), repr(result)
+
+
+class TestExactTypeChecks:
+    """``within``, ``_check_unit_interval`` and ``BehaviorStatistics`` tell a
+    float or a Fraction by its exact type before the ABC check; each must
+    give the verdict, the scaling and the message of the ABC check alone."""
+
+    @pytest.mark.parametrize("value", TYPED_VALUES, ids=repr)
+    def test_within_decides_as_the_abc_check(self, value):
+        assert is_exact(value) is isinstance(value, Rational)
+        for limit in (0, 1, 2):
+            for slack in (DOMAIN_SLACK, VERDICT_SLACK):
+                for v in (value, -value):
+                    assert _outcome(within, v, limit, slack) == _outcome(_abc_within, v, limit, slack)
+
+    @pytest.mark.parametrize("value", TYPED_VALUES, ids=repr)
+    def test_unit_interval_check_decides_as_the_abc_check(self, value):
+        assert _outcome(_check_unit_interval, "e11", value) == _outcome(_abc_check_unit_interval, "e11", value)
+
+    @pytest.mark.parametrize("value", TYPED_VALUES, ids=repr)
+    def test_behavior_statistics_scale_as_with_the_abc_check(self, value, monkeypatch):
+        placements = [
+            ((value, 0, 0, 0), (0, 0, 0, 0)),
+            ((value,) * 4, (Fraction(0),) * 4),
+            ((0, Fraction(1, 2), 0, 0), (0, 0, value, 0)),
+            ((value, 0.0, 0, 0), (0, 0, 0, 0)),
+        ]
+
+        def build(es, ms):
+            stats = jointprob.BehaviorStatistics(CorrelationTable(*es), *ms)
+            return repr(stats.scaled), repr(stats.facet)
+
+        exact = [_outcome(build, *p) for p in placements]
+        monkeypatch.setattr(core, "within", _abc_within)
+        monkeypatch.setattr(core, "_check_unit_interval", _abc_check_unit_interval)
+        monkeypatch.setattr(jointprob, "within", _abc_within)
+        monkeypatch.setattr(jointprob, "_check_unit_interval", _abc_check_unit_interval)
+        monkeypatch.setattr(jointprob, "is_exact", lambda v: isinstance(v, Rational))
+        assert exact == [_outcome(build, *p) for p in placements]

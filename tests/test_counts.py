@@ -24,7 +24,6 @@ count path holds no trial log and that building a log costs little more
 than the log itself.
 """
 
-import itertools
 import math
 import os
 import subprocess
@@ -228,15 +227,22 @@ def test_a_two_outcome_multinomial_is_one_binomial():
         assert a.bit_generator.state == b.bit_generator.state, (k, w)
 
 
-def test_lhv_agreements_read_off_the_classes_equal_the_clicks():
-    # the count path reads each pair's agreements off its class counts;
-    # on a trial log that reading must give the agreements of the clicks
+def test_lhv_agreements_read_off_the_classes_equal_the_clicks(monkeypatch):
+    # given the model, a trial log's agreements are read off its class
+    # counts, as on the count path, without comparing the clicks again;
+    # that reading must give the agreements of the clicks
+    compared = []
+    agreements = engine._agreements
+    monkeypatch.setattr(engine, "_agreements", lambda series: compared.append(series) or agreements(series))
     for name, factory in LHV_ROUTES:
         model = log_model(factory)
-        log = log_counts(run_experiment(model, 3000, seed=5), model)
-        for pair in SETTING_PAIRS:
-            agree = sum(itertools.compress(log.classes[pair], engine._AGREEING[pair]))
-            assert agree == log.agree[pair], (name, pair)
+        log = run_experiment(model, 3000, seed=5)
+        classified = log_counts(log, model)
+        assert not compared, name
+        clicks = log_counts(log)
+        assert len(compared) == 4 and clicks.classes is None, name
+        compared.clear()
+        assert classified.agree == clicks.agree, name
 
 
 def test_quantum_counts_have_no_classes():
