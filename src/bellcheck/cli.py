@@ -164,8 +164,8 @@ def _pair_key(pair) -> str:
 
 
 _TABLE_KEYS = ("e11", "e12", "e21", "e22")
-#: Compact name of each behavior class, indexed by code.
-_COMPACT = tuple(beh.compact() for beh in ALL_BEHAVIORS)
+#: Compact name of each behavior class.
+_COMPACT = {beh: beh.compact() for beh in ALL_BEHAVIORS}
 
 
 def _report_dict(config: ExperimentConfig, counts, model) -> dict:
@@ -184,12 +184,11 @@ def _report_dict(config: ExperimentConfig, counts, model) -> dict:
     }
     if model is not None:
         freqs = class_frequencies(counts)
-        n = counts.n_per_series
         out["class_frequencies"] = {
-            _pair_key(pair): {_COMPACT[c]: k / n for c, k in enumerate(counts.classes[pair]) if k}
-            for pair in SETTING_PAIRS
+            _pair_key(pair): {_COMPACT[beh]: f for beh, f in per_class.items()}
+            for pair, per_class in freqs.per_pair.items()
         }
-        tolerance = 3 * hoeffding_epsilon(n, value_range=1.0)
+        tolerance = 3 * hoeffding_epsilon(counts.n_per_series, value_range=1.0)
         mi = mi_diagnostic(freqs, tolerance)
         out["mi"] = {
             "declared": model.declares_mi,
@@ -348,8 +347,7 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
     out = {
         "feasible": result.feasible,
         "witness": (
-            {_COMPACT[code]: _frac_str(w)
-             for code, beh in enumerate(ALL_BEHAVIORS) if (w := weights.get(beh)) is not None}
+            {_COMPACT[beh]: _frac_str(w) for beh, w in weights.items()}
             if weights is not None
             else None
         ),

@@ -250,11 +250,12 @@ def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
         if not {1, -1}.issuperset(outs):
             for value in outs:
                 validate_outcome(value)
+        # inside the try: 1+0j passes the check above, then fails to compare
+        return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
     except Exception as exc:
         if stage is None:
             raise
         raise ModelError(f"model {model.name!r}: {stage}: responses at tag {lam!r} failed: {exc}") from exc
-    return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
 
 
 def _batch_responses(

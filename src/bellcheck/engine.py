@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from numbers import Integral
-from typing import Any, Callable, Iterator, Mapping
+from typing import Any, Iterator, Mapping
 
 import numpy as np
 
@@ -188,33 +188,22 @@ def violation_p_value(s_star: float, n: int) -> float:
     return math.exp(-n * t * t / 8)
 
 
-def _series(
-    block_fn: Callable[[tuple[int, int], np.random.Generator, int], Any],
-    reduce: Callable[[Iterator[Any]], Any],
-    n_per_series: int,
-    seed: int,
-) -> dict[tuple[int, int], Any]:
-    """Per setting pair in ``SETTING_PAIRS`` order, ``reduce`` of the
-    iterator of ``block_fn(pair, stream, count)`` over that pair's blocks
-    in order, all on the calling thread. Block j of a series draws from
-    ``trial_stream(seed, pair_code, j)``."""
-    return {
-        pair: reduce(
-            block_fn(pair, trial_stream(seed, PAIR_CODES[pair], block), stop - start)
-            for block, start, stop in iter_blocks(n_per_series)
-        )
-        for pair in SETTING_PAIRS
-    }
-
-
-def _draw_tags(model: LhvModel, pair: tuple[int, int], rng: np.random.Generator, count: int) -> np.ndarray:
-    try:
-        lams = np.asarray(model.sample_lambda(rng, count, pair))
-    except Exception as exc:
-        raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
-    if lams.shape != (count,):
-        raise ModelError(f"model {model.name!r}: sample_lambda returned tags of shape {lams.shape}, not {(count,)}")
-    return lams
+def _tag_blocks(model: LhvModel, pair: tuple[int, int], n: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, tags) for each block of one series of ``model``
+    at setting ``pair``, in order, on the calling thread. Block j of a
+    series draws its tags by ``sample_lambda`` from
+    ``trial_stream(seed, pair_code, j)``; a sampler that raises or answers
+    other than stop - start tags is a ModelError."""
+    for block, start, stop in iter_blocks(n):
+        rng = trial_stream(seed, PAIR_CODES[pair], block)
+        try:
+            tags = np.asarray(model.sample_lambda(rng, stop - start, pair))
+        except Exception as exc:
+            raise ModelError(f"model {model.name!r}: sample_lambda failed: {exc}") from exc
+        if tags.shape != (stop - start,):
+            raise ModelError(f"model {model.name!r}: sample_lambda returned tags of shape {tags.shape}, "
+                             f"not {(stop - start,)}")
+        yield start, stop, tags
 
 
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
@@ -224,25 +213,18 @@ def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
     clicks, and tags of the blocks' promoted dtype (what concatenating
     them gives)."""
     n_per_series, seed = check_run(n_per_series, seed)
-
-    def sample(pair, rng, count):
-        lams = _draw_tags(model, pair, rng, count)
-        clicks = (core.responses(model, party, index, lams, "trial generation")
-                  for party, index in (("alice", pair[0]), ("bob", pair[1])))
-        return (*clicks, lams)
-
-    def fill(blocks):
+    series = {}
+    for pair in SETTING_PAIRS:
         alice, bob = np.empty(n_per_series, np.int8), np.empty(n_per_series, np.int8)
-        for (_, start, stop), (a, b, lams) in zip(iter_blocks(n_per_series), blocks):
+        for start, stop, lams in _tag_blocks(model, pair, n_per_series, seed):
+            alice[start:stop] = core.responses(model, "alice", pair[0], lams, "trial generation")
+            bob[start:stop] = core.responses(model, "bob", pair[1], lams, "trial generation")
             if start == 0:
                 lambdas = np.empty(n_per_series, lams.dtype)
             elif (dtype := np.result_type(lambdas.dtype, lams.dtype)) != lambdas.dtype:
                 lambdas = lambdas.astype(dtype)
-            alice[start:stop], bob[start:stop], lambdas[start:stop] = a, b, lams
-        return alice, bob, lambdas
-
-    arrays = _series(sample, fill, n_per_series, seed)
-    series = {pair: Series(pair, *arrays[pair]) for pair in SETTING_PAIRS}
+            lambdas[start:stop] = lams
+        series[pair] = Series(pair, alice, bob, lambdas)
     return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
 
 
@@ -263,9 +245,9 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     if model.class_distribution is not None:
         classes = draw_counts(model.class_distribution, n_per_series, seed)
     else:
-        def count(pair, rng, k):
-            return np.bincount(core.behavior_codes(model, _draw_tags(model, pair, rng, k)), minlength=16)
-        classes = _series(count, lambda blocks: tuple(sum(blocks).tolist()), n_per_series, seed)
+        classes = {pair: tuple(sum(np.bincount(core.behavior_codes(model, lams), minlength=16)
+                                   for _, _, lams in _tag_blocks(model, pair, n_per_series, seed)).tolist())
+                   for pair in SETTING_PAIRS}
     return RunCounts(seed, n_per_series, _agree(classes), classes)
 
 

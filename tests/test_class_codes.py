@@ -244,9 +244,16 @@ LOG_FAULTS = [
 
 @pytest.mark.parametrize("kwargs,message", [c[1:] for c in LOG_FAULTS], ids=[c[0] for c in LOG_FAULTS])
 def test_bad_model_in_a_trial_log_is_model_error(kwargs, message):
-    with pytest.raises(ModelError) as info:
-        run_experiment(_model(name="bad-probe", **kwargs), 50, seed=0)
-    assert str(info.value) == message
+    """A fault the trial log meets is ModelError. The tag path of a model
+    without a declared distribution draws its tags through the same blocks,
+    so it meets a sampler's fault with the same message."""
+    routes = [(run_experiment, _model(name="bad-probe", **kwargs))]
+    if "sample_lambda" in message:
+        routes.append((count_experiment, _model(name="bad-probe", enumerate_lambda=None, **kwargs)))
+    for run, model in routes:
+        with pytest.raises(ModelError) as info:
+            run(model, 50, seed=0)
+        assert str(info.value) == message, run.__name__
 
 
 #: (case id, a batch twin's answer of another shape than n tags')
@@ -430,6 +437,8 @@ RUN_FAULTS = [
      _COMPILE.format(1, "outcome must be -1 or +1, got None")),
     ("response returns 2", dict(tags=[0, 1], respond_bob=lambda i, lam: 2),
      _COMPILE.format(0, "outcome must be -1 or +1, got 2")),
+    ("response returns 1+0j", dict(tags=[0, 1], respond_alice=lambda i, lam: 1 + 0j),
+     _COMPILE.format(0, "'>' not supported between instances of 'complex' and 'int'")),
 ]
 
 

@@ -103,14 +103,24 @@ def test_streams_up_to_the_last_block_index_are_distinct(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", [1, 7 * BLOCK_SIZE, 15 * BLOCK_SIZE + 1], ids=["1 block", "7 blocks", "16 blocks"])
 def test_tag_path_keys_each_block_on_its_own_stream(seed, n):
-    """``engine._series`` hands block j of a pair's series the fresh stream
-    ``SeedSequence(seed, spawn_key=(pair_code, j))`` and the block's trial
-    count, in block order."""
-    got = engine._series(lambda pair, rng, count: (key_of(rng), count), list, n, seed)
-    assert list(got) == list(SETTING_PAIRS)
-    for pair, blocks in got.items():
-        want = [(seed_sequence_key(seed, PAIR_CODES[pair], block), stop - start) for block, start, stop in iter_blocks(n)]
-        assert blocks == want, pair
+    """``engine._tag_blocks`` asks ``sample_lambda`` for block j of a pair's
+    series on the fresh stream ``SeedSequence(seed, spawn_key=(pair_code, j))``
+    and the block's trial count, and yields each block's bounds with the
+    tags it returned, in block order."""
+    model = get_model("dice-coin")
+    for pair in SETTING_PAIRS:
+        calls, drawn = [], []
+
+        def sample_lambda(rng, count, asked):
+            calls.append((key_of(rng), count, asked))
+            drawn.append(model.sample_lambda(rng, count, asked))
+            return drawn[-1]
+
+        got = list(engine._tag_blocks(dataclasses.replace(model, sample_lambda=sample_lambda), pair, n, seed))
+        blocks = list(iter_blocks(n))
+        assert calls == [(seed_sequence_key(seed, PAIR_CODES[pair], j), stop - start, pair) for j, start, stop in blocks]
+        assert [(start, stop) for start, stop, _ in got] == [(start, stop) for _, start, stop in blocks], pair
+        assert all(tags is returned for (_, _, tags), returned in zip(got, drawn, strict=True)), pair
 
 
 @pytest.mark.parametrize("seed", SEEDS)
