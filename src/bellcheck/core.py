@@ -13,7 +13,7 @@ import functools
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from numbers import Rational
+from numbers import Complex, Rational, Real
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -51,9 +51,16 @@ def within(value, limit, slack) -> bool:
     return float(value) <= limit + slack
 
 
+def _complex_types(values: Sequence) -> bool:
+    """Whether any of values is a complex number: 1+0j equals 1 and
+    hashes as 1, so only its type tells it from an outcome."""
+    return any(issubclass(kind, Complex) and not issubclass(kind, Real) for kind in set(map(type, values)))
+
+
 def validate_outcome(value: int) -> int:
-    """Check that a measurement outcome is -1 or +1 and return it."""
-    if value != 1 and value != -1:
+    """Check that a measurement outcome is -1 or +1 (and not a complex
+    number) and return it."""
+    if (value != 1 and value != -1) or _complex_types((value,)):
         raise ValueError(f"outcome must be -1 or +1, got {value!r}")
     return int(value)
 
@@ -247,10 +254,10 @@ def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
     try:
         outs = (model.respond_alice(1, lam), model.respond_alice(2, lam),
                 model.respond_bob(1, lam), model.respond_bob(2, lam))
-        if not {1, -1}.issuperset(outs):
+        if not {1, -1}.issuperset(outs) or _complex_types(outs):
             for value in outs:
                 validate_outcome(value)
-        # inside the try: 1+0j passes the check above, then fails to compare
+        # inside the try: a value that equals +-1 need not compare with 0
         return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
     except Exception as exc:
         if stage is None:
@@ -266,7 +273,7 @@ def _batch_responses(
     if batch is not None:
         return np.asarray(batch(index, lams))
     outs = [scalar(index, lam) for lam in lams]
-    if not {1, -1}.issuperset(outs):
+    if not {1, -1}.issuperset(outs) or _complex_types(outs):
         raise _NotAnOutcome
     return np.array(outs, dtype=np.int64)
 

@@ -295,6 +295,8 @@ NOT_OUTCOMES = [
     ("scalar -0.5", lambda n: -0.5),
     ("scalar nan", lambda n: math.nan),
     ("scalar 1j", lambda n: 1j),
+    ("scalar 1+0j", lambda n: 1 + 0j),
+    ("scalar numpy complex 1", lambda n: np.complex128(1)),
     ("scalar tuple", lambda n: (1,)),
     ("twin 1j", lambda n: np.full(n, 1j)),
     ("twin 1+0j", lambda n: np.full(n, 1 + 0j)),
@@ -438,7 +440,9 @@ RUN_FAULTS = [
     ("response returns 2", dict(tags=[0, 1], respond_bob=lambda i, lam: 2),
      _COMPILE.format(0, "outcome must be -1 or +1, got 2")),
     ("response returns 1+0j", dict(tags=[0, 1], respond_alice=lambda i, lam: 1 + 0j),
-     _COMPILE.format(0, "'>' not supported between instances of 'complex' and 'int'")),
+     _COMPILE.format(0, "outcome must be -1 or +1, got (1+0j)")),
+    ("response returns numpy complex -1", dict(tags=[0, 1], respond_bob=lambda i, lam: np.complex64(-1)),
+     _COMPILE.format(0, f"outcome must be -1 or +1, got {np.complex64(-1)!r}")),
 ]
 
 

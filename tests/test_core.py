@@ -100,6 +100,16 @@ class TestBehavior:
         with pytest.raises(ValueError):
             Behavior(1, 1, 1, 2)
 
+    @pytest.mark.parametrize("value", [1 + 0j, -1 + 0j, np.complex64(1), np.complex128(-1)], ids=repr)
+    def test_complex_outcome_is_refused_by_the_unit_rule(self, value):
+        # a complex value equals +-1 and hashes as one; the +-1 rule refuses
+        # it with its own message, not a bare TypeError from int()
+        for check in (core.validate_outcome, lambda v: Behavior(v, 1, 1, 1)):
+            with pytest.raises(ValueError) as info:
+                check(value)
+            assert str(info.value) == f"outcome must be -1 or +1, got {value!r}"
+        assert [core.validate_outcome(v) for v in (True, 1.0, np.float32(-1), Fraction(1))] == [1, 1, -1, 1]
+
     def test_index_accessors(self):
         beh = Behavior(1, -1, -1, 1)
         assert (beh.alice(1), beh.alice(2), beh.bob(1), beh.bob(2)) == (1, -1, -1, 1)

@@ -48,6 +48,7 @@ from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _wo
 from bellcheck.streams import BLOCK_SIZE, check_run, draw_counts, trial_stream
 from bellcheck.zoo import MODEL_FACTORIES
 from trial_reference import (
+    DRAW_SEEDS,
     agreement_runs,
     assert_counts_follow,
     assert_same_counts,
@@ -92,13 +93,11 @@ def test_quantum_counts_match_the_trial_log(angles, n):
 
 #: The count loop's differential. Series of one block: its edges, a few
 #: small sizes and 20 others. Longer series: just past a block, the golden
-#: size, 2^26 and the largest n a run takes. Seeds at both ends of the
-#: range and 20 others.
+#: size, 2^26 and the largest n a run takes. Seeds: DRAW_SEEDS.
 ONE_BLOCK_SIZES = [1, 2, 5, 1000, BLOCK_SIZE - 1, BLOCK_SIZE] + sorted(
     int(k) for k in np.random.default_rng(21).integers(1, BLOCK_SIZE, 20)
 )
 LONG_SIZES = [BLOCK_SIZE + 1, 49159, 1 << 26, BLOCK_SIZE << 32]
-DRAW_SEEDS = [0, 2**64 - 1] + [int(s) for s in np.random.default_rng(20).integers(0, 2**64, 20, dtype=np.uint64)]
 
 #: conspiracy, dice-coin and cosine-sign have 1, 2 and 8 classes of
 #: positive weight per setting pair.
@@ -187,11 +186,25 @@ def test_one_outcome_pairs_key_no_stream(monkeypatch):
     def no_stream(*args):
         raise AssertionError("stream keyed")
 
-    monkeypatch.setattr(streams, "trial_stream", no_stream)
+    monkeypatch.setattr(streams, "_pool_stream", no_stream)
     classes = count_experiment(MODEL_FACTORIES["conspiracy"](), 49159, seed=3).classes
     assert all(max(classes[pair]) == 49159 for pair in SETTING_PAIRS)
     agree = count_quantum_experiment(DRAW_ANGLES["cos +-1"], 49159, seed=3).agree
     assert agree == {(1, 1): 0, (1, 2): 49159, (2, 1): 49159, (2, 2): 0}
+
+
+def test_one_outcome_runs_build_no_seed_sequence(monkeypatch):
+    # the seed's pool is taken at the first pair that draws, so a run of
+    # sole outcomes builds no SeedSequence at all; a drawing run does
+    def no_seed_sequence(*args, **kwargs):
+        raise AssertionError("SeedSequence built")
+
+    model = MODEL_FACTORIES["conspiracy"]()
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed_sequence)
+    assert sum(count_experiment(model, 49159, seed=3).classes[(1, 1)]) == 49159
+    assert count_quantum_experiment(DRAW_ANGLES["cos +-1"], 49159, seed=3).agree[(1, 2)] == 49159
+    with pytest.raises(AssertionError, match="SeedSequence built"):
+        count_quantum_experiment(TSIRELSON_ANGLES, 49159, seed=3)
 
 
 #: Sizes of the one-draw path's stated-rate check: one past three blocks,

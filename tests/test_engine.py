@@ -167,15 +167,16 @@ class TestRunExperiment:
     @pytest.mark.parametrize("run", COUNT_RUNS, ids=["declared", "singlet"])
     @pytest.mark.parametrize("n", [True, 2.5, "10"])
     def test_non_integer_n_rejected_before_sampling(self, run, n, monkeypatch):
-        monkeypatch.setattr(streams, "trial_stream", no_stream)
+        monkeypatch.setattr(streams, "_pool_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
             run(n, 0)
 
     @pytest.mark.parametrize("run", COUNT_RUNS, ids=["declared", "singlet"])
     def test_n_past_one_word_block_indices_rejected_before_sampling(self, run, monkeypatch):
         # block indices are mixed into the stream key as one uint32 word,
-        # and every run keeps the tag path's limit
-        monkeypatch.setattr(streams, "trial_stream", no_stream)
+        # and every run keeps the tag path's limit; the count path keys its
+        # streams through streams._pool_stream
+        monkeypatch.setattr(streams, "_pool_stream", no_stream)
         with pytest.raises(ValueError, match="n_per_series"):
             run(BLOCK_SIZE * 2**32 + 1, 0)
         with pytest.raises(AssertionError, match="stream keyed"):  # the largest n draws

@@ -3,17 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bellcheck import engine
+from bellcheck import engine, streams
 from bellcheck.core import PAIR_CODES, SETTING_PAIRS
 from bellcheck.engine import VIOLATION_DELTA, chsh_report, count_experiment, exact_correlation_table, hoeffding_epsilon
-from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_correlation_table
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment, quantum_correlation_table
 from bellcheck.streams import BLOCK_SIZE, check_run, draw_counts, iter_blocks, trial_stream, validate_seed
 from bellcheck.zoo import get_model
+from trial_reference import DRAW_SEEDS
 
 #: Edge seeds (one and two uint32 words, both ends) plus random ones.
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + [
-    int(s) for s in np.random.default_rng(2024).integers(0, 2**64, size=6, dtype=np.uint64)
-]
+RANDOM_SEEDS = [int(s) for s in np.random.default_rng(2024).integers(0, 2**64, size=6, dtype=np.uint64)]
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + RANDOM_SEEDS
 
 #: Block indices up to the last one a series can reach.
 FAR_BLOCKS = [0, 1, 2**16, 2**31, 2**32 - 2, 2**32 - 1]
@@ -27,6 +27,45 @@ def seed_sequence_key(seed, pair_code, block):
 def key_of(rng):
     state = rng.bit_generator.state
     return state["state"]["state"], state["state"]["inc"]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pooled_keys_are_block_0s_trial_stream(seed):
+    """The count path mixes each pair's key into one ``SeedSequence(seed).pool``
+    per run; every such generator must be ``trial_stream(seed, code, 0)``'s,
+    in state and in its first raw words, and an np.uint64 seed's pool must
+    be its int's."""
+    pool = np.random.SeedSequence(seed).pool.tolist()
+    assert np.random.SeedSequence(np.uint64(seed)).pool.tolist() == pool
+    for code in range(4):
+        got, want = streams._pool_stream(pool, code), trial_stream(seed, code, 0)
+        assert type(got.bit_generator) is np.random.PCG64DXSM
+        assert got.bit_generator.state == want.bit_generator.state, code
+        assert got.bit_generator.random_raw(8).tolist() == want.bit_generator.random_raw(8).tolist(), code
+    assert draw_counts((DRAW_NUMS, 6), 1000, np.uint64(seed)) == draw_counts((DRAW_NUMS, 6), 1000, seed)
+
+
+def test_count_runs_equal_the_trial_stream_route(monkeypatch):
+    """Binomial, multinomial and singlet runs give the counts of block 0's
+    ``trial_stream`` in place of the pooled keys."""
+    runs = {
+        "dice-coin": lambda seed: count_experiment(get_model("dice-coin"), 49159, seed).classes,
+        "cosine-sign": lambda seed: count_experiment(get_model("cosine-sign"), 49159, seed).classes,
+        "tsirelson": lambda seed: count_quantum_experiment(TSIRELSON_ANGLES, 49159, seed).agree,
+        "custom": lambda seed: count_quantum_experiment(AnglePair(0.3, 1.9, -0.8, 2.6), 49159, seed).agree,
+    }
+    pooled = {(name, seed): run(seed) for name, run in runs.items() for seed in DRAW_SEEDS}
+    for seed in DRAW_SEEDS:
+        keyed = []
+
+        def reference(pool, code, seed=seed):
+            keyed.append(code)
+            return trial_stream(seed, code, 0)
+
+        monkeypatch.setattr(streams, "_pool_stream", reference)
+        for name, run in runs.items():
+            assert run(seed) == pooled[name, seed], (name, seed)
+        assert keyed == list(range(4)) * len(runs), seed
 
 
 def test_a_block_draws_from_pcg64dxsm():

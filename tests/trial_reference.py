@@ -42,6 +42,9 @@ from bellcheck.engine import RunCounts
 from bellcheck.quantum import _word_limits
 from bellcheck.streams import iter_blocks, trial_stream
 
+#: The count loop's seeds: both ends of the range and 20 others.
+DRAW_SEEDS = [0, 2**64 - 1] + [int(s) for s in np.random.default_rng(20).integers(0, 2**64, 20, dtype=np.uint64)]
+
 #: Chance at most that one run's frequencies of a pair leave their band in
 #: ``assert_counts_follow``, when they follow the weights.
 RUN_DELTA = 0.01
