@@ -159,46 +159,40 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _pair_key(pair) -> str:
-    return f"{pair[0]},{pair[1]}"
-
-
 _TABLE_KEYS = ("e11", "e12", "e21", "e22")
 #: Compact name of each behavior class.
 _COMPACT = {beh: beh.compact() for beh in ALL_BEHAVIORS}
+_JSON_BOOL = {True: "true", False: "false"}
 
 
-def _report_dict(config: ExperimentConfig, counts, model) -> dict:
-    report = chsh_report(counts)
-    out = {
-        "model": config.model,
-        "n_per_series": report.n_per_series,
-        "seed": counts.seed,
-        "angles": list(config.angles.as_tuple()) if config.angles else None,
-        "correlations": dict(zip(_TABLE_KEYS, map(float, report.table.as_tuple()))),
-        "s_star": float(report.s_star),
-        "bound_satisfied": report.bound_satisfied,
-        "hoeffding_epsilon": report.hoeffding_epsilon,
-        "violation_p_value": report.violation_p_value,
-        "violation_significant": report.violation_significant,
-    }
+def _run_json(config: ExperimentConfig, counts, model, report) -> str:
+    """``_render_json`` of the `run` report, written in one pass: the layout
+    is fixed, so each key is written in its sorted place. Every number in
+    it is finite, so its str is its JSON text."""
+    angles = "[\n    {},\n    {},\n    {},\n    {}\n  ]".format(*config.angles.as_tuple()) if config.angles else "null"
+    classes = mi = ""
     if model is not None:
         freqs = class_frequencies(counts)
-        out["class_frequencies"] = {
-            _pair_key(pair): {_COMPACT[beh]: f for beh, f in per_class.items()}
-            for pair, per_class in freqs.per_pair.items()
-        }
+        # a pair's class lines first differ in their 4-character names, so sorting the lines sorts the names
+        pairs = ",\n".join(f'    "{i},{k}": {{\n' + ",\n".join(sorted(
+            [f'      "{_COMPACT[beh]}": {f}' for beh, f in freqs.per_pair[i, k].items()])) + "\n    }"
+            for i, k in SETTING_PAIRS)
+        classes = f'  "class_frequencies": {{\n{pairs}\n  }},\n'
         tolerance = 3 * hoeffding_epsilon(counts.n_per_series, value_range=1.0)
-        mi = mi_diagnostic(freqs, tolerance)
-        out["mi"] = {
-            "declared": model.declares_mi,
-            "holds": mi.holds,
-            "tolerance": tolerance,
-            "max_deviation": mi.max_deviation,
-            "worst_pair": list(mi.worst_pair),
-            "worst_class": mi.worst_class.compact() if mi.worst_class else None,
-        }
-    return out
+        diag = mi_diagnostic(freqs, tolerance)
+        worst = f'"{_COMPACT[diag.worst_class]}"' if diag.worst_class else "null"
+        mi = (f'  "mi": {{\n    "declared": {_JSON_BOOL[model.declares_mi]},\n    "holds": {_JSON_BOOL[diag.holds]},\n'
+              f'    "max_deviation": {diag.max_deviation},\n    "tolerance": {tolerance},\n'
+              f'    "worst_class": {worst},\n    "worst_pair": [\n      {diag.worst_pair[0]},\n'
+              f'      {diag.worst_pair[1]}\n    ]\n  }},\n')
+    e11, e12, e21, e22 = map(float, report.table.as_tuple())
+    return (f'{{\n  "angles": {angles},\n  "bound_satisfied": {_JSON_BOOL[report.bound_satisfied]},\n{classes}'
+            f'  "correlations": {{\n    "e11": {e11},\n    "e12": {e12},\n    "e21": {e21},\n    "e22": {e22}\n  }},\n'
+            f'  "hoeffding_epsilon": {report.hoeffding_epsilon},\n{mi}'
+            f'  "model": {encode_basestring_ascii(config.model)},\n  "n_per_series": {report.n_per_series},\n'
+            f'  "s_star": {float(report.s_star)},\n  "seed": {counts.seed},\n'
+            f'  "violation_p_value": {report.violation_p_value},\n'
+            f'  "violation_significant": {_JSON_BOOL[report.violation_significant]}\n}}\n')
 
 
 def _render_json(obj: dict) -> str:
@@ -229,19 +223,17 @@ def _json(obj, newline: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if items else brackets
 
 
-def _render_csv(report_dict: dict) -> str:
+def _render_csv(report) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["pair_i", "pair_k", "n", "e_hat", "hoeffding_eps"])
-    corr = report_dict["correlations"]
-    n = report_dict["n_per_series"]
-    eps = report_dict["hoeffding_epsilon"]
-    for (i, k), e in zip(SETTING_PAIRS, corr.values()):
+    n, eps = report.n_per_series, report.hoeffding_epsilon
+    for (i, k), e in zip(SETTING_PAIRS, report.table.as_tuple()):
         writer.writerow([i, k, n, _fmt(e), _fmt(eps)])
     writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2", "violation_p_value", "violation_significant"])
     writer.writerow([
-        _fmt(report_dict["s_star"]), 2, _fmt(2 * math.sqrt(2)),
-        _fmt(report_dict["violation_p_value"]), str(report_dict["violation_significant"]).lower(),
+        _fmt(report.s_star), 2, _fmt(2 * math.sqrt(2)),
+        _fmt(report.violation_p_value), str(report.violation_significant).lower(),
     ])
     return buf.getvalue()
 
@@ -263,13 +255,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     else:
         model = get_model(config.model, config.angles)
         counts = count_experiment(model, config.n_per_series, config.seed)
-    report = _report_dict(config, counts, model)
-    text = _render_json(report) if config.format == "json" else _render_csv(report)
+    report = chsh_report(counts)
+    text = _run_json(config, counts, model, report) if config.format == "json" else _render_csv(report)
     _emit(text, config.output)
     if config.output:
         print(
             f"{config.model}: n={config.n_per_series} seed={config.seed} "
-            f"S*={report['s_star']:+.6f} -> {config.output}"
+            f"S*={float(report.s_star):+.6f} -> {config.output}"
         )
     return EXIT_OK
 

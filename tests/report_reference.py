@@ -1,5 +1,5 @@
 """The `run` report stage as it was before it read plain ints: a frozen
-reference for ``cli._report_dict`` and ``cli._render_json``.
+reference for `run`'s JSON and CSV reports.
 
 This route keys class frequencies by ``Behavior``, divides numpy integer
 counts, sorts each pair's classes by code to name them, and renders with
@@ -11,7 +11,10 @@ the maximum, which the tests use to find the seeds where that order
 decides the report.
 """
 
+import csv
+import io
 import json
+import math
 from dataclasses import asdict
 
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS
@@ -95,3 +98,29 @@ def report_dict(model_name: str, angles, counts, model) -> dict:
 
 def render_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+def _fmt(x) -> str:
+    return format(float(x), ".17g")
+
+
+def render_csv(report: dict) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["pair_i", "pair_k", "n", "e_hat", "hoeffding_eps"])
+    corr = report["correlations"]
+    n = report["n_per_series"]
+    eps = report["hoeffding_epsilon"]
+    for (i, k), e in zip(SETTING_PAIRS, corr.values()):
+        writer.writerow([i, k, n, _fmt(e), _fmt(eps)])
+    writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2", "violation_p_value", "violation_significant"])
+    writer.writerow([
+        _fmt(report["s_star"]), 2, _fmt(2 * math.sqrt(2)),
+        _fmt(report["violation_p_value"]), str(report["violation_significant"]).lower(),
+    ])
+    return buf.getvalue()
+
+
+def summary_line(report: dict, path) -> str:
+    """What `run --out path` prints to stdout."""
+    return f"{report['model']}: n={report['n_per_series']} seed={report['seed']} S*={report['s_star']:+.6f} -> {path}\n"

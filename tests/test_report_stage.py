@@ -1,13 +1,16 @@
 """`run`'s report stage against the frozen route of ``report_reference``.
 
-The report stage reads each pair's class counts as plain ints and names
-the classes from a table indexed by code; the reference keys them by
-``Behavior`` and renders with ``json.dumps``. Both must give the same JSON
-and CSV bytes for every zoo model, 200 seeds and n in {1, 5, 1000, 2^10,
-2^20}. These runs pin the MI diagnostic's tie-break, which decides the
-reported class wherever two classes tie at the maximum deviation: dice-coin
-ties on every seed at a power-of-two n (its two classes' frequencies are
-then exact and sum to 1), and cosine-sign on 3 of 200 seeds at n = 1000.
+The report stage writes its fixed JSON layout in one pass from plain-int
+class frequencies; the reference keys them by ``Behavior`` and renders
+with ``json.dumps``. Both must give the same JSON and CSV bytes, and with
+``--out`` the same file and summary line, for every zoo model, 200 seeds
+and n in {1, 5, 1000, 2^10, 2^20}; and on 20 of those seeds for the runs
+that take angles: ``quantum`` and cosine-sign, at Tsirelson's angles and at
+the goldens' 0.3,1.9,-0.8,2.6. These runs pin the MI diagnostic's
+tie-break, which decides the reported class wherever two classes tie at
+the maximum deviation: dice-coin ties on every seed at a power-of-two n
+(its two classes' frequencies are then exact and sum to 1), and
+cosine-sign on 3 of 200 seeds at n = 1000.
 """
 
 import contextlib
@@ -20,11 +23,13 @@ import report_reference as ref
 from bellcheck import cli
 from bellcheck.core import Behavior
 from bellcheck.engine import count_experiment
+from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 from bellcheck.zoo import get_model
 
 MODELS = ("dice-coin", "cosine-sign", "conspiracy")
 SIZES = (1, 5, 1000, 1 << 10, 1 << 20)
 SEEDS = range(200)
+ANGLES = {"tsirelson": TSIRELSON_ANGLES, "golden": AnglePair(0.3, 1.9, -0.8, 2.6)}
 
 
 def _run(argv) -> str:
@@ -34,15 +39,40 @@ def _run(argv) -> str:
     return buf.getvalue()
 
 
+def _check(argv, expected, tmp_path):
+    """`argv`'s JSON and CSV reports, on stdout and through --out, against
+    the frozen route's report dict."""
+    out = tmp_path / "report"
+    for fmt, text in (("json", ref.render_json(expected)), ("csv", ref.render_csv(expected))):
+        assert _run([*argv, "--format", fmt]) == text
+        assert _run([*argv, "--format", fmt, "--out", str(out)]) == ref.summary_line(expected, out)
+        assert out.read_text() == text
+
+
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("name", MODELS)
-def test_report_bytes_match_the_frozen_route(name, n):
+def test_report_bytes_match_the_frozen_route(name, n, tmp_path):
     model = get_model(name)
     for seed in SEEDS:
         expected = ref.report_dict(name, None, count_experiment(model, n, seed), model)
+        _check(["run", "--model", name, "--n", str(n), "--seed", str(seed)], expected, tmp_path)
+
+
+@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("angles", ANGLES)
+@pytest.mark.parametrize("name", ["quantum", "cosine-sign"])
+def test_angled_report_bytes_match_the_frozen_route(name, angles, n, tmp_path):
+    pair = ANGLES[angles]
+    model = None if name == "quantum" else get_model(name, pair)
+    flag = "--angles=" + ",".join(map(repr, pair.as_tuple()))
+    for seed in SEEDS[::10]:
+        counts = (count_quantum_experiment(pair, n, seed) if model is None
+                  else count_experiment(model, n, seed))
+        expected = ref.report_dict(name, pair.as_tuple(), counts, model)
         argv = ["run", "--model", name, "--n", str(n), "--seed", str(seed)]
-        assert _run(argv) == ref.render_json(expected), seed
-        assert _run([*argv, "--format", "csv"]) == cli._render_csv(expected), seed
+        _check([*argv, flag], expected, tmp_path)
+        if name == "quantum" and angles == "tsirelson":
+            _check(argv, expected, tmp_path)
 
 
 def _ties(name, n):
