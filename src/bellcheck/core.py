@@ -216,18 +216,18 @@ class LhvModel:
         if self.enumerate_lambda is None:
             return None
         where = f"model {self.name!r}: enumerate_lambda"
-        known = {}
+        codes = {}
         sums, dens = {}, {}
         for pair in SETTING_PAIRS:
             try:
                 declared = list(self.enumerate_lambda(pair))
                 tags, weights = zip(*declared) if declared else ((), ())
                 weights = [w if type(w) is Fraction else Fraction(w) for w in weights]
-                fresh = [tag for tag in dict.fromkeys(tags) if tag not in known]
+                fresh = [tag for tag in dict.fromkeys(tags) if tag not in codes]
             except Exception as exc:
                 raise ModelError(f"{where} failed: {exc}") from exc
             for tag in fresh:
-                known[tag] = _code_of(self, tag, "class distribution")
+                codes[tag] = _code_of(self, tag, "class distribution")
             # as Python ints: numpy's fixed-width integers would overflow
             nums = [int(w.numerator) for w in weights]
             denominators = [int(w.denominator) for w in weights]
@@ -236,7 +236,7 @@ class LhvModel:
             for tag, w, num, den in zip(tags, weights, nums, denominators):
                 if num < 0:
                     raise ModelError(f"{where}: tag {tag!r} of pair {pair} has weight {w} < 0")
-                acc[known[tag]] += num * (d // den)
+                acc[codes[tag]] += num * (d // den)
             if sum(acc) != d:
                 raise ModelError(f"{where}: declared tag weights of pair {pair} sum to {Fraction(sum(acc), d)}, not 1")
         d = math.lcm(*dens.values())
@@ -287,44 +287,36 @@ class _NotAnOutcome(ValueError):
 _CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
 
 
-def responses(model: LhvModel, party: str, index: int, lams: np.ndarray, stage: str) -> np.ndarray:
-    """The outcomes of ``party`` ("alice" or "bob") at setting ``index``
-    for each tag in ``lams``, from the model's batch twin when it has one
-    and from its scalar response otherwise.
+def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
+    """Vectorized behavior_of: map an array of tags to behavior codes, each
+    party's outcomes from the model's batch twin when it has one and from
+    its scalar response otherwise.
 
     A response that raises, answers in another shape than ``lams`` or
     returns a value other than -1/+1 raises ModelError naming the model,
-    ``stage``, the party and the setting. A twin's dtype must be bool,
-    integer or float, so a complex or object array is refused as a whole.
+    the class analysis stage, the party and the setting. A twin's dtype
+    must be bool, integer or float, so a complex or object array is
+    refused as a whole.
     """
-    where = f"model {model.name!r}: {stage}: respond_{party} at setting {index}"
-    try:
-        out = _batch_responses(
-            getattr(model, f"respond_{party}"), getattr(model, f"respond_{party}_batch"), index, lams
-        )
-        shaped = out.shape == lams.shape
-        valid = shaped and out.dtype.kind in "biuf" and np.all(np.abs(out) == 1)
-    except _NotAnOutcome:
-        shaped, valid = True, False
-    except Exception as exc:
-        raise ModelError(f"{where} failed: {exc}") from exc
-    if not shaped:
-        raise ModelError(f"{where} returned outcomes of shape {out.shape} for tags of shape {lams.shape}")
-    if not valid:
-        raise ModelError(f"{where} returned a value other than -1/+1")
-    return out
-
-
-def behavior_codes(model: LhvModel, lams: np.ndarray, known=None) -> np.ndarray:
-    """Vectorized behavior_of: map an array of tags to behavior codes.
-    ``known`` maps (party, index) to outcomes already at hand, which skip
-    the responses. A misbehaving response raises ModelError naming the
-    class analysis stage."""
     lams = np.asarray(lams)
-    known = known or {}
-    # all responses before any packing: in one call over 2^20 tags, packing
-    # between them left heap holes worth 8 MB of peak RSS (engine's calls
-    # pass one block of tags, where the order moves nothing)
-    outs = {side: known[side] if side in known else responses(model, *side, lams, "class analysis")
-            for side in _CODE_BIT}
-    return sum((outs[side] > 0).astype(np.uint8) << bit for side, bit in _CODE_BIT.items())
+    # all responses before any packing, each held as a bool array: in one
+    # call over 2^20 tags, packing between them left heap holes worth 8 MB of
+    # peak RSS (engine's calls pass one block of tags, where the order moves nothing)
+    outs = {}
+    for party, index in _CODE_BIT:
+        respond = f"respond_{party}"
+        where = f"model {model.name!r}: class analysis: {respond} at setting {index}"
+        try:
+            out = _batch_responses(getattr(model, respond), getattr(model, f"{respond}_batch"), index, lams)
+            shaped = out.shape == lams.shape
+            valid = shaped and out.dtype.kind in "biuf" and np.all(np.abs(out) == 1)
+        except _NotAnOutcome:
+            shaped, valid = True, False
+        except Exception as exc:
+            raise ModelError(f"{where} failed: {exc}") from exc
+        if not shaped:
+            raise ModelError(f"{where} returned outcomes of shape {out.shape} for tags of shape {lams.shape}")
+        if not valid:
+            raise ModelError(f"{where} returned a value other than -1/+1")
+        outs[party, index] = out > 0
+    return sum(outs[side].astype(np.uint8) << bit for side, bit in _CODE_BIT.items())

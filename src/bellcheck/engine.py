@@ -5,14 +5,13 @@ setting pair) and keeps only integer counts: per pair, the trials in each
 of the 16 behavior classes, and from them the trials whose clicks agree
 (stream scheme v4: ``streams.draw_counts`` draws each series' counts at
 once from the model's compiled class distribution where it declares one;
-otherwise the tags are drawn block by block). Every series runs on the
-calling thread. ``chsh_report`` reduces the
+otherwise each block's tags are drawn and reduced to their class codes).
+Every series runs on the calling thread. ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
 classes were distributed across the four series. ``run_experiment`` draws
-a ``TrialLog`` of every tag through ``sample_lambda`` and every click from
-the responses at it, which both reports accept by first reducing it to
-counts.
+a ``TrialLog``: the same counts, plus every tag and every click, read off
+each tag's class code at the measured settings.
 
 Analytic side: given exact class weights, ``theoretical_correlations``
 and ``theoretical_chsh`` evaluate the same quantities in exact arithmetic.
@@ -24,7 +23,7 @@ the whole reason a single weight distribution can never push |S| past 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from numbers import Integral
@@ -32,8 +31,8 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from . import core
 from .core import (
+    _CODE_BIT,
     ALL_BEHAVIORS,
     CLASS_SIGNS,
     DOMAIN_SLACK,
@@ -50,11 +49,41 @@ from .errors import BoundViolationError, ModelError
 from .streams import check_run, draw_counts, iter_blocks, trial_stream
 
 
+@dataclass(frozen=True, eq=False)
+class RunCounts:
+    """The integer counts a report is computed from, per setting pair.
+
+    ``agree[pair]`` counts the trials whose two clicks agree;
+    ``classes[pair]`` holds the count of each of the 16 behavior classes,
+    indexed by code, for runs with hidden-variable tags (None otherwise).
+    Runs make every count a Python int, so no report reads a numpy type.
+    The size and seed must pass ``streams.check_run``.
+    """
+
+    seed: int
+    n_per_series: int
+    agree: Mapping[tuple[int, int], int]
+    classes: Mapping[tuple[int, int], tuple[int, ...]] | None = None
+
+    def __post_init__(self):
+        check_run(self.n_per_series, self.seed)
+        if set(self.agree) != set(SETTING_PAIRS):
+            raise ValueError("run counts need exactly the four setting pairs")
+        for pair, agree in self.agree.items():
+            if not isinstance(agree, Integral) or not 0 <= agree <= self.n_per_series:
+                raise ValueError(f"pair {pair}: {agree!r} agreements in {self.n_per_series} trials")
+        for pair, counts in (self.classes or {}).items():
+            total = sum(counts)  # a float if any entry is one
+            if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
+                raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
+                                 f"{self.n_per_series}, got {tuple(counts)}")
+
+
 # No report a program makes reads the LHV trial log (Series, TrialLog,
-# run_experiment, log_counts). It stays for the benchmark:
-# perfbench/tracing.py wraps engine.run_experiment by name and replays each
-# log, and the lhv-continuous workload reads the log's arrays. ROADMAP
-# item 1 moves the benchmark onto the count path; item 2 then deletes the log.
+# run_experiment), which is its run's counts plus the arrays. It stays for
+# the benchmark: perfbench/tracing.py wraps engine.run_experiment by name and
+# replays each log, and the lhv-continuous workload reads the log's arrays.
+# ROADMAP item 1 moves the benchmark onto the count path; item 2 then deletes the log.
 @dataclass(frozen=True, eq=False)
 class Series:
     """One setting pair's trials in columnar form."""
@@ -75,47 +104,18 @@ class Series:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialLog:
-    """Four series of trials plus the seed that generated them."""
+class TrialLog(RunCounts):
+    """A run's counts plus its four series of trials."""
 
-    series: Mapping[tuple[int, int], Series]
-    seed: int
-    n_per_series: int
+    series: Mapping[tuple[int, int], Series] = field(kw_only=True)
 
     def __post_init__(self):
+        super().__post_init__()
         if set(self.series) != set(SETTING_PAIRS):
             raise ValueError("a trial log needs exactly the four setting pairs")
         for pair, s in self.series.items():
             if len(s) != self.n_per_series:
                 raise ValueError(f"series {pair} has {len(s)} trials, expected {self.n_per_series}")
-
-
-@dataclass(frozen=True, eq=False)
-class RunCounts:
-    """The integer counts a report is computed from, per setting pair.
-
-    ``agree[pair]`` counts the trials whose two clicks agree;
-    ``classes[pair]`` holds the count of each of the 16 behavior classes,
-    indexed by code, for runs with hidden-variable tags (None otherwise).
-    Runs make every count a Python int, so no report reads a numpy type.
-    """
-
-    seed: int
-    n_per_series: int
-    agree: Mapping[tuple[int, int], int]
-    classes: Mapping[tuple[int, int], tuple[int, ...]] | None = None
-
-    def __post_init__(self):
-        if set(self.agree) != set(SETTING_PAIRS):
-            raise ValueError("run counts need exactly the four setting pairs")
-        for pair, agree in self.agree.items():
-            if not 0 <= agree <= self.n_per_series:
-                raise ValueError(f"pair {pair}: {agree} agreements in {self.n_per_series} trials")
-        for pair, counts in (self.classes or {}).items():
-            total = sum(counts)  # a float if any entry is one
-            if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
-                raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
-                                 f"{self.n_per_series}, got {tuple(counts)}")
 
 
 @dataclass(frozen=True)
@@ -184,14 +184,18 @@ def violation_p_value(s_star: float, n: int) -> float:
     P(|S*| - 2 >= t) <= exp(-n t^2 / 8) with t = max(0, |S*| - 2); at
     t = 0 the bound is 1.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     t = max(0.0, abs(s_star) - 2)
     return math.exp(-n * t * t / 8)
 
 
-def _tag_blocks(model: LhvModel, pair: tuple[int, int], n: int, seed: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, stop, tags) for each block of one series of ``model``
-    at setting ``pair``, in order, on the calling thread. Block j of a
-    series draws its tags by ``sample_lambda`` from
+def _tag_blocks(
+    model: LhvModel, pair: tuple[int, int], n: int, seed: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield (start, stop, tags, their ``behavior_codes``) for each block of
+    one series of ``model`` at setting ``pair``, in order, on the calling
+    thread. Block j of a series draws its tags by ``sample_lambda`` from
     ``trial_stream(seed, pair_code, j)``; a sampler that raises or answers
     other than stop - start tags is a ModelError."""
     for block, start, stop in iter_blocks(n):
@@ -203,29 +207,33 @@ def _tag_blocks(model: LhvModel, pair: tuple[int, int], n: int, seed: int) -> It
         if tags.shape != (stop - start,):
             raise ModelError(f"model {model.name!r}: sample_lambda returned tags of shape {tags.shape}, "
                              f"not {(stop - start,)}")
-        yield start, stop, tags
+        yield start, stop, tags, behavior_codes(model, tags)
 
 
 def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
-    """Run the four series of an LHV model and log every click and tag:
-    tags from ``sample_lambda``, clicks from the responses at each tag.
-    Each series writes its blocks in order into arrays of n trials: int8
-    clicks, and tags of the blocks' promoted dtype (what concatenating
-    them gives)."""
+    """Run the four series of an LHV model, count each block's classes as it
+    is drawn (as on the tag path) and log every tag and click, read off its
+    code at the measured settings. Each series writes its blocks in order
+    into arrays of n trials: int8 clicks, and tags of the blocks' promoted
+    dtype (what concatenating them gives)."""
     n_per_series, seed = check_run(n_per_series, seed)
-    series = {}
-    for pair in SETTING_PAIRS:
+    series, classes = {}, {}
+    for i, k in SETTING_PAIRS:
         alice, bob = np.empty(n_per_series, np.int8), np.empty(n_per_series, np.int8)
-        for start, stop, lams in _tag_blocks(model, pair, n_per_series, seed):
-            alice[start:stop] = core.responses(model, "alice", pair[0], lams, "trial generation")
-            bob[start:stop] = core.responses(model, "bob", pair[1], lams, "trial generation")
+        counts = np.zeros(16, np.int64)
+        for start, stop, lams, codes in _tag_blocks(model, (i, k), n_per_series, seed):
+            counts += np.bincount(codes, minlength=16)
+            # each click is its code's bit for the setting (0 or 1), as -1 or +1
+            alice[start:stop] = (codes >> _CODE_BIT["alice", i] & 1).astype(np.int8) * 2 - 1
+            bob[start:stop] = (codes >> _CODE_BIT["bob", k] & 1).astype(np.int8) * 2 - 1
             if start == 0:
                 lambdas = np.empty(n_per_series, lams.dtype)
             elif (dtype := np.result_type(lambdas.dtype, lams.dtype)) != lambdas.dtype:
                 lambdas = lambdas.astype(dtype)
             lambdas[start:stop] = lams
-        series[pair] = Series(pair, alice, bob, lambdas)
-    return TrialLog(series=series, seed=seed, n_per_series=n_per_series)
+        classes[i, k] = tuple(counts.tolist())
+        series[i, k] = Series((i, k), alice, bob, lambdas)
+    return TrialLog(seed, n_per_series, _agree(classes), classes, series=series)
 
 
 #: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
@@ -245,8 +253,8 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     if model.class_distribution is not None:
         classes = draw_counts(model.class_distribution, n_per_series, seed)
     else:
-        classes = {pair: tuple(sum(np.bincount(core.behavior_codes(model, lams), minlength=16)
-                                   for _, _, lams in _tag_blocks(model, pair, n_per_series, seed)).tolist())
+        classes = {pair: tuple(sum(np.bincount(codes, minlength=16)
+                                   for *_, codes in _tag_blocks(model, pair, n_per_series, seed)).tolist())
                    for pair in SETTING_PAIRS}
     return RunCounts(seed, n_per_series, _agree(classes), classes)
 
@@ -254,30 +262,6 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
 def _agree(classes: Mapping[tuple[int, int], tuple[int, ...]]) -> dict[tuple[int, int], int]:
     """Per setting pair, the trials whose two clicks agree, from its class counts."""
     return {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
-
-
-def log_counts(log: TrialLog, model: LhvModel | None = None) -> RunCounts:
-    """Reduce a trial log to its report's counts. Without a model, the
-    agreements come from the clicks; given the model, class counts come
-    from the logged tags and the agreements from the class counts. The
-    clicks are taken as the model's answers at the measured settings, as
-    they are in every log that ``run_experiment`` makes."""
-    if model is None:
-        agree = {pair: _agreements(s) for pair, s in log.series.items()}
-        return RunCounts(log.seed, log.n_per_series, agree)
-    classes = {}
-    for i, k in SETTING_PAIRS:
-        s = log.series[(i, k)]
-        # block by block, so the two responses the clicks do not hold take one block's memory
-        blocks = (np.bincount(behavior_codes(model, s.lambdas[start:stop], {
-            ("alice", i): s.alice[start:stop], ("bob", k): s.bob[start:stop]}), minlength=16)
-            for _, start, stop in iter_blocks(log.n_per_series))
-        classes[(i, k)] = tuple(sum(blocks).tolist())
-    return RunCounts(log.seed, log.n_per_series, _agree(classes), classes)
-
-
-def _agreements(series: Series) -> int:
-    return int(np.count_nonzero(series.alice == series.bob))
 
 
 def _correlation(agree: int, n: int) -> float:
@@ -291,35 +275,35 @@ def chsh_statistic(table: CorrelationTable):
     return table.e11 - table.e12 + table.e21 + table.e22
 
 
-def empirical_table(data: TrialLog | RunCounts) -> CorrelationTable:
-    counts = data if isinstance(data, RunCounts) else log_counts(data)
+def empirical_table(counts: RunCounts) -> CorrelationTable:
     return CorrelationTable(
         *(_correlation(counts.agree[p], counts.n_per_series) for p in SETTING_PAIRS)
     )
 
 
-def chsh_report(data: TrialLog | RunCounts) -> ChshReport:
+def chsh_report(counts: RunCounts) -> ChshReport:
     """Correlations, S*, the Hoeffding half-width and the violation test
-    of a run, from its counts or from a trial log reduced to them."""
-    table = empirical_table(data)
+    of a run, from its counts. The bound is decided in integers, as
+    S* = 2 (a11 - a12 + a21 + a22 - n) / n for agreement counts a."""
+    table = empirical_table(counts)
     s = chsh_statistic(table)
-    p = violation_p_value(s, data.n_per_series)
+    n, agree = counts.n_per_series, counts.agree
+    p = violation_p_value(s, n)
     return ChshReport(
         table=table,
         s_star=s,
-        bound_satisfied=within(abs(s), 2, VERDICT_SLACK),
-        n_per_series=data.n_per_series,
-        hoeffding_epsilon=hoeffding_epsilon(data.n_per_series),
+        bound_satisfied=abs(agree[1, 1] - agree[1, 2] + agree[2, 1] + agree[2, 2] - n) <= n,
+        n_per_series=n,
+        hoeffding_epsilon=hoeffding_epsilon(n),
         violation_p_value=p,
         violation_significant=p <= VIOLATION_DELTA,
     )
 
 
-def class_frequencies(data: TrialLog | RunCounts, model: LhvModel | None = None) -> ClassFrequencies:
+def class_frequencies(counts: RunCounts, model: LhvModel | None = None) -> ClassFrequencies:
     """Relative frequency of each behavior class, separately for each
-    setting pair: from the class counts of a run, or from a trial log
-    whose tags are first classified through ``model``'s responses."""
-    counts = data if isinstance(data, RunCounts) else log_counts(data, model)
+    setting pair, from a run's class counts (a trial log's too)."""
+    # model is unread; the benchmark still passes it, and ROADMAP item 2 drops it
     if counts.classes is None:
         raise ValueError("class analysis needs class counts, which a quantum run does not have")
     n = counts.n_per_series

@@ -2,7 +2,7 @@
 
 No zoo model has batch response twins: each declares its tag distribution,
 which compiles to class weights through its scalar responses, once per
-declared tag. The routes that ask ``core.responses`` about every drawn tag
+declared tag. The routes that ask ``core.behavior_codes`` about every drawn tag
 are the tag path of a model without a declared distribution and the trial
 log of any model. They call ``respond_*_batch`` where a model has them,
 and these helpers give the tests such models:

@@ -4,7 +4,7 @@ A model that declares its tag distribution compiles it once into class
 weights (``LhvModel.class_distribution``), asking its scalar responses
 about each distinct declared tag once. The per-trial routes, the tag path
 of a model without a declared distribution and the trial log of any
-model, ask ``core.responses`` about every drawn tag, through batch twins
+model, ask ``core.behavior_codes`` about every drawn tag, through batch twins
 where the model has them. No zoo model has batch twins, so these routes
 run on the test-only models of ``batch_models``.
 
@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from batch_models import WIDE_TAGS, lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_distribution
 from bellcheck import cli
 from bellcheck.core import SETTING_PAIRS, LhvModel, behavior_codes, behavior_of
-from bellcheck.engine import chsh_report, class_frequencies, count_experiment, log_counts, run_experiment
+from bellcheck.engine import chsh_report, class_frequencies, count_experiment, run_experiment
 from bellcheck.errors import ModelError
 from bellcheck.streams import BLOCK_SIZE
 from bellcheck.zoo import MODEL_FACTORIES, cosine_sign_model, dice_coin_model
@@ -219,7 +219,7 @@ def _unknown_pair(pair):
 
 
 _SHAPE = "model 'bad-probe': sample_lambda returned tags of shape {}, not (50,)"
-_CLICKS = "model 'bad-probe': trial generation: respond_{} at setting {} "
+_RESPONSE = "model 'bad-probe': class analysis: respond_{} at setting {} "
 
 #: (case id, model kwargs, the trial log's message)
 LOG_FAULTS = [
@@ -229,16 +229,16 @@ LOG_FAULTS = [
      "model 'bad-probe': sample_lambda failed: (1, 1)"),
     ("response raises at a drawn tag",
      dict(tags=[0, 1], respond_alice=_raise_at_tag_one, sample=lambda rng, n, pair: np.ones(n, dtype=np.int64)),
-     _CLICKS.format("alice", 1) + "failed: 'no such direction'"),
+     _RESPONSE.format("alice", 1) + "failed: 'no such direction'"),
     ("response returns 0 at a drawn tag", dict(respond_bob=lambda i, lam: 0 if i == 2 else 1),
-     _CLICKS.format("bob", 2) + "returned a value other than -1/+1"),
+     _RESPONSE.format("bob", 2) + "returned a value other than -1/+1"),
     ("too few tags", dict(sample=lambda rng, n, pair: np.zeros(n - 1, dtype=np.int64)), _SHAPE.format((49,))),
     ("batch twin raises", dict(respond_alice_batch=lambda i, lams: _unknown_pair((i, len(lams)))),
-     _CLICKS.format("alice", 1) + "failed: (1, 50)"),
+     _RESPONSE.format("alice", 1) + "failed: (1, 50)"),
     ("batch twin returns 0", dict(respond_bob_batch=lambda i, lams: np.zeros(len(lams), dtype=np.int8)),
-     _CLICKS.format("bob", 1) + "returned a value other than -1/+1"),
+     _RESPONSE.format("bob", 1) + "returned a value other than -1/+1"),
     ("batch twin returns 2", dict(respond_alice_batch=lambda i, lams: np.full(len(lams), 2)),
-     _CLICKS.format("alice", 1) + "returned a value other than -1/+1"),
+     _RESPONSE.format("alice", 1) + "returned a value other than -1/+1"),
 ]
 
 
@@ -267,24 +267,25 @@ MISSHAPEN = [
 @pytest.mark.parametrize("answer", [c[1] for c in MISSHAPEN], ids=[c[0] for c in MISSHAPEN])
 def test_batch_answer_of_another_shape_is_model_error(answer):
     """A twin must answer in the tags' shape, since a broadcast answer would
-    stand for every tag's: on the tag path, in trial generation and in a
-    log's class analysis, which alone asks Alice's setting 2 about tag 1."""
+    stand for every tag's: on the tag path and in the trial log, which both
+    classify each block as they draw it, so they meet a fault at a setting
+    that no series measures at that tag (Alice's setting 2 at tag 1)."""
     n = 1000
     shape = np.shape(answer(n))
-    message = "model '{}': {}: respond_{} at setting {} returned outcomes of shape {} for tags of shape (1000,)"
+    message = ("model '{}': class analysis: respond_{} at setting {} returned outcomes of shape {} "
+               "for tags of shape (1000,)")
     bad_bob = _model(name="shape-probe", enumerate_lambda=None, respond_bob_batch=lambda i, lams: answer(len(lams)))
-    for run, stage in ((count_experiment, "class analysis"), (run_experiment, "trial generation")):
-        with pytest.raises(ModelError) as info:
-            run(bad_bob, n, seed=0)
-        assert str(info.value) == message.format("shape-probe", stage, "bob", 1, shape)
     late = dataclasses.replace(
         _pair_one_misbehaving(lambda lam: 1),
         respond_alice_batch=lambda i, lams: answer(len(lams)) if i == 2 and lams[0] == 1 else np.ones(len(lams)),
     )
-    log = run_experiment(late, n, seed=0)
-    with pytest.raises(ModelError) as info:
-        class_frequencies(log, late)
-    assert str(info.value) == message.format("late-bad", "class analysis", "alice", 2, shape)
+    for run in (count_experiment, run_experiment):
+        with pytest.raises(ModelError) as info:
+            run(bad_bob, n, seed=0)
+        assert str(info.value) == message.format("shape-probe", "bob", 1, shape)
+        with pytest.raises(ModelError) as info:
+            run(late, n, seed=0)
+        assert str(info.value) == message.format("late-bad", "alice", 2, shape)
 
 
 #: (case id, the answer a response gives for n tags: a scalar response's
@@ -307,27 +308,27 @@ NOT_OUTCOMES = [
 @pytest.mark.parametrize("answer", [c[1] for c in NOT_OUTCOMES], ids=[c[0] for c in NOT_OUTCOMES])
 def test_answer_that_is_not_an_outcome_is_model_error(answer):
     """A per-trial answer other than -1/+1 is refused, as ``behavior_of``
-    refuses it, on the tag path, in trial generation and in a log's class
-    analysis; a scalar answer is not truncated to an int, and a batch
-    twin's complex answer of modulus 1 is no outcome."""
+    refuses it, on the tag path and in the trial log, also at a setting
+    that no series measures at that tag; a scalar answer is not truncated
+    to an int, and a batch twin's complex answer of modulus 1 is no
+    outcome."""
     n = 1000
     twin = isinstance(answer(n), np.ndarray)
     respond = (lambda i, lam: 1) if twin else (lambda i, lam: answer(1))
     batch = {"respond_bob_batch": lambda i, lams: answer(len(lams))} if twin else {}
-    message = "model '{}': {}: respond_{} at setting {} returned a value other than -1/+1"
+    message = "model '{}': class analysis: respond_{} at setting {} returned a value other than -1/+1"
     bad_bob = _model(name="value-probe", enumerate_lambda=None, respond_bob=respond, **batch)
-    for run, stage in ((count_experiment, "class analysis"), (run_experiment, "trial generation")):
-        with pytest.raises(ModelError) as info:
-            run(bad_bob, n, seed=0)
-        assert str(info.value) == message.format("value-probe", stage, "bob", 1)
     late = _pair_one_misbehaving(lambda lam: answer(1) if lam == 1 else 1)
     if twin:
         late = dataclasses.replace(late, respond_alice_batch=lambda i, lams: (
             answer(len(lams)) if i == 2 and lams[0] == 1 else np.ones(len(lams))))
-    log = run_experiment(late, n, seed=0)
-    with pytest.raises(ModelError) as info:
-        class_frequencies(log, late)
-    assert str(info.value) == message.format("late-bad", "class analysis", "alice", 2)
+    for run in (count_experiment, run_experiment):
+        with pytest.raises(ModelError) as info:
+            run(bad_bob, n, seed=0)
+        assert str(info.value) == message.format("value-probe", "bob", 1)
+        with pytest.raises(ModelError) as info:
+            run(late, n, seed=0)
+        assert str(info.value) == message.format("late-bad", "alice", 2)
 
 
 #: Scalar answers equal to -1/+1 by ``behavior_of``'s rule, in types other
@@ -346,7 +347,7 @@ def test_scalar_answers_equal_to_outcomes_count_as_them(plus, minus):
     for pair in SETTING_PAIRS:
         assert np.array_equal(log.series[pair].alice, reference.series[pair].alice)
         assert np.array_equal(log.series[pair].bob, reference.series[pair].bob)
-    assert log_counts(log, typed).classes == log_counts(reference, as_ints).classes
+    assert (log.agree, log.classes) == (reference.agree, reference.classes)
 
 
 def test_trial_log_answers_at_any_drawn_tag():
@@ -486,7 +487,7 @@ def test_unsigned_tags_count_as_int64(dtype):
     model = dice_coin_model()
     draw = model.sample_lambda
     cast = lambda dtype: dataclasses.replace(model, sample_lambda=lambda rng, n, pair: draw(rng, n, pair).astype(dtype))
-    counts_of = lambda model: log_counts(run_experiment(model, BLOCK_SIZE + 1, seed=3), model)
+    counts_of = lambda model: run_experiment(model, BLOCK_SIZE + 1, seed=3)
     expected = counts_of(cast(np.int64))
     counts = counts_of(cast(dtype))
     assert counts.agree == expected.agree
@@ -499,9 +500,9 @@ def test_empty_tag_array():
 
 def _pair_one_misbehaving(respond):
     """A model with no declared domain whose tag is Alice's setting index,
-    and whose Alice answers ``respond(tag)`` at setting 2. Trial generation
-    asks setting 2 only about tags drawn for pairs (2, k), so only the
-    class analysis meets ``respond`` at tag 1."""
+    and whose Alice answers ``respond(tag)`` at setting 2. Its clicks ask
+    setting 2 only about tags drawn for pairs (2, k), so only the class
+    analysis meets ``respond`` at tag 1."""
     return LhvModel(
         name="late-bad",
         respond_alice=lambda i, lam: respond(lam) if i == 2 else 1,
@@ -520,12 +521,12 @@ LATE_MISBEHAVIOUR = [
 
 @pytest.mark.parametrize("respond", [c[1] for c in LATE_MISBEHAVIOUR], ids=[c[0] for c in LATE_MISBEHAVIOUR])
 def test_response_failing_only_in_class_analysis_is_model_error(respond):
-    model = _pair_one_misbehaving(respond)
-    log = run_experiment(model, 50, seed=0)
-    with pytest.raises(ModelError) as info:
-        class_frequencies(log, model)
-    assert "'late-bad'" in str(info.value)
-    assert "class analysis" in str(info.value)
+    # a trial log classifies each block as it draws it, so it meets the fault
+    for run in (count_experiment, run_experiment):
+        with pytest.raises(ModelError) as info:
+            run(_pair_one_misbehaving(respond), 50, seed=0)
+        assert "'late-bad'" in str(info.value)
+        assert "class analysis" in str(info.value)
 
 
 @pytest.mark.parametrize("respond", [c[1] for c in LATE_MISBEHAVIOUR], ids=[c[0] for c in LATE_MISBEHAVIOUR])
@@ -536,9 +537,10 @@ def test_response_failing_only_in_class_analysis_exits_3(respond, monkeypatch, c
     assert err.startswith("model error: ") and "'late-bad'" in err and "class analysis" in err
 
 
-def test_class_analysis_of_a_log_asks_only_the_unmeasured_settings():
-    """A log's clicks stand for the responses at each series' own
-    settings; the tag here names the series' pair."""
+def test_a_log_asks_each_response_once_per_trial():
+    """A log classifies each drawn tag through its four responses, once,
+    and reads its clicks off that class at the series' own settings; the
+    tag here names the series' pair."""
     calls = []
 
     def recorder(party):
@@ -551,11 +553,14 @@ def test_class_analysis_of_a_log_asks_only_the_unmeasured_settings():
     model = LhvModel("probe", recorder("alice"), recorder("bob"),
                      lambda rng, n, pair: np.full(n, 10 * pair[0] + pair[1]), True)
     log = run_experiment(model, 5, seed=1)
-    calls.clear()
-    freqs = class_frequencies(log, model)
-    expected = [(p, 3 - s, 10 * i + k) for i, k in SETTING_PAIRS for p, s in (("alice", i), ("bob", k))]
+    expected = [(p, s, 10 * i + k) for i, k in SETTING_PAIRS for p in ("alice", "bob") for s in (1, 2)]
     assert sorted(calls) == sorted(expected * 5)
-    assert all(freqs.per_pair[(i, k)] == {behavior_of(model, 10 * i + k): 1.0} for i, k in SETTING_PAIRS)
+    freqs = class_frequencies(log, model)
+    for i, k in SETTING_PAIRS:
+        beh = behavior_of(model, 10 * i + k)
+        assert freqs.per_pair[(i, k)] == {beh: 1.0}
+        s = log.series[i, k]
+        assert s.alice.tolist() == [beh.alice(i)] * 5 and s.bob.tolist() == [beh.bob(k)] * 5
 
 
 #: (case id, model factory, the model on scalar responses, the model on

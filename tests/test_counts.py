@@ -2,16 +2,16 @@
 (`run_experiment`), and the singlet's raw-word limits.
 
 A model without a declared distribution takes the same blocks and tags on
-both paths: the count path reduces each block to integer counts at once,
-the log path keeps every click and tag and reduces the log afterwards.
-Their counts must be equal for every such model route (batch twins,
-scalar responses; the batch twins belong to the test-only models of
-``batch_models``). A model that declares its distribution draws its count
-path's class counts from it (stream scheme v4), while the log still draws
-its tags through ``sample_lambda`` (on batch twins, see
-``batch_models.log_model``): both must follow the declared distribution
-(``trial_reference.assert_counts_follow``). Every route is
-checked at block-edge sizes. The singlet has no trial log: its counts
+both paths, and both reduce each block to integer counts as it is drawn;
+the log path also keeps every click and tag. Their counts must be equal
+for every such model route (batch twins, scalar responses; the batch twins
+belong to the test-only models of ``batch_models``). A model that
+declares its distribution draws its count path's class counts from it
+(stream scheme v4), while the log still draws its tags through
+``sample_lambda`` (on batch twins, see ``batch_models.log_model``): both
+must follow the declared distribution
+(``trial_reference.assert_counts_follow``). Every route is checked at
+block-edge sizes. The singlet has no trial log: its counts
 follow the singlet's probabilities as the per-trial reference of
 ``trial_reference`` does, and the threshold tests feed its
 raw-word limits words on both sides of every limit. The count loop
@@ -29,6 +29,7 @@ import os
 import subprocess
 import sys
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,8 @@ from bellcheck.engine import (
     RunCounts,
     class_frequencies,
     count_experiment,
-    log_counts,
     run_experiment,
+    violation_p_value,
 )
 from bellcheck import core, engine, quantum, streams
 from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, _cell_boundaries, _word_limits, count_quantum_experiment
@@ -73,7 +74,7 @@ SEEDS = range(200)
 @pytest.mark.parametrize("factory", [r[1] for r in LHV_ROUTES], ids=[r[0] for r in LHV_ROUTES])
 def test_lhv_counts_match_the_trial_log(factory, n):
     model, logged = route_model(factory), log_model(factory)
-    log = log_counts(run_experiment(logged, n, seed=23), logged)
+    log = run_experiment(logged, n, seed=23)
     if model.class_distribution is None:
         assert_same_counts(count_experiment(model, n, seed=23), log)
         return
@@ -240,22 +241,12 @@ def test_a_two_outcome_multinomial_is_one_binomial():
         assert a.bit_generator.state == b.bit_generator.state, (k, w)
 
 
-def test_lhv_agreements_read_off_the_classes_equal_the_clicks(monkeypatch):
-    # given the model, a trial log's agreements are read off its class
-    # counts, as on the count path, without comparing the clicks again;
-    # that reading must give the agreements of the clicks
-    compared = []
-    agreements = engine._agreements
-    monkeypatch.setattr(engine, "_agreements", lambda series: compared.append(series) or agreements(series))
+def test_lhv_log_agreements_are_the_clicks_that_agree():
+    # a trial log's agreements are read off its class counts, as on the
+    # count path; that reading must give the clicks that agree
     for name, factory in LHV_ROUTES:
-        model = log_model(factory)
-        log = run_experiment(model, 3000, seed=5)
-        classified = log_counts(log, model)
-        assert not compared, name
-        clicks = log_counts(log)
-        assert len(compared) == 4 and clicks.classes is None, name
-        compared.clear()
-        assert classified.agree == clicks.agree, name
+        log = run_experiment(log_model(factory), 3000, seed=5)
+        assert log.agree == {pair: np.count_nonzero(s.alice == s.bob) for pair, s in log.series.items()}, name
 
 
 def test_quantum_counts_have_no_classes():
@@ -264,10 +255,10 @@ def test_quantum_counts_have_no_classes():
         class_frequencies(counts)
 
 
-def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypatch):
+def test_tag_blocks_call_engine_behavior_codes_on_the_calling_thread(monkeypatch):
     # a traced benchmark run wraps engine.behavior_codes in a recorder that
-    # must run on its own thread; the count path's workers call the core
-    # function, and log_counts calls the engine name on the caller's thread
+    # must run on its own thread; the tag path and the trial log classify
+    # each block through that name, on the caller's thread
     threads = []
 
     def recording(*args):
@@ -276,12 +267,10 @@ def test_count_path_leaves_engine_behavior_codes_to_the_calling_thread(monkeypat
 
     monkeypatch.setattr(engine, "behavior_codes", recording)
     model = without_distribution(MODEL_FACTORIES["dice-coin"]())
-    monkeypatch.setenv("BELLCHECK_THREADS", "3")
     counts = count_experiment(model, 1000, seed=9)
-    assert set(threads) <= {threading.get_ident()}
-    from_log = log_counts(run_experiment(model, 1000, seed=9), model)
-    assert all(np.array_equal(from_log.classes[p], counts.classes[p]) for p in SETTING_PAIRS)
-    assert threads and set(threads) == {threading.get_ident()}
+    assert len(threads) == 4
+    assert_same_counts(run_experiment(model, 1000, seed=9), counts)
+    assert threads == [threading.get_ident()] * 8
 
 
 def test_n_past_one_word_block_indices_is_rejected(monkeypatch):
@@ -310,6 +299,17 @@ def test_run_counts_validation():
         RunCounts(0, 5, {p: a for p, a in agree.items() if p != (2, 2)})
     with pytest.raises(ValueError):
         RunCounts(0, 2, agree)
+    # sizes and agreements as runs make them: integers, and n of at least 1
+    for n in (0, -1, 2.5, True, np.bool_(True), 3.0):
+        with pytest.raises(ValueError, match="n_per_series must be an integer of at least 1"):
+            RunCounts(0, n, dict.fromkeys(SETTING_PAIRS, 0))
+    for bad in (2.5, 3.0, Fraction(3), "3"):
+        with pytest.raises(ValueError, match=r"pair \(1, 2\): .* agreements in 3 trials"):
+            RunCounts(0, 3, agree | {(1, 2): bad})
+    assert RunCounts(0, np.int64(3), agree | {(1, 2): np.uint8(2)}).agree[(1, 2)] == 2
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="n must be positive"):
+            violation_p_value(3.0, n)
     classes = {p: np.bincount([15, 15, 0], minlength=16) for p in SETTING_PAIRS}
     with pytest.raises(ValueError):
         RunCounts(0, 4, agree, classes)
@@ -350,7 +350,7 @@ def _singlet_draws(monkeypatch):
 
 def _log_classes(factory):
     model = log_model(factory)
-    return log_counts(run_experiment(model, BLOCK_SIZE + 1, seed=3), model).classes
+    return run_experiment(model, BLOCK_SIZE + 1, seed=3).classes
 
 
 #: Every source of class vectors, each a function of pytest's monkeypatch.
@@ -361,7 +361,7 @@ COUNT_SOURCES = {
         lookup_twins(MODEL_FACTORIES["dice-coin"]()), BLOCK_SIZE + 1, seed=3).classes,
     "tag path, scalar responses": lambda mp: count_experiment(
         scalar_only(MODEL_FACTORIES["dice-coin"]()), BLOCK_SIZE + 1, seed=3).classes,
-    "log_counts": lambda mp: _log_classes(MODEL_FACTORIES["cosine-sign"]),
+    "trial log": lambda mp: _log_classes(MODEL_FACTORIES["cosine-sign"]),
     "draw_counts, 16 classes": lambda mp: draw_counts(
         (dict.fromkeys(SETTING_PAIRS, tuple(range(1, 17))), 136), 49159, seed=3),
     "draw_counts, singlet": _singlet_draws,

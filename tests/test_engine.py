@@ -36,7 +36,6 @@ from bellcheck.engine import (
     exact_correlation_table,
     exact_mi_holds,
     hoeffding_epsilon,
-    log_counts,
     mi_diagnostic,
     run_experiment,
     theoretical_chsh,
@@ -56,7 +55,7 @@ from batch_models import (
     uniform_code_model,
     without_distribution,
 )
-from trial_reference import assert_same_counts
+from trial_reference import assert_same_counts, lhv_reference_clicks
 
 DICE_WEIGHTS = {
     Behavior(1, -1, 1, 1): Fraction(1, 2),
@@ -90,12 +89,14 @@ def no_stream(*args):
 def exact_sweep_log(model, domain):
     """A log whose every series visits each tag in ``domain`` once."""
     lams = np.array(list(domain))
-    series = {}
+    classes = dict.fromkeys(SETTING_PAIRS, tuple(np.bincount(behavior_codes(model, lams), minlength=16).tolist()))
+    series, agree = {}, {}
     for pair in SETTING_PAIRS:
         alice = np.array([model.respond_alice(pair[0], l) for l in lams], dtype=np.int8)
         bob = np.array([model.respond_bob(pair[1], l) for l in lams], dtype=np.int8)
         series[pair] = Series(pair, alice, bob, lams.copy())
-    return TrialLog(series=series, seed=0, n_per_series=len(lams))
+        agree[pair] = int(np.count_nonzero(alice == bob))
+    return TrialLog(0, len(lams), agree, classes, series=series)
 
 
 rational_weights = st.lists(
@@ -192,13 +193,12 @@ def test_numpy_integer_sizes_run_as_their_int(size):
         "declared": lambda n: count_experiment(model, n, 5),
         "tag path": lambda n: count_experiment(without_distribution(model), n, 5),
         "singlet": lambda n: count_quantum_experiment(TSIRELSON_ANGLES, n, 5),
-        "trial log": lambda n: log_counts(run_experiment(model, n, 5), model),
+        "trial log": lambda n: run_experiment(model, n, 5),
     }
     for name, run in runs.items():
         got = run(size(200))
         assert type(got.n_per_series) is int, name
         assert_same_counts(got, run(200))
-    assert type(run_experiment(model, size(200), 5).n_per_series) is int
 
 
 #: Values of BELLCHECK_THREADS that once set a worker count or stopped a
@@ -213,16 +213,15 @@ def test_threads_variable_leaves_every_run_as_unset(value, monkeypatch):
     model = without_distribution(dice_coin_model())
     n = 2 * BLOCK_SIZE + 5
     monkeypatch.delenv("BELLCHECK_THREADS", raising=False)
-    tags, log = count_experiment(model, n, seed=6), log_counts(run_experiment(model, n, 6), model)
+    tags, log = count_experiment(model, n, seed=6), run_experiment(model, n, 6)
     monkeypatch.setenv("BELLCHECK_THREADS", value)
     assert_same_counts(count_experiment(model, n, seed=6), tags)
-    assert_same_counts(log_counts(run_experiment(model, n, 6), model), log)
+    assert_same_counts(run_experiment(model, n, 6), log)
 
 
 def test_every_series_samples_on_the_calling_thread(monkeypatch):
-    """BELLCHECK_THREADS is not read: the tag path and the trial log call
-    sample_lambda on the calling thread alone."""
-    monkeypatch.setenv("BELLCHECK_THREADS", "4")
+    """The tag path and the trial log call sample_lambda on the calling
+    thread alone."""
     threads = set()
     model = without_distribution(dice_coin_model())
 
@@ -234,14 +233,6 @@ def test_every_series_samples_on_the_calling_thread(monkeypatch):
     count_experiment(recording, 3 * BLOCK_SIZE, seed=8)
     run_experiment(recording, 3 * BLOCK_SIZE, seed=8)
     assert threads == {threading.get_ident()}
-
-
-def whole_series_classes(log, model):
-    """Per pair, the class counts of one ``behavior_codes`` call over the
-    whole series: the reference for ``log_counts``' block-by-block pass."""
-    return {(i, k): tuple(np.bincount(behavior_codes(model, s.lambdas, {
-        ("alice", i): s.alice, ("bob", k): s.bob}), minlength=16).tolist())
-        for (i, k), s in log.series.items()}
 
 
 def code_bits_model():
@@ -283,13 +274,20 @@ BLOCKWISE_MODELS = [
 class TestBlockwiseTrialLog:
     @pytest.mark.parametrize("factory", [c[1] for c in BLOCKWISE_MODELS], ids=[c[0] for c in BLOCKWISE_MODELS])
     @pytest.mark.parametrize("n", [1, BLOCK_SIZE - 1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 5])
-    def test_blockwise_classes_equal_whole_series_classes(self, factory, n):
+    def test_log_takes_the_tag_path_counts_and_the_scalar_clicks(self, factory, n):
+        """A log's counts, taken as its blocks are drawn, are the tag path's
+        counts; its clicks are the per-trial reference's scalar responses,
+        and its agreements the clicks that agree."""
         model = factory()
         log = run_experiment(model, n, seed=17)
-        counts = log_counts(log, model)
-        assert counts.classes == whole_series_classes(log, model)
-        assert all(type(c) is int for row in counts.classes.values() for c in row)
-        assert list(counts.classes) == list(SETTING_PAIRS)
+        assert_same_counts(log, count_experiment(model, n, seed=17))
+        assert all(type(c) is int for row in log.classes.values() for c in row)
+        assert list(log.classes) == list(SETTING_PAIRS)
+        reference = lhv_reference_clicks(model, n, seed=17)
+        for pair, s in log.series.items():
+            alice, bob = reference[pair]
+            assert np.array_equal(s.alice, alice) and np.array_equal(s.bob, bob), pair
+            assert log.agree[pair] == np.count_nonzero(s.alice == s.bob), pair
 
     @pytest.mark.parametrize("dtypes,logged", [
         ((np.int64, np.float64, np.int64), np.float64),
@@ -320,7 +318,7 @@ class TestBlockwiseTrialLog:
             assert np.array_equal(s.lambdas, expected), pair
             assert np.array_equal(s.alice, twin(4)(pair[0], expected)) and s.alice.dtype == np.int8
             assert np.array_equal(s.bob, twin(2)(pair[1], expected)) and s.bob.dtype == np.int8
-        assert log_counts(log, model).classes == whole_series_classes(log, model)
+        assert_same_counts(log, count_experiment(model, n, seed=5))
 
     def test_building_a_log_takes_its_bytes_and_a_block(self):
         """At 2^18 float-tag trials per series the log holds 10 MiB, and
@@ -333,9 +331,9 @@ class TestBlockwiseTrialLog:
     @pytest.mark.parametrize("n", [1 << 18, 1 << 20])
     def test_class_analysis_of_a_log_takes_a_block(self, n):
         """The class analysis of a log takes at most 0.5 MiB on top of it,
-        whatever its size: one block's responses at a time, and the
-        agreements read off the class counts, where comparing one series'
-        clicks would take n bytes."""
+        whatever its size: it reads the class counts the log took as its
+        blocks were drawn, where classifying one series' tags or comparing
+        its clicks would take n bytes."""
         model = direction_model()
         log = run_experiment(model, n, seed=11)
         _, peak = traced_peak(lambda: class_frequencies(log, model))
@@ -549,6 +547,17 @@ class TestReports:
         with pytest.raises(ValueError):
             hoeffding_epsilon(10, delta=1.5)
 
+    @pytest.mark.parametrize("n", [1, 3, 1 << 20, 1 << 40])
+    def test_bound_is_decided_in_integers(self, n):
+        """With T = a11 + (n - a12) + a21 + a22, S* = 2 T / n - 4: T = 3n
+        and T = n lie on the bound, T = 3n + 1 and T = n - 1 past it by
+        2 / n, which at n = 2^40 a float verdict with a slack of 1e-9
+        would call satisfied."""
+        assert chsh_report(agreeing(n, e12=0, e22=0)).bound_satisfied  # T = 3n
+        assert not chsh_report(agreeing(n, e12=0, e22=1)).bound_satisfied  # T = 3n + 1
+        assert chsh_report(agreeing(n, e11=0, e21=0)).bound_satisfied  # T = n
+        assert not chsh_report(agreeing(n, e11=0, e21=0, e22=n - 1)).bound_satisfied  # T = n - 1
+
     def test_empirical_table_matches_series_means(self):
         log = run_experiment(dice_coin_model(), 1000, seed=8)
         table = empirical_table(log)
@@ -701,16 +710,24 @@ class TestExactTables:
 
 
 class TestLogValidation:
+    def test_is_its_run_counts(self):
+        log = run_experiment(constant_model(), 5, seed=0)
+        assert isinstance(log, RunCounts)
+        assert log.agree == dict.fromkeys(SETTING_PAIRS, 5)
+        assert log.classes == dict.fromkeys(SETTING_PAIRS, (0,) * 15 + (5,))
+        with pytest.raises(ValueError, match="agreements"):
+            TrialLog(0, 5, dict.fromkeys(SETTING_PAIRS, 6), series=log.series)
+
     def test_requires_four_pairs(self):
         log = run_experiment(constant_model(), 5, seed=0)
         partial = {p: s for p, s in log.series.items() if p != (2, 2)}
-        with pytest.raises(ValueError):
-            TrialLog(series=partial, seed=0, n_per_series=5)
+        with pytest.raises(ValueError, match="four setting pairs"):
+            TrialLog(0, 5, log.agree, log.classes, series=partial)
 
     def test_requires_equal_lengths(self):
         log = run_experiment(constant_model(), 5, seed=0)
-        with pytest.raises(ValueError):
-            TrialLog(series=log.series, seed=0, n_per_series=6)
+        with pytest.raises(ValueError, match="expected 6"):
+            TrialLog(0, 6, dict.fromkeys(SETTING_PAIRS, 6), series=log.series)
 
     def test_arrays_frozen(self):
         log = run_experiment(constant_model(), 5, seed=0)

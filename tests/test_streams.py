@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from bellcheck import engine, streams
-from bellcheck.core import PAIR_CODES, SETTING_PAIRS
+from bellcheck.core import PAIR_CODES, SETTING_PAIRS, behavior_codes
 from bellcheck.engine import VIOLATION_DELTA, chsh_report, count_experiment, exact_correlation_table, hoeffding_epsilon
 from bellcheck.quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment, quantum_correlation_table
 from bellcheck.streams import BLOCK_SIZE, check_run, draw_counts, iter_blocks, trial_stream, validate_seed
 from bellcheck.zoo import get_model
+from batch_models import lookup_twins
 from trial_reference import DRAW_SEEDS
 
 #: Edge seeds (one and two uint32 words, both ends) plus random ones.
@@ -145,8 +146,8 @@ def test_tag_path_keys_each_block_on_its_own_stream(seed, n):
     """``engine._tag_blocks`` asks ``sample_lambda`` for block j of a pair's
     series on the fresh stream ``SeedSequence(seed, spawn_key=(pair_code, j))``
     and the block's trial count, and yields each block's bounds with the
-    tags it returned, in block order."""
-    model = get_model("dice-coin")
+    tags it returned and their behavior codes, in block order."""
+    model = lookup_twins(get_model("dice-coin"))  # each block is classified: at numpy speed on twins
     for pair in SETTING_PAIRS:
         calls, drawn = [], []
 
@@ -158,8 +159,9 @@ def test_tag_path_keys_each_block_on_its_own_stream(seed, n):
         got = list(engine._tag_blocks(dataclasses.replace(model, sample_lambda=sample_lambda), pair, n, seed))
         blocks = list(iter_blocks(n))
         assert calls == [(seed_sequence_key(seed, PAIR_CODES[pair], j), stop - start, pair) for j, start, stop in blocks]
-        assert [(start, stop) for start, stop, _ in got] == [(start, stop) for _, start, stop in blocks], pair
-        assert all(tags is returned for (_, _, tags), returned in zip(got, drawn, strict=True)), pair
+        assert [(start, stop) for start, stop, _, _ in got] == [(start, stop) for _, start, stop in blocks], pair
+        assert all(tags is returned for (_, _, tags, _), returned in zip(got, drawn, strict=True)), pair
+        assert all(np.array_equal(codes, behavior_codes(model, tags)) for _, _, tags, codes in got), pair
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -169,7 +171,7 @@ def test_trial_log_keys_each_block_on_its_own_stream(seed, n):
     series on the fresh stream ``SeedSequence(seed, spawn_key=(pair_code, j))``
     and the block's trial count, in block order, and logs the tags it
     returns in that order."""
-    model = get_model("dice-coin")
+    model = lookup_twins(get_model("dice-coin"))  # each block is classified: at numpy speed on twins
     calls = {pair: [] for pair in SETTING_PAIRS}
     tags = {pair: [] for pair in SETTING_PAIRS}
 

@@ -26,8 +26,9 @@ tags, so their counts must be equal (``assert_same_counts``). Otherwise the
 two routes draw different samples of one distribution, and
 ``assert_counts_follow`` checks each against the exact weights:
 ``reference_class_weights`` for an LHV model, (1 -+ cos(a - b)) / 2 for the
-singlet. ``count_agreements`` is the singlet's one-word-per-trial sampler,
-which the tests of the word limits read.
+singlet. ``lhv_reference_clicks`` gives an LHV model's per-trial clicks,
+which a trial log must hold. ``count_agreements`` is the singlet's
+one-word-per-trial sampler, which the tests of the word limits read.
 """
 
 import collections
@@ -167,6 +168,18 @@ def lhv_reference_counts(model, n, seed) -> RunCounts:
                 quadruple = [respond(party, index, lam) for party in ("alice", "bob") for index in (1, 2)]
                 classes[i, k][Behavior(*quadruple).code] += 1
     return RunCounts(seed, n, agree, classes)
+
+
+def lhv_reference_clicks(model, n, seed):
+    """Per setting pair, the (alice, bob) clicks of every trial, as lists:
+    the scalar responses at the measured settings and each drawn tag."""
+    alice, bob = functools.cache(model.respond_alice), functools.cache(model.respond_bob)  # pure, and tags repeat
+    clicks = {}
+    for i, k in SETTING_PAIRS:
+        tags = [lam for rng, count in _blocks(seed, (i, k), n)
+                for lam in np.asarray(model.sample_lambda(rng, count, (i, k))).tolist()]
+        clicks[i, k] = [alice(i, lam) for lam in tags], [bob(k, lam) for lam in tags]
+    return clicks
 
 
 def singlet_reference_counts(angles, n, seed) -> RunCounts:
