@@ -36,7 +36,7 @@ from .engine import (
     theoretical_correlations,
     violation_p_value,
 )
-from .errors import BoundViolationError, ModelError
+from .errors import ModelError
 from .ghz import (
     ProductConstraint,
     SatResult,

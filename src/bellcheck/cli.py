@@ -10,9 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import re
@@ -224,18 +222,13 @@ def _json(obj, newline: str) -> str:
 
 
 def _render_csv(report) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["pair_i", "pair_k", "n", "e_hat", "hoeffding_eps"])
-    n, eps = report.n_per_series, report.hoeffding_epsilon
-    for (i, k), e in zip(SETTING_PAIRS, report.table.as_tuple()):
-        writer.writerow([i, k, n, _fmt(e), _fmt(eps)])
-    writer.writerow(["s_star", "bound_2", "tsirelson_2sqrt2", "violation_p_value", "violation_significant"])
-    writer.writerow([
-        _fmt(report.s_star), 2, _fmt(2 * math.sqrt(2)),
-        _fmt(report.violation_p_value), str(report.violation_significant).lower(),
-    ])
-    return buf.getvalue()
+    """The six CSV rows, written directly: no field needs quoting."""
+    n, eps = report.n_per_series, _fmt(report.hoeffding_epsilon)
+    rows = "".join(f"{i},{k},{n},{_fmt(e)},{eps}\n" for (i, k), e in zip(SETTING_PAIRS, report.table.as_tuple()))
+    return (f"pair_i,pair_k,n,e_hat,hoeffding_eps\n{rows}"
+            "s_star,bound_2,tsirelson_2sqrt2,violation_p_value,violation_significant\n"
+            f"{_fmt(report.s_star)},2,{_fmt(2 * math.sqrt(2))},{_fmt(report.violation_p_value)},"
+            f"{_JSON_BOOL[report.violation_significant]}\n")
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Complex, Rational, Real
 from typing import Any, Callable, Hashable, Sequence
@@ -66,9 +66,9 @@ def validate_outcome(value: int) -> int:
 
 
 def _check_unit_interval(name: str, value) -> None:
-    # an exact value is decided in integers, as |numerator| <= denominator
+    # an exact value is decided in integers, as |numerator| <= denominator; NaN fails
     if not (abs(value.numerator) <= abs(value.denominator) if is_exact(value)
-            else within(value, 1, DOMAIN_SLACK) and within(-value, 1, DOMAIN_SLACK)):
+            else abs(float(value)) <= 1 + DOMAIN_SLACK):
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
 
@@ -152,8 +152,8 @@ class CorrelationTable:
     e22: Any
 
     def __post_init__(self):
-        for f in fields(self):
-            _check_unit_interval(f.name, getattr(self, f.name))
+        for name, value in zip(("e11", "e12", "e21", "e22"), self.as_tuple()):
+            _check_unit_interval(name, value)
 
     def as_tuple(self) -> tuple:
         return (self.e11, self.e12, self.e21, self.e22)

@@ -38,14 +38,13 @@ from .core import (
     DOMAIN_SLACK,
     PAIR_CODES,
     SETTING_PAIRS,
-    VERDICT_SLACK,
     Behavior,
     CorrelationTable,
     LhvModel,
     behavior_codes,
-    within,
+    is_exact,
 )
-from .errors import BoundViolationError, ModelError
+from .errors import ModelError
 from .streams import check_run, draw_counts, iter_blocks, trial_stream
 
 
@@ -57,7 +56,8 @@ class RunCounts:
     ``classes[pair]`` holds the count of each of the 16 behavior classes,
     indexed by code, for runs with hidden-variable tags (None otherwise).
     Runs make every count a Python int, so no report reads a numpy type.
-    The size and seed must pass ``streams.check_run``.
+    The size and seed must pass ``streams.check_run``; class counts must
+    cover the four setting pairs and give exactly the agreements.
     """
 
     seed: int
@@ -72,11 +72,18 @@ class RunCounts:
         for pair, agree in self.agree.items():
             if not isinstance(agree, Integral) or not 0 <= agree <= self.n_per_series:
                 raise ValueError(f"pair {pair}: {agree!r} agreements in {self.n_per_series} trials")
-        for pair, counts in (self.classes or {}).items():
+        if self.classes is None:
+            return
+        if set(self.classes) != set(SETTING_PAIRS):
+            raise ValueError("class counts need exactly the four setting pairs")
+        for pair, counts in self.classes.items():
             total = sum(counts)  # a float if any entry is one
             if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
                 raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
                                  f"{self.n_per_series}, got {tuple(counts)}")
+        for pair, agree in _agree(self.classes).items():
+            if self.agree[pair] != agree:
+                raise ValueError(f"pair {pair}: {self.agree[pair]!r} agreements, but its class counts give {agree}")
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -139,21 +146,20 @@ class MiDiagnostic:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """Summary of one experiment: the table, S*, the per-correlation
-    99% Hoeffding half-width, and the p-value of |S*| against the LHV
-    bound 2 with its verdict at ``VIOLATION_DELTA``."""
+    """Summary of one experiment: the table, S* (read off the table), the
+    per-correlation 99% Hoeffding half-width, and the p-value of |S*|
+    against the LHV bound 2 with its verdict at ``VIOLATION_DELTA``."""
 
     table: CorrelationTable
-    s_star: float
     bound_satisfied: bool
     n_per_series: int
     hoeffding_epsilon: float
     violation_p_value: float
     violation_significant: bool
 
-    def __post_init__(self):
-        if self.s_star != chsh_statistic(self.table):
-            raise ValueError("s_star does not equal the CHSH statistic of its table")
+    @property
+    def s_star(self):
+        return chsh_statistic(self.table)
 
 
 def hoeffding_epsilon(n: int, delta: float = 0.01, value_range: float = 2.0) -> float:
@@ -286,12 +292,10 @@ def chsh_report(counts: RunCounts) -> ChshReport:
     of a run, from its counts. The bound is decided in integers, as
     S* = 2 (a11 - a12 + a21 + a22 - n) / n for agreement counts a."""
     table = empirical_table(counts)
-    s = chsh_statistic(table)
     n, agree = counts.n_per_series, counts.agree
-    p = violation_p_value(s, n)
+    p = violation_p_value(chsh_statistic(table), n)
     return ChshReport(
         table=table,
-        s_star=s,
         bound_satisfied=abs(agree[1, 1] - agree[1, 2] + agree[2, 1] + agree[2, 2] - n) <= n,
         n_per_series=n,
         hoeffding_epsilon=hoeffding_epsilon(n),
@@ -340,11 +344,20 @@ def exact_mi_holds(model: LhvModel) -> bool:
 
 
 def validate_weights(weights: Mapping[Behavior, Any]) -> None:
-    if any(w < 0 for w in weights.values()):
+    """Check that class weights are nonnegative and sum to 1: exactly when
+    all are Rational, in integers over the lcm of their denominators, and
+    otherwise as a float sum up to DOMAIN_SLACK."""
+    values, d = weights.values(), None
+    if all(map(is_exact, values)):
+        # numerators over the lcm of the (positive) denominators, as Python ints:
+        # numpy's fixed-width integers would overflow
+        d = math.lcm(*(int(w.denominator) for w in values))
+        values = [int(w.numerator) * (d // int(w.denominator)) for w in values]
+    if any(w < 0 for w in values):
         raise ValueError("class weights must be nonnegative")
-    total = sum(weights.values())
-    if not within(abs(total - 1), 0, DOMAIN_SLACK):
-        raise ValueError(f"class weights sum to {total}, not 1")
+    total = sum(values)
+    if not (total == d if d else abs(total - 1) <= DOMAIN_SLACK):  # NaN fails
+        raise ValueError(f"class weights sum to {Fraction(total, d) if d else total}, not 1")
 
 
 def theoretical_correlations(weights: Mapping[Behavior, Any]) -> CorrelationTable:
@@ -363,20 +376,12 @@ _CLASS_CHSH = tuple(p11 - p12 + p21 + p22 for p11, p12, p21, p22 in zip(*CLASS_S
 
 
 def theoretical_chsh(weights: Mapping[Behavior, Any]) -> tuple[Any, dict[Behavior, int]]:
-    """Exact CHSH value of a single class-weight distribution.
-
-    Returns (s, per-class C values). Because every C is -2 or +2 and the
-    weights form a probability distribution, |s| <= 2 always; the bound
-    is re-checked here and a failure raises BoundViolationError.
-    """
+    """Exact CHSH value of a single class-weight distribution, as (s, per-class
+    C values). Every C is -2 or +2 (``_CLASS_CHSH``) and ``validate_weights``
+    checks that the weights form a probability distribution, so |s| <= 2."""
     validate_weights(weights)
     per_class = {beh: _CLASS_CHSH[beh.code] for beh in weights}
-    if bad := set(per_class.values()) - {-2, 2}:
-        raise BoundViolationError(f"per-class CHSH value {min(bad)} outside {{-2, +2}}")
-    s = sum(w * per_class[beh] for beh, w in weights.items())
-    if not within(abs(s), 2, VERDICT_SLACK):
-        raise BoundViolationError(f"single-distribution CHSH value {s} exceeds 2")
-    return s, per_class
+    return sum(w * per_class[beh] for beh, w in weights.items()), per_class
 
 
 def mi_diagnostic(freqs: ClassFrequencies, tolerance: float) -> MiDiagnostic:

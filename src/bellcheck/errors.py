@@ -1,4 +1,4 @@
-"""Exception types shared across the package: a ModelError ends a command in exit 3."""
+"""The exception type shared across the package: a ModelError ends a command in exit 3."""
 
 
 class ModelError(RuntimeError):
@@ -7,8 +7,3 @@ class ModelError(RuntimeError):
     Raised when ``sample_lambda`` fails on its own domain or when a
     response function returns something other than -1 or +1.
     """
-
-
-class BoundViolationError(RuntimeError):
-    """Internal consistency check failed: a single-distribution CHSH
-    value left [-2, 2]. This indicates a bug, not a physical violation."""

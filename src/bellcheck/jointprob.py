@@ -250,13 +250,6 @@ def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
         return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
     if stats.scaled is None:
         weights = {beh: n / d for beh, n, d in _fine_witness(*_scaled_floats(stats))}
-        return FeasibilityResult(True, JointProbability(weights), None)
-    # JointProbability's check, made here in integers over the lcm of the
-    # denominators; object.__new__ skips its re-sum of the Fractions
-    triples = list(_fine_witness(*stats.scaled))
-    lcm = math.lcm(*(den for *_, den in triples))
-    witness = object.__new__(JointProbability)
-    object.__setattr__(witness, "weights", {beh: Fraction(n, den) for beh, n, den in triples})
-    if any(n < 0 for _, n, _ in triples) or sum(n * (lcm // den) for _, n, den in triples) != lcm:
-        validate_weights(witness.weights)  # fails as the integer check did, with its own message
-    return FeasibilityResult(True, witness, None)
+    else:
+        weights = {beh: Fraction(n, d) for beh, n, d in _fine_witness(*stats.scaled)}
+    return FeasibilityResult(True, JointProbability(weights), None)

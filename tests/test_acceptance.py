@@ -68,7 +68,7 @@ def test_criterion_1_lhv_bound_exact():
             weights = {
                 beh: Fraction(n, total) for beh, n in zip(ALL_BEHAVIORS, nums) if n
             }
-            s, per_class = theoretical_chsh(weights)  # raises past 2
+            s, per_class = theoretical_chsh(weights)  # each class's C is +-2 (engine._CLASS_CHSH)
             assert abs(s) <= 2
             assert all(c in (-2, 2) for c in per_class.values())
 

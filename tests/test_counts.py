@@ -315,6 +315,14 @@ def test_run_counts_validation():
         RunCounts(0, 4, agree, classes)
     freqs = class_frequencies(RunCounts(0, 3, agree, classes))
     assert freqs.per_pair[(1, 2)] == {Behavior(1, 1, 1, 1): 2 / 3, Behavior(-1, -1, -1, -1): 1 / 3}
+    # class counts cover the four setting pairs and give exactly the agreements
+    with pytest.raises(ValueError, match="^class counts need exactly the four setting pairs$"):
+        RunCounts(0, 3, agree, {p: c for p, c in classes.items() if p != (1, 2)})
+    all_minus = {p: (10,) + (0,) * 15 for p in SETTING_PAIRS}  # class 0 agrees on every pair
+    with pytest.raises(ValueError, match=r"^pair \(1, 1\): 5 agreements, but its class counts give 10$"):
+        RunCounts(0, 10, dict.fromkeys(SETTING_PAIRS, 5), all_minus)
+    with pytest.raises(ValueError, match=r"^pair \(2, 2\): 9 agreements, but its class counts give 10$"):
+        RunCounts(0, 10, dict.fromkeys(SETTING_PAIRS, 10) | {(2, 2): 9}, all_minus)
 
 
 @pytest.mark.parametrize("bad", [

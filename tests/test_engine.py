@@ -22,7 +22,6 @@ from bellcheck.core import (
 )
 from bellcheck import engine, streams
 from bellcheck.engine import (
-    ChshReport,
     ClassFrequencies,
     RunCounts,
     Series,
@@ -463,6 +462,73 @@ class TestTheoreticalCorrelations:
                               Behavior(-1, -1, -1, -1): Fraction(-1, 2)})
 
 
+#: Large primes, so that products of a few of them are large coprime denominators.
+_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 10**9 + 7, 998_244_353, 10**18 + 9)
+
+
+def _as_fraction(w) -> Fraction:
+    # through int: a Fraction of an np.int64 keeps numpy's fixed-width numerator
+    return Fraction(int(w.numerator), int(w.denominator))
+
+
+@st.composite
+def exact_weight_dicts(draw):
+    """Rational class weights (Fractions over products of large primes,
+    ints and np.int64 zeros, or one int or np.int64 weight of 1) that sum
+    to exactly 1, miss it by 1/d, or hold one negative entry."""
+    behaviors = draw(st.permutations(ALL_BEHAVIORS))[:draw(st.integers(1, 16))]
+    if len(behaviors) == 1 and draw(st.booleans()):
+        weights = [draw(st.sampled_from([1, np.int64(1), Fraction(1)]))]
+    else:
+        weights = []
+        for _ in behaviors[1:]:
+            if draw(st.integers(0, 4)) == 0:
+                weights.append(draw(st.sampled_from([0, np.int64(0), Fraction(0)])))
+            else:
+                den = math.prod(draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=3)))
+                weights.append(Fraction(draw(st.integers(0, den // 16)), den))
+        weights.append(1 - sum(map(_as_fraction, weights)))  # at least 1/16
+    kind = draw(st.sampled_from(["one", "over", "under", "negative"]))
+    if kind in ("over", "under"):
+        d = math.prod(draw(st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=3)))
+        weights[-1] = _as_fraction(weights[-1]) + Fraction(1 if kind == "over" else -1, d)
+    elif kind == "negative":
+        j = draw(st.integers(0, len(weights) - 1))
+        weights[j] = -weights[j] if weights[j] else draw(st.sampled_from([-1, np.int64(-1), Fraction(-1, 3)]))
+    return dict(zip(behaviors, weights))
+
+
+def _fraction_verdict(weights) -> str | None:
+    """What validate_weights must say, from the weights summed as Fractions."""
+    fractions = list(map(_as_fraction, weights.values()))
+    if any(w < 0 for w in fractions):
+        return "class weights must be nonnegative"
+    total = sum(fractions, Fraction(0))
+    return None if total == 1 else f"class weights sum to {total}, not 1"
+
+
+class TestValidateWeights:
+    @given(exact_weight_dicts())
+    @settings(max_examples=400, deadline=None)
+    def test_exact_weights_decide_as_their_fraction_sum(self, weights):
+        try:
+            validate_weights(weights)
+        except ValueError as exc:
+            verdict = str(exc)
+        else:
+            verdict = None
+        assert verdict == _fraction_verdict(weights)
+
+    def test_float_weights_keep_the_domain_slack(self):
+        a, b = Behavior(1, 1, 1, 1), Behavior(-1, -1, -1, -1)
+        validate_weights({a: 0.25, b: 0.75 + DOMAIN_SLACK / 2})
+        validate_weights({a: Fraction(1, 3), b: 2 / 3})  # one float makes the sum a float
+        with pytest.raises(ValueError, match=r"^class weights sum to 1\.000000000002\d*, not 1$"):
+            validate_weights({a: 0.25, b: 0.75 + 2 * DOMAIN_SLACK})
+        with pytest.raises(ValueError, match="^class weights sum to nan, not 1$"):
+            validate_weights({a: 0.25, b: float("nan")})
+
+
 class TestTheoreticalChsh:
     def test_dice_weights(self):
         s, per_class = theoretical_chsh(DICE_WEIGHTS)
@@ -526,18 +592,6 @@ class TestReports:
         assert rep.bound_satisfied
         assert rep.n_per_series == 10_000
         assert rep.hoeffding_epsilon == hoeffding_epsilon(10_000)
-
-    def test_report_invariant_enforced(self):
-        with pytest.raises(ValueError):
-            ChshReport(
-                table=CorrelationTable(1, 0, 0, -1),
-                s_star=1.0,
-                bound_satisfied=True,
-                n_per_series=10,
-                hoeffding_epsilon=0.1,
-                violation_p_value=1.0,
-                violation_significant=False,
-            )
 
     def test_hoeffding_formula(self):
         n = 100_000

@@ -312,8 +312,8 @@ class TestIntegerStatisticsVsFractions:
 
 
 class TestExactWitnessCheck:
-    """The exact witness is checked in integers, not by JointProbability's
-    re-sum, and still fails with validate_weights's messages."""
+    """The exact witness is built through JointProbability, whose
+    validate_weights sums it in integers and fails with its two messages."""
 
     STATS = BehaviorStatistics(
         CorrelationTable(Fraction(-1, 3), Fraction(-1, 51), Fraction(-1, 17), Fraction(5, 51)),
