@@ -1,10 +1,10 @@
 """Domain types shared by every other module.
 
 Outcomes are plain ints in {-1, +1} so products and averages can be
-written directly. Hidden-variable tags are opaque hashable values; the
-engine never looks inside one. It passes tags to the model's response
-functions: once per distinct tag when it compiles a declared tag
-distribution into class weights, and per drawn tag otherwise.
+written directly. Hidden-variable tags are opaque; the engine passes them
+to the model's responses: once per distinct tag when it compiles a
+declared tag distribution (any hashable tags) into class weights, and per
+drawn tag otherwise (k tags that ``np.asarray`` reads as one dimension).
 """
 
 from __future__ import annotations
@@ -65,11 +65,27 @@ def validate_outcome(value: int) -> int:
     return int(value)
 
 
+def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+    """Rational values as (numerators, d) over the lcm d of their denominators, in Python ints."""
+    dens = [int(v.denominator) for v in values]  # Python ints: numpy's fixed-width ones would overflow
+    d = math.lcm(*set(dens))  # declared tags tend to share one denominator
+    return [int(v.numerator) * (d // den) for v, den in zip(values, dens)], d
+
+
 def _check_unit_interval(name: str, value) -> None:
     # an exact value is decided in integers, as |numerator| <= denominator; NaN fails
     if not (abs(value.numerator) <= abs(value.denominator) if is_exact(value)
             else abs(float(value)) <= 1 + DOMAIN_SLACK):
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
+
+
+#: The bit of a behavior code that holds each party's response at each setting: +1 sets it.
+_CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
+
+
+def _pack(outs: Sequence) -> int:
+    """The behavior code of the outcomes (A1, A2, B1, B2), by ``_CODE_BIT``."""
+    return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
 
 
 @dataclass(frozen=True)
@@ -105,13 +121,8 @@ class Behavior:
 
     @property
     def code(self) -> int:
-        """Bit-packed form, a1 most significant, +1 encoded as bit 1."""
-        return (
-            ((self.a1 > 0) << 3)
-            | ((self.a2 > 0) << 2)
-            | ((self.b1 > 0) << 1)
-            | (self.b2 > 0)
-        )
+        """Bit-packed form (``_pack``), a1 most significant, +1 encoded as bit 1."""
+        return _pack(self.outcomes())
 
     @classmethod
     def from_code(cls, code: int) -> "Behavior":
@@ -163,9 +174,9 @@ class CorrelationTable:
         return self.as_tuple()[2 * (i - 1) + (k - 1)]
 
 
-# Batch samplers receive a dedicated random stream, a trial count, and the
-# setting pair; they return one tag per trial. Models that honour
-# measurement independence must ignore the pair argument.
+# Batch samplers receive a dedicated random stream, a trial count k and the
+# setting pair; they return k tags that np.asarray reads as one dimension.
+# Models that honour measurement independence must ignore the pair argument.
 LambdaSampler = Callable[[np.random.Generator, int, tuple[int, int]], Sequence[Hashable]]
 ResponseFn = Callable[[int, Any], int]
 BatchResponseFn = Callable[[int, np.ndarray], np.ndarray]
@@ -216,8 +227,7 @@ class LhvModel:
         if self.enumerate_lambda is None:
             return None
         where = f"model {self.name!r}: enumerate_lambda"
-        codes = {}
-        sums, dens = {}, {}
+        codes, sums, dens = {}, {}, {}
         for pair in SETTING_PAIRS:
             try:
                 declared = list(self.enumerate_lambda(pair))
@@ -228,16 +238,13 @@ class LhvModel:
                 raise ModelError(f"{where} failed: {exc}") from exc
             for tag in fresh:
                 codes[tag] = _code_of(self, tag, "class distribution")
-            # as Python ints: numpy's fixed-width integers would overflow
-            nums = [int(w.numerator) for w in weights]
-            denominators = [int(w.denominator) for w in weights]
-            dens[pair] = d = math.lcm(*set(denominators))
+            nums, dens[pair] = _over_lcm(weights)
             sums[pair] = acc = [0] * 16
-            for tag, w, num, den in zip(tags, weights, nums, denominators):
+            for tag, w, num in zip(tags, weights, nums):
                 if num < 0:
                     raise ModelError(f"{where}: tag {tag!r} of pair {pair} has weight {w} < 0")
-                acc[codes[tag]] += num * (d // den)
-            if sum(acc) != d:
+                acc[codes[tag]] += num
+            if sum(acc) != (d := dens[pair]):
                 raise ModelError(f"{where}: declared tag weights of pair {pair} sum to {Fraction(sum(acc), d)}, not 1")
         d = math.lcm(*dens.values())
         return {pair: tuple(n * (d // dens[pair]) for n in sums[pair]) for pair in SETTING_PAIRS}, d
@@ -258,7 +265,7 @@ def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
             for value in outs:
                 validate_outcome(value)
         # inside the try: a value that equals +-1 need not compare with 0
-        return (outs[0] > 0) << 3 | (outs[1] > 0) << 2 | (outs[2] > 0) << 1 | (outs[3] > 0)
+        return _pack(outs)
     except Exception as exc:
         if stage is None:
             raise
@@ -280,11 +287,6 @@ def _batch_responses(
 
 class _NotAnOutcome(ValueError):
     """A scalar response answered a value other than -1/+1."""
-
-
-#: The bit of a behavior code that holds each party's response at each
-#: setting index (a1 most significant, see Behavior.code).
-_CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
 
 
 def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:

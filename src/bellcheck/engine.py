@@ -2,10 +2,10 @@
 
 Empirical side: ``count_experiment`` samples the four series (one per
 setting pair) and keeps only integer counts: per pair, the trials in each
-of the 16 behavior classes, and from them the trials whose clicks agree
-(stream scheme v4: ``streams.draw_counts`` draws each series' counts at
-once from the model's compiled class distribution where it declares one;
-otherwise each block's tags are drawn and reduced to their class codes).
+of the 16 behavior classes (stream scheme v4: ``streams.draw_counts`` draws
+each series' counts at once from the model's compiled class distribution
+where it declares one; otherwise each block's tags are drawn and reduced to
+their class codes), from which ``RunCounts`` derives the agreements.
 Every series runs on the calling thread. ``chsh_report`` reduces the
 agreements to the S* number and the p-value of its excess over the LHV
 bound 2, and ``class_frequencies`` plus ``mi_diagnostic`` inspect how the
@@ -41,6 +41,7 @@ from .core import (
     Behavior,
     CorrelationTable,
     LhvModel,
+    _over_lcm,
     behavior_codes,
     is_exact,
 )
@@ -48,31 +49,41 @@ from .errors import ModelError
 from .streams import check_run, draw_counts, iter_blocks, trial_stream
 
 
+#: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
+_AGREEING = {pair: tuple(sign > 0 for sign in signs) for pair, signs in CLASS_SIGNS.items()}
+
+
+def _agree(classes: Mapping[tuple[int, int], tuple[int, ...]]) -> dict[tuple[int, int], int]:
+    """Per setting pair, the trials whose two clicks agree, from its class counts."""
+    return {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
+
+
 @dataclass(frozen=True, eq=False)
 class RunCounts:
     """The integer counts a report is computed from, per setting pair.
 
-    ``agree[pair]`` counts the trials whose two clicks agree;
-    ``classes[pair]`` holds the count of each of the 16 behavior classes,
-    indexed by code, for runs with hidden-variable tags (None otherwise).
-    Runs make every count a Python int, so no report reads a numpy type.
-    The size and seed must pass ``streams.check_run``; class counts must
-    cover the four setting pairs and give exactly the agreements.
+    A run gives ``agree`` (the singlet) or ``classes``, not both:
+    ``classes[pair]`` counts each of the 16 behavior classes by code, and
+    as a class fixes both clicks, ``agree[pair]`` (the trials whose clicks
+    agree) is derived from it. Runs make every count a Python int, so no
+    report reads a numpy type. The size and seed must pass ``check_run``.
     """
 
     seed: int
     n_per_series: int
-    agree: Mapping[tuple[int, int], int]
+    agree: Mapping[tuple[int, int], int] | None = None
     classes: Mapping[tuple[int, int], tuple[int, ...]] | None = None
 
     def __post_init__(self):
         check_run(self.n_per_series, self.seed)
-        if set(self.agree) != set(SETTING_PAIRS):
-            raise ValueError("run counts need exactly the four setting pairs")
-        for pair, agree in self.agree.items():
-            if not isinstance(agree, Integral) or not 0 <= agree <= self.n_per_series:
-                raise ValueError(f"pair {pair}: {agree!r} agreements in {self.n_per_series} trials")
+        if (self.agree is None) == (self.classes is None):
+            raise ValueError("run counts take exactly one of agree and classes")
         if self.classes is None:
+            if set(self.agree) != set(SETTING_PAIRS):
+                raise ValueError("run counts need exactly the four setting pairs")
+            for pair, agree in self.agree.items():
+                if not isinstance(agree, Integral) or not 0 <= agree <= self.n_per_series:
+                    raise ValueError(f"pair {pair}: {agree!r} agreements in {self.n_per_series} trials")
             return
         if set(self.classes) != set(SETTING_PAIRS):
             raise ValueError("class counts need exactly the four setting pairs")
@@ -81,9 +92,7 @@ class RunCounts:
             if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
                 raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
                                  f"{self.n_per_series}, got {tuple(counts)}")
-        for pair, agree in _agree(self.classes).items():
-            if self.agree[pair] != agree:
-                raise ValueError(f"pair {pair}: {self.agree[pair]!r} agreements, but its class counts give {agree}")
+        object.__setattr__(self, "agree", _agree(self.classes))
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -239,11 +248,7 @@ def run_experiment(model: LhvModel, n_per_series: int, seed: int) -> TrialLog:
             lambdas[start:stop] = lams
         classes[i, k] = tuple(counts.tolist())
         series[i, k] = Series((i, k), alice, bob, lambdas)
-    return TrialLog(seed, n_per_series, _agree(classes), classes, series=series)
-
-
-#: Per setting pair (i, k), which of the 16 behavior codes have A_i == B_k.
-_AGREEING = {pair: tuple(sign > 0 for sign in signs) for pair, signs in CLASS_SIGNS.items()}
+    return TrialLog(seed, n_per_series, classes=classes, series=series)
 
 
 def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts:
@@ -262,12 +267,7 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
         classes = {pair: tuple(sum(np.bincount(codes, minlength=16)
                                    for *_, codes in _tag_blocks(model, pair, n_per_series, seed)).tolist())
                    for pair in SETTING_PAIRS}
-    return RunCounts(seed, n_per_series, _agree(classes), classes)
-
-
-def _agree(classes: Mapping[tuple[int, int], tuple[int, ...]]) -> dict[tuple[int, int], int]:
-    """Per setting pair, the trials whose two clicks agree, from its class counts."""
-    return {pair: sum(compress(classes[pair], _AGREEING[pair])) for pair in SETTING_PAIRS}
+    return RunCounts(seed, n_per_series, classes=classes)
 
 
 def _correlation(agree: int, n: int) -> float:
@@ -349,10 +349,7 @@ def validate_weights(weights: Mapping[Behavior, Any]) -> None:
     otherwise as a float sum up to DOMAIN_SLACK."""
     values, d = weights.values(), None
     if all(map(is_exact, values)):
-        # numerators over the lcm of the (positive) denominators, as Python ints:
-        # numpy's fixed-width integers would overflow
-        d = math.lcm(*(int(w.denominator) for w in values))
-        values = [int(w.numerator) * (d // int(w.denominator)) for w in values]
+        values, d = _over_lcm(values)
     if any(w < 0 for w in values):
         raise ValueError("class weights must be nonnegative")
     total = sum(values)
@@ -426,6 +423,4 @@ def exact_correlation_table(model: LhvModel) -> CorrelationTable:
     distributions and no single-distribution bound applies.
     """
     nums, d = _compiled(model)
-    return CorrelationTable(*(
-        Fraction(2 * sum(compress(nums[pair], _AGREEING[pair])) - d, d) for pair in SETTING_PAIRS
-    ))
+    return CorrelationTable(*(Fraction(2 * a - d, d) for a in _agree(nums).values()))

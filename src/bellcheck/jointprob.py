@@ -30,6 +30,7 @@ from .core import (
     CorrelationTable,
     LhvModel,
     _check_unit_interval,
+    _over_lcm,
     is_exact,
     within,
 )
@@ -96,10 +97,7 @@ class BehaviorStatistics:
             _check_unit_interval(name, v)
         values = self.correlations.as_tuple() + self.marginals()
         if all(map(is_exact, values)):
-            # as Python ints: numpy's fixed-width integers would overflow
-            d = math.lcm(*(int(v.denominator) for v in values))
-            nums = [int(v.numerator) * (d // int(v.denominator)) for v in values]
-            object.__setattr__(self, "scaled", (nums, d))
+            object.__setattr__(self, "scaled", _over_lcm(values))
         cells = _pair_cells(*self.scaled) if self.scaled else _pair_cells(values)
         for j, (_, _, _, cell) in enumerate(cells):
             if cell < 0 if self.scaled else not within(-cell, 0, DOMAIN_SLACK):

@@ -185,6 +185,28 @@ def test_any_hashable_declared_tags_compile(tags):
     assert all([Fraction(num, d) for num in nums[pair]] == expected for pair in SETTING_PAIRS)
 
 
+def test_tuple_tags_are_declared_not_drawn():
+    """Declared tags may be any hashable, tuples too. A sampler answers k tags
+    that ``np.asarray`` reads as one dimension, so k tuples of two, a (k, 2)
+    array, are refused by their shape on the tag path and in the trial log."""
+    tags = [(0, 1), (1, 0)]
+    respond = lambda i, lam: 1 if lam[i - 1] else -1
+    sample = lambda rng, n, pair: [tags[j % 2] for j in range(n)]
+    declared = _model(name="bad-probe", tags=tags, respond_alice=respond, respond_bob=respond, sample=sample)
+    # (0, 1) is (A1, A2, B1, B2) = (-1, +1, -1, +1), code 5; (1, 0) is code 10
+    half = [0] * 16
+    half[5] = half[10] = 1
+    assert declared.class_distribution == (dict.fromkeys(SETTING_PAIRS, tuple(half)), 2)
+    counts = count_experiment(declared, 50, seed=0)
+    assert all(c[5] + c[10] == 50 for c in counts.classes.values())
+    drawn = _model(name="bad-probe", tags=tags, respond_alice=respond, respond_bob=respond, sample=sample,
+                   enumerate_lambda=None)
+    for run, model in ((count_experiment, drawn), (run_experiment, declared), (run_experiment, drawn)):
+        with pytest.raises(ModelError) as info:
+            run(model, 50, seed=0)
+        assert str(info.value) == _SHAPE.format((50, 2)), run.__name__
+
+
 def _model(
     *,
     tags=(0,),

@@ -34,9 +34,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from batch_models import LHV_ROUTES, log_model, lookup_twins, route_model, scalar_only, without_distribution
-from bellcheck.core import PAIR_CODES, SETTING_PAIRS, Behavior, LhvModel
+from bellcheck.core import ALL_BEHAVIORS, PAIR_CODES, SETTING_PAIRS, Behavior, LhvModel
 from bellcheck.engine import (
     RunCounts,
     class_frequencies,
@@ -312,17 +314,38 @@ def test_run_counts_validation():
             violation_p_value(3.0, n)
     classes = {p: np.bincount([15, 15, 0], minlength=16) for p in SETTING_PAIRS}
     with pytest.raises(ValueError):
-        RunCounts(0, 4, agree, classes)
-    freqs = class_frequencies(RunCounts(0, 3, agree, classes))
+        RunCounts(0, 4, classes=classes)
+    counts = RunCounts(0, 3, classes=classes)
+    assert counts.agree == agree  # classes 0 and 15 agree on every pair
+    freqs = class_frequencies(counts)
     assert freqs.per_pair[(1, 2)] == {Behavior(1, 1, 1, 1): 2 / 3, Behavior(-1, -1, -1, -1): 1 / 3}
-    # class counts cover the four setting pairs and give exactly the agreements
     with pytest.raises(ValueError, match="^class counts need exactly the four setting pairs$"):
-        RunCounts(0, 3, agree, {p: c for p, c in classes.items() if p != (1, 2)})
-    all_minus = {p: (10,) + (0,) * 15 for p in SETTING_PAIRS}  # class 0 agrees on every pair
-    with pytest.raises(ValueError, match=r"^pair \(1, 1\): 5 agreements, but its class counts give 10$"):
-        RunCounts(0, 10, dict.fromkeys(SETTING_PAIRS, 5), all_minus)
-    with pytest.raises(ValueError, match=r"^pair \(2, 2\): 9 agreements, but its class counts give 10$"):
-        RunCounts(0, 10, dict.fromkeys(SETTING_PAIRS, 10) | {(2, 2): 9}, all_minus)
+        RunCounts(0, 3, classes={p: c for p, c in classes.items() if p != (1, 2)})
+    # a run gives its agreements or its class counts, which fix them: both or neither is refused
+    for both_or_neither in ({"agree": agree, "classes": classes}, {}, {"agree": None, "classes": None}):
+        with pytest.raises(ValueError, match="^run counts take exactly one of agree and classes$"):
+            RunCounts(0, 3, **both_or_neither)
+    with pytest.raises(ValueError, match="^run counts take exactly one of agree and classes$"):
+        RunCounts(0, 3, agree, classes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 2**40), min_size=16, max_size=16), st.integers(0, 15)),
+                min_size=4, max_size=4))
+def test_agreements_are_derived_from_the_class_counts(drawn):
+    """Each pair's agreements are the trials of the classes whose two clicks
+    agree at its settings, counted here from each behavior's own clicks. Each
+    drawn vector is topped up at a drawn class to a common n."""
+    n = max(1, *(sum(counts) for counts, _ in drawn))
+    classes = {}
+    for pair, (counts, fill) in zip(SETTING_PAIRS, drawn):
+        counts[fill] += n - sum(counts)
+        classes[pair] = tuple(counts)
+    agree = RunCounts(0, n, classes=classes).agree
+    assert list(agree) == list(SETTING_PAIRS)
+    for i, k in SETTING_PAIRS:
+        agreeing = [beh.alice(i) == beh.bob(k) for beh in ALL_BEHAVIORS]
+        assert agree[i, k] == sum(count for count, same in zip(classes[i, k], agreeing) if same)
 
 
 @pytest.mark.parametrize("bad", [
@@ -337,7 +360,7 @@ def test_run_counts_reject_a_class_vector_that_is_not_16_counts(bad):
     good = (5,) + (0,) * 15
     classes = {pair: good for pair in SETTING_PAIRS} | {(2, 1): bad}
     with pytest.raises(ValueError, match=r"pair \(2, 1\): class counts must be 16 nonnegative integers summing to 5"):
-        RunCounts(1, 5, dict.fromkeys(SETTING_PAIRS, 5), classes)
+        RunCounts(1, 5, classes=classes)
 
 
 def _singlet_draws(monkeypatch):

@@ -95,7 +95,9 @@ def exact_sweep_log(model, domain):
         bob = np.array([model.respond_bob(pair[1], l) for l in lams], dtype=np.int8)
         series[pair] = Series(pair, alice, bob, lams.copy())
         agree[pair] = int(np.count_nonzero(alice == bob))
-    return TrialLog(0, len(lams), agree, classes, series=series)
+    log = TrialLog(0, len(lams), classes=classes, series=series)
+    assert log.agree == agree  # the clicks agree where the class counts say
+    return log
 
 
 rational_weights = st.lists(
@@ -776,7 +778,7 @@ class TestLogValidation:
         log = run_experiment(constant_model(), 5, seed=0)
         partial = {p: s for p, s in log.series.items() if p != (2, 2)}
         with pytest.raises(ValueError, match="four setting pairs"):
-            TrialLog(0, 5, log.agree, log.classes, series=partial)
+            TrialLog(0, 5, classes=log.classes, series=partial)
 
     def test_requires_equal_lengths(self):
         log = run_experiment(constant_model(), 5, seed=0)

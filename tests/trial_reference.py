@@ -167,7 +167,10 @@ def lhv_reference_counts(model, n, seed) -> RunCounts:
                 agree[i, k] += respond("alice", i, lam) == respond("bob", k, lam)
                 quadruple = [respond(party, index, lam) for party in ("alice", "bob") for index in (1, 2)]
                 classes[i, k][Behavior(*quadruple).code] += 1
-    return RunCounts(seed, n, agree, classes)
+    counts = RunCounts(seed, n, classes=classes)
+    # the clicks, counted here one trial at a time, agree as the class counts say
+    assert counts.agree == agree, (counts.agree, agree)
+    return counts
 
 
 def lhv_reference_clicks(model, n, seed):
