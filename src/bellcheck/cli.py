@@ -164,9 +164,10 @@ _JSON_BOOL = {True: "true", False: "false"}
 
 
 def _run_json(config: ExperimentConfig, counts, model, report) -> str:
-    """``_render_json`` of the `run` report, written in one pass: the layout
-    is fixed, so each key is written in its sorted place. Every number in
-    it is finite, so its str is its JSON text."""
+    """``json.dumps(report, sort_keys=True, indent=2) + "\\n"`` of the `run`
+    report, written in one pass: the layout is fixed, so each key is written
+    in its sorted place. Every number in it is finite, so its str is its
+    JSON text."""
     angles = "[\n    {},\n    {},\n    {},\n    {}\n  ]".format(*config.angles.as_tuple()) if config.angles else "null"
     classes = mi = ""
     if model is not None:
@@ -191,34 +192,6 @@ def _run_json(config: ExperimentConfig, counts, model, report) -> str:
             f'  "s_star": {float(report.s_star)},\n  "seed": {counts.seed},\n'
             f'  "violation_p_value": {report.violation_p_value},\n'
             f'  "violation_significant": {_JSON_BOOL[report.violation_significant]}\n}}\n')
-
-
-def _render_json(obj: dict) -> str:
-    """The bytes of ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``
-    for dicts with str keys, lists, tuples, str, bool, int, float and None;
-    anything else raises TypeError. Written directly: before Python 3.13,
-    json.dumps indents through its pure-Python encoder."""
-    return _json(obj, "\n") + "\n"
-
-
-def _json(obj, newline: str) -> str:
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return (float.__repr__(obj) if math.isfinite(obj)
-                else "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity")
-    inner = newline + "  "
-    if isinstance(obj, dict):  # a key that is not a str fails sorting or encoding with TypeError
-        items, brackets = [encode_basestring_ascii(key) + ": " + _json(obj[key], inner) for key in sorted(obj)], "{}"
-    elif isinstance(obj, (list, tuple)):
-        items, brackets = [_json(v, inner) for v in obj], "[]"
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1] if items else brackets
 
 
 def _render_csv(report) -> str:
@@ -292,7 +265,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         },
         "mi_holds_exact": exact_mi_holds(model),
     }
-    _emit(_render_json(out), args.out)
+    _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -317,6 +290,24 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise ValueError(f"{what}: {exc}") from None
 
 
+def _fine_json(result, top) -> str:
+    """The fine-check output, written in one pass as ``_run_json`` writes
+    `run`'s: the layout is fixed, and its strings (fractions and compact
+    class names) need no escaping. ``top`` is the largest facet value, the
+    one an infeasible verdict's certificate carries."""
+    value = f'{{\n      "exact": "{_frac_str(top)}",\n      "float": {float(top)}\n    }}'
+    facet = witness = "null"
+    if result.certificate:
+        facet = ('{{\n    "signs": [\n      {},\n      {},\n      {},\n      {}\n    ],\n'.format(*result.certificate.signs)
+                 + f'    "value": {value}\n  }}')
+    else:  # the witness lines first differ in their 4-character names, so sorting the lines sorts the names
+        witness = "{\n" + ",\n".join(sorted(
+            [f'    "{_COMPACT[beh]}": "{_frac_str(w)}"' for beh, w in result.witness.weights.items()])) + "\n  }"
+    feasible = _JSON_BOOL[result.feasible]
+    return (f'{{\n  "chsh_criterion": {{\n    "all_pass": {feasible},\n    "max_facet_value": {value}\n  }},\n'
+            f'  "feasible": {feasible},\n  "violated_facet": {facet},\n  "witness": {witness}\n}}\n')
+
+
 def cmd_fine_check(args: argparse.Namespace) -> int:
     es = _parse_fraction_list(args.correlations, 4, "--correlations")
     ms = (
@@ -327,26 +318,7 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
     if math.lcm(*(v.denominator for v in es + ms)) >= _MAX_DENOMINATOR:
         raise ValueError(f"--correlations/--marginals: common denominator exceeds {_MAX_DENOMINATOR_DIGITS} digits")
     stats = BehaviorStatistics(CorrelationTable(*es), *ms)
-    result = jp_feasible(stats)
-    weights = result.witness.weights if result.witness else None
-    out = {
-        "feasible": result.feasible,
-        "witness": (
-            {_COMPACT[beh]: _frac_str(w) for beh, w in weights.items()}
-            if weights is not None
-            else None
-        ),
-        "violated_facet": (
-            {"signs": list(result.certificate.signs), "value": _exact_and_float(result.certificate.value)}
-            if result.certificate
-            else None
-        ),
-        "chsh_criterion": {
-            "all_pass": result.feasible,
-            "max_facet_value": _exact_and_float(stats.facet[1]),
-        },
-    }
-    _emit(_render_json(out), args.out)
+    _emit(_fine_json(jp_feasible(stats), stats.facet[1]), args.out)
     return EXIT_OK
 
 
@@ -366,7 +338,7 @@ def cmd_ghz_check(args: argparse.Namespace) -> int:
         "assignments_checked": result.assignments_checked,
         "witness": {f"{party}({angle:.{digits}g})": value for (party, angle), value in items} if items else None,
     }
-    _emit(_render_json(out), args.out)
+    _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -79,6 +79,15 @@ def _check_unit_interval(name: str, value) -> None:
         raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
 
+def _setting(index: int, first, second):
+    """A party's value at setting ``index``: first at 1, second at 2."""
+    if index == 1:
+        return first
+    if index == 2:
+        return second
+    raise ValueError(f"setting index must be 1 or 2, got {index!r}")
+
+
 #: The bit of a behavior code that holds each party's response at each setting: +1 sets it.
 _CODE_BIT = {("alice", 1): 3, ("alice", 2): 2, ("bob", 1): 1, ("bob", 2): 0}
 
@@ -114,10 +123,10 @@ class Behavior:
         return (self.a1, self.a2, self.b1, self.b2)
 
     def alice(self, index: int) -> int:
-        return self.a1 if index == 1 else self.a2
+        return _setting(index, self.a1, self.a2)
 
     def bob(self, index: int) -> int:
-        return self.b1 if index == 1 else self.b2
+        return _setting(index, self.b1, self.b2)
 
     @property
     def code(self) -> int:
@@ -170,8 +179,10 @@ class CorrelationTable:
         return (self.e11, self.e12, self.e21, self.e22)
 
     def value(self, pair: tuple[int, int]):
-        i, k = pair
-        return self.as_tuple()[2 * (i - 1) + (k - 1)]
+        try:
+            return self.as_tuple()[PAIR_CODES[tuple(pair)]]
+        except (KeyError, TypeError):
+            raise ValueError(f"setting pair must be one of {SETTING_PAIRS}, got {pair!r}") from None
 
 
 # Batch samplers receive a dedicated random stream, a trial count k and the

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import CorrelationTable, SETTING_PAIRS
+from .core import CorrelationTable, SETTING_PAIRS, _setting
 from .engine import RunCounts, chsh_statistic
 from .streams import check_run, draw_counts
 
@@ -39,10 +39,10 @@ class AnglePair:
         return (self.a1, self.a2, self.b1, self.b2)
 
     def alice(self, index: int) -> float:
-        return self.a1 if index == 1 else self.a2
+        return _setting(index, self.a1, self.a2)
 
     def bob(self, index: int) -> float:
-        return self.b1 if index == 1 else self.b2
+        return _setting(index, self.b1, self.b2)
 
 
 #: Angles at which |quantum_chsh| reaches 2*sqrt(2).

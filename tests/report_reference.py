@@ -1,5 +1,7 @@
-"""The `run` report stage as it was before it read plain ints: a frozen
-reference for `run`'s JSON and CSV reports.
+"""The `run` report stage as it was before it read plain ints, and the
+`fine-check` output dict as it was before its layout was written in one
+pass: frozen references for `run`'s JSON and CSV reports and for
+`fine-check`'s JSON.
 
 This route keys class frequencies by ``Behavior``, divides numpy integer
 counts, sorts each pair's classes by code to name them, and renders with
@@ -16,6 +18,7 @@ import io
 import json
 import math
 from dataclasses import asdict
+from fractions import Fraction
 
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS
 from bellcheck.engine import chsh_report, hoeffding_epsilon
@@ -94,6 +97,32 @@ def report_dict(model_name: str, angles, counts, model) -> dict:
             "worst_class": mi["worst_class"].compact() if mi["worst_class"] else None,
         }
     return out
+
+
+def _exact_and_float(x) -> dict:
+    return {"exact": str(Fraction(x)), "float": float(x)}
+
+
+def fine_check_dict(stats, result) -> dict:
+    """What `fine-check` printed for statistics ``stats``, from their
+    ``jp_feasible`` result, rendered with ``render_json``."""
+    return {
+        "feasible": result.feasible,
+        "witness": (
+            {beh.compact(): str(Fraction(w)) for beh, w in result.witness.weights.items()}
+            if result.witness
+            else None
+        ),
+        "violated_facet": (
+            {"signs": list(result.certificate.signs), "value": _exact_and_float(result.certificate.value)}
+            if result.certificate
+            else None
+        ),
+        "chsh_criterion": {
+            "all_pass": result.feasible,
+            "max_facet_value": _exact_and_float(stats.facet[1]),
+        },
+    }
 
 
 def render_json(report: dict) -> str:

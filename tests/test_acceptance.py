@@ -6,9 +6,13 @@ criteria complete. Every test pins its tolerance and its runtime budget.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from bellcheck import cli
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable
@@ -35,6 +39,8 @@ from bellcheck.jointprob import (
 )
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
+
+DATA = Path(__file__).parent / "data"
 
 
 class Budget:
@@ -177,25 +183,46 @@ def test_criterion_8_mi_diagnostic_discriminates():
         assert not mi_diagnostic(class_frequencies(counts), sampled_tolerance).holds
 
 
-def test_criterion_9_reports_reproducible_across_workers(tmp_path, monkeypatch):
-    with Budget("9 (byte-identical reports, 1 vs 4 workers)", 60):
+# Writes each argv's report to OUT/<index>.json and prints this process's
+# hash of a str, so the test can see that the two processes' str hashes differ.
+_REPORT_CHILD = """
+import json, sys
+from bellcheck import cli
+argvs, out = json.loads(sys.argv[1]), sys.argv[2]
+for i, argv in enumerate(argvs):
+    assert cli.main([*argv, "--out", f"{out}/{i}.json"]) == 0, argv
+print(hash("bellcheck"))
+"""
+
+
+def test_criterion_9_reports_reproducible_across_processes(tmp_path):
+    with Budget("9 (byte-identical reports, two processes with hash seeds 0 and 1)", 60):
         configs = [
             (model, n, seed)
             for model in ("dice-coin", "cosine-sign", "conspiracy", "quantum")
             for n, seed in ((1000, 11), (2000, 22), (5000, 33), (1500, 44), (3000, 55))
         ]
         assert len(configs) == 20
-        identical = 0
-        for i, (model, n, seed) in enumerate(configs):
-            single = tmp_path / f"{i}_single.json"
-            multi = tmp_path / f"{i}_multi.json"
-            monkeypatch.setenv("BELLCHECK_THREADS", "1")
-            assert cli.main(["run", "--model", model, "--n", str(n),
-                             "--seed", str(seed), "--out", str(single)]) == 0
-            monkeypatch.setenv("BELLCHECK_THREADS", "4")
-            assert cli.main(["run", "--model", model, "--n", str(n),
-                             "--seed", str(seed), "--out", str(multi)]) == 0
-            if single.read_bytes() == multi.read_bytes():
-                identical += 1
-            json.loads(single.read_text())  # reports stay parseable
-        assert identical == 20
+        golden = [case["argv"] for name in ("run_golden.json", "fine_check_golden.json")
+                  for case in json.loads((DATA / name).read_text())
+                  if case["argv"][0] in ("bound", "fine-check", "ghz-check")]
+        assert len(golden) == 13
+        argvs = [["run", "--model", model, "--n", str(n), "--seed", str(seed)] for model, n, seed in configs] + golden
+        src = str(Path(cli.__file__).resolve().parents[1])
+        reports, hashes = [], []
+        # each process keeps one BELLCHECK_THREADS value; nothing reads it, and setting it must not move a report
+        for hash_seed, threads in (("0", "1"), ("1", "4")):
+            out = tmp_path / hash_seed
+            out.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, BELLCHECK_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _REPORT_CHILD, json.dumps(argvs), str(out)],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            hashes.append(proc.stdout)
+            reports.append([(out / f"{i}.json").read_bytes() for i in range(len(argvs))])
+        assert hashes[0] != hashes[1]  # the two processes hash strs differently
+        identical = sum(first == second for first, second in zip(*reports))
+        for text in reports[0]:
+            json.loads(text)  # reports stay parseable
+        assert identical == len(argvs) == 33

@@ -114,6 +114,14 @@ class TestBehavior:
         beh = Behavior(1, -1, -1, 1)
         assert (beh.alice(1), beh.alice(2), beh.bob(1), beh.bob(2)) == (1, -1, -1, 1)
 
+    @pytest.mark.parametrize("index", [0, 3, -1, 5, None, "1"])
+    def test_index_outside_1_2_raises(self, index):
+        # no index but 1 or 2 may fall through to the second setting
+        for accessor in (Behavior(1, -1, -1, 1).alice, Behavior(1, -1, -1, 1).bob):
+            with pytest.raises(ValueError) as info:
+                accessor(index)
+            assert str(info.value) == f"setting index must be 1 or 2, got {index!r}"
+
 
 class TestValidation:
     def test_correlation_table_range(self):
@@ -138,6 +146,15 @@ class TestValidation:
         t = CorrelationTable(0.1, 0.2, 0.3, 0.4)
         assert t.value((1, 1)) == 0.1
         assert t.value((2, 1)) == 0.3
+        assert [t.value(pair) for pair in core.SETTING_PAIRS] == [0.1, 0.2, 0.3, 0.4]
+        assert t.value([1, 2]) == t.value(np.array([1, 2])) == 0.2
+
+    @pytest.mark.parametrize("pair", [(0, 0), (1, 0), (0, 2), (3, 1), (1, 1, 1), (1,), 1, None, [[1], [1]]])
+    def test_correlation_table_refuses_a_pair_outside_1_2(self, pair):
+        # (0, 0) and (1, 0) land on real entries (e12, e22) under 2*(i - 1) + (k - 1)
+        with pytest.raises(ValueError) as info:
+            CorrelationTable(0.1, 0.2, 0.3, 0.4).value(pair)
+        assert str(info.value) == f"setting pair must be one of {core.SETTING_PAIRS}, got {pair!r}"
 
     def test_bad_model_response_detected(self):
         broken = LhvModel(

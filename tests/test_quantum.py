@@ -20,6 +20,15 @@ from trial_reference import assert_same_counts, count_agreements
 angles = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi)
 
 
+def test_angle_index_outside_1_2_raises():
+    # no index but 1 or 2 may fall through to the second angle
+    assert [TSIRELSON_ANGLES.alice(1), TSIRELSON_ANGLES.alice(2), TSIRELSON_ANGLES.bob(1),
+            TSIRELSON_ANGLES.bob(2)] == list(TSIRELSON_ANGLES.as_tuple())
+    for accessor, index in ((TSIRELSON_ANGLES.alice, 5), (TSIRELSON_ANGLES.alice, 0), (TSIRELSON_ANGLES.bob, 3)):
+        with pytest.raises(ValueError, match=f"^setting index must be 1 or 2, got {index}$"):
+            accessor(index)
+
+
 class TestSingletCorrelation:
     def test_equal_settings(self):
         assert singlet_correlation(0.0, 0.0) == -1.0

@@ -1,31 +1,35 @@
 """Every JSON output is exactly what ``json.dumps(obj, sort_keys=True,
 indent=2) + "\\n"`` writes.
 
-``cli._render_json`` writes the `bound`, `fine-check` and `ghz-check`
-reports. It is checked on the objects every such golden command renders,
-and on nested report-like values drawn by hypothesis: signed zeros,
-subnormals, 2^53 + 1, non-finite floats, numpy float64, escapes and
-non-ASCII text in keys and values, empty containers and tuples; it refuses
-what json.dumps refuses. `run` writes its fixed layout directly, without
-``_render_json``; its output must equal json.dumps of its own parse, on
-every `run` JSON golden command and on models, sizes, seeds and angles
-drawn by hypothesis. The equalities hold per Python version, since json's
-encoder differs between them; CI runs this file on each version of its
-matrix.
+`bound` and `ghz-check` call json.dumps themselves. `run` and `fine-check`
+write their fixed layouts in one pass (``cli._run_json``,
+``cli._fine_json``), so each of their outputs must equal json.dumps of its
+own parse: on every JSON golden command, on `run` models, sizes, seeds and
+angles drawn by hypothesis, and on exact `fine-check` statistics drawn by
+hypothesis, feasible and facet-violating, with and without marginals, with
+common denominators of up to about 2,000 digits. On those statistics,
+stdout and the ``--out`` file must also equal the frozen route of
+``report_reference.fine_check_dict``: the dict `fine-check` built before,
+rendered through json.dumps. The equalities hold per Python version, since
+json's encoder differs between them; CI runs this file on each version of
+its matrix.
 """
 
 import contextlib
 import io
 import json
-import math
+import random
+from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import report_reference as ref
 from bellcheck import cli
+from bellcheck.core import CorrelationTable
+from bellcheck.jointprob import BehaviorStatistics, jp_feasible
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_ARGVS = [c["argv"] for c in json.loads((DATA / "run_golden.json").read_text())] + [
@@ -39,21 +43,6 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) for argv in ARGVS])
-def test_writer_matches_json_dumps_on_every_golden_command(argv, monkeypatch):
-    rendered, writer = [], cli._render_json
-
-    def render(obj):
-        rendered.append((obj, writer(obj)))
-        return rendered[-1][1]
-
-    monkeypatch.setattr(cli, "_render_json", render)
-    out = _main(argv)
-    assert len(rendered) == (argv[0] != "zoo")
-    for obj, text in rendered:
-        assert text == _json_dumps(obj) == out
-
-
 def _main(argv) -> str:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -61,19 +50,23 @@ def _main(argv) -> str:
     return buf.getvalue()
 
 
-def _check_run_json(argv):
-    def render(obj):
-        raise AssertionError("run rendered through _render_json")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, "_render_json", render)
-        out = _main(argv)
+def _check_own_parse(argv):
+    out = _main(argv)
     assert out == _json_dumps(json.loads(out))
+
+
+@pytest.mark.parametrize("argv", ARGVS, ids=[" ".join(argv) for argv in ARGVS])
+def test_writer_matches_json_dumps_on_every_golden_command(argv):
+    if argv[0] == "zoo":  # the model list, not JSON
+        with pytest.raises(json.JSONDecodeError):
+            json.loads(_main(argv))
+    else:
+        _check_own_parse(argv)
 
 
 @pytest.mark.parametrize("argv", RUN_ARGVS, ids=[" ".join(argv) for argv in RUN_ARGVS])
 def test_run_writes_what_json_dumps_writes_on_every_golden_command(argv):
-    _check_run_json(argv)
+    _check_own_parse(argv)
 
 
 ANGLE_VALUES = st.floats(-1e300, 1e300) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300])
@@ -88,44 +81,47 @@ def test_run_writes_what_json_dumps_writes_on_drawn_runs(model, n, seed, angles)
     argv = ["run", "--model", model, "--n", str(n), "--seed", str(seed)]
     if angles is not None and model in ("cosine-sign", "quantum"):
         argv.append("--angles=" + ",".join(map(repr, angles)))
-    _check_run_json(argv)
+    _check_own_parse(argv)
 
 
-SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, float(2**53 + 1),
-                  1e16, 1e-7, 0.1, math.inf, -math.inf, math.nan]
-TEXT = st.text(alphabet=st.characters(codec="utf-8")) | st.sampled_from(
-    ["", "\"", "\\", "\n\t\r\b\f", "\x00\x1f\x7f", "é", "±", "😀", " ", "+-+-"])
-FLOATS = st.floats() | st.sampled_from(SPECIAL_FLOATS)
-LEAVES = (
-    st.none() | st.booleans() | st.integers() | st.sampled_from([2**53 + 1, -(2**63), 2**64])
-    | FLOATS | FLOATS.map(np.float64) | TEXT
-)
-VALUES = st.recursive(
-    LEAVES,
-    lambda children: st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(TEXT, children, max_size=4),
-    max_leaves=20,
-)
+@st.composite
+def fine_check_statistics(draw):
+    """(correlations, marginals or None), over one or two denominators of
+    1, 6 or 999 digits. A value's numerator and denominator each fit in 999
+    digits, so it stays within fine-check's 2,000 characters, and two
+    999-digit denominators give a common denominator of about 1,998 digits,
+    near the 2,100-digit bound. Marginals within 1/8 and correlations within
+    3/4 always give valid pair tables; without marginals, any correlations
+    in [-1, 1] do. Two in three values sit at an end of their range, which
+    reaches the facets."""
+    rng = random.Random(draw(st.integers(0, 2**64 - 1)))
+    dens = [rng.randrange(10 ** (k - 1), 10**k) for k in draw(st.lists(st.sampled_from((999, 6, 1)), min_size=1, max_size=2))]
+
+    def values(limit):
+        bounds = [(d * limit.numerator // limit.denominator, d) for d in (rng.choice(dens) for _ in range(4))]
+        return [Fraction(rng.choice((-b, b, rng.randint(-b, b))), d) for b, d in bounds]
+
+    if draw(st.booleans()):
+        return values(Fraction(1)), None
+    return values(Fraction(3, 4)), values(Fraction(1, 8))
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.dictionaries(TEXT, VALUES, max_size=6) | VALUES)
-def test_writer_matches_json_dumps_on_report_like_values(obj):
-    assert cli._render_json(obj) == _json_dumps(obj)
+D1, D2 = 10**999 - 1, 10**998 + 1  # coprime, so a common denominator of 1,998 digits
 
 
-@pytest.mark.parametrize("bad", [np.int64(0), np.bool_(True), {1, 2}, b"bytes", np.float32(0.5), object()],
-                         ids=["int64", "bool_", "set", "bytes", "float32", "object"])
-def test_values_json_refuses_raise_type_error(bad):
-    for obj in ({"key": bad}, {"key": [1, {"nested": bad}]}):
-        with pytest.raises(TypeError):
-            _json_dumps(obj)
-        with pytest.raises(TypeError):
-            cli._render_json(obj)
-
-
-@pytest.mark.parametrize("obj", [{1: "a"}, {None: 0}, {"a": {2.5: 1}}, {"a": 1, 1: "a"}, {(1, 2): 0}],
-                         ids=["int", "None", "nested float", "mixed", "tuple"])
-def test_a_key_that_is_not_a_str_raises_type_error(obj):
-    with pytest.raises(TypeError):
-        cli._render_json(obj)
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fine_check_statistics())
+@example(([Fraction(3 * D1 // 4, D1), Fraction(3 * D2 // 4, D2), Fraction(3 * D1 // 4, D1), Fraction(-3 * D2 // 4, D2)],
+          [Fraction(1, D1), Fraction(-1, D2), Fraction(D1 // 8, D1), Fraction(-(D2 // 8), D2)]))
+@example(([Fraction(D1 // 3, D1), Fraction(-(D2 // 3), D2), Fraction(1, D2), Fraction(D1 // 2, D1)], None))
+def test_fine_check_matches_the_frozen_route_on_drawn_statistics(tmp_path, case):
+    es, ms = case
+    stats = BehaviorStatistics(CorrelationTable(*es), *(ms or ()))
+    expected = ref.render_json(ref.fine_check_dict(stats, jp_feasible(stats)))
+    argv = ["fine-check", "--correlations=" + ",".join(map(str, es))]
+    if ms is not None:
+        argv.append("--marginals=" + ",".join(map(str, ms)))
+    assert _main(argv) == expected == _json_dumps(json.loads(expected))
+    out = tmp_path / "fine.json"
+    assert _main([*argv, "--out", str(out)]) == ""
+    assert out.read_text() == expected
