@@ -259,7 +259,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
                     "weight": _frac_str(w),
                     "c": per_class[beh],
                 }
-                for beh, w in sorted(weights.items(), key=lambda kv: kv[0].code)
+                for beh, w in weights.items()  # exact_class_weights lists them in code order
             ],
             "s": _exact_and_float(s_single),
         },

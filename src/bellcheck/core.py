@@ -285,19 +285,16 @@ def _code_of(model: LhvModel, lam: Hashable, stage: str | None = None) -> int:
 
 def _batch_responses(
     scalar: ResponseFn, batch: BatchResponseFn | None, index: int, lams: np.ndarray
-) -> np.ndarray:
-    """The batch twin's answer as an array, else the scalar responses', each
-    of which must equal -1 or +1 (``_code_of``'s rule)."""
+) -> np.ndarray | None:
+    """The batch twin's answer as an array, else the scalar responses' as an
+    int64 array, or None when one of them breaks ``_code_of``'s rule that
+    each equal -1 or +1. A twin's answer is returned unchecked."""
     if batch is not None:
         return np.asarray(batch(index, lams))
     outs = [scalar(index, lam) for lam in lams]
     if not {1, -1}.issuperset(outs) or _complex_types(outs):
-        raise _NotAnOutcome
+        return None
     return np.array(outs, dtype=np.int64)
-
-
-class _NotAnOutcome(ValueError):
-    """A scalar response answered a value other than -1/+1."""
 
 
 def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
@@ -307,9 +304,9 @@ def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
 
     A response that raises, answers in another shape than ``lams`` or
     returns a value other than -1/+1 raises ModelError naming the model,
-    the class analysis stage, the party and the setting. A twin's dtype
-    must be bool, integer or float, so a complex or object array is
-    refused as a whole.
+    the class analysis stage, the party and the setting: the shape is
+    checked first, then the values. A twin's dtype must be bool, integer
+    or float, so a complex or object array is refused as a whole.
     """
     lams = np.asarray(lams)
     # all responses before any packing, each held as a bool array: in one
@@ -321,15 +318,11 @@ def behavior_codes(model: LhvModel, lams: np.ndarray) -> np.ndarray:
         where = f"model {model.name!r}: class analysis: {respond} at setting {index}"
         try:
             out = _batch_responses(getattr(model, respond), getattr(model, f"{respond}_batch"), index, lams)
-            shaped = out.shape == lams.shape
-            valid = shaped and out.dtype.kind in "biuf" and np.all(np.abs(out) == 1)
-        except _NotAnOutcome:
-            shaped, valid = True, False
         except Exception as exc:
             raise ModelError(f"{where} failed: {exc}") from exc
-        if not shaped:
+        if out is not None and out.shape != lams.shape:
             raise ModelError(f"{where} returned outcomes of shape {out.shape} for tags of shape {lams.shape}")
-        if not valid:
+        if out is None or out.dtype.kind not in "biuf" or not np.all(np.abs(out) == 1):
             raise ModelError(f"{where} returned a value other than -1/+1")
         outs[party, index] = out > 0
     return sum(outs[side].astype(np.uint8) << bit for side, bit in _CODE_BIT.items())

@@ -34,20 +34,14 @@ from .core import (
     is_exact,
     within,
 )
-from .engine import exact_class_weights, theoretical_correlations, validate_weights
+from .engine import exact_class_weights, validate_weights
 # jp_feasible does not call the simplex; the name stays only for perfbench's tracer.
 from .simplex import solve_equality_feasibility  # noqa: F401
 
-# Statistics map: rows are the four correlations, the four marginals and
-# normalization; columns follow ALL_BEHAVIORS (code order).
-_CORR_ROWS = [list(signs) for signs in CLASS_SIGNS.values()]
-_MARGINAL_ROWS = [
-    [beh.a1 for beh in ALL_BEHAVIORS],
-    [beh.a2 for beh in ALL_BEHAVIORS],
-    [beh.b1 for beh in ALL_BEHAVIORS],
-    [beh.b2 for beh in ALL_BEHAVIORS],
-]
-STATS_MATRIX: list[list[int]] = _CORR_ROWS + _MARGINAL_ROWS + [[1] * 16]
+# The eight moments' rows, (e11, e12, e21, e22, m_a1, m_a2, m_b1, m_b2), each
+# class's value indexed by code; the statistics map adds normalization.
+_ROWS = (*CLASS_SIGNS.values(), *zip(*(beh.outcomes() for beh in ALL_BEHAVIORS)))
+STATS_MATRIX: list[list[int]] = [list(row) for row in _ROWS] + [[1] * 16]
 
 
 # Sign tables for Fine's theorem, built once: the eight facets' signs on (e11,
@@ -83,6 +77,8 @@ class BehaviorStatistics:
     for all sign choices. Statistics violating that cannot come from any
     experiment, CHSH or otherwise. Exact statistics are checked and kept as
     ``scaled``: (numerators over their lcm d, in ``_pair_cells`` order; d).
+    ``facet`` is ``_max_facet`` of the correlations (top/d when exact),
+    computed here from the same numbers.
     """
 
     correlations: CorrelationTable
@@ -91,6 +87,7 @@ class BehaviorStatistics:
     m_b1: Any = 0
     m_b2: Any = 0
     scaled: tuple[list[int], int] | None = field(default=None, init=False, repr=False, compare=False)
+    facet: tuple[tuple[int, int, int, int], Any] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, v in zip(("m_a1", "m_a2", "m_b1", "m_b2"), self.marginals()):
@@ -98,9 +95,11 @@ class BehaviorStatistics:
         values = self.correlations.as_tuple() + self.marginals()
         if all(map(is_exact, values)):
             object.__setattr__(self, "scaled", _over_lcm(values))
-        cells = _pair_cells(*self.scaled) if self.scaled else _pair_cells(values)
-        for j, (_, _, _, cell) in enumerate(cells):
-            if cell < 0 if self.scaled else not within(-cell, 0, DOMAIN_SLACK):
+        nums, d = self.scaled or (values, None)
+        signs, top = _max_facet(nums[:4])
+        object.__setattr__(self, "facet", (signs, top if d is None else Fraction(top, d)))
+        for j, (_, _, _, cell) in enumerate(_pair_cells(nums, d or 1)):
+            if cell < 0 if d else not within(-cell, 0, DOMAIN_SLACK):
                 # the weight printed in the given values' own arithmetic
                 (i, k), alpha, beta, cell = list(_pair_cells(values))[j]
                 raise ValueError(
@@ -110,16 +109,6 @@ class BehaviorStatistics:
 
     def marginals(self) -> tuple:
         return (self.m_a1, self.m_a2, self.m_b1, self.m_b2)
-
-    @property
-    def facet(self) -> tuple[tuple[int, int, int, int], Any]:
-        """``_max_facet`` of the correlations (top/d when exact), evaluated
-        once. Cached by hand: cached_property takes a lock before Python 3.12."""
-        if "facet" not in self.__dict__:
-            nums, d = self.scaled or (self.correlations.as_tuple(), None)
-            signs, top = _max_facet(nums[:4])
-            self.__dict__["facet"] = (signs, top if d is None else Fraction(top, d))
-        return self.__dict__["facet"]
 
 
 @dataclass(frozen=True)
@@ -155,9 +144,10 @@ def jp_from_lhv(model: LhvModel) -> JointProbability:
 
 
 def statistics_of(jp: JointProbability) -> BehaviorStatistics:
-    """Marginalize a joint probability down to correlations and means."""
-    ms = [sum(w * row[b.code] for b, w in jp.weights.items()) for row in _MARGINAL_ROWS]
-    return BehaviorStatistics(theoretical_correlations(jp.weights), *ms)
+    """Marginalize a joint probability down to correlations and means. Its
+    weights were validated when it was built."""
+    e11, e12, e21, e22, *ms = (sum(w * row[b.code] for b, w in jp.weights.items()) for row in _ROWS)
+    return BehaviorStatistics(CorrelationTable(e11, e12, e21, e22), *ms)
 
 
 def _max_facet(es) -> tuple[tuple[int, int, int, int], Any]:
@@ -238,9 +228,9 @@ def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
     """Decide whether any joint probability reproduces the statistics.
 
     The verdict is the facet test of ``chsh_criterion``, on the facet value
-    the statistics evaluate once. An infeasible verdict carries the largest
-    facet value, which exceeds 2; a feasible one carries Fine's joint
-    distribution as its witness. The witness meets the nine equality
+    computed when the statistics were built. An infeasible verdict carries
+    the largest facet value, which exceeds 2; a feasible one carries Fine's
+    joint distribution as its witness. The witness meets the nine equality
     constraints (eight stats plus normalization) exactly for exact inputs
     and within about VERDICT_SLACK for float inputs."""
     signs, value = stats.facet

@@ -4,7 +4,8 @@ All three models are defined by scalar responses on finite tag domains,
 so their exact class weights can be enumerated: each compiles to a class
 distribution, evaluating its responses once per declared tag. Even the
 "continuous" angle model lives on a grid. ``get_model`` keeps one model
-per (factory, angles) per process; calling a factory builds a fresh one,
+per factory and angle values of the same types per process (0.0 and
+np.float32(0.0) get a model each); calling a factory builds a fresh one,
 and a one-shot CLI process still pays the compile (a few ms for
 cosine-sign).
 """
@@ -152,16 +153,16 @@ def available_models() -> list[str]:
 
 
 def get_model(name: str, angles=None) -> LhvModel:
-    """Resolve a zoo model by name, compiled once per (factory, angles) in
-    the process. ``angles`` (an AnglePair) applies only to the
-    angle-parameterized cosine-sign model."""
+    """Resolve a zoo model by name, compiled once per factory and angle
+    values of the same types in the process. ``angles`` (an AnglePair)
+    applies only to the angle-parameterized cosine-sign model."""
     if name not in MODEL_FACTORIES:
         raise ValueError(f"unknown model {name!r}; available: {', '.join(available_models())}")
     if angles is not None and name != "cosine-sign":
         raise ValueError(f"model {name!r} does not take angles")
-    return _built(MODEL_FACTORIES[name], None if angles is None else (angles.a1, angles.a2, angles.b1, angles.b2))
+    return _built(MODEL_FACTORIES[name], *(() if angles is None else angles.as_tuple()))
 
 
-@functools.lru_cache(maxsize=64)
-def _built(factory, angles) -> LhvModel:
-    return factory() if angles is None else factory(*angles)
+@functools.lru_cache(maxsize=64, typed=True)  # typed: np.float32(0.0) == 0.0, but its model differs
+def _built(factory, *angles) -> LhvModel:
+    return factory(*angles)

@@ -28,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from batch_models import WIDE_TAGS, lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_distribution
-from bellcheck import cli
+from bellcheck import cli, core
 from bellcheck.core import SETTING_PAIRS, LhvModel, behavior_codes, behavior_of
 from bellcheck.engine import chsh_report, class_frequencies, count_experiment, run_experiment
 from bellcheck.errors import ModelError
@@ -370,6 +370,31 @@ def test_scalar_answers_equal_to_outcomes_count_as_them(plus, minus):
         assert np.array_equal(log.series[pair].alice, reference.series[pair].alice)
         assert np.array_equal(log.series[pair].bob, reference.series[pair].bob)
     assert (log.agree, log.classes) == (reference.agree, reference.classes)
+
+
+class TestBatchResponsesContract:
+    """``core._batch_responses`` is also called by name by perfbench's
+    replay, which times it on a log's tags: a twin's answer as an array,
+    scalar outcomes as int64, and None for a scalar answer that is no
+    outcome."""
+
+    lams = np.arange(5)
+
+    def test_twin_answer_as_an_array(self):
+        answer = [1, -1, 1, 1, -1]
+        out = core._batch_responses(lambda i, lam: 1 / 0, lambda i, lams: answer, 2, self.lams)
+        assert isinstance(out, np.ndarray)
+        assert np.array_equal(out, np.asarray(answer))
+
+    @pytest.mark.parametrize("plus,minus", EQUAL_TO_OUTCOMES + [(1, -1)], ids=lambda v: type(v).__name__)
+    def test_scalar_outcomes_as_int64(self, plus, minus):
+        out = core._batch_responses(lambda i, lam: plus if lam % 2 else minus, None, 1, self.lams)
+        assert out.dtype == np.int64
+        assert out.tolist() == [-1, 1, -1, 1, -1]
+
+    @pytest.mark.parametrize("bad", [1.7, 1j, (1,), "1"], ids=repr)
+    def test_scalar_answer_that_is_no_outcome_gives_none(self, bad):
+        assert core._batch_responses(lambda i, lam: bad if lam == 3 else 1, None, 1, self.lams) is None
 
 
 def test_trial_log_answers_at_any_drawn_tag():

@@ -487,18 +487,24 @@ def test_fine_check_golden_differs_from_parent_only_in_witness(case):
 @pytest.mark.parametrize("case", GOLDEN_FINE_CHECK, ids=[c["case"] for c in GOLDEN_FINE_CHECK])
 def test_fine_check_evaluates_the_facets_once(monkeypatch, capsys, case):
     # the verdict, the certificate and the printed chsh_criterion block all
-    # come from one evaluation
-    calls = []
-    original = jointprob._max_facet
+    # come from one evaluation, made while the statistics are built
+    calls, built = [], []
+    original, build = jointprob._max_facet, cli.BehaviorStatistics
 
     def counted(es):
         calls.append(es)
         return original(es)
 
+    def counted_build(*args):
+        stats = build(*args)
+        built.append(len(calls))
+        return stats
+
     monkeypatch.setattr(jointprob, "_max_facet", counted)
+    monkeypatch.setattr(cli, "BehaviorStatistics", counted_build)
     assert run_cli(case["argv"]) == 0
     assert capsys.readouterr().out == case["stdout"]
-    assert len(calls) == 1
+    assert built == [1] and len(calls) == 1
 
 
 def test_every_traced_name_resolves(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck import jointprob
+from bellcheck import engine, jointprob
 from bellcheck.core import ALL_BEHAVIORS, SETTING_PAIRS, Behavior, CorrelationTable
 from bellcheck.engine import exact_class_weights, theoretical_correlations
 from bellcheck.jointprob import (
@@ -69,6 +70,70 @@ class TestStatisticsOf:
         stats = statistics_of(jp)
         assert stats.correlations.as_tuple() == (0, 0, 0, 0)
         assert stats.marginals() == (0, 0, 0, 0)
+
+
+#: The marginal rows as the route before them kept them, for the frozen copy below.
+_PARENT_MARGINAL_ROWS = [[getattr(beh, side) for beh in ALL_BEHAVIORS] for side in ("a1", "a2", "b1", "b2")]
+
+
+def _parent_statistics_of(jp):
+    """``statistics_of`` as it was: correlations through
+    ``theoretical_correlations``, which validates the weights again."""
+    ms = [sum(w * row[b.code] for b, w in jp.weights.items()) for row in _PARENT_MARGINAL_ROWS]
+    return BehaviorStatistics(theoretical_correlations(jp.weights), *ms)
+
+
+def _mixture(seed, exact):
+    rng = random.Random(seed)
+    support = rng.sample(ALL_BEHAVIORS, rng.randint(1, 16))
+    counts = [rng.randint(1, 10 ** rng.randint(1, 12)) for _ in support]
+    total = sum(counts)
+    return {beh: Fraction(c, total) if exact else c / total for beh, c in zip(support, counts)}
+
+
+_WEIGHT_CASES = {
+    "one class": {ALL_BEHAVIORS[9]: Fraction(1)},
+    "one class float": {ALL_BEHAVIORS[9]: 1.0},
+    "all 16": {beh: Fraction(1, 16) for beh in ALL_BEHAVIORS},
+    "all 16 float": {beh: 1 / 16 for beh in ALL_BEHAVIORS},
+    "a -0.0 entry": {ALL_BEHAVIORS[0]: -0.0, ALL_BEHAVIORS[15]: 0.25, ALL_BEHAVIORS[6]: 0.75},
+    **{f"seed {seed}": _mixture(seed, exact=True) for seed in range(20)},
+    **{f"seed {seed} float": _mixture(seed, exact=False) for seed in range(20)},
+}
+
+
+class TestStatisticsOfVsParentRoute:
+    @pytest.mark.parametrize("weights", _WEIGHT_CASES.values(), ids=_WEIGHT_CASES.keys())
+    def test_same_numbers(self, weights):
+        jp = JointProbability(weights)
+        got, want = statistics_of(jp), _parent_statistics_of(jp)
+        values = lambda stats: stats.correlations.as_tuple() + stats.marginals()
+        assert list(map(repr, values(got))) == list(map(repr, values(want)))
+        assert repr(got.facet) == repr(want.facet)
+
+    def test_weights_are_not_validated_again(self, monkeypatch):
+        jp = JointProbability(_WEIGHT_CASES["seed 3"])
+        calls = []
+        for module in (engine, jointprob):
+            original = module.validate_weights
+            monkeypatch.setattr(module, "validate_weights", lambda w, original=original: calls.append(w) or original(w))
+        statistics_of(jp)
+        assert calls == []
+
+
+class TestFacetAtConstruction:
+    def test_facet_is_a_field_set_by_post_init(self):
+        facet = {f.name: f for f in dataclasses.fields(BehaviorStatistics)}["facet"]
+        assert (facet.init, facet.compare, facet.repr) == (False, False, False)
+
+    @pytest.mark.parametrize("es", [(1, 0, 0, -1), (1, 1, 1, -1), (0.5, 0.5, 0.5, -0.5), (SQ2 / 2,) * 3 + (-SQ2 / 2,)])
+    def test_jp_feasible_does_not_evaluate_the_facets(self, es, monkeypatch):
+        stats = zero_marginal_stats([Fraction(e) if isinstance(e, int) else e for e in es])
+        calls = []
+        original = jointprob._max_facet
+        monkeypatch.setattr(jointprob, "_max_facet", lambda es: calls.append(es) or original(es))
+        jp_feasible(stats)
+        assert calls == []
 
 
 class TestChshCriterion:

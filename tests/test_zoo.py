@@ -3,6 +3,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from batch_models import lookup_twins
@@ -170,6 +171,19 @@ class TestModelCache:
         monkeypatch.setattr(cli, "get_model", lambda name, angles: cosine_sign_model(*angles.as_tuple()))
         assert cli.main(argv) == cli.EXIT_OK
         assert capsys.readouterr().out == cached
+
+    @pytest.mark.parametrize("order", [("float32", "float"), ("float", "float32")], ids="-then-".join)
+    def test_angles_of_another_type_get_their_own_model(self, order, monkeypatch):
+        """np.float32(0.0) == 0.0 and both hash alike, but at t = 180
+        np.float32(0.0) - pi/2 rounds past -pi/2, so the two compile to
+        different class distributions: each call order gets the right one."""
+        monkeypatch.setitem(MODEL_FACTORIES, "cosine-sign", lambda *angles: cosine_sign_model(*angles))
+        rest = TSIRELSON_ANGLES.as_tuple()[1:]
+        angles = {"float32": AnglePair(np.float32(0.0), *rest), "float": AnglePair(0.0, *rest)}
+        fresh = {kind: cosine_sign_model(*a.as_tuple()).class_distribution for kind, a in angles.items()}
+        assert fresh["float32"] != fresh["float"]
+        for kind in order:
+            assert get_model("cosine-sign", angles[kind]).class_distribution == fresh[kind], kind
 
     def test_replace_of_a_cached_model_compiles_afresh(self):
         model = get_model("cosine-sign")
