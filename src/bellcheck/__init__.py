@@ -14,6 +14,7 @@ from .core import (
     Behavior,
     CorrelationTable,
     LhvModel,
+    ModelError,
     behavior_of,
 )
 from .engine import (
@@ -26,7 +27,6 @@ from .engine import (
     chsh_statistic,
     class_frequencies,
     count_experiment,
-    empirical_table,
     exact_class_weights,
     exact_correlation_table,
     exact_mi_holds,
@@ -36,7 +36,6 @@ from .engine import (
     theoretical_correlations,
     violation_p_value,
 )
-from .errors import ModelError
 from .ghz import (
     ProductConstraint,
     SatResult,
@@ -46,9 +45,9 @@ from .ghz import (
 )
 from .jointprob import (
     BehaviorStatistics,
+    Facet,
     FeasibilityResult,
     JointProbability,
-    ViolatedFacet,
     chsh_criterion,
     jp_feasible,
     jp_from_lhv,

@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import ghz as ghz_mod
-from .core import ALL_BEHAVIORS, SETTING_PAIRS, CorrelationTable
+from .core import ALL_BEHAVIORS, SETTING_PAIRS, CorrelationTable, ModelError
 from .engine import (
     chsh_report,
     chsh_statistic,
@@ -34,7 +34,6 @@ from .engine import (
     mi_diagnostic,
     theoretical_chsh,
 )
-from .errors import ModelError
 from .jointprob import BehaviorStatistics, jp_feasible
 from .quantum import TSIRELSON_ANGLES, AnglePair, count_quantum_experiment
 
@@ -318,7 +317,7 @@ def cmd_fine_check(args: argparse.Namespace) -> int:
     if math.lcm(*(v.denominator for v in es + ms)) >= _MAX_DENOMINATOR:
         raise ValueError(f"--correlations/--marginals: common denominator exceeds {_MAX_DENOMINATOR_DIGITS} digits")
     stats = BehaviorStatistics(CorrelationTable(*es), *ms)
-    _emit(_fine_json(jp_feasible(stats), stats.facet[1]), args.out)
+    _emit(_fine_json(jp_feasible(stats), stats.facet.value), args.out)
     return EXIT_OK
 
 

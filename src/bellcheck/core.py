@@ -1,10 +1,11 @@
-"""Domain types shared by every other module.
+"""Domain types shared by every other module, and its one exception.
 
 Outcomes are plain ints in {-1, +1} so products and averages can be
 written directly. Hidden-variable tags are opaque; the engine passes them
 to the model's responses: once per distinct tag when it compiles a
 declared tag distribution (any hashable tags) into class weights, and per
 drawn tag otherwise (k tags that ``np.asarray`` reads as one dimension).
+A model that misbehaves raises ``ModelError``, which ends a command in exit 3.
 """
 
 from __future__ import annotations
@@ -14,11 +15,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Complex, Rational, Real
-from typing import Any, Callable, Hashable, Sequence
+from types import MappingProxyType
+from typing import Any, Callable, Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ModelError
+
+class ModelError(RuntimeError):
+    """A model misbehaved: its ``sample_lambda`` failed on its own domain or
+    a response returned something other than -1 or +1."""
+
 
 #: The four setting pairs (alice index, bob index), in canonical order.
 SETTING_PAIRS: tuple[tuple[int, int], ...] = ((1, 1), (1, 2), (2, 1), (2, 2))
@@ -65,11 +71,11 @@ def validate_outcome(value: int) -> int:
     return int(value)
 
 
-def _over_lcm(values: Sequence) -> tuple[list[int], int]:
+def _over_lcm(values: Sequence) -> tuple[tuple[int, ...], int]:
     """Rational values as (numerators, d) over the lcm d of their denominators, in Python ints."""
     dens = [int(v.denominator) for v in values]  # Python ints: numpy's fixed-width ones would overflow
     d = math.lcm(*set(dens))  # declared tags tend to share one denominator
-    return [int(v.numerator) * (d // den) for v, den in zip(values, dens)], d
+    return tuple(int(v.numerator) * (d // den) for v, den in zip(values, dens)), d
 
 
 def _check_unit_interval(name: str, value) -> None:
@@ -223,10 +229,11 @@ class LhvModel:
     description: str = ""
 
     @functools.cached_property
-    def class_distribution(self) -> tuple[dict[tuple[int, int], tuple[int, ...]], int] | None:
+    def class_distribution(self) -> tuple[Mapping[tuple[int, int], tuple[int, ...]], int] | None:
         """The declared tag distribution compiled to class weights, on first
-        use: (per setting pair, the 16 class numerators in code order; their
-        common denominator d), or None without ``enumerate_lambda``.
+        use: (per setting pair, the 16 class numerators in code order, read-only
+        as a cached model's callers share them; their common denominator d),
+        or None without ``enumerate_lambda``.
 
         Each distinct declared tag's class comes from its scalar responses,
         evaluated once; a response that raises or returns a value other
@@ -258,7 +265,7 @@ class LhvModel:
             if sum(acc) != (d := dens[pair]):
                 raise ModelError(f"{where}: declared tag weights of pair {pair} sum to {Fraction(sum(acc), d)}, not 1")
         d = math.lcm(*dens.values())
-        return {pair: tuple(n * (d // dens[pair]) for n in sums[pair]) for pair in SETTING_PAIRS}, d
+        return MappingProxyType({pair: tuple(n * (d // dens[pair]) for n in sums[pair]) for pair in SETTING_PAIRS}), d
 
 
 def behavior_of(model: LhvModel, lam: Hashable) -> Behavior:

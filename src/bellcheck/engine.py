@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress
 from numbers import Integral
+from types import MappingProxyType
 from typing import Any, Iterator, Mapping
 
 import numpy as np
@@ -41,11 +42,11 @@ from .core import (
     Behavior,
     CorrelationTable,
     LhvModel,
+    ModelError,
     _over_lcm,
     behavior_codes,
     is_exact,
 )
-from .errors import ModelError
 from .streams import check_run, draw_counts, iter_blocks, trial_stream
 
 
@@ -65,8 +66,9 @@ class RunCounts:
     A run gives ``agree`` (the singlet) or ``classes``, not both:
     ``classes[pair]`` counts each of the 16 behavior classes by code, and
     as a class fixes both clicks, ``agree[pair]`` (the trials whose clicks
-    agree) is derived from it. Runs make every count a Python int, so no
-    report reads a numpy type. The size and seed must pass ``check_run``.
+    agree) is derived from it. Both are kept read-only, as checked. Runs make
+    every count a Python int, so no report reads a numpy type. The size and
+    seed must pass ``check_run``.
     """
 
     seed: int
@@ -79,12 +81,14 @@ class RunCounts:
         if (self.agree is None) == (self.classes is None):
             raise ValueError("run counts take exactly one of agree and classes")
         if self.classes is None:
+            object.__setattr__(self, "agree", MappingProxyType(dict(self.agree)))
             if set(self.agree) != set(SETTING_PAIRS):
                 raise ValueError("run counts need exactly the four setting pairs")
             for pair, agree in self.agree.items():
                 if not isinstance(agree, Integral) or not 0 <= agree <= self.n_per_series:
                     raise ValueError(f"pair {pair}: {agree!r} agreements in {self.n_per_series} trials")
             return
+        object.__setattr__(self, "classes", MappingProxyType({pair: tuple(c) for pair, c in self.classes.items()}))
         if set(self.classes) != set(SETTING_PAIRS):
             raise ValueError("class counts need exactly the four setting pairs")
         for pair, counts in self.classes.items():
@@ -92,7 +96,7 @@ class RunCounts:
             if len(counts) != 16 or min(counts) < 0 or not isinstance(total, Integral) or total != self.n_per_series:
                 raise ValueError(f"pair {pair}: class counts must be 16 nonnegative integers summing to "
                                  f"{self.n_per_series}, got {tuple(counts)}")
-        object.__setattr__(self, "agree", _agree(self.classes))
+        object.__setattr__(self, "agree", MappingProxyType(_agree(self.classes)))
 
 
 # No report a program makes reads the LHV trial log (Series, TrialLog,
@@ -270,29 +274,18 @@ def count_experiment(model: LhvModel, n_per_series: int, seed: int) -> RunCounts
     return RunCounts(seed, n_per_series, classes=classes)
 
 
-def _correlation(agree: int, n: int) -> float:
-    """(agreements - disagreements) / n, correctly rounded: the mean of the
-    n exact +-1 products."""
-    return (2 * agree - n) / n
-
-
 def chsh_statistic(table: CorrelationTable):
     """S = E11 - E12 + E21 + E22. Exact when the table is exact."""
     return table.e11 - table.e12 + table.e21 + table.e22
 
 
-def empirical_table(counts: RunCounts) -> CorrelationTable:
-    return CorrelationTable(
-        *(_correlation(counts.agree[p], counts.n_per_series) for p in SETTING_PAIRS)
-    )
-
-
 def chsh_report(counts: RunCounts) -> ChshReport:
     """Correlations, S*, the Hoeffding half-width and the violation test
-    of a run, from its counts. The bound is decided in integers, as
-    S* = 2 (a11 - a12 + a21 + a22 - n) / n for agreement counts a."""
-    table = empirical_table(counts)
+    of a run, from its agreement counts a: each correlation is (2a - n) / n,
+    the mean of n exact +-1 products correctly rounded, and the bound is
+    decided in integers, as S* = 2 (a11 - a12 + a21 + a22 - n) / n."""
     n, agree = counts.n_per_series, counts.agree
+    table = CorrelationTable(*((2 * agree[pair] - n) / n for pair in SETTING_PAIRS))
     p = violation_p_value(chsh_statistic(table), n)
     return ChshReport(
         table=table,

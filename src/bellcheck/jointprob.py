@@ -5,9 +5,10 @@ quadruples that reproduces all four pairwise correlations and all four
 marginals at once. By Fine's theorem (PRL 48, 291, 1982) one exists
 exactly when every pair table is valid (checked when the statistics are
 built) and no CHSH facet value exceeds 2, so ``jp_feasible`` and
-``chsh_criterion`` decide from the same eight facet values. A feasible
-input gets Fine's joint distribution in closed form (Halliwell, Phys.
-Lett. A 378, 2945, 2014), built in integer arithmetic over one common
+``chsh_criterion`` decide from the same eight facet values; the largest,
+the statistics' own ``Facet``, is an infeasible verdict's certificate. A
+feasible input gets Fine's joint distribution in closed form (Halliwell,
+Phys. Lett. A 378, 2945, 2014), built in integer arithmetic over one common
 denominator. Rational inputs stay exact: ``BehaviorStatistics`` scales them
 at construction to integer numerators over their lcm, which every exact
 check reads. Float inputs pass the facet test within ``core.VERDICT_SLACK``.
@@ -18,7 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Any, Mapping
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 from .core import (
     ALL_BEHAVIORS,
@@ -68,6 +70,14 @@ def _pair_cells(values, one=1):
         yield SETTING_PAIRS[e], alpha, beta, one + alpha * values[a] + beta * values[b] + alpha * beta * values[e]
 
 
+class Facet(NamedTuple):
+    """A CHSH facet expression: the signs applied to (e11, e12, e21, e22) and
+    the value they reach; above 2, it certifies that no joint probability exists."""
+
+    signs: tuple[int, int, int, int]
+    value: Any
+
+
 @dataclass(frozen=True)
 class BehaviorStatistics:
     """Four correlations plus the four single-party means.
@@ -77,8 +87,8 @@ class BehaviorStatistics:
     for all sign choices. Statistics violating that cannot come from any
     experiment, CHSH or otherwise. Exact statistics are checked and kept as
     ``scaled``: (numerators over their lcm d, in ``_pair_cells`` order; d).
-    ``facet`` is ``_max_facet`` of the correlations (top/d when exact),
-    computed here from the same numbers.
+    ``facet`` is the ``Facet`` of ``_max_facet`` of the correlations (top/d
+    when exact), computed here from the same numbers.
     """
 
     correlations: CorrelationTable
@@ -86,8 +96,8 @@ class BehaviorStatistics:
     m_a2: Any = 0
     m_b1: Any = 0
     m_b2: Any = 0
-    scaled: tuple[list[int], int] | None = field(default=None, init=False, repr=False, compare=False)
-    facet: tuple[tuple[int, int, int, int], Any] = field(init=False, repr=False, compare=False)
+    scaled: tuple[tuple[int, ...], int] | None = field(default=None, init=False, repr=False, compare=False)
+    facet: Facet = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name, v in zip(("m_a1", "m_a2", "m_b1", "m_b2"), self.marginals()):
@@ -97,7 +107,7 @@ class BehaviorStatistics:
             object.__setattr__(self, "scaled", _over_lcm(values))
         nums, d = self.scaled or (values, None)
         signs, top = _max_facet(nums[:4])
-        object.__setattr__(self, "facet", (signs, top if d is None else Fraction(top, d)))
+        object.__setattr__(self, "facet", Facet(signs, top if d is None else Fraction(top, d)))
         for j, (_, _, _, cell) in enumerate(_pair_cells(nums, d or 1)):
             if cell < 0 if d else not within(-cell, 0, DOMAIN_SLACK):
                 # the weight printed in the given values' own arithmetic
@@ -113,28 +123,20 @@ class BehaviorStatistics:
 
 @dataclass(frozen=True)
 class JointProbability:
-    """A distribution over the 16 behavior classes."""
+    """A distribution over the 16 behavior classes, kept read-only as validated."""
 
     weights: Mapping[Behavior, Any]
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         validate_weights(self.weights)
-
-
-@dataclass(frozen=True)
-class ViolatedFacet:
-    """A CHSH facet expression whose value exceeds 2: the signs applied
-    to (e11, e12, e21, e22) and the value reached."""
-
-    signs: tuple[int, int, int, int]
-    value: Any
 
 
 @dataclass(frozen=True)
 class FeasibilityResult:
     feasible: bool
     witness: JointProbability | None
-    certificate: ViolatedFacet | None
+    certificate: Facet | None
 
 
 def jp_from_lhv(model: LhvModel) -> JointProbability:
@@ -227,15 +229,14 @@ def _fine_witness(nums: list[int], s: int):
 def jp_feasible(stats: BehaviorStatistics) -> FeasibilityResult:
     """Decide whether any joint probability reproduces the statistics.
 
-    The verdict is the facet test of ``chsh_criterion``, on the facet value
+    The verdict is the facet test of ``chsh_criterion``, on the facet
     computed when the statistics were built. An infeasible verdict carries
-    the largest facet value, which exceeds 2; a feasible one carries Fine's
+    that ``stats.facet``, whose value exceeds 2; a feasible one carries Fine's
     joint distribution as its witness. The witness meets the nine equality
     constraints (eight stats plus normalization) exactly for exact inputs
     and within about VERDICT_SLACK for float inputs."""
-    signs, value = stats.facet
-    if not within(value, 2, VERDICT_SLACK):
-        return FeasibilityResult(False, None, ViolatedFacet(signs=signs, value=value))
+    if not within(stats.facet.value, 2, VERDICT_SLACK):
+        return FeasibilityResult(False, None, stats.facet)
     if stats.scaled is None:
         weights = {beh: n / d for beh, n, d in _fine_witness(*_scaled_floats(stats))}
     else:

@@ -29,11 +29,10 @@ from hypothesis import strategies as st
 
 from batch_models import WIDE_TAGS, lookup_twins, scalar_only, uniform_code_model, wide_table_model, without_distribution
 from bellcheck import cli, core
-from bellcheck.core import SETTING_PAIRS, LhvModel, behavior_codes, behavior_of
+from bellcheck.core import SETTING_PAIRS, LhvModel, ModelError, behavior_codes, behavior_of
 from bellcheck.engine import chsh_report, class_frequencies, count_experiment, run_experiment
-from bellcheck.errors import ModelError
 from bellcheck.streams import BLOCK_SIZE
-from bellcheck.zoo import MODEL_FACTORIES, cosine_sign_model, dice_coin_model
+from bellcheck.zoo import MODEL_FACTORIES, cosine_sign_model, dice_coin_model, get_model
 
 _TWO_PI = 2 * math.pi
 
@@ -141,6 +140,16 @@ def test_class_distribution_is_compiled_once_per_model():
     assert model.class_distribution is compiled
     count_experiment(model, 10, seed=1)
     assert len(calls) == 4
+
+
+def test_class_distribution_is_read_only():
+    # get_model's cache shares one compiled distribution with every run in a process
+    nums, _ = get_model("dice-coin").class_distribution
+    with pytest.raises(TypeError):
+        nums[1, 1] = nums[1, 2]
+    with pytest.raises(TypeError):
+        nums[1, 1][0] = 1
+    assert get_model("dice-coin").class_distribution[0] is nums
 
 
 def test_zoo_class_distributions():

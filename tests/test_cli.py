@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import math
@@ -516,6 +517,94 @@ def test_every_traced_name_resolves(monkeypatch):
     spec.loader.exec_module(tracing)
     for module, attr, _ in tracing.PATCHES:
         assert hasattr(importlib.import_module(f"bellcheck.{module}"), attr), (module, attr)
+
+
+def _package_chains(path: Path) -> set[tuple[str, ...]]:
+    """Every attribute chain a perfbench file reads off the package it calls
+    ``bc``: rooted at ``bc``, at ``self.bc`` or at a name bound to such a
+    chain (``engine = bc.engine`` makes ``engine.chsh_report`` a chain)."""
+    tree = ast.parse(path.read_text())
+
+    def chain(node) -> tuple[str, ...] | None:
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.insert(0, node.attr)
+            node = node.value
+        if not isinstance(node, ast.Name):
+            return None
+        if node.id == "self" and attrs[:1] == ["bc"]:
+            return tuple(attrs[1:])
+        return aliases[node.id] + tuple(attrs) if node.id in aliases else None
+
+    aliases = {"bc": ()}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target, value = node.targets[0], node.value
+            unpacked = isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+            for name, expr in zip(target.elts, value.elts) if unpacked else [(target, value)]:
+                if isinstance(name, ast.Name) and (found := chain(expr)) is not None:
+                    aliases[name.id] = found
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return {found for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and id(node) not in inner and (found := chain(node))}
+
+
+#: The one chain perfbench holds that no longer resolves: the singlet branch
+#: of its replay, which no workload reaches and ROADMAP item 1 drops.
+_DEAD_BENCHMARK_CHAINS = {("quantum", "sample_quantum_batch")}
+
+
+def test_every_direct_benchmark_call_resolves():
+    # perfbench calls the package directly too, outside the names it traces
+    importlib.import_module("bellcheck.cli")
+    chains = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        chains |= _package_chains(path)
+    for attrs in [("Behavior", "from_compact"), ("core", "_batch_responses"),
+                  ("ghz", "evaluate_constraint"), ("engine", "hoeffding_epsilon"), ("jointprob", "jp_feasible")]:
+        assert attrs in chains, attrs
+    assert _DEAD_BENCHMARK_CHAINS <= chains
+    for attrs in sorted(chains - _DEAD_BENCHMARK_CHAINS):
+        target = bellcheck
+        for attr in attrs:
+            assert hasattr(target, attr), ".".join(("bc",) + attrs)
+            target = getattr(target, attr)
+
+
+class TestOutsideInputRefusals:
+    """Input from outside the program ends in exit 2 with a one-line
+    message, or in a ValueError at the library."""
+
+    @pytest.mark.parametrize("config,message", [
+        ([1, 2], "config file must hold a JSON object"),
+        ({"model": "dice-coin", "format": "xml"}, "format must be json or csv, got 'xml'"),
+    ], ids=["array", "format"])
+    def test_config_file(self, tmp_path, capsys, config, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert run_cli(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["run", "--model", "quantum", "--angles", "0,1,2"],
+         "--angles expects four comma-separated radians: a1,a2,b1,b2"),
+        (["ghz-check", "--phi", "nan"], "phi must be finite"),
+        (["ghz-check", "--phi", "inf"], "phi must be finite"),
+    ], ids=["three-angles", "phi-nan", "phi-inf"])
+    def test_flag(self, capsys, argv, message):
+        assert run_cli(argv) == cli.EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"configuration error: {message}\n")
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: Behavior.from_code(16), "behavior code must be in 0..15, got 16"),
+        (lambda: Behavior.from_compact("++-"), "expected four chars of '+'/'-', got '++-'"),
+        (lambda: bellcheck.ProductConstraint((("A", math.inf),), 1), "factor angle must be finite"),
+        (lambda: bellcheck.ghz_correlation(math.nan, 0, 0, 0), "angles must be finite"),
+        (lambda: bellcheck.cosine_sign_model(a1=math.inf), "model angles must be finite"),
+    ], ids=["code-16", "three-chars", "inf-factor", "nan-correlation", "inf-model-angle"])
+    def test_library(self, call, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 class TestParserReuse:

@@ -18,6 +18,7 @@ from bellcheck.core import (
     Behavior,
     CorrelationTable,
     LhvModel,
+    ModelError,
     behavior_codes,
 )
 from bellcheck import engine, streams
@@ -30,7 +31,6 @@ from bellcheck.engine import (
     chsh_statistic,
     class_frequencies,
     count_experiment,
-    empirical_table,
     exact_class_weights,
     exact_correlation_table,
     exact_mi_holds,
@@ -42,7 +42,6 @@ from bellcheck.engine import (
     validate_weights,
     violation_p_value,
 )
-from bellcheck.errors import ModelError
 from bellcheck.quantum import TSIRELSON_ANGLES, count_quantum_experiment, quantum_chsh
 from bellcheck.streams import BLOCK_SIZE, iter_blocks, trial_stream
 from bellcheck.zoo import conspiracy_model, cosine_sign_model, dice_coin_model
@@ -349,19 +348,19 @@ def agreeing(n, **agree):
 
 class TestEstimateCorrelation:
     """A series' correlation estimate (agreements - disagreements) / n, as
-    ``empirical_table`` reads it off a run's counts."""
+    ``chsh_report`` reads it off a run's counts into its table."""
 
     def test_perfect_correlation(self):
-        assert empirical_table(agreeing(8)).e11 == 1.0
+        assert chsh_report(agreeing(8)).table.e11 == 1.0
 
     def test_dice_exact_sweep_pair_11(self):
-        assert empirical_table(exact_sweep_log(dice_coin_model(), range(1, 7))).e11 == 1.0
+        assert chsh_report(exact_sweep_log(dice_coin_model(), range(1, 7))).table.e11 == 1.0
 
     def test_cancellation(self):
-        assert empirical_table(agreeing(8, e11=4)).e11 == 0.0
+        assert chsh_report(agreeing(8, e11=4)).table.e11 == 0.0
 
     def test_series_input(self):
-        assert empirical_table(agreeing(3, e12=2)).e12 == pytest.approx(1 / 3)
+        assert chsh_report(agreeing(3, e12=2)).table.e12 == pytest.approx(1 / 3)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="n_per_series"):
@@ -616,7 +615,7 @@ class TestReports:
 
     def test_empirical_table_matches_series_means(self):
         log = run_experiment(dice_coin_model(), 1000, seed=8)
-        table = empirical_table(log)
+        table = chsh_report(log).table
         for pair, value in zip(SETTING_PAIRS, table.as_tuple()):
             s = log.series[pair]
             assert value == pytest.approx(np.mean(s.alice * s.bob.astype(np.int64)))
@@ -789,3 +788,29 @@ class TestLogValidation:
         log = run_experiment(constant_model(), 5, seed=0)
         with pytest.raises(ValueError):
             log.series[(1, 1)].alice[0] = -1
+
+
+class TestRunCountsReadOnly:
+    """A run's counts are read-only copies: a report reads them as checked."""
+
+    def test_class_counts_keep_their_own_copy(self):
+        classes = {pair: [0] * 15 + [4] for pair in SETTING_PAIRS}  # all +1: every pair agrees
+        counts = RunCounts(0, 4, classes=classes)
+        classes[1, 1][15], classes[1, 1][8] = 0, 4  # code 8: A1 = +1, B1 = -1
+        classes[2, 2] = [4] + [0] * 15
+        assert counts.classes == dict.fromkeys(SETTING_PAIRS, (0,) * 15 + (4,))
+        assert counts.agree == dict.fromkeys(SETTING_PAIRS, 4) == engine._agree(counts.classes)
+
+    def test_agreements_keep_their_own_copy(self):
+        agree = dict.fromkeys(SETTING_PAIRS, 3)
+        counts = RunCounts(0, 4, agree=agree)
+        agree[1, 1] = 9
+        assert counts.agree == dict.fromkeys(SETTING_PAIRS, 3)
+
+    @pytest.mark.parametrize("field", ["agree", "classes"])
+    def test_item_assignment_raises(self, field):
+        counts = count_experiment(dice_coin_model(), 10, seed=0)
+        with pytest.raises(TypeError):
+            getattr(counts, field)[1, 1] = getattr(counts, field)[1, 2]
+        with pytest.raises(TypeError):
+            counts.classes[1, 1][0] = 10

@@ -14,6 +14,7 @@ from bellcheck.engine import exact_class_weights, theoretical_correlations
 from bellcheck.jointprob import (
     STATS_MATRIX,
     BehaviorStatistics,
+    Facet,
     JointProbability,
     _pair_cells,
     chsh_criterion,
@@ -203,6 +204,15 @@ class TestJpFeasible:
         assert not result.feasible
         assert result.certificate is not None
 
+    @pytest.mark.parametrize("es", [(1, 1, 1, -1), (1.0, 1.0, 1.0, -1.0), (Fraction(3, 4), 1, 1, Fraction(-1, 2))])
+    def test_certificate_is_the_statistics_own_facet(self, es):
+        stats = BehaviorStatistics(CorrelationTable(*es))
+        assert jp_feasible(stats).certificate is stats.facet
+        assert isinstance(stats.facet, Facet)
+        signs, value = stats.facet
+        assert (signs, value) == stats.facet == (stats.facet.signs, stats.facet.value)
+        assert value == sum(s * e for s, e in zip(signs, es)) > 2
+
     def test_exact_witness_reproduces_stats(self):
         rng = random.Random(11)
         checked = 0
@@ -216,6 +226,30 @@ class TestJpFeasible:
             assert got.correlations.as_tuple() == tuple(es)
             assert got.marginals() == (0, 0, 0, 0)
             assert all(w >= 0 for w in result.witness.weights.values())
+
+
+class TestReadOnlyRecords:
+    """A validated record keeps read-only copies, so it stays as checked."""
+
+    def test_joint_probability_keeps_its_own_copy(self):
+        weights = {ALL_BEHAVIORS[15]: Fraction(1)}
+        jp = JointProbability(weights)
+        weights[ALL_BEHAVIORS[15]] = weights[ALL_BEHAVIORS[0]] = Fraction(1, 2)
+        assert jp.weights == {ALL_BEHAVIORS[15]: 1}
+
+    def test_edited_weights_raise_and_leave_the_statistics(self):
+        jp = JointProbability({ALL_BEHAVIORS[15]: Fraction(1)})
+        with pytest.raises(TypeError):
+            jp.weights[ALL_BEHAVIORS[15]] = Fraction(1, 2)
+        stats = statistics_of(jp)
+        assert stats.correlations.as_tuple() + stats.marginals() == (1,) * 8
+
+    def test_scaled_numerators_are_read_only(self):
+        stats = BehaviorStatistics(CorrelationTable(*[Fraction(1, 2)] * 4))
+        nums, d = stats.scaled
+        with pytest.raises(TypeError):
+            nums[0] = 2 * d
+        assert stats.scaled == ((1, 1, 1, 1, 0, 0, 0, 0), 2)
 
 
 class TestFineAEquivalence:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bellcheck.engine import empirical_table, hoeffding_epsilon
+from bellcheck.engine import chsh_report, hoeffding_epsilon
 from bellcheck.quantum import (
     TSIRELSON_ANGLES,
     AnglePair,
@@ -87,7 +87,7 @@ class TestSampling:
 
     def test_sampled_estimates_match_oracle(self):
         n = 100_000
-        estimates = empirical_table(count_quantum_experiment(TSIRELSON_ANGLES, n, seed=17))
+        estimates = chsh_report(count_quantum_experiment(TSIRELSON_ANGLES, n, seed=17)).table
         table = quantum_correlation_table(TSIRELSON_ANGLES)
         band = hoeffding_epsilon(n)
         for est, exact in zip(estimates.as_tuple(), table.as_tuple()):
